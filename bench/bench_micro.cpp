@@ -1,7 +1,8 @@
 // M1 — google-benchmark microbenchmarks for the substrate hot paths: field
-// arithmetic, Linial polynomial evaluation, AG rule steps, full engine
-// rounds, and the raw message path (send/validate/deliver/receive).  These
-// bound the simulator's throughput, not the paper's claims.
+// arithmetic, Linial polynomial evaluation, AG rule steps, locally-iterative
+// rounds on the sweep, and the raw engine message path
+// (send/validate/deliver/receive).  These bound the simulator's throughput,
+// not the paper's claims.
 //
 // Flags: everything google-benchmark accepts, plus the repo-wide
 // `--json FILE` (BENCH_micro.json rows via bench_gbench.hpp) and
@@ -80,7 +81,8 @@ void BM_EngineRound(benchmark::State& state) {
   const auto rg = benchutil::resolve_graph(benchutil::regular_spec(1000, delta, 3));
   const graph::GraphView g = rg.view();
   coloring::AgRule rule(coloring::ag_modulus(delta, 1000));
-  // Measure raw synchronous rounds through the SET-LOCAL transport.
+  // Raw locally-iterative rounds: no fault hooks, so run_locally_iterative
+  // evaluates them on the sweep, not the engine (the row keeps its name).
   for (auto _ : state) {
     state.PauseTiming();
     runtime::IterativeOptions io;
@@ -95,7 +97,7 @@ void BM_EngineRound(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRound)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
-// Same engine rounds on the exec subsystem's thread pool; range(1) is the
+// The same sweep rounds on the exec subsystem's thread pool; range(1) is the
 // thread count (0 = hardware concurrency, honoring AGC_THREADS semantics).
 void BM_EngineRoundThreaded(benchmark::State& state) {
   const auto delta = static_cast<std::size_t>(state.range(0));
@@ -250,11 +252,13 @@ void BM_MessagePathChannelAdversary(benchmark::State& state) {
 BENCHMARK(BM_MessagePathChannelAdversary)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-// End-to-end round throughput of the two new registry entries: one complete
+// End-to-end round throughput of two registry entries: one complete
 // pipeline run per iteration on the BM_MessagePathRegular graph, counting
-// engine rounds actually executed.  Named BM_MessagePath* so the CI
-// perf-gate filter ('MessagePath|AsyncVsBarrier') tracks their
-// rounds_per_sec against the committed baseline with no workflow change.
+// the rounds actually executed.  FYZ runs fault-free, so its rounds are
+// sweep rounds; Luby keeps its own loop on the engine.  Named
+// BM_MessagePath* so the CI perf-gate filter ('MessagePath|AsyncVsBarrier')
+// tracks their rounds_per_sec against the committed baseline with no
+// workflow change.
 void BM_MessagePathFyz(benchmark::State& state) {
   const auto delta = static_cast<std::size_t>(state.range(0));
   const auto rg = benchutil::resolve_graph(benchutil::regular_spec(4096, delta, 97 + delta));

@@ -3,11 +3,11 @@
 // Sweeps G(n,p) at average degree ~16 from n = 10^5 up to n = 10^7, building
 // each instance directly into the frozen CSR (stream_gnp_frozen — the graph
 // is never materialized in adjacency-vector form) and running the full
-// (Delta+1) pipeline on the flat runner.  Rows report build and coloring
+// (Delta+1) pipeline on the flat sweep.  Rows report build and coloring
 // throughput plus the two memory figures the substrate is designed around:
 // CSR bytes per vertex and peak packed-state bytes per vertex.
 //
-//   --threads N   sweep threads for the flat runner (0 = hardware)
+//   --threads N   sweep threads (0 = hardware)
 //   --max-n N     largest instance to run (default 10^7; CI's scale-smoke
 //                 job caps at 10^6 to fit the shared-runner RSS ceiling)
 //   --json FILE   emit rows as BENCH_scale.json for the perf gate

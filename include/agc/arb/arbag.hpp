@@ -23,7 +23,7 @@
 namespace agc::arb {
 
 /// The ArbAG update rule as a locally-iterative color function (so it runs
-/// on the engine, in SET-LOCAL included).  A state packs the immutable seed
+/// through run_locally_iterative in any model, SET-LOCAL included).  A state packs the immutable seed
 /// color with the AG pair: state = psi * q^2 + a*q + b; <0,b> (a == 0) is
 /// frozen.  The tolerant finalize rule freezes when at most `p` neighbors of
 /// a DIFFERENT seed color share b.

@@ -9,8 +9,8 @@
 /// — the direct successor that broke this paper's O(Delta) barrier with an
 /// O(Delta^{3/4} log Delta + log* n) round bound.
 ///
-/// Structure (all four stages are locally-iterative rules on the round
-/// engine; every intermediate packed coloring is proper):
+/// Structure (all four stages are locally-iterative rules run through
+/// run_locally_iterative; every intermediate packed coloring is proper):
 ///
 ///   1. linial     — the shared log* n preamble: identity IDs down to the
 ///                   O(Delta^2) palette L.
@@ -39,8 +39,8 @@
 /// where the wave rule substitutes for their exact finisher.
 ///
 /// Determinism: the pipeline is deterministic and bit-identical at any
-/// thread count and on both executors (it is pure rules on the engine); it
-/// ignores RunOptions::seed.
+/// thread count and on both executors (it is pure locally-iterative rules);
+/// it ignores RunOptions::seed.
 
 namespace agc::coloring {
 

@@ -38,6 +38,12 @@ class ParallelExecutor final : public runtime::RoundExecutor {
 
   void round(runtime::RoundContext& ctx, runtime::Metrics& total) override;
 
+  /// Shard task i runs on pool worker i % threads(); see ThreadPool::run.
+  void run_shards(std::size_t shards,
+                  const std::function<void(std::size_t)>& task) override {
+    pool_.run(shards, task);
+  }
+
   /// The degree-aware shard boundaries the current round uses (bounds_[s]
   /// .. bounds_[s+1] is shard s's vertex range).  Exposed for tests.
   [[nodiscard]] const std::vector<graph::Vertex>& bounds() const noexcept {

@@ -23,9 +23,25 @@
 /// way directly executable in the SET-LOCAL model of [33] (Section 1.2.3 of
 /// the paper).
 ///
-/// The runner executes the rule on the round engine (one broadcast per vertex
-/// per round), optionally asserting after every round that the coloring is
-/// still proper — the defining invariant of the class.
+/// The runner evaluates the rule on one of two backends, chosen only from
+/// the hooks and executor the caller already passes (docs/EXEC.md):
+///
+///   * the sweep — no adversary, no channel hook, and a BSP executor (none,
+///     SequentialExecutor or ParallelExecutor): one double-buffered pass per
+///     round over two bit-packed color buffers (packed.hpp), stepping only
+///     vertices whose color is not final, in word-aligned shards the
+///     executor runs through RoundExecutor::run_shards;
+///   * the round engine — otherwise: one RuleProgram per vertex broadcasting
+///     its color each round, which the fault hooks and the async executor
+///     act on.
+///
+/// Both report the same colors, rounds, convergence, per-round properness,
+/// on_round calls, RoundEnd events and transport errors.  The sweep books
+/// the engine's accounting of a SET-LOCAL broadcast in closed form:
+/// messages = rounds * sum of degrees, total_bits = messages * color_bits(),
+/// max_edge_bits = rounds * color_bits() (0 without edges).  Either backend
+/// can assert after every round that the coloring is still proper — the
+/// defining invariant of the class.
 
 namespace agc::runtime {
 
@@ -40,8 +56,11 @@ class IterativeRule {
   [[nodiscard]] virtual Color step(Color own,
                                    std::span<const Color> neighbors) const = 0;
 
-  /// True once a color has reached its final form (a fixed point of step()
-  /// for every possible neighborhood that can still occur).
+  /// True once a color has reached its final form.  Contract: a final
+  /// color is a fixed point of step() — step(c, N) == c for every
+  /// neighborhood N that can still occur — so a final vertex never changes
+  /// again.  The sweep relies on it to skip final vertices, and the tests
+  /// pin it for every rule the library runs (tests/test_sweep.cpp).
   [[nodiscard]] virtual bool is_final(Color c) const = 0;
 
   /// Declared width of a color broadcast, for transport accounting.
@@ -70,7 +89,8 @@ struct IterativeResult : RunReport {
   bool proper_each_round = true;   ///< locally-iterative invariant held
 };
 
-/// Run `rule` from the initial coloring until every color is final.
+/// Run `rule` from the initial coloring (one color per vertex; throws
+/// std::invalid_argument otherwise) until every color is final.
 [[nodiscard]] IterativeResult run_locally_iterative(graph::GraphView g,
                                                     std::vector<Color> initial,
                                                     const IterativeRule& rule,

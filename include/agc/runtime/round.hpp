@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -146,6 +147,14 @@ class RoundExecutor {
 
   /// Execute one full round, folding accounting into `total`.
   virtual void round(RoundContext& ctx, Metrics& total) = 0;
+
+  /// Run task(0) .. task(shards - 1) and return once all of them finished —
+  /// the barrier.  The locally-iterative sweep (iterative.hpp) hands its
+  /// word-aligned shard passes to BSP backends through this instead of a
+  /// RoundContext.  The base runs them in index order on the caller; the
+  /// parallel backend runs them on its pool.
+  virtual void run_shards(std::size_t shards,
+                          const std::function<void(std::size_t)>& task);
 
   /// True when this backend fires vertices on per-vertex readiness instead
   /// of global phase barriers.  The engine switches the mailbox arena into

@@ -36,9 +36,11 @@ struct RunOptions {
   std::uint32_t congest_bits = 64;
   std::size_t max_rounds = 1'000'000;
 
-  /// Execution backend for the round engine (null = sequential).  The exec
-  /// subsystem's sharded backend is bit-identical for any thread count, so
-  /// this only affects wall-clock time.
+  /// Execution backend for the round engine and for the locally-iterative
+  /// sweep's shard passes (null = sequential).  The exec subsystem's sharded
+  /// backend is bit-identical for any thread count, so this only affects
+  /// wall-clock time — except that a dependency-driven (async) backend keeps
+  /// run_locally_iterative on the engine (iterative.hpp).
   std::shared_ptr<RoundExecutor> executor;
 
   /// Fault adversary invoked between rounds (non-owning; null = fault-free).

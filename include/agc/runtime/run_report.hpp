@@ -31,6 +31,9 @@ struct RunReport {
   std::uint64_t wall_ns = 0;
   /// Total adversary events injected through RunOptions::adversary.
   std::size_t fault_events = 0;
+  /// Peak bytes of the locally-iterative sweep's two packed color buffers
+  /// (0 for runs on the engine).  Stages fold it as a max.
+  std::uint64_t state_bytes = 0;
 
   /// The unified counters/gauges view: everything Metrics, the edge-bit
   /// ledger and the phase timers counted, as one registry (assembled on
@@ -38,8 +41,8 @@ struct RunReport {
   [[nodiscard]] obs::Telemetry telemetry() const;
 
   /// Stage accumulation: counters add, metrics merge (max_edge_bits is a
-  /// max), phase stats merge, convergence ANDs.  Used by run_stages and the
-  /// pipelines.
+  /// max), phase stats merge, convergence ANDs, state_bytes is a max.  Used
+  /// by run_stages and the pipelines.
   void absorb(const RunReport& stage);
 };
 

@@ -39,7 +39,16 @@ class Transport {
   /// in place — no message is copied for validation.
   void validate(const OutboxRef& out) const;
 
+  /// The same checks validate() applies to every port of a one-word
+  /// broadcast from a vertex with at least one neighbor, with the same
+  /// errors: the value must fit its declared width, then the width must fit
+  /// the model's cap.
+  void validate_broadcast(const Word& w) const;
+
  private:
+  static void check_value(const Word& w);
+  void check_port_bits(std::uint64_t total) const;
+
   Model model_;
   std::uint32_t congest_bits_;
 };

@@ -6,25 +6,19 @@
 
 #include "agc/graph/checks.hpp"
 #include "agc/graph/view.hpp"
-#include "agc/runtime/iterative.hpp"
 
 /// \file flat.hpp
-/// The web-graph-scale flat runner (docs/SCALE.md).
+/// The web-graph-scale front door of the (Delta+1) pipeline (docs/SCALE.md).
 ///
-/// The round engine carries per-vertex mailboxes, a transport ledger and
-/// program objects — the machinery faults, traces and congestion accounting
-/// need.  At n = 10^7 none of that fits the budget, and none of it is needed
-/// for the fault-free BSP case: a locally-iterative rule is a pure function
-/// of (own color, sorted neighbor multiset), so one double-buffered sweep
-/// per round reproduces the engine bit for bit.  The flat runner is exactly
-/// that sweep: frozen CSR topology in, two bit-packed color buffers, one
-/// pass per round, contiguous vertex shards on the exec thread pool.
-///
-/// Determinism: next[v] depends only on cur[], so any shard partition gives
-/// identical results; shards are word-aligned (multiples of 64 vertices) so
-/// packed writes never share a word.  Color contract, pinned by tests:
-/// color_delta_plus_one_flat() returns the same colors as
-/// coloring::color_delta_plus_one() for every graph and thread count.
+/// At n = 10^7 the round engine's per-vertex programs and mailboxes do not
+/// fit the budget, and none of them is needed for the fault-free BSP case.
+/// run_locally_iterative already evaluates such runs with the sweep — two
+/// bit-packed color buffers, one pass per round over the frozen CSR that
+/// steps only non-final vertices, word-aligned shards on the exec thread
+/// pool (iterative.hpp, docs/EXEC.md).  This header is the thin wrapper the
+/// scale bench drives: coloring::color_delta_plus_one on a thread count,
+/// reported with the packed state size.  The pipeline is described once,
+/// in coloring/pipeline.cpp.
 
 namespace agc::scale {
 
@@ -47,20 +41,8 @@ struct FlatResult {
   std::uint64_t state_bytes = 0;
 };
 
-/// Run one rule to its fixed point, BSP semantics, at most `max_rounds`
-/// rounds.  `palette_bound` is one past the largest color that can occur at
-/// any point of the run (initial colors included); it sizes the packed
-/// buffers.  Returns the final colors plus rounds/convergence.
-[[nodiscard]] FlatResult run_flat(graph::GraphView g,
-                                  std::vector<graph::Color> initial,
-                                  const runtime::IterativeRule& rule,
-                                  std::uint64_t palette_bound,
-                                  std::size_t max_rounds,
-                                  const FlatOptions& opts = {});
-
-/// The full (Delta+1)-coloring pipeline — Linial, AG, greedy finish — with
-/// the exact stage parameterization of coloring::color_delta_plus_one, on
-/// the flat runner.
+/// coloring::color_delta_plus_one (Linial, AG, greedy finish) on
+/// exec::make_executor(opts.threads).
 [[nodiscard]] FlatResult color_delta_plus_one_flat(graph::GraphView g,
                                                    const FlatOptions& opts = {});
 

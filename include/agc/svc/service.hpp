@@ -105,8 +105,9 @@ struct ServiceConfig {
   std::size_t confirm_rounds = 2;
   /// Executor / observability / round budget for the underlying engine.
   /// run.sink receives the engine's RoundEnd stream plus one StageStart /
-  /// StageEnd pair per epoch; run.collect_phase_times folds per-epoch phase
-  /// timings into stats().phases.
+  /// StageEnd pair per epoch; run.collect_phase_times folds the phase
+  /// timings of the boot settle and every epoch's repair into
+  /// report().phases.
   runtime::RunOptions run;
 };
 
@@ -202,6 +203,7 @@ class Service {
   std::deque<Queued> queue_;
   std::uint64_t next_op_ = 0;
   ServiceStats stats_;
+  obs::PhaseStats phases_;  ///< folded resettle() phase timings
 };
 
 }  // namespace agc::svc

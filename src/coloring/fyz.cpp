@@ -2,280 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "agc/coloring/linial.hpp"
-#include "agc/math/gf.hpp"
-#include "agc/math/primes.hpp"
 #include "agc/obs/event_sink.hpp"
+#include "fyz_stages.hpp"
 #include "stage.hpp"
 
 namespace agc::coloring {
 
 using detail::finish;
 using detail::fresh_report;
+using detail::FyzStages;
+using detail::PartitionSchedule;
 using detail::run_stage;
-
-namespace {
-
-std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
-  if (a != 0 && b > std::numeric_limits<std::uint64_t>::max() / a) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  return a * b;
-}
-
-std::uint64_t sat_pow(std::uint64_t base, std::uint32_t exp) {
-  std::uint64_t r = 1;
-  for (std::uint32_t i = 0; i < exp; ++i) r = sat_mul(r, base);
-  return r;
-}
-
-std::uint64_t ceil_root(std::uint64_t p, std::uint32_t k) {
-  if (p <= 1) return 1;
-  auto r = static_cast<std::uint64_t>(
-      std::floor(std::pow(static_cast<double>(p), 1.0 / k)));
-  while (sat_pow(r, k) < p) ++r;
-  while (r > 1 && sat_pow(r - 1, k) >= p) --r;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Stage 2: the carrier-packed defective partition.
-//
-// The same defective-Linial stage selection as arb::defective_color (minimize
-// the next palette q^2 subject to coverage q^{d+1} >= palette and per-stage
-// defect d*Delta/q <= p), but run as a locally-iterative rule: the working
-// palettes get disjoint intervals (exactly like Mod-Linial), every vertex
-// advances one interval per round in lockstep, and the whole machinery rides
-// on the immutable Linial color as state = lin * span + machinery so every
-// intermediate full coloring is proper.
-
-struct PartStage {
-  std::uint64_t q;
-  std::uint32_t d;
-};
-
-struct PartitionSchedule {
-  std::vector<PartStage> stages;      ///< stage t maps interval t -> t+1
-  std::vector<std::uint64_t> pal;     ///< pal[t] = palette of interval t
-  std::vector<std::uint64_t> off;     ///< off[t] = interval t's color offset
-  std::uint64_t span = 0;             ///< one past the largest machinery color
-
-  PartitionSchedule(std::uint64_t palette, std::size_t delta,
-                    std::uint64_t budget) {
-    pal.push_back(palette);
-    for (;;) {
-      std::uint64_t best_to = std::numeric_limits<std::uint64_t>::max();
-      PartStage best{};
-      for (std::uint32_t d = 1; d <= 64; ++d) {
-        const std::uint64_t slack =
-            (static_cast<std::uint64_t>(d) * delta + budget - 1) / budget;
-        const std::uint64_t q = math::next_prime(
-            std::max<std::uint64_t>(slack + 1, ceil_root(palette, d + 1)));
-        if (q * q < best_to) {
-          best_to = q * q;
-          best = PartStage{q, d};
-        }
-        if (sat_pow(slack + 1, d + 1) >= palette) break;
-      }
-      if (best_to >= palette) break;  // fixed point
-      stages.push_back(best);
-      pal.push_back(best_to);
-      palette = best_to;
-    }
-    off.resize(pal.size());
-    std::uint64_t o = 0;
-    for (std::size_t t = 0; t < pal.size(); ++t) {
-      off[t] = o;
-      o += pal[t];
-    }
-    span = o;
-  }
-
-  [[nodiscard]] std::uint64_t classes() const { return pal.back(); }
-
-  /// Interval of a machinery color (linear scan; <= log* palette entries).
-  [[nodiscard]] std::size_t interval_of(std::uint64_t m) const {
-    std::size_t t = pal.size() - 1;
-    while (m < off[t]) --t;
-    return t;
-  }
-};
-
-/// Evaluate the degree-d digit polynomial of x over GF(q) at every point
-/// into `vals` (Horner, no allocation).
-void eval_digits(const math::GF& f, std::uint64_t x, std::uint32_t d,
-                 std::vector<std::uint64_t>& vals) {
-  const std::uint64_t q = f.modulus();
-  std::uint64_t digits[65];
-  for (std::uint32_t i = 0; i <= d; ++i) {
-    digits[i] = x % q;
-    x /= q;
-  }
-  for (std::uint64_t e = 0; e < q; ++e) {
-    std::uint64_t acc = digits[d];
-    for (std::uint32_t i = d; i-- > 0;) {
-      acc = f.add(f.mul(acc, e), digits[i]);
-    }
-    vals[e] = acc;
-  }
-}
-
-class PartitionRule final : public runtime::IterativeRule {
- public:
-  explicit PartitionRule(PartitionSchedule sched) : s_(std::move(sched)) {}
-
-  [[nodiscard]] Color step(Color own,
-                           std::span<const Color> neighbors) const override {
-    const std::uint64_t m = own % s_.span;
-    const std::size_t t = s_.interval_of(m);
-    if (t + 1 == s_.pal.size()) return own;  // final interval
-    const PartStage& st = s_.stages[t];
-    const math::GF field(st.q);
-    std::vector<std::uint64_t> own_vals(st.q);
-    std::vector<std::uint64_t> nbr_vals(st.q);
-    std::vector<std::size_t> hits(st.q, 0);
-    eval_digits(field, m - s_.off[t], st.d, own_vals);
-    // All vertices advance one interval per round in lockstep, so every
-    // neighbor is in interval t too; duplicates (identical machinery colors)
-    // shift every hit count equally and cannot move the argmin, so the
-    // sorted multiset lets us skip them.
-    Color prev = std::numeric_limits<Color>::max();
-    for (const Color nc : neighbors) {
-      if (nc == prev) continue;
-      prev = nc;
-      const std::uint64_t nm = nc % s_.span;
-      if (nm < s_.off[t] || nm >= s_.off[t] + s_.pal[t]) continue;
-      eval_digits(field, nm - s_.off[t], st.d, nbr_vals);
-      for (std::uint64_t e = 0; e < st.q; ++e) {
-        hits[e] += nbr_vals[e] == own_vals[e];
-      }
-    }
-    const std::uint64_t best = static_cast<std::uint64_t>(
-        std::min_element(hits.begin(), hits.end()) - hits.begin());
-    const std::uint64_t next = best * st.q + own_vals[best];
-    return (own / s_.span) * s_.span + s_.off[t + 1] + next;
-  }
-
-  [[nodiscard]] bool is_final(Color c) const override {
-    return c % s_.span >= s_.off.back();
-  }
-  [[nodiscard]] std::uint32_t color_bits() const override { return 64; }
-
-  [[nodiscard]] const PartitionSchedule& schedule() const { return s_; }
-
- private:
-  PartitionSchedule s_;
-};
-
-// ---------------------------------------------------------------------------
-// Stage 3: carrier-packed Arbdefective-Color (tolerant AG over Z_q).
-//
-// state = ((lin * K + psi) * q + a) * q + b; <a == 0> is frozen.  Same
-// tolerant finalize rule as arb::ArbAgRule — freeze as soon as at most p
-// neighbors of a DIFFERENT psi share b — but packed above the proper Linial
-// carrier instead of the bare seed, so the maintained colorings stay proper.
-
-class FyzArbRule final : public runtime::IterativeRule {
- public:
-  FyzArbRule(std::uint64_t classes, std::uint64_t q, std::uint64_t p)
-      : k_(classes), q_(q), p_(p), m_(classes * q * q) {}
-
-  [[nodiscard]] Color step(Color own,
-                           std::span<const Color> neighbors) const override {
-    const std::uint64_t m = own % m_;
-    const std::uint64_t a = (m / q_) % q_;
-    if (a == 0) return own;  // frozen
-    const std::uint64_t b = m % q_;
-    const std::uint64_t psi = m / (q_ * q_);
-    std::uint64_t conflicts = 0;
-    for (const Color nc : neighbors) {
-      const std::uint64_t nm = nc % m_;
-      conflicts += nm % q_ == b && nm / (q_ * q_) != psi;
-    }
-    if (conflicts <= p_) {
-      return own - a * q_;  // freeze: a <- 0, keep psi and b
-    }
-    const std::uint64_t nb = b + a >= q_ ? b + a - q_ : b + a;
-    return own - b + nb;
-  }
-
-  [[nodiscard]] bool is_final(Color c) const override {
-    return (c % m_ / q_) % q_ == 0;
-  }
-  [[nodiscard]] std::uint32_t color_bits() const override { return 64; }
-
-  [[nodiscard]] std::uint64_t q() const { return q_; }
-
- private:
-  std::uint64_t k_, q_, p_, m_;
-};
-
-// ---------------------------------------------------------------------------
-// Stage 4: the list-coloring wave with the proposal packed into the color.
-//
-// An active state is D1 + prio * D1 + prop where D1 = Delta + 1, prop is the
-// currently proposed final color, and prio = b * L + lin totally orders the
-// vertices class-major (b = arb class, lin tie-break).  Done states are bare
-// colors < D1.  One step, computed from one snapshot of the neighborhood:
-//
-//   * a done neighbor holds prop      -> re-propose the smallest free color
-//                                        (publish first, commit no earlier
-//                                        than the next round);
-//   * else if no same-prop active     -> commit (become done(prop));
-//     neighbor has smaller prio
-//   * else                            -> defer, state unchanged.
-//
-// Adjacent same-round commits of the same color are impossible: both decide
-// against the same snapshot, so the larger-prio one of a same-prop pair
-// defers, and a freshly re-proposed color was by definition not published in
-// the snapshot its neighbor committed against.  Every round stays proper
-// (done-done by the commit rule, active-active by distinct lin, done-active
-// by the offset) and the globally smallest active priority always commits
-// within two rounds, so the wave cannot deadlock.  Initial proposals are
-// class-spread (b mod D1), which keeps the startup contention inside the
-// size-O(p)-defect classes instead of piling every vertex onto color 0.
-
-class FyzListRule final : public runtime::IterativeRule {
- public:
-  explicit FyzListRule(std::uint64_t d1) : d1_(d1) {}
-
-  [[nodiscard]] Color step(Color own,
-                           std::span<const Color> neighbors) const override {
-    if (own < d1_) return own;  // done
-    const std::uint64_t prio = (own - d1_) / d1_;
-    const std::uint64_t prop = (own - d1_) % d1_;
-    // One pass over the (sorted) multiset: done colors seen, and whether a
-    // smaller-priority active neighbor holds the same proposal.
-    std::vector<bool> used(d1_, false);
-    bool defer = false;
-    for (const Color nc : neighbors) {
-      if (nc < d1_) {
-        used[nc] = true;
-      } else if ((nc - d1_) % d1_ == prop && (nc - d1_) / d1_ < prio) {
-        defer = true;
-      }
-    }
-    if (used[prop]) {
-      std::uint64_t fresh = 0;
-      while (used[fresh]) ++fresh;  // < d1_: at most Delta done neighbors
-      return d1_ + prio * d1_ + fresh;
-    }
-    if (!defer) return prop;  // commit
-    return own;
-  }
-
-  [[nodiscard]] bool is_final(Color c) const override { return c < d1_; }
-  [[nodiscard]] std::uint32_t color_bits() const override { return 64; }
-
- private:
-  std::uint64_t d1_;
-};
-
-}  // namespace
 
 std::uint64_t fyz_budget(std::size_t delta) {
   const auto p = static_cast<std::uint64_t>(
@@ -293,10 +33,14 @@ PipelineReport color_fyz(graph::GraphView g, const PipelineOptions& opts) {
     return rep;
   }
   const std::size_t delta = std::max<std::size_t>(g.max_degree(), 1);
-  const std::uint64_t p = fyz_budget(delta);
   const std::uint64_t id_space =
       std::max<std::uint64_t>(g.n(), 1) *
       std::max<std::uint64_t>(1, opts.id_space_factor);
+  const FyzStages st(id_space, delta);
+  const PartitionSchedule& psched = st.psched;
+  const std::uint64_t classes_in = psched.classes();
+  const std::uint64_t q = st.q;
+  const std::uint64_t d1 = st.d1;
   PipelineReport rep = fresh_report();
 
   // Stage 1: the shared log* n preamble.  L is the Linial fixed point the
@@ -305,29 +49,8 @@ PipelineReport color_fyz(graph::GraphView g, const PipelineOptions& opts) {
     return linial_color(g, identity_coloring(g.n()), id_space, delta, iter);
   });
   rep.rounds_linial = lin.rounds;
-  const LinialSchedule lsched(std::max<std::uint64_t>(id_space, 2), delta);
-  const std::uint64_t big_l =
-      lsched.stages() == 0 ? std::max<std::uint64_t>(id_space, 2)
-                           : lsched.final_palette();
 
   // Stage 2: defective partition L -> K = O((Delta/p)^2).
-  PartitionSchedule psched(big_l, delta, p);
-  const std::uint64_t classes_in = psched.classes();
-
-  // Stage 3 parameters: the tolerant AG field.  q >= window + 1 so a moving
-  // b meets each conflicting neighbor at most once inside the window.
-  const std::uint64_t window = 2 * ((delta + p - 1) / p) + 1;
-  const std::uint64_t q = math::next_prime(
-      std::max<std::uint64_t>(window + 1, ceil_root(classes_in, 2)));
-  const std::uint64_t d1 = delta + 1;
-
-  // 64-bit packing guard: the widest state is lin * (K * q^2) + machinery.
-  if (sat_mul(big_l, std::max(sat_mul(classes_in, q * q), psched.span)) >=
-      (std::uint64_t{1} << 62)) {
-    throw std::invalid_argument(
-        "color_fyz: Delta too large for 64-bit carrier packing");
-  }
-
   if (psched.stages.empty()) {
     // Already at the class-space fixed point (tiny Delta): psi = lin, but
     // stage 3 expects the carrier-packed form.
@@ -336,22 +59,20 @@ PipelineReport color_fyz(graph::GraphView g, const PipelineOptions& opts) {
     }
     rep.rounds_core = 0;
   } else {
-    PartitionRule part(psched);
     auto partition =
         run_stage(rep, opts, "fyz-partition", 1, [&](const auto& iter) {
           std::vector<Color> init(g.n());
           for (graph::Vertex v = 0; v < g.n(); ++v) {
             init[v] = lin.colors[v] * psched.span + lin.colors[v];
           }
-          return runtime::run_locally_iterative(g, std::move(init), part, iter);
+          return runtime::run_locally_iterative(g, std::move(init), st.partition, iter);
         });
     lin.colors = std::move(partition.colors);
     rep.rounds_core = partition.rounds;
   }
 
-  // Repack for stage 3: psi from the partition's final interval, carrier
+  // Stage 3: repack with psi from the partition's final interval, carrier
   // unchanged.  psi < K <= q^2 splits into the AG pair <a, b>.
-  FyzArbRule arb_rule(classes_in, q, p);
   auto arb = run_stage(rep, opts, "fyz-arb", 2, [&](const auto& iter) {
     std::vector<Color> init(g.n());
     for (graph::Vertex v = 0; v < g.n(); ++v) {
@@ -360,22 +81,21 @@ PipelineReport color_fyz(graph::GraphView g, const PipelineOptions& opts) {
           lin.colors[v] % psched.span - psched.off.back();
       init[v] = ((lin_c * classes_in + psi) * q + psi / q) * q + psi % q;
     }
-    return runtime::run_locally_iterative(g, std::move(init), arb_rule, iter);
+    return runtime::run_locally_iterative(g, std::move(init), st.arb, iter);
   });
   rep.rounds_core += arb.rounds;
 
-  // Repack for stage 4: priority = (arb class b) * L + lin, proposal spread
-  // by class.
-  FyzListRule list_rule(d1);
+  // Stage 4: repack with priority = (arb class b) * L + lin, proposal
+  // spread by class.
   auto wave = run_stage(rep, opts, "fyz-list", 3, [&](const auto& iter) {
     std::vector<Color> init(g.n());
     for (graph::Vertex v = 0; v < g.n(); ++v) {
       const std::uint64_t m = arb.colors[v] % (classes_in * q * q);
       const std::uint64_t b = m % q;
       const std::uint64_t lin_c = arb.colors[v] / (classes_in * q * q);
-      init[v] = d1 + (b * big_l + lin_c) * d1 + b % d1;
+      init[v] = d1 + (b * st.big_l + lin_c) * d1 + b % d1;
     }
-    return runtime::run_locally_iterative(g, std::move(init), list_rule, iter);
+    return runtime::run_locally_iterative(g, std::move(init), st.list, iter);
   });
   rep.rounds_finish = wave.rounds;
 

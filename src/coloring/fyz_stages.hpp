@@ -1,0 +1,323 @@
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
+#include "agc/coloring/fyz.hpp"
+#include "agc/coloring/linial.hpp"
+#include "agc/math/gf.hpp"
+#include "agc/math/primes.hpp"
+#include "agc/runtime/iterative.hpp"
+
+/// \file fyz_stages.hpp (internal)
+/// The Fu–Yin–Zheng pipeline's stage rules and their parameters
+/// (fyz.hpp for the structure).  Internal to src/coloring: color_fyz runs
+/// exactly the rules a FyzStages holds, and tests hold the same object to
+/// pin each rule's is_final contract.
+
+namespace agc::coloring::detail {
+
+using runtime::Color;
+
+inline std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
+  if (a != 0 && b > std::numeric_limits<std::uint64_t>::max() / a) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return a * b;
+}
+
+inline std::uint64_t sat_pow(std::uint64_t base, std::uint32_t exp) {
+  std::uint64_t r = 1;
+  for (std::uint32_t i = 0; i < exp; ++i) r = sat_mul(r, base);
+  return r;
+}
+
+inline std::uint64_t ceil_root(std::uint64_t p, std::uint32_t k) {
+  if (p <= 1) return 1;
+  auto r = static_cast<std::uint64_t>(
+      std::floor(std::pow(static_cast<double>(p), 1.0 / k)));
+  while (sat_pow(r, k) < p) ++r;
+  while (r > 1 && sat_pow(r - 1, k) >= p) --r;
+  return r;
+}
+
+// ---------------------------------------------------------------------------
+// Stage 2: the carrier-packed defective partition.
+//
+// The same defective-Linial stage selection as arb::defective_color (minimize
+// the next palette q^2 subject to coverage q^{d+1} >= palette and per-stage
+// defect d*Delta/q <= p), but run as a locally-iterative rule: the working
+// palettes get disjoint intervals (exactly like Mod-Linial), every vertex
+// advances one interval per round in lockstep, and the whole machinery rides
+// on the immutable Linial color as state = lin * span + machinery so every
+// intermediate full coloring is proper.
+
+struct PartStage {
+  std::uint64_t q;
+  std::uint32_t d;
+};
+
+struct PartitionSchedule {
+  std::vector<PartStage> stages;      ///< stage t maps interval t -> t+1
+  std::vector<std::uint64_t> pal;     ///< pal[t] = palette of interval t
+  std::vector<std::uint64_t> off;     ///< off[t] = interval t's color offset
+  std::uint64_t span = 0;             ///< one past the largest machinery color
+
+  PartitionSchedule(std::uint64_t palette, std::size_t delta,
+                    std::uint64_t budget) {
+    pal.push_back(palette);
+    for (;;) {
+      std::uint64_t best_to = std::numeric_limits<std::uint64_t>::max();
+      PartStage best{};
+      for (std::uint32_t d = 1; d <= 64; ++d) {
+        const std::uint64_t slack =
+            (static_cast<std::uint64_t>(d) * delta + budget - 1) / budget;
+        const std::uint64_t q = math::next_prime(
+            std::max<std::uint64_t>(slack + 1, ceil_root(palette, d + 1)));
+        if (q * q < best_to) {
+          best_to = q * q;
+          best = PartStage{q, d};
+        }
+        if (sat_pow(slack + 1, d + 1) >= palette) break;
+      }
+      if (best_to >= palette) break;  // fixed point
+      stages.push_back(best);
+      pal.push_back(best_to);
+      palette = best_to;
+    }
+    off.resize(pal.size());
+    std::uint64_t o = 0;
+    for (std::size_t t = 0; t < pal.size(); ++t) {
+      off[t] = o;
+      o += pal[t];
+    }
+    span = o;
+  }
+
+  [[nodiscard]] std::uint64_t classes() const { return pal.back(); }
+
+  /// Interval of a machinery color (linear scan; <= log* palette entries).
+  [[nodiscard]] std::size_t interval_of(std::uint64_t m) const {
+    std::size_t t = pal.size() - 1;
+    while (m < off[t]) --t;
+    return t;
+  }
+};
+
+/// Evaluate the degree-d digit polynomial of x over GF(q) at every point
+/// into `vals` (Horner, no allocation).
+inline void eval_digits(const math::GF& f, std::uint64_t x, std::uint32_t d,
+                 std::vector<std::uint64_t>& vals) {
+  const std::uint64_t q = f.modulus();
+  std::uint64_t digits[65];
+  for (std::uint32_t i = 0; i <= d; ++i) {
+    digits[i] = x % q;
+    x /= q;
+  }
+  for (std::uint64_t e = 0; e < q; ++e) {
+    std::uint64_t acc = digits[d];
+    for (std::uint32_t i = d; i-- > 0;) {
+      acc = f.add(f.mul(acc, e), digits[i]);
+    }
+    vals[e] = acc;
+  }
+}
+
+class PartitionRule final : public runtime::IterativeRule {
+ public:
+  explicit PartitionRule(PartitionSchedule sched) : s_(std::move(sched)) {}
+
+  [[nodiscard]] Color step(Color own,
+                           std::span<const Color> neighbors) const override {
+    const std::uint64_t m = own % s_.span;
+    const std::size_t t = s_.interval_of(m);
+    if (t + 1 == s_.pal.size()) return own;  // final interval
+    const PartStage& st = s_.stages[t];
+    const math::GF field(st.q);
+    std::vector<std::uint64_t> own_vals(st.q);
+    std::vector<std::uint64_t> nbr_vals(st.q);
+    std::vector<std::size_t> hits(st.q, 0);
+    eval_digits(field, m - s_.off[t], st.d, own_vals);
+    // All vertices advance one interval per round in lockstep, so every
+    // neighbor is in interval t too; duplicates (identical machinery colors)
+    // shift every hit count equally and cannot move the argmin, so the
+    // sorted multiset lets us skip them.
+    Color prev = std::numeric_limits<Color>::max();
+    for (const Color nc : neighbors) {
+      if (nc == prev) continue;
+      prev = nc;
+      const std::uint64_t nm = nc % s_.span;
+      if (nm < s_.off[t] || nm >= s_.off[t] + s_.pal[t]) continue;
+      eval_digits(field, nm - s_.off[t], st.d, nbr_vals);
+      for (std::uint64_t e = 0; e < st.q; ++e) {
+        hits[e] += nbr_vals[e] == own_vals[e];
+      }
+    }
+    const std::uint64_t best = static_cast<std::uint64_t>(
+        std::min_element(hits.begin(), hits.end()) - hits.begin());
+    const std::uint64_t next = best * st.q + own_vals[best];
+    return (own / s_.span) * s_.span + s_.off[t + 1] + next;
+  }
+
+  [[nodiscard]] bool is_final(Color c) const override {
+    return c % s_.span >= s_.off.back();
+  }
+  [[nodiscard]] std::uint32_t color_bits() const override { return 64; }
+
+  [[nodiscard]] const PartitionSchedule& schedule() const { return s_; }
+
+ private:
+  PartitionSchedule s_;
+};
+
+// ---------------------------------------------------------------------------
+// Stage 3: carrier-packed Arbdefective-Color (tolerant AG over Z_q).
+//
+// state = ((lin * K + psi) * q + a) * q + b; <a == 0> is frozen.  Same
+// tolerant finalize rule as arb::ArbAgRule — freeze as soon as at most p
+// neighbors of a DIFFERENT psi share b — but packed above the proper Linial
+// carrier instead of the bare seed, so the maintained colorings stay proper.
+
+class FyzArbRule final : public runtime::IterativeRule {
+ public:
+  FyzArbRule(std::uint64_t classes, std::uint64_t q, std::uint64_t p)
+      : k_(classes), q_(q), p_(p), m_(classes * q * q) {}
+
+  [[nodiscard]] Color step(Color own,
+                           std::span<const Color> neighbors) const override {
+    const std::uint64_t m = own % m_;
+    const std::uint64_t a = (m / q_) % q_;
+    if (a == 0) return own;  // frozen
+    const std::uint64_t b = m % q_;
+    const std::uint64_t psi = m / (q_ * q_);
+    std::uint64_t conflicts = 0;
+    for (const Color nc : neighbors) {
+      const std::uint64_t nm = nc % m_;
+      conflicts += nm % q_ == b && nm / (q_ * q_) != psi;
+    }
+    if (conflicts <= p_) {
+      return own - a * q_;  // freeze: a <- 0, keep psi and b
+    }
+    const std::uint64_t nb = b + a >= q_ ? b + a - q_ : b + a;
+    return own - b + nb;
+  }
+
+  [[nodiscard]] bool is_final(Color c) const override {
+    return (c % m_ / q_) % q_ == 0;
+  }
+  [[nodiscard]] std::uint32_t color_bits() const override { return 64; }
+
+  [[nodiscard]] std::uint64_t q() const { return q_; }
+
+ private:
+  std::uint64_t k_, q_, p_, m_;
+};
+
+// ---------------------------------------------------------------------------
+// Stage 4: the list-coloring wave with the proposal packed into the color.
+//
+// An active state is D1 + prio * D1 + prop where D1 = Delta + 1, prop is the
+// currently proposed final color, and prio = b * L + lin totally orders the
+// vertices class-major (b = arb class, lin tie-break).  Done states are bare
+// colors < D1.  One step, computed from one snapshot of the neighborhood:
+//
+//   * a done neighbor holds prop      -> re-propose the smallest free color
+//                                        (publish first, commit no earlier
+//                                        than the next round);
+//   * else if no same-prop active     -> commit (become done(prop));
+//     neighbor has smaller prio
+//   * else                            -> defer, state unchanged.
+//
+// Adjacent same-round commits of the same color are impossible: both decide
+// against the same snapshot, so the larger-prio one of a same-prop pair
+// defers, and a freshly re-proposed color was by definition not published in
+// the snapshot its neighbor committed against.  Every round stays proper
+// (done-done by the commit rule, active-active by distinct lin, done-active
+// by the offset) and the globally smallest active priority always commits
+// within two rounds, so the wave cannot deadlock.  Initial proposals are
+// class-spread (b mod D1), which keeps the startup contention inside the
+// size-O(p)-defect classes instead of piling every vertex onto color 0.
+
+class FyzListRule final : public runtime::IterativeRule {
+ public:
+  explicit FyzListRule(std::uint64_t d1) : d1_(d1) {}
+
+  [[nodiscard]] Color step(Color own,
+                           std::span<const Color> neighbors) const override {
+    if (own < d1_) return own;  // done
+    const std::uint64_t prio = (own - d1_) / d1_;
+    const std::uint64_t prop = (own - d1_) % d1_;
+    // One pass over the (sorted) multiset: done colors seen, and whether a
+    // smaller-priority active neighbor holds the same proposal.
+    std::vector<bool> used(d1_, false);
+    bool defer = false;
+    for (const Color nc : neighbors) {
+      if (nc < d1_) {
+        used[nc] = true;
+      } else if ((nc - d1_) % d1_ == prop && (nc - d1_) / d1_ < prio) {
+        defer = true;
+      }
+    }
+    if (used[prop]) {
+      std::uint64_t fresh = 0;
+      while (used[fresh]) ++fresh;  // < d1_: at most Delta done neighbors
+      return d1_ + prio * d1_ + fresh;
+    }
+    if (!defer) return prop;  // commit
+    return own;
+  }
+
+  [[nodiscard]] bool is_final(Color c) const override { return c < d1_; }
+  [[nodiscard]] std::uint32_t color_bits() const override { return 64; }
+
+ private:
+  std::uint64_t d1_;
+};
+
+/// Every parameter and rule of the FYZ pipeline for an ID space and max
+/// degree, derived once.  Throws std::invalid_argument when the packed
+/// state space leaves 64-bit colors.
+struct FyzStages {
+  FyzStages(std::uint64_t id_space, std::size_t delta)
+      : p(fyz_budget(delta)),
+        big_l(linial_palette(id_space, delta)),
+        psched(big_l, delta, p),
+        // The tolerant AG field: q >= window + 1 so a moving b meets each
+        // conflicting neighbor at most once inside the window.
+        q(math::next_prime(std::max<std::uint64_t>(
+            2 * ((delta + p - 1) / p) + 2, ceil_root(psched.classes(), 2)))),
+        d1(delta + 1),
+        partition(psched),
+        arb(psched.classes(), q, p),
+        list(d1) {
+    // 64-bit packing guard: the widest state is lin * (K * q^2) + machinery.
+    if (sat_mul(big_l, std::max(sat_mul(psched.classes(), q * q), psched.span)) >=
+        (std::uint64_t{1} << 62)) {
+      throw std::invalid_argument(
+          "color_fyz: Delta too large for 64-bit carrier packing");
+    }
+  }
+
+  std::uint64_t p;           ///< arbdefect/slack budget
+  std::uint64_t big_l;       ///< Linial fixed-point palette L (the carrier)
+  PartitionSchedule psched;  ///< stage 2: L -> K = psched.classes()
+  std::uint64_t q;           ///< stage 3 field
+  std::uint64_t d1;          ///< Delta + 1
+  PartitionRule partition;   ///< stage 2 (no rounds when psched is empty)
+  FyzArbRule arb;            ///< stage 3
+  FyzListRule list;          ///< stage 4
+
+ private:
+  static std::uint64_t linial_palette(std::uint64_t id_space, std::size_t delta) {
+    const LinialSchedule lsched(std::max<std::uint64_t>(id_space, 2), delta);
+    return lsched.stages() == 0 ? std::max<std::uint64_t>(id_space, 2)
+                                : lsched.final_palette();
+  }
+};
+
+}  // namespace agc::coloring::detail

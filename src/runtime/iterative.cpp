@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "agc/obs/event_sink.hpp"
 #include "agc/runtime/faults.hpp"
 #include "agc/runtime/round.hpp"
+#include "sweep.hpp"
 
 namespace agc::runtime {
 
@@ -72,13 +74,11 @@ void resync_mirror(Engine& engine, std::vector<Color>& mirror) {
   }
 }
 
-}  // namespace
-
-IterativeResult run_locally_iterative(graph::GraphView g,
-                                      std::vector<Color> initial,
-                                      const IterativeRule& rule,
-                                      const IterativeOptions& opts) {
-  const std::uint64_t t0 = obs::monotonic_ns();
+/// The engine path: every vertex runs a RuleProgram on the round engine,
+/// which the adversary and channel hooks and the async executor act on.
+IterativeResult run_on_engine(graph::GraphView g, std::vector<Color> initial,
+                              const IterativeRule& rule,
+                              const IterativeOptions& opts) {
   IterativeResult result;
   result.colors = std::move(initial);
 
@@ -104,14 +104,6 @@ IterativeResult run_locally_iterative(graph::GraphView g,
     }
     return std::make_unique<RuleProgram>(rule, mirror[env.id], &mirror[env.id]);
   });
-
-  if (opts.sink != nullptr) {
-    obs::Event ev;
-    ev.kind = obs::EventKind::RunStart;
-    ev.label = opts.tag;
-    ev.value = g.n();
-    opts.sink->emit(ev);
-  }
 
   if (opts.check_proper_each_round) {
     obs::ScopedPhaseTimer timer(extra, obs::Phase::Check);
@@ -210,6 +202,35 @@ IterativeResult run_locally_iterative(graph::GraphView g,
     engine.set_profile(nullptr);
     result.phases = profile.folded();
   }
+  return result;
+}
+
+}  // namespace
+
+IterativeResult run_locally_iterative(graph::GraphView g,
+                                      std::vector<Color> initial,
+                                      const IterativeRule& rule,
+                                      const IterativeOptions& opts) {
+  if (initial.size() != g.n()) {
+    throw std::invalid_argument(
+        "run_locally_iterative: " + std::to_string(initial.size()) +
+        " initial colors for " + std::to_string(g.n()) + " vertices");
+  }
+  const std::uint64_t t0 = obs::monotonic_ns();
+  if (opts.sink != nullptr) {
+    obs::Event ev;
+    ev.kind = obs::EventKind::RunStart;
+    ev.label = opts.tag;
+    ev.value = g.n();
+    opts.sink->emit(ev);
+  }
+  // Hook-free BSP runs take the sweep; it reproduces every observable of the
+  // engine path, which stays the home of faults and the async executor.
+  const bool sweep = opts.adversary == nullptr && opts.channel == nullptr &&
+                     (opts.executor == nullptr || !opts.executor->dependency_driven());
+  IterativeResult result =
+      sweep ? detail::sweep_locally_iterative(g, std::move(initial), rule, opts)
+            : run_on_engine(g, std::move(initial), rule, opts);
   result.wall_ns = obs::monotonic_ns() - t0;
   if (opts.sink != nullptr) {
     obs::Event ev;

@@ -141,6 +141,11 @@ std::size_t RoundExecutor::run_window(RoundContext&, Metrics&, std::size_t) {
       "RoundExecutor::run_window requires a dependency-driven backend");
 }
 
+void RoundExecutor::run_shards(std::size_t shards,
+                               const std::function<void(std::size_t)>& task) {
+  for (std::size_t s = 0; s < shards; ++s) task(s);
+}
+
 void SequentialExecutor::round(RoundContext& ctx, Metrics& total) {
   const auto n = static_cast<graph::Vertex>(ctx.n());
   ctx.prepare(1);

@@ -1,5 +1,7 @@
 #include "agc/runtime/run_report.hpp"
 
+#include <algorithm>
+
 namespace agc::runtime {
 
 obs::Telemetry RunReport::telemetry() const {
@@ -22,6 +24,7 @@ void RunReport::absorb(const RunReport& stage) {
   phases.merge(stage.phases);
   wall_ns += stage.wall_ns;
   fault_events += stage.fault_events;
+  state_bytes = std::max(state_bytes, stage.state_bytes);
 }
 
 }  // namespace agc::runtime

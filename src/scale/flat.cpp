@@ -1,184 +1,29 @@
 #include "agc/scale/flat.hpp"
 
-#include <algorithm>
-#include <functional>
-#include <memory>
-#include <thread>
 #include <utility>
 
-#include "agc/coloring/ag.hpp"
-#include "agc/coloring/linial.hpp"
-#include "agc/coloring/palette.hpp"
-#include "agc/coloring/reduction.hpp"
-#include "agc/exec/thread_pool.hpp"
-#include "agc/scale/packed.hpp"
+#include "agc/coloring/pipeline.hpp"
+#include "agc/exec/executor.hpp"
 
 namespace agc::scale {
 
-namespace {
-
-using graph::Color;
-using graph::Vertex;
-
-/// Degree-weighted contiguous shard bounds, with every cut rounded up to a
-/// multiple of 64 vertices — 64 entries span whole words at every packed
-/// width, so shards never write the same word (PackedColors contract).
-/// Same weighting as ParallelExecutor::refresh_bounds; any contiguous
-/// partition is result-identical, the weighting only balances wall clock.
-std::vector<Vertex> shard_bounds(graph::GraphView g, std::size_t shards) {
-  const std::size_t n = g.n();
-  std::vector<Vertex> bounds(shards + 1, static_cast<Vertex>(n));
-  bounds[0] = 0;
-  const std::uint64_t total = 2 * static_cast<std::uint64_t>(g.m()) + n;
-  std::uint64_t acc = 0;
-  std::size_t s = 1;
-  for (Vertex v = 0; v < n && s < shards; ++v) {
-    acc += g.degree(v) + 1;
-    while (s < shards && acc * shards >= total * s) {
-      const std::uint64_t cut = (std::uint64_t{v} + 1 + 63) & ~std::uint64_t{63};
-      bounds[s++] = static_cast<Vertex>(std::min<std::uint64_t>(cut, n));
-    }
-  }
-  for (std::size_t i = 1; i <= shards; ++i) {
-    bounds[i] = std::max(bounds[i], bounds[i - 1]);
-  }
-  return bounds;
-}
-
-}  // namespace
-
-FlatResult run_flat(graph::GraphView g, std::vector<Color> initial,
-                    const runtime::IterativeRule& rule,
-                    std::uint64_t palette_bound, std::size_t max_rounds,
-                    const FlatOptions& opts) {
-  const std::size_t n = g.n();
-  FlatResult res;
-
-  std::size_t threads = opts.threads;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  const std::size_t shards = std::min(threads, std::max<std::size_t>(n, 1));
-
-  const std::uint32_t width =
-      PackedColors::width_for(palette_bound == 0 ? 0 : palette_bound - 1);
-  PackedColors cur(n, width);
-  PackedColors next(n, width);
-  for (std::size_t v = 0; v < n; ++v) cur.set(v, initial[v]);
-  res.state_bytes = cur.memory_bytes() + next.memory_bytes();
-
-  const auto bounds = shard_bounds(g, shards);
-  std::vector<std::vector<std::uint64_t>> scratch(shards);
-  for (auto& s : scratch) s.reserve(g.max_degree());
-  // One flag slot per shard; written once per shard per round, read at the
-  // barrier — the pool's run() is the synchronization point.
-  std::vector<std::uint8_t> shard_final(shards, 0);
-
-  const std::function<void(std::size_t)> sweep = [&](std::size_t s) {
-    auto& nbrs = scratch[s];
-    bool fin = true;
-    for (Vertex v = bounds[s]; v < bounds[s + 1]; ++v) {
-      nbrs.clear();
-      for (const Vertex u : g.neighbors(v)) nbrs.push_back(cur.get(u));
-      // The engine delivers neighbor colors as a sorted, sender-anonymous
-      // multiset (InboxRef::multiset); reproduce it exactly.
-      std::sort(nbrs.begin(), nbrs.end());
-      const Color c = rule.step(cur.get(v), nbrs);
-      next.set(v, c);
-      fin = fin && rule.is_final(c);
-    }
-    shard_final[s] = fin ? 1 : 0;
-  };
-
-  auto all_final_now = [&] {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!rule.is_final(cur.get(v))) return false;
-    }
-    return true;
-  };
-
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (shards > 1) pool = std::make_unique<exec::ThreadPool>(shards);
-
-  bool done = all_final_now();
-  while (!done && res.rounds < max_rounds) {
-    if (pool) {
-      pool->run(shards, sweep);
-    } else {
-      sweep(0);
-    }
-    std::swap(cur, next);
-    ++res.rounds;
-    done = std::all_of(shard_final.begin(), shard_final.end(),
-                       [](std::uint8_t f) { return f != 0; });
-  }
-  res.converged = done;
-
-  res.colors.resize(n);
-  for (std::size_t v = 0; v < n; ++v) res.colors[v] = cur.get(v);
-  return res;
-}
-
 FlatResult color_delta_plus_one_flat(graph::GraphView g,
                                      const FlatOptions& opts) {
-  const std::size_t n = g.n();
-  const std::size_t delta = g.max_degree();
-  FlatResult total;
-  total.converged = true;
+  coloring::PipelineOptions po;
+  po.run().executor = exec::make_executor(opts.threads);
+  coloring::PipelineReport rep = coloring::color_delta_plus_one(g, po);
 
-  auto fold = [&total](const FlatResult& stage) {
-    total.rounds += stage.rounds;
-    total.converged = total.converged && stage.converged;
-    total.state_bytes = std::max(total.state_bytes, stage.state_bytes);
-  };
-
-  // Stage 1: Linial — identical parameterization to the engine pipeline's
-  // run_linial (id_space_factor 1) and coloring::linial_color's lift + cap.
-  std::vector<Color> colors = coloring::identity_coloring(n);
-  const std::uint64_t id_space = std::max<std::uint64_t>(n, 1);
-  const coloring::LinialSchedule sched(id_space, delta);
-  if (sched.stages() > 0) {
-    const std::uint64_t top = sched.offset(sched.stages());
-    for (Color& c : colors) c += top;
-    const coloring::LinialRule rule(sched);
-    FlatResult lin = run_flat(g, std::move(colors), rule, sched.total_span(),
-                              sched.stages() + 2, opts);
-    colors = std::move(lin.colors);
-    total.rounds_linial = lin.rounds;
-    fold(lin);
-  }
-
-  // Stage 2: AG — modulus sized to the Linial palette, <= q + 2 rounds.
-  {
-    const Color k = graph::max_color(colors) + 1;
-    const coloring::AgRule rule(coloring::ag_modulus(delta, k));
-    const std::uint64_t span = std::max<std::uint64_t>(rule.q() * rule.q(), k);
-    FlatResult ag =
-        run_flat(g, std::move(colors), rule, span, rule.q() + 2, opts);
-    colors = std::move(ag.colors);
-    total.rounds_core = ag.rounds;
-    fold(ag);
-  }
-
-  // Stage 3: greedy finish down to Delta + 1 colors.
-  {
-    const Color k = graph::max_color(colors) + 1;
-    const std::uint64_t target = delta + 1;
-    const coloring::GreedyReduceRule rule(target,
-                                          std::max<std::uint64_t>(k, target));
-    const std::size_t cap =
-        k > target ? static_cast<std::size_t>(k - target) + 1 : 1;
-    FlatResult red = run_flat(g, std::move(colors), rule,
-                              std::max<std::uint64_t>(k, target), cap, opts);
-    colors = std::move(red.colors);
-    total.rounds_finish = red.rounds;
-    fold(red);
-  }
-
-  total.colors = std::move(colors);
-  total.palette = graph::palette_size(total.colors);
-  total.proper = graph::is_proper_coloring(g, total.colors);
-  return total;
+  FlatResult res;
+  res.colors = std::move(rep.colors);
+  res.rounds = rep.rounds;
+  res.rounds_linial = rep.rounds_linial;
+  res.rounds_core = rep.rounds_core;
+  res.rounds_finish = rep.rounds_finish;
+  res.converged = rep.converged;
+  res.proper = rep.proper;
+  res.palette = rep.palette;
+  res.state_bytes = rep.state_bytes;
+  return res;
 }
 
 }  // namespace agc::scale

@@ -122,6 +122,7 @@ Service::Service(ServiceConfig cfg)
   const auto out =
       faultlab::resettle(engine_, boot, spec_, /*baseline=*/{});
   if (!out.recovered) ++stats_.legality_violations;
+  phases_.merge(out.phases);
   settled_ = spec_.outputs(engine_);
 }
 
@@ -214,6 +215,7 @@ std::vector<OpResult> Service::pump() {
     stats_.max_adjusted =
         std::max<std::uint64_t>(stats_.max_adjusted, out.adjusted.size());
     if (!out.recovered) ++stats_.legality_violations;
+    phases_.merge(out.phases);
     settled_ = spec_.outputs(engine_);
   }
 
@@ -259,6 +261,7 @@ runtime::RunReport Service::report() const {
   rep.converged = stats_.legality_violations == 0;
   rep.metrics = engine_.metrics();
   rep.wall_ns = stats_.wall_ns;
+  rep.phases = phases_;
   return rep;
 }
 

@@ -10,17 +10,22 @@
 // a non-allocating program) are the only actors.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
 
+#include "agc/coloring/linial.hpp"
+#include "agc/coloring/palette.hpp"
+#include "agc/coloring/reduction.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/faultlab/channel.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/obs/event_sink.hpp"
 #include "agc/obs/phase_timer.hpp"
 #include "agc/runtime/engine.hpp"
+#include "agc/runtime/iterative.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -146,6 +151,44 @@ TEST(AllocHook, ChannelAdversaryStaysAllocationFree) {
   for (int i = 0; i < 8; ++i) engine.step();
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_GT(chan.events(), 0u);  // the adversary really was firing
+}
+
+TEST(AllocHook, SweepRoundsAreAllocationFree) {
+  // run_locally_iterative's sweep (no fault hooks, BSP executor) with the
+  // sink and phase timers on: once a stage is running, nothing between two
+  // consecutive on_round callbacks allocates — not the shard passes, the
+  // incremental properness check, the RoundEnd event nor the phase timers.
+  // GreedyReduceRule steps without allocating and, from Linial's O(Delta^2)
+  // palette, runs for many rounds.
+  const auto g = graph::random_regular(512, 8, 5);
+  const auto lin = coloring::linial_color(g, coloring::identity_coloring(g.n()),
+                                          g.n(), g.max_degree());
+  const Color k = graph::max_color(lin.colors) + 1;
+  const Color target = g.max_degree() + 1;
+  const coloring::GreedyReduceRule rule(target, k);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    obs::RingSink sink(64);
+    IterativeOptions io;
+    io.executor = exec::make_executor(threads);
+    io.sink = &sink;
+    io.collect_phase_times = true;
+    std::array<std::uint64_t, 4096> at_round{};
+    std::size_t seen = 0;
+    io.on_round = [&](std::size_t round, std::span<const Color>) {
+      if (round < at_round.size()) at_round[round] = g_allocs.load(std::memory_order_relaxed);
+      seen = round;
+    };
+    const auto res = run_locally_iterative(g, lin.colors, rule, io);
+    ASSERT_TRUE(res.converged);
+    ASSERT_GT(seen, 6u) << "too few rounds to reach a steady state";
+    ASSERT_LT(seen, at_round.size());
+    for (std::size_t r = 3; r < seen; ++r) {  // rounds 1-2 warm up
+      EXPECT_EQ(at_round[r + 1] - at_round[r], 0u)
+          << "threads=" << threads << ": allocations in round " << r + 1;
+    }
+    EXPECT_GT(res.phases.total_ns(), 0u);
+    EXPECT_GT(sink.seen(), seen);  // RunStart + one RoundEnd per round
+  }
 }
 
 TEST(AllocHook, LocalModelSpillPathReachesSteadyState) {

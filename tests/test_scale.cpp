@@ -1,7 +1,7 @@
 // The web-graph-scale substrate (docs/SCALE.md): frozen CSR vs mutable
 // backend conformance, streamed-vs-materialized generator bit-identity,
-// bit-packed color storage, and the flat runner's color contract against the
-// engine pipeline — across thread counts.
+// bit-packed color storage, and the flat front door's color contract against
+// the sequential pipeline — across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +14,9 @@
 #include "agc/graph/generators.hpp"
 #include "agc/graph/spec.hpp"
 #include "agc/graph/view.hpp"
+#include "agc/runtime/packed.hpp"
 #include "agc/runtime/trace.hpp"
 #include "agc/scale/flat.hpp"
-#include "agc/scale/packed.hpp"
 
 namespace {
 
@@ -158,21 +158,12 @@ TEST(ResolvedGraph, PowerlawSpecRoundTrips) {
 
 // --- PackedColors -----------------------------------------------------------
 
-TEST(PackedColors, WidthForCoversBoundaries) {
-  EXPECT_EQ(scale::PackedColors::width_for(0), 1u);
-  EXPECT_EQ(scale::PackedColors::width_for(1), 1u);
-  EXPECT_EQ(scale::PackedColors::width_for(2), 2u);
-  EXPECT_EQ(scale::PackedColors::width_for(255), 8u);
-  EXPECT_EQ(scale::PackedColors::width_for(256), 9u);
-  EXPECT_EQ(scale::PackedColors::width_for(~std::uint64_t{0}), 64u);
-}
-
 TEST(PackedColors, RoundTripsAcrossWordStraddles) {
   // Widths that do not divide 64 force entries to straddle word boundaries.
   for (const std::uint32_t bits : {1u, 3u, 7u, 13u, 31u, 33u, 63u, 64u}) {
     SCOPED_TRACE(bits);
     const std::size_t n = 257;
-    scale::PackedColors p(n, bits);
+    runtime::PackedColors p(n, bits);
     const std::uint64_t mask =
         bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
     for (std::size_t i = 0; i < n; ++i) {
@@ -189,7 +180,7 @@ TEST(PackedColors, RoundTripsAcrossWordStraddles) {
   }
 }
 
-// --- Flat runner: engine-color contract across threads and backends ---------
+// --- Flat front door: the pipeline's colors at any thread count ------------
 
 TEST(FlatRunner, MatchesEnginePipelineAcrossThreadsAndBackends) {
   for (const char* spec :

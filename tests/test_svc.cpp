@@ -285,8 +285,24 @@ TEST(ServiceObs, EveryEpochEmitsStagePairAndPhaseTimings) {
   }
   EXPECT_EQ(starts, service.stats().epochs);
   EXPECT_EQ(ends, service.stats().epochs);
-  // collect_phase_times folded the engine's per-phase timers into report().
+  // collect_phase_times folded the phase timers of the boot settle and of
+  // every epoch's repair into report().
+  const runtime::RunReport rep = service.report();
+  EXPECT_GT(rep.rounds, 0u);
+  EXPECT_GT(rep.phases.phase_calls(obs::Phase::Send), 0u);
+  EXPECT_GT(rep.phases.phase_calls(obs::Phase::Receive), 0u);
+  EXPECT_GT(rep.phases.total_ns(), 0u);
+}
+
+TEST(ServiceObs, PhaseTimingsStayOffByDefault) {
+  svc::Service service(small_config());
+  for (int i = 0; i < 10; ++i) {
+    service.submit(Op{OpKind::AddEdge, static_cast<graph::Vertex>(i),
+                      static_cast<graph::Vertex>(100 + i)});
+  }
+  (void)service.drain();
   EXPECT_GT(service.report().rounds, 0u);
+  EXPECT_TRUE(service.report().phases.empty());
 }
 
 // ---------------------------------------------------------------------------
