@@ -17,7 +17,6 @@
 #include "agc/graph/generators.hpp"
 #include "agc/math/polynomial.hpp"
 #include "agc/math/primes.hpp"
-#include "agc/exec/async_executor.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/faultlab/channel.hpp"
 #include "agc/obs/event_sink.hpp"
@@ -256,7 +255,7 @@ BENCHMARK(BM_MessagePathChannelAdversary)->Arg(64)
 // pipeline run per iteration on the BM_MessagePathRegular graph, counting
 // the rounds actually executed.  FYZ runs fault-free, so its rounds are
 // sweep rounds; Luby keeps its own loop on the engine.  Named
-// BM_MessagePath* so the CI perf-gate filter ('MessagePath|AsyncVsBarrier')
+// BM_MessagePath* so the CI perf-gate filter ('MessagePath')
 // tracks their rounds_per_sec against the committed baseline with no
 // workflow change.
 void BM_MessagePathFyz(benchmark::State& state) {
@@ -294,48 +293,6 @@ void BM_MessagePathLuby(benchmark::State& state) {
   state.counters["threads"] = 1.0;
 }
 BENCHMARK(BM_MessagePathLuby)->Arg(64)->Unit(benchmark::kMillisecond);
-
-// Barrier-free vs barriered rounds/sec on the identical message-path load:
-// range(0) picks the backend (0 = BSP per-step, 1 = async windowed).  The
-// async row drives 32-round windows through Engine::step_window, letting the
-// shards pipeline rounds dependency-wise with no global barrier between
-// them; the BSP row steps the same 32 rounds through the barriered
-// executor.  Both report rounds_per_sec — the perf gate tracks the pair.
-void BM_AsyncVsBarrier(benchmark::State& state) {
-  constexpr std::size_t kDelta = 64;
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kWindow = 32;
-  const bool async = state.range(0) != 0;
-  const auto rg = benchutil::resolve_graph(benchutil::regular_spec(4096, kDelta, 97 + kDelta));
-  const graph::GraphView g = rg.view();
-  runtime::Engine engine(g, runtime::Transport(runtime::Model::SET_LOCAL));
-  engine.set_executor(async ? exec::make_async_executor(kThreads)
-                            : exec::make_executor(kThreads));
-  engine.install([](const runtime::VertexEnv&) {
-    return std::make_unique<BroadcastFoldProgram>();
-  });
-  engine.step();  // warm the mailbox path before the timed region
-  std::uint64_t rounds = 0;
-  const std::uint64_t t0 = obs::monotonic_ns();
-  for (auto _ : state) {
-    if (async) {
-      rounds += engine.step_window(kWindow);
-    } else {
-      for (std::size_t r = 0; r < kWindow; ++r) engine.step();
-      rounds += kWindow;
-    }
-  }
-  // Wall-clock rate, not the CPU-time rate kIsRate reports: the driving
-  // thread sleeps while the pool works, so its CPU time says nothing about
-  // throughput.  This is the number the perf gate tracks for both rows.
-  const double wall_s =
-      static_cast<double>(obs::monotonic_ns() - t0) / 1e9;
-  state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
-  state.counters["rounds_per_sec"] =
-      wall_s > 0.0 ? static_cast<double>(rounds) / wall_s : 0.0;
-  state.counters["threads"] = static_cast<double>(kThreads);
-}
-BENCHMARK(BM_AsyncVsBarrier)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The same loop on the exec backend's threads (--threads/AGC_THREADS).
 void BM_MessagePathRegularThreaded(benchmark::State& state) {

@@ -39,8 +39,8 @@
 /// where the wave rule substitutes for their exact finisher.
 ///
 /// Determinism: the pipeline is deterministic and bit-identical at any
-/// thread count and on both executors (it is pure locally-iterative rules);
-/// it ignores RunOptions::seed.
+/// thread count (it is pure locally-iterative rules); it ignores
+/// RunOptions::seed.
 
 namespace agc::coloring {
 

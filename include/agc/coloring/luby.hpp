@@ -17,12 +17,9 @@
 ///
 /// Determinism contract (RunOptions::seed): the candidate drawn by vertex v
 /// in round r is H(seed, r, v) reduced onto the free list — a pure function
-/// of (seed, round, vertex id), never of thread count, executor choice or
-/// message arrival order.  A fixed seed therefore replays bit-identically
-/// across 1/2/8 threads and per-step across the bsp/async executors (async
-/// windowed driving may trim trailing bookkeeping rounds, like every
-/// pipeline; the colors and per-vertex commit rounds are identical).
-/// Distinct seeds give distinct trajectories.
+/// of (seed, round, vertex id), never of thread count or message arrival
+/// order.  A fixed seed therefore replays bit-identically across 1/2/8
+/// threads.  Distinct seeds give distinct trajectories.
 ///
 /// Unlike everything else in coloring/, Luby is NOT locally-iterative: an
 /// uncolored vertex has no proper color to maintain, so PipelineReport::

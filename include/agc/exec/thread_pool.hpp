@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -11,8 +10,7 @@
 #include <vector>
 
 /// \file thread_pool.hpp
-/// A fixed-size, work-stealing-free thread pool, plus the park/wake point
-/// dependency-driven executors idle on.
+/// A fixed-size, work-stealing-free thread pool.
 ///
 /// Task i of a batch always runs on worker i % size() — static assignment,
 /// never stealing — so a batch of size() shard tasks maps one shard to one
@@ -58,36 +56,6 @@ class ThreadPool {
   bool stop_ = false;
   std::size_t error_task_ = SIZE_MAX;
   std::exception_ptr error_;
-};
-
-/// Condvar park/wake point for dependency-driven shard loops: a shard whose
-/// whole pass found no runnable vertex parks here instead of spinning, and is
-/// woken when any shard publishes new mailbox state.  The tick/parked
-/// handshake is the classic two-flag (Dekker) pattern — publisher bumps the
-/// tick then reads the parked count, parker bumps the parked count then reads
-/// the tick, all seq_cst — so either the publisher sees the parker (and
-/// notifies under the mutex) or the parker sees the new tick (and never
-/// sleeps).  A wakeup can never be lost.
-class ParkingLot {
- public:
-  /// Snapshot the wake tick *before* scanning for work; pass it to park().
-  [[nodiscard]] std::uint64_t tick() const noexcept {
-    return tick_.load(std::memory_order_seq_cst);
-  }
-
-  /// Sleep until the tick moves past `seen` (returns immediately if it
-  /// already has; spurious wakeups are allowed and harmless).
-  void park(std::uint64_t seen);
-
-  /// Publish: advance the tick and wake every parked shard.  Cheap when
-  /// nobody is parked — one RMW plus one load, no lock.
-  void wake_all() noexcept;
-
- private:
-  std::atomic<std::uint64_t> tick_{0};
-  std::atomic<std::size_t> parked_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
 };
 
 }  // namespace agc::exec

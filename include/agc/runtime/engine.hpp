@@ -65,14 +65,6 @@ class VertexProgram {
 
   /// A halted program stops the run() loop once every vertex reports halted.
   /// Self-stabilizing programs never halt.
-  ///
-  /// Contract for dependency-driven (async) execution: a program may report
-  /// halted only if its current on_send output is identical to the message
-  /// it broadcast in the round just completed.  The async executor freezes a
-  /// halted vertex by mirroring its LAST PUBLISHED message into both mailbox
-  /// epochs; halting while the next broadcast would differ makes neighbors
-  /// read a stale message forever.  In practice: require one quiescent round
-  /// (state unchanged by the last step) before returning true.
   [[nodiscard]] virtual bool halted(const VertexEnv& /*env*/) const { return false; }
 
   /// Volatile state exposed to the adversary.  Everything returned here may
@@ -129,16 +121,6 @@ class Engine {
 
   /// Run one synchronous round.
   void step();
-
-  /// Run up to `max_rounds` rounds as one dependency-driven window: no
-  /// global barrier, every vertex firing as soon as its in-neighbors'
-  /// previous-round values have arrived and halting individually via
-  /// VertexProgram::halted().  Falls back to a per-round step() loop
-  /// (stopping once all_halted()) when the executor is not
-  /// dependency-driven, or a channel hook / per-round observer needs
-  /// round-boundary callbacks.  Returns the rounds fired by the
-  /// most-advanced vertex; metrics().rounds advances by the same amount.
-  std::size_t step_window(std::size_t max_rounds);
 
   /// Run until every program reports halted(), or `max_rounds` elapse.
   /// Returns the number of rounds executed.

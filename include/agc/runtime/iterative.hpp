@@ -24,24 +24,23 @@
 /// the paper).
 ///
 /// The runner evaluates the rule on one of two backends, chosen only from
-/// the hooks and executor the caller already passes (docs/EXEC.md):
+/// the hooks the caller already passes (docs/EXEC.md):
 ///
-///   * the sweep — no adversary, no channel hook, and a BSP executor (none,
-///     SequentialExecutor or ParallelExecutor): one double-buffered pass per
-///     round over two bit-packed color buffers (packed.hpp), stepping only
-///     vertices whose color is not final, in word-aligned shards the
-///     executor runs through RoundExecutor::run_shards;
+///   * the sweep — no adversary and no channel hook: one double-buffered
+///     pass per round over two bit-packed color buffers (packed.hpp),
+///     stepping only vertices whose color is not final, in word-aligned
+///     shards the executor (none = sequential) runs through
+///     RoundExecutor::run_shards;
 ///   * the round engine — otherwise: one RuleProgram per vertex broadcasting
-///     its color each round, which the fault hooks and the async executor
-///     act on.
+///     its color each round, which the fault hooks act on.
 ///
 /// Both report the same colors, rounds, convergence, per-round properness,
 /// on_round calls, RoundEnd events and transport errors.  The sweep books
 /// the engine's accounting of a SET-LOCAL broadcast in closed form:
 /// messages = rounds * sum of degrees, total_bits = messages * color_bits(),
-/// max_edge_bits = rounds * color_bits() (0 without edges).  Either backend
-/// can assert after every round that the coloring is still proper — the
-/// defining invariant of the class.
+/// max_edge_bits = rounds * color_bits() (0 without edges).  Both backends
+/// check after every round that the coloring is still proper — the defining
+/// invariant of the class.
 
 namespace agc::runtime {
 

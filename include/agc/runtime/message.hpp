@@ -81,45 +81,16 @@ class InboxRef;
 /// — see the churn regression tests in tests/test_mailbox_arena.cpp.  Views
 /// handed to a program are valid only within the callback that received
 /// them.
-///
-/// Two-epoch mode (dependency-driven executors, docs/EXEC.md): set_async(true)
-/// gives every port *two* header/inline slots, indexed by round parity, so the
-/// messages of rounds r and r+1 coexist with no copy.  Two slots suffice
-/// because neighboring vertices' epochs never differ by more than one: before
-/// a sender may overwrite its parity-p slot (round r+2) every neighbor must
-/// have finished reading round r from that slot — the readiness rule forces
-/// it.  Spilled ports use a per-slot stable run (`runs_`) instead of the
-/// shard lanes, because lanes grow by reallocation and in async mode
-/// neighbors read the arena while the owner shard is still writing other
-/// ports.  BSP mode (stride 1) keeps the exact layout and behavior above.
 class MailboxArena {
  public:
   static constexpr std::uint32_t kInline = 1;       ///< words per port, inline
   static constexpr std::uint32_t kNoLane = 0xffffffffu;
-  /// Sentinel lane id: the slot's words live in its own stable run (`runs_`),
-  /// used for every spill in two-epoch mode.
-  static constexpr std::uint32_t kAsyncLane = 0xfffffffeu;
 
   /// Rebuild the port tables iff the graph's topology changed since the last
   /// call.  O(1) when unchanged; O(n + m) after churn.
   void ensure(graph::GraphView g) {
     if (built_ && version_ == g.topology_version()) return;
     rebuild(g);
-  }
-
-  /// Switch between the one-epoch (BSP) and two-epoch (dependency-driven)
-  /// port layouts.  A mode change forces a rebuild on the next ensure().
-  void set_async(bool on) noexcept {
-    const std::uint32_t stride = on ? 2u : 1u;
-    if (stride == stride_) return;
-    stride_ = stride;
-    built_ = false;
-  }
-  [[nodiscard]] bool two_epoch() const noexcept { return stride_ == 2; }
-
-  /// The parity slot round `round` publishes into (always 0 in BSP mode).
-  [[nodiscard]] std::uint32_t parity_for(std::uint64_t round) const noexcept {
-    return stride_ == 2 ? static_cast<std::uint32_t>(round & 1) : 0;
   }
 
   /// Size the per-shard spill lanes and multiset scratch.  Allocation happens
@@ -132,48 +103,37 @@ class MailboxArena {
   /// Reset the spill lane of `shard` for a new round (capacity retained).
   void begin_shard(std::size_t shard) noexcept { lanes_[shard].used = 0; }
 
-  /// Reset all ports of sender `v` in the `parity` slot (called by v's shard
-  /// before on_send).
-  void reset_ports(graph::Vertex v, std::uint32_t parity = 0) noexcept {
+  /// Reset all ports of sender `v` (called by v's shard before on_send).
+  void reset_ports(graph::Vertex v) noexcept {
     for (std::uint32_t gp = base_[v]; gp < base_[v + 1]; ++gp) {
-      Port& h = headers_[slot(gp, parity)];
-      h.count = 0;
-      h.lane = kNoLane;
+      headers_[gp].count = 0;
+      headers_[gp].lane = kNoLane;
     }
   }
 
   /// Append one word to the message at global port `gp`, spilling into
-  /// `shard`'s lane (BSP) or the slot's stable run (two-epoch) when the
-  /// inline slot is full.
-  void push(std::uint32_t gp, std::size_t shard, Word w,
-            std::uint32_t parity = 0) {
-    const std::uint32_t sl = slot(gp, parity);
-    Port& h = headers_[sl];
+  /// `shard`'s lane when the inline slot is full.
+  void push(std::uint32_t gp, std::size_t shard, Word w) {
+    Port& h = headers_[gp];
     if (h.lane == kNoLane) {
       if (h.count < kInline) {
-        inline_[sl * kInline + h.count++] = w;
+        inline_[gp * kInline + h.count++] = w;
         return;
       }
-      spill(sl, shard);
+      spill(gp, shard);
     } else if (h.count == h.cap) {
-      grow(sl, shard);
+      grow(gp, shard);
     }
-    Port& hh = headers_[sl];  // spill/grow rewrote the header
-    Word* buf =
-        hh.lane == kAsyncLane ? runs_[sl].data() : lanes_[hh.lane].buf.data();
-    buf[hh.begin + hh.count++] = w;
+    Port& hh = headers_[gp];  // spill/grow rewrote the header
+    lanes_[hh.lane].buf[hh.begin + hh.count++] = w;
   }
 
-  /// The words queued at global port `gp` for the round of `parity` (always
-  /// contiguous).
-  [[nodiscard]] std::span<const Word> words(
-      std::uint32_t gp, std::uint32_t parity = 0) const noexcept {
-    const std::uint32_t sl = slot(gp, parity);
-    const Port& h = headers_[sl];
+  /// The words queued at global port `gp` this round (always contiguous).
+  [[nodiscard]] std::span<const Word> words(std::uint32_t gp) const noexcept {
+    const Port& h = headers_[gp];
     if (h.count == 0) return {};
-    const Word* p = h.lane == kNoLane      ? &inline_[sl * kInline]
-                    : h.lane == kAsyncLane ? runs_[sl].data() + h.begin
-                                           : &lanes_[h.lane].buf[h.begin];
+    const Word* p = h.lane == kNoLane ? &inline_[gp * kInline]
+                                      : &lanes_[h.lane].buf[h.begin];
     return {p, h.count};
   }
 
@@ -182,56 +142,20 @@ class MailboxArena {
   // these touch only state that shard already owns; see transport.hpp.
 
   /// Mutable view of the words at `gp` (corrupt-in-place).
-  [[nodiscard]] std::span<Word> words_mutable(std::uint32_t gp,
-                                              std::uint32_t parity = 0) noexcept {
-    const std::uint32_t sl = slot(gp, parity);
-    const Port& h = headers_[sl];
+  [[nodiscard]] std::span<Word> words_mutable(std::uint32_t gp) noexcept {
+    const Port& h = headers_[gp];
     if (h.count == 0) return {};
-    Word* p = h.lane == kNoLane      ? &inline_[sl * kInline]
-              : h.lane == kAsyncLane ? runs_[sl].data() + h.begin
-                                     : &lanes_[h.lane].buf[h.begin];
+    Word* p = h.lane == kNoLane ? &inline_[gp * kInline]
+                                : &lanes_[h.lane].buf[h.begin];
     return {p, h.count};
   }
 
   /// Drop everything queued at `gp` this round.  The spill run (if any) stays
   /// accounted in its lane until the next round's reset — capacity, not
   /// contents, so nothing leaks.
-  void clear_port(std::uint32_t gp, std::uint32_t parity = 0) noexcept {
-    Port& h = headers_[slot(gp, parity)];
-    h.count = 0;
-    h.lane = kNoLane;
-  }
-
-  /// Copy every port of `v` from parity slot `from` into the other parity
-  /// slot.  A vertex that halts mid-window calls this once so readers of
-  /// every future epoch keep seeing its final message.  Safe without locks:
-  /// once v has completed receive of the epoch it halts at, every neighbor
-  /// has already consumed the destination parity's previous contents (the
-  /// readiness rule — see docs/EXEC.md).
-  void mirror_port_epochs(graph::Vertex v, std::uint32_t from) {
-    assert(stride_ == 2);
-    for (std::uint32_t gp = base_[v]; gp < base_[v + 1]; ++gp) {
-      const std::uint32_t src = slot(gp, from);
-      const std::uint32_t dst = slot(gp, 1u - from);
-      const Port& hs = headers_[src];
-      Port& hd = headers_[dst];
-      if (hs.lane == kNoLane) {
-        for (std::uint32_t i = 0; i < hs.count; ++i) {
-          inline_[dst * kInline + i] = inline_[src * kInline + i];
-        }
-        hd.count = hs.count;
-        hd.lane = kNoLane;
-      } else {
-        auto& run = runs_[dst];
-        if (run.size() < hs.count) run.resize(hs.count);
-        const auto w = words(gp, from);
-        std::copy(w.begin(), w.end(), run.begin());
-        hd.count = hs.count;
-        hd.lane = kAsyncLane;
-        hd.begin = 0;
-        hd.cap = static_cast<std::uint32_t>(run.size());
-      }
-    }
+  void clear_port(std::uint32_t gp) noexcept {
+    headers_[gp].count = 0;
+    headers_[gp].lane = kNoLane;
   }
 
   /// Grow lane `shard` to at least `words` total capacity up front, so a
@@ -259,10 +183,8 @@ class MailboxArena {
     return scratch_[shard];
   }
 
-  [[nodiscard]] OutboxRef outbox(graph::Vertex v, std::size_t shard,
-                                 std::uint32_t parity = 0) noexcept;
-  [[nodiscard]] InboxRef inbox(graph::Vertex v, std::size_t shard,
-                               std::uint32_t parity = 0) noexcept;
+  [[nodiscard]] OutboxRef outbox(graph::Vertex v, std::size_t shard) noexcept;
+  [[nodiscard]] InboxRef inbox(graph::Vertex v, std::size_t shard) noexcept;
 
   // --- Introspection (tests, allocation accounting) ------------------------
 
@@ -303,24 +225,16 @@ class MailboxArena {
     std::size_t used = 0;   ///< high-water mark of this round's runs
   };
 
-  /// Header/inline index of port `gp`'s `parity` slot (gp itself in BSP mode).
-  [[nodiscard]] std::uint32_t slot(std::uint32_t gp,
-                                   std::uint32_t parity) const noexcept {
-    return gp * stride_ + parity;
-  }
-
   void rebuild(graph::GraphView g);
-  void spill(std::uint32_t sl, std::size_t shard);  // inline slot -> run
-  void grow(std::uint32_t sl, std::size_t shard);   // double a full run
+  void spill(std::uint32_t gp, std::size_t shard);  // inline slot -> lane run
+  void grow(std::uint32_t gp, std::size_t shard);   // double a full run
 
   std::vector<std::uint32_t> base_;       ///< n+1 CSR port offsets
   std::vector<std::uint32_t> peer_port_;  ///< reverse-port map, 2m entries
-  std::vector<Port> headers_;             ///< per-slot state, 2m * stride
-  std::vector<Word> inline_;              ///< kInline words per slot
-  std::vector<Lane> lanes_;               ///< one spill lane per shard (BSP)
-  std::vector<std::vector<Word>> runs_;   ///< stable per-slot spills (async)
+  std::vector<Port> headers_;             ///< per-port state, 2m entries
+  std::vector<Word> inline_;              ///< kInline words per port
+  std::vector<Lane> lanes_;               ///< one spill lane per shard
   std::vector<std::vector<std::uint64_t>> scratch_;  ///< multiset, per shard
-  std::uint32_t stride_ = 1;              ///< slots per port: 1 BSP, 2 async
   std::uint64_t version_ = 0;
   bool built_ = false;
 };
@@ -331,27 +245,25 @@ class MailboxArena {
 class OutboxRef {
  public:
   OutboxRef(MailboxArena& arena, std::uint32_t base, std::uint32_t ports,
-            std::size_t shard, std::uint32_t parity = 0) noexcept
-      : arena_(&arena), base_(base), ports_(ports), shard_(shard),
-        parity_(parity) {}
+            std::size_t shard) noexcept
+      : arena_(&arena), base_(base), ports_(ports), shard_(shard) {}
 
   /// Append one word to the message for the neighbor at `port`.
   void send(std::size_t port, Word w) {
     assert(port < ports_);
-    arena_->push(base_ + static_cast<std::uint32_t>(port), shard_, w, parity_);
+    arena_->push(base_ + static_cast<std::uint32_t>(port), shard_, w);
     broadcast_only_ = false;
   }
 
   /// Send the same single word to every neighbor.  This is the only
   /// primitive available in the SET-LOCAL model.
   void broadcast(Word w) {
-    for (std::uint32_t p = 0; p < ports_; ++p)
-      arena_->push(base_ + p, shard_, w, parity_);
+    for (std::uint32_t p = 0; p < ports_; ++p) arena_->push(base_ + p, shard_, w);
   }
 
   [[nodiscard]] std::size_t ports() const noexcept { return ports_; }
   [[nodiscard]] std::span<const Word> at(std::size_t port) const {
-    return arena_->words(base_ + static_cast<std::uint32_t>(port), parity_);
+    return arena_->words(base_ + static_cast<std::uint32_t>(port));
   }
   [[nodiscard]] bool used_broadcast_only() const noexcept {
     return broadcast_only_;
@@ -362,7 +274,6 @@ class OutboxRef {
   std::uint32_t base_;
   std::uint32_t ports_;
   std::size_t shard_;
-  std::uint32_t parity_;
   bool broadcast_only_ = true;  ///< no directed send() has occurred
 };
 
@@ -374,17 +285,15 @@ class OutboxRef {
 class InboxRef {
  public:
   InboxRef(const MailboxArena& arena, const std::uint32_t* peer_ports,
-           std::uint32_t ports, std::vector<std::uint64_t>& scratch,
-           std::uint32_t parity = 0) noexcept
-      : arena_(&arena), peer_(peer_ports), ports_(ports), scratch_(&scratch),
-        parity_(parity) {}
+           std::uint32_t ports, std::vector<std::uint64_t>& scratch) noexcept
+      : arena_(&arena), peer_(peer_ports), ports_(ports), scratch_(&scratch) {}
 
   [[nodiscard]] std::size_t ports() const noexcept { return ports_; }
 
   /// Message from the neighbor at `port` (empty if it sent nothing).
   [[nodiscard]] std::span<const Word> from_port(std::size_t port) const {
     assert(port < ports_);
-    return arena_->words(peer_[port], parity_);
+    return arena_->words(peer_[port]);
   }
 
   /// First word from `port`, or `fallback` if none arrived.
@@ -404,7 +313,7 @@ class InboxRef {
     auto& vals = *scratch_;
     vals.clear();
     for (std::uint32_t p = 0; p < ports_; ++p) {
-      const auto w = arena_->words(peer_[p], parity_);
+      const auto w = arena_->words(peer_[p]);
       if (!w.empty()) vals.push_back(w.front().value);
     }
     std::sort(vals.begin(), vals.end());
@@ -416,17 +325,16 @@ class InboxRef {
   const std::uint32_t* peer_;
   std::uint32_t ports_;
   std::vector<std::uint64_t>* scratch_;
-  std::uint32_t parity_;
 };
 
-inline OutboxRef MailboxArena::outbox(graph::Vertex v, std::size_t shard,
-                                      std::uint32_t parity) noexcept {
-  return OutboxRef(*this, base_[v], ports(v), shard, parity);
+inline OutboxRef MailboxArena::outbox(graph::Vertex v,
+                                      std::size_t shard) noexcept {
+  return OutboxRef(*this, base_[v], ports(v), shard);
 }
 
-inline InboxRef MailboxArena::inbox(graph::Vertex v, std::size_t shard,
-                                    std::uint32_t parity) noexcept {
-  return InboxRef(*this, peer_ports(v), ports(v), scratch_[shard], parity);
+inline InboxRef MailboxArena::inbox(graph::Vertex v,
+                                    std::size_t shard) noexcept {
+  return InboxRef(*this, peer_ports(v), ports(v), scratch_[shard]);
 }
 
 }  // namespace agc::runtime

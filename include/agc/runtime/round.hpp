@@ -89,38 +89,6 @@ class RoundContext {
   /// arena through inbox views; executors barrier globally).
   void receive(graph::Vertex begin, graph::Vertex end, std::size_t shard);
 
-  // --- Dependency-driven (async) per-vertex phases -------------------------
-  // Used by executors whose dependency_driven() is true: the arena is in
-  // two-epoch mode and `round` is the absolute round the vertex is firing
-  // (base_round() + its window-local epoch), which selects the parity slot.
-  // Each method touches only vertex-owned state — v's parity ports, env and
-  // program for send/receive, and v's receiver bucket of the ledger for
-  // deliver — so shards interleave them freely; the *executor* supplies the
-  // ordering guarantee that all of v's in-neighbors have published `round`
-  // before deliver/receive run (the readiness rule, docs/EXEC.md).
-
-  /// Reset v's parity ports, refresh its env for `round`, run on_send,
-  /// validate, and apply the channel hook.  Always enabled.
-  void send_vertex(graph::Vertex v, std::size_t shard, std::uint64_t round);
-
-  /// Account every message addressed to v for `round` into `metrics`.
-  void deliver_vertex(graph::Vertex v, Metrics& metrics, std::uint64_t round);
-
-  /// Run v's on_receive over the `round`-parity inbox.
-  void receive_vertex(graph::Vertex v, std::size_t shard, std::uint64_t round);
-
-  /// Whether v's program reports halted() (per-vertex early exit from a
-  /// dependency-driven window).
-  [[nodiscard]] bool vertex_halted(graph::Vertex v) const {
-    return programs_[v]->halted(envs_[v]);
-  }
-
-  /// Mirror v's `round`-parity ports into the other parity slot, so readers
-  /// of every later epoch keep seeing the halted vertex's final message.
-  void mirror_vertex(graph::Vertex v, std::uint64_t round);
-
-  /// The absolute round number of window-local epoch 0.
-  [[nodiscard]] std::uint64_t base_round() const noexcept { return round_; }
   [[nodiscard]] graph::GraphView graph() const noexcept { return graph_; }
 
  private:
@@ -155,19 +123,6 @@ class RoundExecutor {
   /// parallel backend runs them on its pool.
   virtual void run_shards(std::size_t shards,
                           const std::function<void(std::size_t)>& task);
-
-  /// True when this backend fires vertices on per-vertex readiness instead
-  /// of global phase barriers.  The engine switches the mailbox arena into
-  /// two-epoch mode for such executors.
-  [[nodiscard]] virtual bool dependency_driven() const noexcept { return false; }
-
-  /// Dependency-driven multi-round window: run up to `rounds` rounds with no
-  /// global barrier, each vertex halting individually once its program
-  /// reports halted().  Returns the rounds fired by the most-advanced
-  /// vertex.  Only dependency-driven backends implement this; the base
-  /// throws (Engine::step_window falls back to a per-round step loop).
-  virtual std::size_t run_window(RoundContext& ctx, Metrics& total,
-                                 std::size_t rounds);
 };
 
 /// The default single-thread backend: one shard spanning [0, n).

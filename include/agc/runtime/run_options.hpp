@@ -39,8 +39,7 @@ struct RunOptions {
   /// Execution backend for the round engine and for the locally-iterative
   /// sweep's shard passes (null = sequential).  The exec subsystem's sharded
   /// backend is bit-identical for any thread count, so this only affects
-  /// wall-clock time — except that a dependency-driven (async) backend keeps
-  /// run_locally_iterative on the engine (iterative.hpp).
+  /// wall-clock time.
   std::shared_ptr<RoundExecutor> executor;
 
   /// Fault adversary invoked between rounds (non-owning; null = fault-free).
@@ -70,8 +69,8 @@ struct RunOptions {
   /// Seed for randomized algorithms (coloring::luby today).  Determinism
   /// contract: any randomized entry point must derive its per-vertex
   /// randomness as a pure function of (seed, round, vertex id) — never of
-  /// thread count, executor choice, or scheduling — so a run replays
-  /// bit-identically across 1/2/8 threads and the bsp/async executors.
+  /// thread count or scheduling — so a run replays bit-identically across
+  /// 1/2/8 threads.
   /// This is the ONE seed spelling for algorithm randomness; per-call seed
   /// parameters on coloring entry points are not accepted (CI grep-gates
   /// include/agc/coloring for them).  Deterministic algorithms ignore it.

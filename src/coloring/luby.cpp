@@ -52,7 +52,6 @@ class LubyProgram final : public runtime::VertexProgram {
     // is what breaks candidate symmetry between deferring neighbors.
     if (state_ >= d1_) state_ = d1_ + pick(env);
     out.broadcast(runtime::Word{state_, bits_});
-    sent_ = state_;
   }
 
   void on_receive(const runtime::VertexEnv&, const runtime::InboxRef& in) override {
@@ -79,13 +78,6 @@ class LubyProgram final : public runtime::VertexProgram {
     }
     if (state_ >= d1_ && !conflict && used_[cand] == 0) state_ = cand;
     *mirror_ = state_;
-  }
-
-  /// halted() contract (engine.hpp): only freeze once the current on_send
-  /// output equals the last published message — i.e. the final color has
-  /// been broadcast at least once, so async neighbors mirror the right word.
-  [[nodiscard]] bool halted(const runtime::VertexEnv&) const override {
-    return state_ < d1_ && sent_ == state_;
   }
 
   /// Expose the packed word so the unified RunOptions adversary can corrupt
@@ -116,7 +108,6 @@ class LubyProgram final : public runtime::VertexProgram {
   const std::uint64_t d1_;
   const std::uint32_t bits_;
   std::uint64_t state_ = 0;
-  std::uint64_t sent_ = ~0ULL;
   std::vector<std::uint8_t> used_;  ///< done-neighbor colors, last receive
   std::uint64_t used_count_ = 0;
   Color* mirror_;
@@ -170,20 +161,7 @@ PipelineReport color_luby(graph::GraphView g, const PipelineOptions& opts) {
   std::uint64_t channel_seen =
       iter.channel != nullptr ? iter.channel->events() : 0;
 
-  // Same dependency-driven fast path as run_locally_iterative: with no
-  // per-round hooks, hand the async executor one barrier-free window.
-  const bool windowed = iter.executor != nullptr &&
-                        iter.executor->dependency_driven() &&
-                        iter.adversary == nullptr && iter.channel == nullptr;
-  if (windowed) {
-    while (!all_done() && rep.rounds < iter.max_rounds) {
-      const std::size_t fired = engine.step_window(iter.max_rounds - rep.rounds);
-      rep.rounds += fired;
-      if (fired == 0) break;
-    }
-  }
-
-  while (!windowed && !all_done() && rep.rounds < iter.max_rounds) {
+  while (!all_done() && rep.rounds < iter.max_rounds) {
     engine.step();
     ++rep.rounds;
     if (iter.channel != nullptr) {

@@ -66,20 +66,4 @@ void ThreadPool::run(std::size_t tasks,
   if (error_) std::rethrow_exception(error_);
 }
 
-void ParkingLot::park(std::uint64_t seen) {
-  std::unique_lock lk(mu_);
-  parked_.fetch_add(1, std::memory_order_seq_cst);
-  cv_.wait(lk, [&] { return tick_.load(std::memory_order_seq_cst) != seen; });
-  parked_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void ParkingLot::wake_all() noexcept {
-  tick_.fetch_add(1, std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_seq_cst) == 0) return;
-  // Taking the mutex orders this notify after any parker that passed its
-  // predicate check but has not finished entering the wait.
-  { std::lock_guard lk(mu_); }
-  cv_.notify_all();
-}
-
 }  // namespace agc::exec

@@ -35,18 +35,17 @@ using runtime::Word;
 /// the back (documented in docs/FAULTS.md — delay targets single-word ports
 /// only, so this only matters for in-flight flushes after topology churn).
 void flush_stash(MailboxArena& arena, std::uint32_t gp, std::size_t shard,
-                 std::uint32_t parity, std::vector<Word>& stash,
-                 std::vector<std::uint8_t>& full) {
+                 std::vector<Word>& stash, std::vector<std::uint8_t>& full) {
   if (!full[gp]) return;
   full[gp] = 0;
   const Word delayed = stash[gp];
-  const auto words = arena.words_mutable(gp, parity);
+  const auto words = arena.words_mutable(gp);
   if (words.empty()) {
-    arena.push(gp, shard, delayed, parity);
+    arena.push(gp, shard, delayed);
   } else {
     const Word displaced = words[0];
     words[0] = delayed;
-    arena.push(gp, shard, displaced, parity);
+    arena.push(gp, shard, displaced);
   }
 }
 
@@ -78,18 +77,14 @@ void ChannelAdversary::apply(MailboxArena& arena, graph::GraphView g,
                              std::size_t shard) {
   const auto nbrs = g.neighbors(v);
   const std::uint32_t base = arena.base(v);
-  // Under a dependency-driven executor the arena is in two-epoch mode; every
-  // mutation targets the parity slot of the round being attacked.  Decisions
-  // stay (seed, round, u, v)-pure, so they are identical to the BSP run.
-  const std::uint32_t parity = arena.parity_for(round);
   const bool active =
       round >= config_.first_round && round <= config_.last_round;
   std::uint64_t injected = 0;
   for (std::size_t p = 0; p < nbrs.size(); ++p) {
     const std::uint32_t gp = base + static_cast<std::uint32_t>(p);
-    flush_stash(arena, gp, shard, parity, stash_, stash_full_);
+    flush_stash(arena, gp, shard, stash_, stash_full_);
     if (!active) continue;
-    auto words = arena.words_mutable(gp, parity);
+    auto words = arena.words_mutable(gp);
     if (words.empty()) continue;  // nothing on the wire to attack
     const graph::Vertex w = nbrs[p];
     const std::uint64_t h = edge_hash(config_.seed, round, v, w);
@@ -103,7 +98,7 @@ void ChannelAdversary::apply(MailboxArena& arena, graph::GraphView g,
     ev.u = v;
     ev.v = w;
     if (roll < d) {
-      arena.clear_port(gp, parity);
+      arena.clear_port(gp);
       ev.kind = FaultKind::Drop;
     } else if (roll < c) {
       const std::uint32_t bits = words[0].bits == 0 ? 1 : words[0].bits;
@@ -113,7 +108,7 @@ void ChannelAdversary::apply(MailboxArena& arena, graph::GraphView g,
       ev.value = bit;
     } else if (roll < u) {
       const Word head = words[0];  // push may relocate the span
-      arena.push(gp, shard, head, parity);
+      arena.push(gp, shard, head);
       ev.kind = FaultKind::Duplicate;
     } else if (roll < l) {
       // Delay targets single-word messages with a free stash slot; anything
@@ -121,7 +116,7 @@ void ChannelAdversary::apply(MailboxArena& arena, graph::GraphView g,
       if (words.size() != 1 || stash_full_[gp]) continue;
       stash_[gp] = words[0];
       stash_full_[gp] = 1;
-      arena.clear_port(gp, parity);
+      arena.clear_port(gp);
       ev.kind = FaultKind::Delay;
     } else {
       continue;
@@ -162,12 +157,11 @@ void ChannelPlayback::apply(MailboxArena& arena, graph::GraphView g,
                             std::size_t shard) {
   const auto nbrs = g.neighbors(v);
   const std::uint32_t base = arena.base(v);
-  const std::uint32_t parity = arena.parity_for(round);
   // Delayed words re-emerge exactly as in the live run, whether or not any
   // event targets this sender this round.
   for (std::size_t p = 0; p < nbrs.size(); ++p) {
-    flush_stash(arena, base + static_cast<std::uint32_t>(p), shard, parity,
-                stash_, stash_full_);
+    flush_stash(arena, base + static_cast<std::uint32_t>(p), shard, stash_,
+                stash_full_);
   }
   auto lo = std::lower_bound(
       channel_events_.begin() + static_cast<std::ptrdiff_t>(round_begin_),
@@ -182,11 +176,11 @@ void ChannelPlayback::apply(MailboxArena& arena, graph::GraphView g,
     if (it == nbrs.end() || *it != ev.v) continue;  // edge churned away
     const std::uint32_t gp =
         base + static_cast<std::uint32_t>(it - nbrs.begin());
-    auto words = arena.words_mutable(gp, parity);
+    auto words = arena.words_mutable(gp);
     if (words.empty()) continue;
     switch (ev.kind) {
       case FaultKind::Drop:
-        arena.clear_port(gp, parity);
+        arena.clear_port(gp);
         break;
       case FaultKind::Corrupt: {
         const std::uint32_t bits = words[0].bits == 0 ? 1 : words[0].bits;
@@ -195,14 +189,14 @@ void ChannelPlayback::apply(MailboxArena& arena, graph::GraphView g,
       }
       case FaultKind::Duplicate: {
         const Word head = words[0];
-        arena.push(gp, shard, head, parity);
+        arena.push(gp, shard, head);
         break;
       }
       case FaultKind::Delay:
         if (words.size() != 1 || stash_full_[gp]) continue;
         stash_[gp] = words[0];
         stash_full_[gp] = 1;
-        arena.clear_port(gp, parity);
+        arena.clear_port(gp);
         break;
       case FaultKind::Lie: {
         const std::uint32_t bits = words[0].bits == 0 ? 1 : words[0].bits;

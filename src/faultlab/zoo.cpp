@@ -53,15 +53,14 @@ void RegionalOutage::apply(MailboxArena& arena, graph::GraphView g,
   };
   const auto nbrs = g.neighbors(v);
   const std::uint32_t base = arena.base(v);
-  const std::uint32_t parity = arena.parity_for(round);
   const bool sender_dark = in_region(v);
   std::uint64_t injected = 0;
   for (std::size_t p = 0; p < nbrs.size(); ++p) {
     const graph::Vertex w = nbrs[p];
     if (!sender_dark && !in_region(w)) continue;
     const std::uint32_t gp = base + static_cast<std::uint32_t>(p);
-    if (arena.words_mutable(gp, parity).empty()) continue;
-    arena.clear_port(gp, parity);
+    if (arena.words_mutable(gp).empty()) continue;
+    arena.clear_port(gp);
     FaultEvent ev;
     ev.round = round;
     ev.kind = FaultKind::Drop;
@@ -95,7 +94,6 @@ void FlappingLinks::apply(MailboxArena& arena, graph::GraphView g,
   if (round < config_.first_round || round > config_.last_round) return;
   const auto nbrs = g.neighbors(v);
   const std::uint32_t base = arena.base(v);
-  const std::uint32_t parity = arena.parity_for(round);
   const std::uint32_t up = config_.up_per_million;
   const std::uint32_t dn = config_.down_per_million;
   std::uint64_t injected = 0;
@@ -113,8 +111,8 @@ void FlappingLinks::apply(MailboxArena& arena, graph::GraphView g,
       down_[gp] = 1;
     }
     if (down_[gp] == 0) continue;
-    if (arena.words_mutable(gp, parity).empty()) continue;
-    arena.clear_port(gp, parity);
+    if (arena.words_mutable(gp).empty()) continue;
+    arena.clear_port(gp);
     FaultEvent ev;
     ev.round = round;
     ev.kind = FaultKind::Drop;
@@ -147,11 +145,10 @@ void ByzantineNeighbors::apply(MailboxArena& arena, graph::GraphView g,
   if (!is_liar(v)) return;
   const auto nbrs = g.neighbors(v);
   const std::uint32_t base = arena.base(v);
-  const std::uint32_t parity = arena.parity_for(round);
   std::uint64_t injected = 0;
   for (std::size_t p = 0; p < nbrs.size(); ++p) {
     const std::uint32_t gp = base + static_cast<std::uint32_t>(p);
-    auto words = arena.words_mutable(gp, parity);
+    auto words = arena.words_mutable(gp);
     if (words.empty()) continue;
     const graph::Vertex w = nbrs[p];
     const std::uint64_t h = edge_hash(seed_, round, v, w);

@@ -55,10 +55,6 @@ void Engine::step() {
     throw std::logic_error("Engine::step before install()");
   }
   edge_bits_.ensure(view_.n());
-  // Dependency-driven backends fire per-vertex, so rounds r and r+1 must
-  // coexist in the arena: switch it into two-epoch mode for them (a mode
-  // change forces one rebuild, then is O(1) like the topology check).
-  arena_.set_async(executor_ != nullptr && executor_->dependency_driven());
   arena_.ensure(view_);  // O(1) unless the adversary churned topology
   if (channel_ != nullptr) {
     channel_->begin_round(arena_, view_, metrics_.rounds);
@@ -87,46 +83,6 @@ void Engine::step() {
         obs::Phase::Observer);
     observer_(*this, metrics_.rounds);
   }
-}
-
-std::size_t Engine::step_window(std::size_t max_rounds) {
-  if (programs_.size() != view_.n()) {
-    throw std::logic_error("Engine::step_window before install()");
-  }
-  if (max_rounds == 0) return 0;
-  const bool windowable = executor_ != nullptr &&
-                          executor_->dependency_driven() &&
-                          channel_ == nullptr && !observer_;
-  if (!windowable) {
-    // Channel hooks need begin_round on the driving thread and observers a
-    // global round boundary, so those runs keep the per-round loop (still
-    // dependency-driven *within* each round when the executor is async).
-    std::size_t executed = 0;
-    while (executed < max_rounds && !all_halted()) {
-      step();
-      ++executed;
-    }
-    return executed;
-  }
-  edge_bits_.ensure(view_.n());
-  arena_.set_async(true);
-  arena_.ensure(view_);
-  const std::uint64_t t0 = sink_ != nullptr ? obs::monotonic_ns() : 0;
-  const std::uint64_t messages_before = metrics_.messages;
-  RoundContext ctx(view_, transport_, opts_, programs_, envs_, edge_bits_,
-                   arena_, metrics_.rounds, profile_, nullptr);
-  const std::size_t fired = executor_->run_window(ctx, metrics_, max_rounds);
-  metrics_.rounds += fired;
-  if (sink_ != nullptr) {
-    // One RoundEnd per window: per-round events have no barrier to hang on.
-    obs::Event ev;
-    ev.kind = obs::EventKind::RoundEnd;
-    ev.round = metrics_.rounds;
-    ev.value = metrics_.messages - messages_before;
-    ev.ns = obs::monotonic_ns() - t0;
-    sink_->emit(ev);
-  }
-  return fired;
 }
 
 std::size_t Engine::run(std::size_t max_rounds) {

@@ -29,27 +29,8 @@ class RuleProgram final : public VertexProgram {
   }
 
   void on_receive(const VertexEnv&, const InboxRef& in) override {
-    const auto nbrs = in.multiset();
-    neighbors_final_ = std::all_of(nbrs.begin(), nbrs.end(), [&](Color c) {
-      return rule_.is_final(c);
-    });
-    const Color next = rule_.step(color_, nbrs);
-    stable_ = next == color_;
-    color_ = next;
+    color_ = rule_.step(color_, in.multiset());
     *mirror_ = color_;
-  }
-
-  /// Halt once this vertex and — as of the colors it just received — its
-  /// whole neighborhood are final, AND the last step left the color
-  /// unchanged.  The stability clause enforces the halted() contract: the
-  /// async executor mirrors the last *published* message, so a vertex that
-  /// became final only on this very step must fire once more to broadcast
-  /// the final color before it may freeze.  Final colors are fixed points
-  /// of every rule, so this delays each halt by at most one round.  The BSP
-  /// runner drives the engine per step and consults its own all-final
-  /// check, so this leaves barriered runs byte-identical.
-  [[nodiscard]] bool halted(const VertexEnv&) const override {
-    return stable_ && neighbors_final_ && rule_.is_final(color_);
   }
 
   /// The color is the whole volatile state: exposing it lets the unified
@@ -61,8 +42,6 @@ class RuleProgram final : public VertexProgram {
   const IterativeRule& rule_;
   Color color_;
   Color* mirror_;
-  bool neighbors_final_ = false;
-  bool stable_ = false;
 };
 
 /// Pull every program's color back into the mirror after the adversary may
@@ -75,7 +54,7 @@ void resync_mirror(Engine& engine, std::vector<Color>& mirror) {
 }
 
 /// The engine path: every vertex runs a RuleProgram on the round engine,
-/// which the adversary and channel hooks and the async executor act on.
+/// which the adversary and channel hooks act on.
 IterativeResult run_on_engine(graph::GraphView g, std::vector<Color> initial,
                               const IterativeRule& rule,
                               const IterativeOptions& opts) {
@@ -122,31 +101,7 @@ IterativeResult run_on_engine(graph::GraphView g, std::vector<Color> initial,
   std::uint64_t channel_seen =
       opts.channel != nullptr ? opts.channel->events() : 0;
 
-  // Dependency-driven fast path: with no per-round hooks to honor (channel,
-  // adversary, observer), hand the executor one barrier-free window in which
-  // every vertex fires on its own readiness and halts individually.  The
-  // properness invariant is then checked at window boundaries rather than
-  // every round — the one observable weakening async mode is allowed
-  // (docs/EXEC.md); final colors still match the BSP oracle bit-for-bit.
-  const bool windowed = opts.executor != nullptr &&
-                        opts.executor->dependency_driven() &&
-                        opts.adversary == nullptr && opts.channel == nullptr &&
-                        !opts.on_round;
-  if (windowed) {
-    while (!all_final() && result.rounds < opts.max_rounds) {
-      const std::size_t fired =
-          engine.step_window(opts.max_rounds - result.rounds);
-      result.rounds += fired;
-      if (fired == 0) break;
-      if (opts.check_proper_each_round && result.proper_each_round) {
-        obs::ScopedPhaseTimer timer(extra, obs::Phase::Check);
-        result.proper_each_round =
-            graph::is_proper_coloring(engine.graph(), mirror);
-      }
-    }
-  }
-
-  while (!windowed && !all_final() && result.rounds < opts.max_rounds) {
+  while (!all_final() && result.rounds < opts.max_rounds) {
     engine.step();
     ++result.rounds;
     if (opts.channel != nullptr) {
@@ -224,10 +179,9 @@ IterativeResult run_locally_iterative(graph::GraphView g,
     ev.value = g.n();
     opts.sink->emit(ev);
   }
-  // Hook-free BSP runs take the sweep; it reproduces every observable of the
-  // engine path, which stays the home of faults and the async executor.
-  const bool sweep = opts.adversary == nullptr && opts.channel == nullptr &&
-                     (opts.executor == nullptr || !opts.executor->dependency_driven());
+  // Hook-free runs take the sweep; it reproduces every observable of the
+  // engine path, which stays the home of faults.
+  const bool sweep = opts.adversary == nullptr && opts.channel == nullptr;
   IterativeResult result =
       sweep ? detail::sweep_locally_iterative(g, std::move(initial), rule, opts)
             : run_on_engine(g, std::move(initial), rule, opts);

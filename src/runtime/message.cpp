@@ -9,16 +9,8 @@ void MailboxArena::rebuild(graph::GraphView g) {
     base_[v + 1] = base_[v] + static_cast<std::uint32_t>(g.degree(v));
   }
   const std::size_t total = base_[n];
-  headers_.assign(total * stride_, Port{});
-  inline_.assign(total * stride_ * kInline, Word{});
-  if (stride_ == 2) {
-    // Per-slot stable spill runs: resize (not assign) so run capacities
-    // survive a topology rebuild, like lane buffers do in BSP mode.
-    runs_.resize(total * stride_);
-  } else {
-    runs_.clear();
-    runs_.shrink_to_fit();
-  }
+  headers_.assign(total, Port{});
+  inline_.assign(total * kInline, Word{});
   peer_port_.resize(total);
 
   // Reverse-port map in O(m): scanning senders in ascending order means v
@@ -36,27 +28,15 @@ void MailboxArena::rebuild(graph::GraphView g) {
   built_ = true;
 }
 
-void MailboxArena::spill(std::uint32_t sl, std::size_t shard) {
-  Port& h = headers_[sl];
-  const std::uint32_t cap = 2 * kInline;
-  if (stride_ == 2) {
-    // Two-epoch mode: the slot relocates into its own stable run.  Resizing
-    // it here is safe — between the sender's epochs k and k+2 every neighbor
-    // has consumed epoch k, so nobody can be reading this slot mid-send.
-    auto& run = runs_[sl];
-    if (run.size() < cap) run.resize(cap);
-    std::copy_n(&inline_[sl * kInline], h.count, run.data());
-    h.lane = kAsyncLane;
-    h.begin = 0;
-    h.cap = static_cast<std::uint32_t>(run.size());
-    return;
-  }
+void MailboxArena::spill(std::uint32_t gp, std::size_t shard) {
+  Port& h = headers_[gp];
   Lane& lane = lanes_[shard];
+  const std::uint32_t cap = 2 * kInline;
   if (lane.used + cap > lane.buf.size()) {
     lane.buf.resize(std::max(lane.buf.size() * 2, lane.used + cap));
   }
   for (std::uint32_t i = 0; i < h.count; ++i) {
-    lane.buf[lane.used + i] = inline_[sl * kInline + i];
+    lane.buf[lane.used + i] = inline_[gp * kInline + i];
   }
   h.lane = static_cast<std::uint32_t>(shard);
   h.begin = static_cast<std::uint32_t>(lane.used);
@@ -64,13 +44,8 @@ void MailboxArena::spill(std::uint32_t sl, std::size_t shard) {
   lane.used += cap;
 }
 
-void MailboxArena::grow(std::uint32_t sl, std::size_t shard) {
-  Port& h = headers_[sl];
-  if (h.lane == kAsyncLane) {
-    runs_[sl].resize(std::size_t{h.cap} * 2);
-    h.cap *= 2;
-    return;
-  }
+void MailboxArena::grow(std::uint32_t gp, std::size_t shard) {
+  Port& h = headers_[gp];
   // A shard only writes ports of its own vertices, so the run to grow is
   // always in this shard's lane.
   assert(h.lane == shard);

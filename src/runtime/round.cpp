@@ -1,7 +1,6 @@
 #include "agc/runtime/round.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace agc::runtime {
 
@@ -94,51 +93,6 @@ void RoundContext::receive(graph::Vertex begin, graph::Vertex end,
     const InboxRef in = arena_.inbox(v, shard);
     programs_[v]->on_receive(envs_[v], in);
   }
-}
-
-void RoundContext::send_vertex(graph::Vertex v, std::size_t shard,
-                               std::uint64_t round) {
-  const std::uint32_t parity = arena_.parity_for(round);
-  arena_.reset_ports(v, parity);
-  refresh_vertex_env(graph_, opts_, round, v, envs_[v]);
-  OutboxRef out = arena_.outbox(v, shard, parity);
-  programs_[v]->on_send(envs_[v], out);
-  transport_.validate(out);
-  if (channel_ != nullptr) {
-    channel_->apply(arena_, graph_, v, round, shard);
-  }
-}
-
-void RoundContext::deliver_vertex(graph::Vertex v, Metrics& metrics,
-                                  std::uint64_t round) {
-  const std::uint32_t parity = arena_.parity_for(round);
-  const auto nbrs = graph_.neighbors(v);
-  const std::uint32_t* peers = arena_.peer_ports(v);
-  for (std::size_t port = 0; port < nbrs.size(); ++port) {
-    const auto words = arena_.words(peers[port], parity);
-    if (words.empty()) continue;
-    std::uint64_t msg_bits = 0;
-    for (const Word& w : words) msg_bits += w.bits;
-    ++metrics.messages;
-    metrics.total_bits += msg_bits;
-    const std::uint64_t acc = ledger_.add(nbrs[port], v, msg_bits);
-    metrics.max_edge_bits = std::max(metrics.max_edge_bits, acc);
-  }
-}
-
-void RoundContext::receive_vertex(graph::Vertex v, std::size_t shard,
-                                  std::uint64_t round) {
-  const InboxRef in = arena_.inbox(v, shard, arena_.parity_for(round));
-  programs_[v]->on_receive(envs_[v], in);
-}
-
-void RoundContext::mirror_vertex(graph::Vertex v, std::uint64_t round) {
-  arena_.mirror_port_epochs(v, arena_.parity_for(round));
-}
-
-std::size_t RoundExecutor::run_window(RoundContext&, Metrics&, std::size_t) {
-  throw std::logic_error(
-      "RoundExecutor::run_window requires a dependency-driven backend");
 }
 
 void RoundExecutor::run_shards(std::size_t shards,

@@ -15,6 +15,7 @@
 #include "agc/graph/generators.hpp"
 #include "agc/runtime/engine.hpp"
 #include "agc/runtime/faults.hpp"
+#include "agc/runtime/iterative.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_line.hpp"
 
@@ -231,6 +232,104 @@ TEST(ExecDeterminism, SsLineSpillLaneDeterministicAcrossThreads) {
     EXPECT_EQ(repeat.lane_used, par.lane_used) << "threads=" << threads;
     EXPECT_EQ(repeat.ram, par.ram) << "threads=" << threads;
   }
+}
+
+// A vertex program or rule that throws on a pool worker must surface as an
+// exception from the call that ran it — not hang or poison the pool — and
+// the same executor must then run fresh work to the same result as the
+// sequential engine.  The TSan CI job runs this binary.
+class ThrowOnceProgram final : public runtime::VertexProgram {
+ public:
+  void on_start(const runtime::VertexEnv& env) override { id_ = env.id; }
+  void on_send(const runtime::VertexEnv& /*env*/,
+               runtime::OutboxRef& out) override {
+    out.broadcast(runtime::Word{1, 1});
+  }
+  void on_receive(const runtime::VertexEnv& /*env*/,
+                  const runtime::InboxRef& /*in*/) override {
+    if (id_ == 37 && ++count_ == 2) throw std::runtime_error("boom");
+  }
+
+ private:
+  graph::Vertex id_ = 0;
+  int count_ = 0;
+};
+
+TEST(ExecFailure, EngineStepRethrowsAndExecutorStaysUsable) {
+  const auto g = graph::random_gnp(100, 0.05, 3);
+  const auto ex = exec::make_executor(8);
+  {
+    runtime::Engine e(g, runtime::Transport(runtime::Model::BIT));
+    e.set_executor(ex);
+    e.install([](const runtime::VertexEnv&) {
+      return std::make_unique<ThrowOnceProgram>();
+    });
+    e.step();
+    EXPECT_THROW(e.step(), std::runtime_error);
+  }
+  auto make_engine = [&] {
+    runtime::Engine e(g, runtime::Transport(runtime::Model::BIT));
+    e.install([](const runtime::VertexEnv&) {
+      return std::make_unique<BitChainProgram>();
+    });
+    return e;
+  };
+  auto seq = make_engine();
+  auto par = make_engine();
+  par.set_executor(ex);
+  for (int r = 0; r < 3; ++r) {
+    seq.step();
+    par.step();
+  }
+  for (graph::Vertex v = 0; v < g.n(); ++v) {
+    const auto a = seq.program(v).ram();
+    const auto b = par.program(v).ram();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t w = 0; w < a.size(); ++w) EXPECT_EQ(a[w], b[w]) << v;
+  }
+  expect_same_metrics(seq.metrics(), par.metrics());
+}
+
+/// Never finalizes and never changes a color, but throws on color `bad` —
+/// on the identity coloring, at exactly one vertex.
+class ThrowingRule final : public runtime::IterativeRule {
+ public:
+  explicit ThrowingRule(graph::Color bad) : bad_(bad) {}
+  [[nodiscard]] graph::Color step(
+      graph::Color own, std::span<const graph::Color> /*nbrs*/) const override {
+    if (own == bad_) throw std::runtime_error("boom");
+    return own;
+  }
+  [[nodiscard]] bool is_final(graph::Color /*c*/) const override { return false; }
+  [[nodiscard]] std::uint32_t color_bits() const override { return 16; }
+
+ private:
+  graph::Color bad_;
+};
+
+TEST(ExecFailure, SweepRethrowsAndExecutorStaysUsable) {
+  const auto g = graph::random_gnp(1000, 0.01, 3);
+  const auto ex = exec::make_executor(8);
+  std::vector<graph::Color> identity(g.n());
+  for (graph::Vertex v = 0; v < g.n(); ++v) identity[v] = v;
+  // No adversary and no channel hook: the run takes the sweep, whose shard
+  // passes the executor runs on its pool through run_shards.
+  runtime::IterativeOptions opts;
+  opts.executor = ex;
+  opts.max_rounds = 2;  // a swallowed exception fails fast, not after 10^6 rounds
+  const ThrowingRule rule(537);
+  EXPECT_THROW((void)runtime::run_locally_iterative(g, identity, rule, opts),
+               std::runtime_error);
+
+  const auto seq = coloring::color_delta_plus_one(g, {});
+  coloring::PipelineOptions par;
+  par.iter.executor = ex;
+  const auto rep = coloring::color_delta_plus_one(g, par);
+  ASSERT_TRUE(rep.converged);
+  EXPECT_EQ(rep.colors, seq.colors);
+  EXPECT_EQ(rep.rounds, seq.rounds);
+  EXPECT_TRUE(rep.proper_each_round);
+  expect_same_metrics(rep.metrics, seq.metrics);
 }
 
 TEST(ThreadPool, RunsEveryTaskExactlyOnce) {

@@ -3,8 +3,7 @@
 //   agccli color    --graph <spec> [--algo <name>]  (names: coloring registry,
 //                   `agccli campaign ls --runners`; default ag)
 //                   [--model setlocal|local|congest] [--eps <x>] [--seed <s>]
-//                   [--threads <n>] [--executor bsp|async]
-//                   [--csv <file>] [--dot <file>]
+//                   [--threads <n>] [--csv <file>] [--dot <file>]
 //   agccli edges    --graph <spec> [--bit-round] [--no-exact] [--csv <file>]
 //   agccli mis      --graph <spec>
 //   agccli match    --graph <spec>
@@ -22,10 +21,6 @@
 // --threads N (or AGC_THREADS) runs the round engine on the exec subsystem's
 // N-thread backend (N=0: all hardware threads); results are bit-identical to
 // the sequential engine by the shard-determinism contract (docs/EXEC.md).
-// --executor bsp|async picks the barriered backend (default) or the
-// dependency-driven one; per-step driving stays bit-identical, while the
-// coloring pipeline's windowed mode may trim or add trailing rounds per
-// stage (same final colors; docs/EXEC.md).
 //
 // Observability (every command above):
 //   --jsonl FILE   stream structured run events (JSONL) to FILE; analyze with
@@ -34,7 +29,7 @@
 //   agccli gen      --graph <spec> --out <file>
 //   agccli svc      --graph <spec> [--ops <n>] [--seed <s>] [--clients <c>]
 //                   [--batch <b>] [--dmax <d>] [--max-vertices <m>] [--exact]
-//                   [--threads <n>] [--executor bsp|async] [--json] [--timing]
+//                   [--threads <n>] [--json] [--timing]
 //
 // `svc` runs the coloring service in-process against a seeded YCSB-style
 // client workload (mutations + queries batched into epochs, incremental
@@ -46,11 +41,40 @@
 //                   [--job-threads <m>] [--budget-mb <mb>] [--retries <k>]
 //                   [--out <report.jsonl>] [--timing]
 //   agccli campaign ls  --file <grid.campaign> | --runners
+//   agccli campaign grid --algos ag,kw,gps
+//                   --graphs "regular:1500,8,1242 gnp:1000,0.01,7"
+//                   --seeds 1,2,3 [--tag T] [--model setlocal|local|congest]
+//                   [--max-rounds N] [--idspace F]
+//                   [--chan-drop P] [--chan-corrupt P] [--chan-dup P]
+//                   [--chan-delay P] [--chan-first R] [--chan-last R]
+//                   [--adv-period N] [--adv-last R] [--adv-corrupt K]
+//                   [--adv-range V] [--adv-clones K] [--adv-eadds K]
+//                   [--adv-eremoves K] [--adv-dmax D]
+//                   [--out-lo V] [--out-hi V] [--out-first R] [--out-last R]
+//                   [--flap-down P] [--flap-up P] [--flap-first R]
+//                   [--flap-last R]
+//                   [--byz-liars P] [--byz-rate P] [--byz-first R]
+//                   [--byz-last R]
+//                   [--adapt-period N] [--adapt-count K] [--adapt-last R]
+//                   [--adapt-target degree|recent]
+//                   [--churn-events N] [--churn-alpha F] [--churn-attach K]
+//                   [--churn-resets P] [--churn-first R] [--churn-last R]
+//                   [--churn-dmax D] [--churn-grow N]
+//                   [--budget N] [--confirm N] [--plan-out-dir DIR]
+//                   [--out FILE]
 //
 // Campaigns execute a declarative grid of jobs concurrently with a shared
-// graph cache and deterministic job-id-order aggregation (docs/SCHED.md);
-// author grids with `agc-campaign grid`.  Without --timing the report JSONL
-// is bit-identical for any --threads value.
+// graph cache and deterministic job-id-order aggregation (docs/SCHED.md).
+// Without --timing the report JSONL is bit-identical for any --threads
+// value.  `grid` authors one: it expands the cross product algorithms x
+// graphs x seeds into the campaign file format (one `key=value ...` job line
+// per cell, graphs in canonical GraphSpec spelling).  With --plan-out-dir
+// each fault job records its injected faults and saves a replayable plan
+// there when it fails — the nightly fuzz artifact.  Channel, flap, byz and
+// churn-reset probabilities are floats in [0,1].  The out-/flap-/byz-/
+// adapt-/churn- families configure the adversary zoo (docs/FAULTS.md):
+// regional outages, flapping links, Byzantine-valued neighbors, the adaptive
+// RAM adversary, and power-law churn traces.
 //
 // Graph specs (graph::GraphSpec — positional or named args, canonical form
 // is named, e.g. gnp:n=1000,p=0.01,seed=7):
@@ -72,12 +96,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "agc/coloring/registry.hpp"
 #include "agc/obs/event_sink.hpp"
 #include "agc/coloring/symmetry.hpp"
 #include "agc/edge/edge_coloring.hpp"
-#include "agc/exec/async_executor.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/faultlab/channel.hpp"
 #include "agc/faultlab/harness.hpp"
@@ -125,23 +149,16 @@ struct Args {
     const auto it = kv.find(k);
     return it == kv.end() ? dflt : it->second;
   }
-
-  /// Execution backend for --threads/AGC_THREADS (null-free: sequential when
-  /// 1) and --executor bsp|async (barriered vs dependency-driven; see
-  /// docs/EXEC.md for when async is and is not bit-identical to bsp).
-  std::shared_ptr<runtime::RoundExecutor> executor() const {
-    const auto it = kv.find("threads");
-    const std::size_t threads =
-        it == kv.end() ? exec::default_threads()
-                       : std::strtoull(it->second.c_str(), nullptr, 10);
-    const std::string backend = get("executor", "bsp");
-    if (backend == "async") return exec::make_async_executor(threads);
-    if (backend != "bsp") usage("unknown --executor (bsp|async)");
-    return exec::make_executor(threads);
+  std::uint64_t num(const std::string& k, std::uint64_t dflt) const {
+    const auto it = kv.find(k);
+    return it == kv.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
   }
 
-  /// The backend name as recorded in structured output.
-  std::string executor_name() const { return get("executor", "bsp"); }
+  /// Execution backend for --threads/AGC_THREADS (null-free: sequential
+  /// when 1).
+  std::shared_ptr<runtime::RoundExecutor> executor() const {
+    return exec::make_executor(num("threads", exec::default_threads()));
+  }
 };
 
 /// --jsonl/--phases wiring: owns the trace stream + sink for one command and
@@ -175,7 +192,9 @@ Args parse(int argc, char** argv) {
   a.command = argv[1];
   int i = 2;
   if (a.command == "campaign") {
-    if (argc < 3 || argv[2][0] == '-') usage("campaign needs a subcommand (run|ls)");
+    if (argc < 3 || argv[2][0] == '-') {
+      usage("campaign needs a subcommand (run|ls|grid)");
+    }
     a.kv["sub"] = argv[2];
     i = 3;
   }
@@ -199,6 +218,15 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
+/// --model setlocal|local|congest (default setlocal).
+runtime::Model model_flag(const Args& a) {
+  const std::string model = a.get("model", "setlocal");
+  if (model == "local") return runtime::Model::LOCAL;
+  if (model == "congest") return runtime::Model::CONGEST;
+  if (model != "setlocal") usage("unknown --model");
+  return runtime::Model::SET_LOCAL;
+}
+
 int cmd_color(const Args& a) {
   const auto rg = resolve_graph(a.get("graph"));
   const graph::GraphView g = rg.view();
@@ -208,14 +236,8 @@ int cmd_color(const Args& a) {
   ob.apply(opts.iter);
   runtime::TraceRecorder trace(g, nullptr);
   if (a.has("trace")) opts.iter.on_round = trace.observer();
+  opts.iter.model = model_flag(a);
   const std::string model = a.get("model", "setlocal");
-  if (model == "local") {
-    opts.iter.model = runtime::Model::LOCAL;
-  } else if (model == "congest") {
-    opts.iter.model = runtime::Model::CONGEST;
-  } else if (model != "setlocal") {
-    usage("unknown --model");
-  }
 
   opts.eps = std::strtod(a.get("eps", "0.5").c_str(), nullptr);
   opts.run().seed = std::strtoull(a.get("seed", "1").c_str(), nullptr, 10);
@@ -456,11 +478,127 @@ int cmd_selfstab(const Args& a) {
   return 0;
 }
 
-/// `agccli campaign run|ls`: execute or inspect a declarative job grid
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::stringstream ss(s);
+  std::string tok;
+  while (std::getline(ss, tok, sep)) {
+    if (!tok.empty()) out.push_back(tok);
+  }
+  return out;
+}
+
+/// `agccli campaign grid`: author a campaign file from the cross product
+/// algorithms x graphs x seeds, with one shared fault configuration.
+int cmd_grid(const Args& a) {
+  if (!a.has("algos") || !a.has("graphs")) {
+    usage("grid needs --algos and --graphs");
+  }
+  const auto algos = split(a.get("algos"), ',');
+  const auto graph_specs = split(a.get("graphs"), ' ');
+  const auto seed_strs = split(a.get("seeds", "1"), ',');
+
+  sched::JobSpec base;
+  base.tag = a.get("tag");
+  base.opts.model = model_flag(a);
+  if (a.has("max-rounds")) base.opts.max_rounds = a.num("max-rounds", 0);
+  base.id_space_factor = a.num("idspace", 1);
+  base.faults.channel.drop_per_million = ppm_flag(a, "chan-drop");
+  base.faults.channel.corrupt_per_million = ppm_flag(a, "chan-corrupt");
+  base.faults.channel.duplicate_per_million = ppm_flag(a, "chan-dup");
+  base.faults.channel.delay_per_million = ppm_flag(a, "chan-delay");
+  base.faults.channel.first_round = a.num("chan-first", 0);
+  if (a.has("chan-last")) base.faults.channel.last_round = a.num("chan-last", 0);
+  base.faults.periodic.period = a.num("adv-period", 1);
+  if (a.has("adv-last")) base.faults.periodic.last_round = a.num("adv-last", 0);
+  base.faults.periodic.corrupt = a.num("adv-corrupt", 0);
+  base.faults.periodic.value_range = a.num("adv-range", 0);
+  base.faults.periodic.clones = a.num("adv-clones", 0);
+  base.faults.periodic.edge_adds = a.num("adv-eadds", 0);
+  base.faults.periodic.edge_removes = a.num("adv-eremoves", 0);
+  base.faults.periodic.dmax = a.num("adv-dmax", 0);
+  auto& zoo = base.faults.zoo;
+  if (a.has("out-lo")) zoo.outage.lo = static_cast<graph::Vertex>(a.num("out-lo", 0));
+  if (a.has("out-hi")) zoo.outage.hi = static_cast<graph::Vertex>(a.num("out-hi", 0));
+  zoo.outage.first_round = a.num("out-first", zoo.outage.first_round);
+  if (a.has("out-last")) zoo.outage.last_round = a.num("out-last", 0);
+  if (a.has("flap-down")) zoo.flap.down_per_million = ppm_flag(a, "flap-down");
+  if (a.has("flap-up")) zoo.flap.up_per_million = ppm_flag(a, "flap-up");
+  zoo.flap.first_round = a.num("flap-first", zoo.flap.first_round);
+  if (a.has("flap-last")) zoo.flap.last_round = a.num("flap-last", 0);
+  if (a.has("byz-liars")) zoo.byz.liars_per_million = ppm_flag(a, "byz-liars");
+  if (a.has("byz-rate")) zoo.byz.lie_per_million = ppm_flag(a, "byz-rate");
+  zoo.byz.first_round = a.num("byz-first", zoo.byz.first_round);
+  if (a.has("byz-last")) zoo.byz.last_round = a.num("byz-last", 0);
+  zoo.adapt.period = a.num("adapt-period", zoo.adapt.period);
+  zoo.adapt.count = a.num("adapt-count", 0);
+  if (a.has("adapt-last")) zoo.adapt.last_round = a.num("adapt-last", 0);
+  if (a.has("adapt-target")) {
+    const std::string t = a.get("adapt-target");
+    if (t == "degree") {
+      zoo.adapt.target = faultlab::AdaptiveConfig::Target::HighestDegree;
+    } else if (t == "recent") {
+      zoo.adapt.target = faultlab::AdaptiveConfig::Target::RecentlyRecolored;
+    } else {
+      usage("--adapt-target must be degree or recent");
+    }
+  }
+  zoo.churn.events = a.num("churn-events", 0);
+  if (a.has("churn-alpha")) {
+    zoo.churn.alpha = std::strtod(a.get("churn-alpha").c_str(), nullptr);
+    if (zoo.churn.alpha <= 0.0) usage("--churn-alpha must be positive");
+  }
+  zoo.churn.attach = a.num("churn-attach", zoo.churn.attach);
+  if (a.has("churn-resets")) zoo.churn.resets_per_million = ppm_flag(a, "churn-resets");
+  zoo.churn.first_round = a.num("churn-first", zoo.churn.first_round);
+  if (a.has("churn-last")) zoo.churn.last_round = a.num("churn-last", 0);
+  zoo.churn.dmax = a.num("churn-dmax", zoo.churn.dmax);
+  zoo.churn.grow = a.num("churn-grow", 0);
+  base.faults.recovery_budget = a.num("budget", base.faults.recovery_budget);
+  base.faults.confirm_rounds = a.num("confirm", base.faults.confirm_rounds);
+
+  sched::Campaign c;
+  for (const auto& algo : algos) {
+    if (sched::find_runner(algo) == nullptr) {
+      usage(("unknown algorithm '" + algo + "'").c_str());
+    }
+    for (const auto& spec_str : graph_specs) {
+      const auto spec = graph::GraphSpec::parse(spec_str);
+      for (const auto& seed_str : seed_strs) {
+        sched::JobSpec job = base;
+        job.algorithm = algo;
+        job.graph = spec;
+        job.seed = std::strtoull(seed_str.c_str(), nullptr, 10);
+        if (a.has("plan-out-dir") && job.faults.any()) {
+          char h[24];
+          std::snprintf(h, sizeof h, "%016llx",
+                        static_cast<unsigned long long>(spec.content_hash()));
+          job.faults.plan_out = a.get("plan-out-dir") + "/" + algo + "-" + h +
+                                "-s" + seed_str + ".jsonl";
+        }
+        c.add(std::move(job));
+      }
+    }
+  }
+
+  const std::string text = c.format();
+  if (a.has("out")) {
+    std::ofstream out(a.get("out"));
+    if (!out) usage("cannot open --out file");
+    out << text;
+    std::printf("wrote %zu jobs to %s\n", c.size(), a.get("out").c_str());
+  } else {
+    std::fputs(text.c_str(), stdout);
+  }
+  return 0;
+}
+
+/// `agccli campaign run|ls|grid`: execute, inspect or author a declarative job grid
 /// (docs/SCHED.md).  The report JSONL goes to --out (or stdout) in job-id
 /// order; without --timing it is bit-identical for any --threads value.
 int cmd_campaign(const Args& a) {
   const std::string sub = a.get("sub");
+  if (sub == "grid") return cmd_grid(a);
   if (sub == "ls" && a.has("runners")) {
     for (const auto& r : sched::runners()) {
       std::printf("%-16s %s%s\n", r.name, r.summary,
@@ -475,7 +613,7 @@ int cmd_campaign(const Args& a) {
     std::fputs(campaign.format().c_str(), stdout);
     return 0;
   }
-  if (sub != "run") usage("campaign subcommand must be run or ls");
+  if (sub != "run") usage("campaign subcommand must be run, ls or grid");
 
   ObsFlags ob(a);
   sched::ScheduleOptions so;
@@ -557,13 +695,7 @@ int cmd_svc(const Args& a) {
               st.mean_adjusted(),
               static_cast<unsigned long long>(st.max_adjusted),
               static_cast<unsigned long long>(st.legality_violations));
-  if (a.has("json")) {
-    // Tag the aggregate with the executor backend so differential sweeps can
-    // tell runs apart; the stats JSON itself stays executor-agnostic.
-    std::string js = st.to_json(a.has("timing"));
-    js.insert(1, "\"executor\":\"" + a.executor_name() + "\",");
-    std::puts(js.c_str());
-  }
+  if (a.has("json")) std::puts(st.to_json(a.has("timing")).c_str());
   ob.report(service.report());
   return rep.rejected == 0 && st.legality_violations == 0 ? 0 : 1;
 }

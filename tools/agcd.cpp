@@ -68,7 +68,9 @@ Args parse(int argc, char** argv) {
     if (key.rfind("--", 0) != 0) usage("options start with --");
     key = key.substr(2);
     if (key == "exact" || key == "selfcheck") {
-      a.kv[key] = "1";
+      // Assigned as a std::string: GCC 12 at -O3 flags assigning the bare
+      // literal with a false-positive -Wrestrict.
+      a.kv[key] = std::string("1");
       continue;
     }
     if (i + 1 >= argc) usage(("missing value for --" + key).c_str());
@@ -245,7 +247,7 @@ int main(int argc, char** argv) {
     }
     if ((fds[0].revents & POLLIN) != 0) {
       const int fd = ::accept(listener, nullptr, nullptr);
-      if (fd >= 0) clients.push_back({fd, {}});
+      if (fd >= 0) clients.push_back({fd, svc::FrameReader()});
     }
     // Walk backwards so dropped clients don't shift pending indices.
     for (std::size_t i = clients.size(); i-- > 0;) {
