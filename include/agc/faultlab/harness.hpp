@@ -92,8 +92,10 @@ struct StabilizationOutcome : runtime::RunReport {
 /// to FaultAdversary::inject counts from the start of phase 1 (so a
 /// PeriodicAdversary schedule is relative to the fault phase, independent of
 /// how long phase 0 took to settle).  opts.max_rounds caps the *total* engine
-/// rounds across both phases; opts.sink receives Fault events per injection
-/// round.  The engine's hooks are restored on return.
+/// rounds across both phases.  Phase 1 steps through runtime::HookedRounds:
+/// opts.sink receives its RoundEnd and Fault events, opts.collect_phase_times
+/// folds its phase timers (adversary time under `fault`) into the outcome,
+/// and the engine's hooks are restored on return.  Phase 0 runs unhooked.
 [[nodiscard]] StabilizationOutcome run_stabilization(
     runtime::Engine& engine, const runtime::RunOptions& opts,
     const StabilizationSpec& spec);
@@ -109,9 +111,8 @@ struct StabilizationOutcome : runtime::RunReport {
 /// empty baseline counts every vertex as adjusted).  The recovery clock is
 /// anchored at the call: when the state is already legal on entry the run
 /// recovers in 0 rounds after the confirm window.  opts.adversary /
-/// opts.channel stay live exactly as in run_stabilization's phase 1, and
-/// opts.collect_phase_times folds the engine's per-shard phase timers into
-/// the outcome like every other run_* entry point.
+/// opts.channel, opts.sink and opts.collect_phase_times act exactly as in
+/// run_stabilization's phase 1.
 [[nodiscard]] StabilizationOutcome resettle(
     runtime::Engine& engine, const runtime::RunOptions& opts,
     const StabilizationSpec& spec,

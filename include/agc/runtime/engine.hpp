@@ -130,7 +130,6 @@ class Engine {
 
   [[nodiscard]] graph::GraphView graph() const noexcept { return view_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
-  [[nodiscard]] const Transport& transport() const noexcept { return transport_; }
   [[nodiscard]] std::size_t rounds() const noexcept { return metrics_.rounds; }
 
   [[nodiscard]] VertexProgram& program(graph::Vertex v) { return *programs_[v]; }
@@ -143,12 +142,6 @@ class Engine {
   /// accounting; programs only ever see it through Outbox/Inbox views).
   [[nodiscard]] const MailboxArena& arena() const noexcept { return arena_; }
 
-  /// Observer invoked after every round (used by tests to assert invariants
-  /// such as "the coloring is proper after every round").
-  void set_observer(std::function<void(const Engine&, std::size_t round)> obs) {
-    observer_ = std::move(obs);
-  }
-
   // --- Observability hooks (src/obs; wired by runners from RunOptions) -----
 
   /// Per-shard phase-timing accumulator (non-owning; null = timing off, the
@@ -157,7 +150,7 @@ class Engine {
   [[nodiscard]] obs::PhaseProfile* profile() const noexcept { return profile_; }
 
   /// Structured event sink (non-owning; null = no events).  The engine emits
-  /// one RoundEnd event per step carrying the cumulative message count;
+  /// one RoundEnd event per step carrying the messages delivered that round;
   /// runners layer run/stage/fault events on top.
   void set_sink(obs::EventSink* sink) noexcept { sink_ = sink; }
   [[nodiscard]] obs::EventSink* sink() const noexcept { return sink_; }
@@ -220,7 +213,6 @@ class Engine {
   EdgeBitLedger edge_bits_;
   MailboxArena arena_;
   std::shared_ptr<RoundExecutor> executor_;
-  std::function<void(const Engine&, std::size_t)> observer_;
   obs::PhaseProfile* profile_ = nullptr;
   obs::EventSink* sink_ = nullptr;
   ChannelHook* channel_ = nullptr;

@@ -101,12 +101,16 @@ class Adversary {
   std::size_t events_ = 0;
 };
 
-/// The hook RunOptions::adversary points at.  Runners call inject() between
-/// rounds (after deliver/receive, before the next send) with the 1-based
-/// index of the round that just completed; the return value is the number of
-/// fault events injected this call, which the runner adds to
-/// RunReport::fault_events and uses to decide whether stabilization clocks
-/// must reset.
+/// The hook RunOptions::adversary points at.  Every runner reaches it through
+/// runtime::HookedRounds (hooked_rounds.hpp), which calls inject() between
+/// rounds (after deliver/receive, before the next send) with the number of
+/// rounds the runner has stepped: the 1-based index of the round that just
+/// completed, counted from the start of the run (for the harness, from the
+/// start of its fault phase), not from engine round 0.  The return value is
+/// the number of fault events injected this call; HookedRounds adds it to
+/// RunReport::fault_events, emits it as a Fault event stamped
+/// engine.rounds(), and hands it back so runners can reset stabilization
+/// clocks.
 ///
 /// Implementations may mutate RAM words and churn edges; runners that mirror
 /// program state (e.g. the iterative harness) resynchronize after a non-zero

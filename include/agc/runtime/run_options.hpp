@@ -43,8 +43,10 @@ struct RunOptions {
   std::shared_ptr<RoundExecutor> executor;
 
   /// Fault adversary invoked between rounds (non-owning; null = fault-free).
-  /// Works for iterative, pipeline and edge runs as well as the selfstab
-  /// runners; see faults.hpp for the hook contract.
+  /// Works for iterative, pipeline, Luby and edge runs as well as the selfstab
+  /// runners and the faultlab harness, which all step through
+  /// runtime::HookedRounds; see faults.hpp for the hook contract and
+  /// hooked_rounds.hpp for the round index and event stamps.
   FaultAdversary* adversary = nullptr;
 
   /// Message-path fault hook run inside every send phase (non-owning; null =
@@ -75,10 +77,6 @@ struct RunOptions {
   /// parameters on coloring entry points are not accepted (CI grep-gates
   /// include/agc/coloring for them).  Deterministic algorithms ignore it.
   std::uint64_t seed = 1;
-
-  [[nodiscard]] bool observing() const noexcept {
-    return sink != nullptr || collect_phase_times;
-  }
 };
 
 }  // namespace agc::runtime

@@ -4,24 +4,29 @@
 
 #include "agc/obs/event_sink.hpp"
 #include "agc/obs/phase_timer.hpp"
-#include "agc/runtime/engine.hpp"
-#include "agc/runtime/faults.hpp"
-#include "agc/runtime/run_options.hpp"
-#include "agc/runtime/run_report.hpp"
+#include "agc/runtime/hooked_rounds.hpp"
 
 /// \file run_loop.hpp
 /// The shared skeleton of the three `run_until_*` selfstab runners: drive the
-/// engine until a stability predicate holds, confirm quiescence, and wire the
-/// unified RunOptions hooks (fault adversary, event sink, phase timers) plus
-/// the RunReport accounting in exactly one place.
+/// engine until a stability predicate holds and confirm quiescence.  The
+/// rounds themselves — fault hooks, event sink, phase timers, RunReport
+/// accounting — are runtime::HookedRounds'.
 ///
-/// Stabilization time is measured from the last adversary event: every
-/// injection resets the rounds_to_stable clock, matching the paper's promise
-/// that faults eventually stop.  An adversary that never quiesces therefore
-/// never lets the loop terminate — PeriodicAdversary::Schedule::last_round is
-/// the enforcement knob.
+/// Stabilization time is measured from the last fault event: every injection
+/// (adversary or wire) resets the rounds_to_stable clock, matching the
+/// paper's promise that faults eventually stop.  An adversary that never
+/// quiesces therefore never lets the loop terminate —
+/// PeriodicAdversary::Schedule::last_round is the enforcement knob.
 
 namespace agc::selfstab::detail {
+
+/// RunStart / RunEnd bracket of one run_until_* call, labelled opts.tag.
+inline void emit_run_event(const runtime::RunOptions& opts, obs::EventKind kind,
+                           std::uint64_t round, std::uint64_t value,
+                           std::uint64_t ns = 0) {
+  if (opts.sink == nullptr) return;
+  opts.sink->emit(obs::Event{kind, round, opts.tag, value, ns});
+}
 
 /// `Report` must expose rounds_to_stable/stabilized and derive RunReport.
 /// `stable` is the task predicate; `snapshot` captures the state compared
@@ -31,130 +36,53 @@ void run_until(runtime::Engine& engine, const runtime::RunOptions& opts,
                std::size_t confirm_rounds, Stable&& stable,
                Snapshot&& snapshot, Report& rep) {
   const std::uint64_t t0 = obs::monotonic_ns();
-  obs::PhaseProfile profile;
-  obs::PhaseProfile* const prev_profile = engine.profile();
-  obs::EventSink* const prev_sink = engine.sink();
-  obs::PhaseStats* extra = nullptr;
-  if (opts.collect_phase_times) {
-    engine.set_profile(&profile);
-    extra = profile.extra();
-  }
-  if (opts.sink != nullptr) {
-    engine.set_sink(opts.sink);
-    obs::Event ev;
-    ev.kind = obs::EventKind::RunStart;
-    ev.round = engine.rounds();
-    ev.label = opts.tag;
-    ev.value = engine.graph().n();
-    opts.sink->emit(ev);
-  }
-  runtime::ChannelHook* const prev_channel = engine.channel();
-  if (opts.channel != nullptr) engine.set_channel(opts.channel);
-  std::uint64_t channel_seen =
-      opts.channel != nullptr ? opts.channel->events() : 0;
-  // Channel faults injected by a step count as adversary events: they reset
-  // the stabilization clock (the wire being attacked means faults have not
-  // stopped yet) and roll into RunReport::fault_events.
-  auto drain_channel = [&](bool reset_clock) {
-    if (opts.channel == nullptr) return;
-    const std::uint64_t now = opts.channel->events();
-    if (now > channel_seen) {
-      rep.fault_events += now - channel_seen;
-      if (reset_clock) rep.rounds_to_stable = 0;
-      if (opts.sink != nullptr) {
-        obs::Event ev;
-        ev.kind = obs::EventKind::Fault;
-        ev.round = engine.rounds();
-        ev.label = opts.channel->name();
-        ev.value = now - channel_seen;
-        opts.sink->emit(ev);
-      }
-      channel_seen = now;
-    }
-  };
-  const runtime::Metrics before = engine.metrics();
+  runtime::HookedRounds rounds(engine, opts);
+  emit_run_event(opts, obs::EventKind::RunStart, engine.rounds(),
+                 engine.graph().n());
 
   auto check = [&] {
-    obs::ScopedPhaseTimer timer(extra, obs::Phase::Check);
+    obs::ScopedPhaseTimer timer(rounds.timers(), obs::Phase::Check);
     return stable();
   };
 
-  std::size_t executed = 0;
   bool ok = check();
   while (true) {
     while (rep.rounds_to_stable < opts.max_rounds && !ok) {
-      engine.step();
-      ++executed;
       ++rep.rounds_to_stable;
-      drain_channel(/*reset_clock=*/true);
-      if (opts.adversary != nullptr) {
-        std::size_t injected = 0;
-        {
-          obs::ScopedPhaseTimer timer(extra, obs::Phase::Fault);
-          injected = opts.adversary->inject(engine, executed);
-        }
-        if (injected > 0) {
-          rep.fault_events += injected;
-          rep.rounds_to_stable = 0;  // the clock restarts at the last fault
-          if (opts.sink != nullptr) {
-            obs::Event ev;
-            ev.kind = obs::EventKind::Fault;
-            ev.round = engine.rounds();
-            ev.label = opts.adversary->name();
-            ev.value = injected;
-            opts.sink->emit(ev);
-          }
-        }
-      }
+      // The clock restarts at the last fault, wire faults included (the
+      // wire being attacked means faults have not stopped yet).
+      if (rounds.step().total() > 0) rep.rounds_to_stable = 0;
       ok = check();
     }
     if (!ok) break;  // stabilization budget exhausted
 
-    // Confirm quiescence: the configuration must be a fixed point.  A wire
-    // fault mid-window resets the stabilization clock like any other fault
-    // (the predicate held only transiently — e.g. a ChannelAdversary whose
-    // active window is still open), so on a changed snapshot the search
-    // RESUMES instead of giving up, until the round budget runs dry.
+    // Confirm quiescence: the configuration must be a fixed point.  The
+    // adversary stays idle here, but a wire fault mid-window resets the
+    // stabilization clock like any other fault (the predicate held only
+    // transiently — e.g. a ChannelAdversary whose active window is still
+    // open), so on a changed snapshot the search RESUMES instead of giving
+    // up, until the round budget runs dry.
     const auto snap = snapshot();
     rep.stabilized = true;
     for (std::size_t i = 0; i < confirm_rounds; ++i) {
-      engine.step();
-      ++executed;
-      drain_channel(/*reset_clock=*/true);
+      if (rounds.step(/*with_adversary=*/false).channel > 0) {
+        rep.rounds_to_stable = 0;
+      }
       if (snapshot() != snap) {
         rep.stabilized = false;  // not actually stable
         break;
       }
     }
-    if (rep.stabilized || executed >= opts.max_rounds) break;
+    if (rep.stabilized || rounds.steps() >= opts.max_rounds) break;
     ok = check();
   }
 
-  rep.rounds = executed;
+  rep.rounds = rounds.steps();
   rep.converged = rep.stabilized;
-  // This run's share of the engine's cumulative accounting.  The per-edge
-  // ledger never resets, so max_edge_bits stays the cumulative maximum.
-  const runtime::Metrics after = engine.metrics();
-  rep.metrics.rounds = after.rounds - before.rounds;
-  rep.metrics.messages = after.messages - before.messages;
-  rep.metrics.total_bits = after.total_bits - before.total_bits;
-  rep.metrics.max_edge_bits = after.max_edge_bits;
-  if (opts.collect_phase_times) {
-    engine.set_profile(prev_profile);
-    rep.phases = profile.folded();
-  }
+  rounds.finish(rep);
   rep.wall_ns = obs::monotonic_ns() - t0;
-  if (opts.channel != nullptr) engine.set_channel(prev_channel);
-  if (opts.sink != nullptr) {
-    obs::Event ev;
-    ev.kind = obs::EventKind::RunEnd;
-    ev.round = engine.rounds();
-    ev.label = opts.tag;
-    ev.value = rep.rounds;
-    ev.ns = rep.wall_ns;
-    opts.sink->emit(ev);
-    engine.set_sink(prev_sink);
-  }
+  emit_run_event(opts, obs::EventKind::RunEnd, engine.rounds(), rep.rounds,
+                 rep.wall_ns);
 }
 
 }  // namespace agc::selfstab::detail

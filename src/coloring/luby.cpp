@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "agc/obs/event_sink.hpp"
-#include "agc/runtime/faults.hpp"
-#include "agc/runtime/round.hpp"
+#include "agc/runtime/hooked_rounds.hpp"
 #include "stage.hpp"
 
 namespace agc::coloring {
@@ -133,16 +132,6 @@ PipelineReport color_luby(graph::GraphView g, const PipelineOptions& opts) {
 
   runtime::Engine engine(g, runtime::Transport(iter.model, iter.congest_bits));
   if (iter.executor) engine.set_executor(iter.executor);
-  if (iter.channel != nullptr) engine.set_channel(iter.channel);
-
-  obs::PhaseProfile profile;
-  obs::PhaseStats* extra = nullptr;
-  if (iter.collect_phase_times) {
-    engine.set_profile(&profile);
-    extra = profile.extra();
-  }
-  if (iter.sink != nullptr) engine.set_sink(iter.sink);
-
   engine.install([&](const runtime::VertexEnv& env) {
     if (env.id >= mirror.size()) {
       throw std::logic_error(
@@ -150,6 +139,7 @@ PipelineReport color_luby(graph::GraphView g, const PipelineOptions& opts) {
     }
     return std::make_unique<LubyProgram>(seed, d1, bits, &mirror[env.id]);
   });
+  runtime::HookedRounds rounds(engine, iter);
 
   detail::stage_event(opts, obs::EventKind::RunStart, "luby", 0, g.n());
 
@@ -158,48 +148,20 @@ PipelineReport color_luby(graph::GraphView g, const PipelineOptions& opts) {
                        [&](Color c) { return c < d1; });
   };
 
-  std::uint64_t channel_seen =
-      iter.channel != nullptr ? iter.channel->events() : 0;
-
   while (!all_done() && rep.rounds < iter.max_rounds) {
-    engine.step();
+    if (rounds.step().adversary > 0) {
+      // RAM corruption rewrote state words behind the mirror's back.
+      for (graph::Vertex v = 0; v < engine.graph().n(); ++v) {
+        const auto ram = engine.ram(v);
+        if (!ram.empty()) mirror[v] = ram[0];
+      }
+    }
     ++rep.rounds;
-    if (iter.channel != nullptr) {
-      const std::uint64_t now = iter.channel->events();
-      if (now > channel_seen) {
-        rep.fault_events += now - channel_seen;
-        detail::stage_event(opts, obs::EventKind::Fault,
-                            iter.channel->name(), rep.rounds,
-                            now - channel_seen);
-        channel_seen = now;
-      }
-    }
-    if (iter.adversary != nullptr) {
-      std::size_t injected = 0;
-      {
-        obs::ScopedPhaseTimer timer(extra, obs::Phase::Fault);
-        injected = iter.adversary->inject(engine, rep.rounds);
-      }
-      if (injected > 0) {
-        rep.fault_events += injected;
-        // RAM corruption rewrote state words behind the mirror's back.
-        for (graph::Vertex v = 0; v < engine.graph().n(); ++v) {
-          const auto ram = engine.ram(v);
-          if (!ram.empty()) mirror[v] = ram[0];
-        }
-        detail::stage_event(opts, obs::EventKind::Fault,
-                            iter.adversary->name(), rep.rounds, injected);
-      }
-    }
   }
 
   rep.converged = all_done();
   rep.rounds_core = rep.rounds;
-  rep.metrics = engine.metrics();
-  if (iter.collect_phase_times) {
-    engine.set_profile(nullptr);
-    rep.phases = profile.folded();
-  }
+  rounds.finish(rep);
   detail::finish(rep, engine.graph());
   rep.wall_ns = obs::monotonic_ns() - t0;
   detail::stage_event(opts, obs::EventKind::RunEnd, "luby", rep.rounds,

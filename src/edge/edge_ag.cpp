@@ -8,7 +8,7 @@
 #include "agc/coloring/cole_vishkin.hpp"
 #include "agc/math/primes.hpp"
 #include "agc/obs/event_sink.hpp"
-#include "agc/runtime/faults.hpp"
+#include "agc/runtime/hooked_rounds.hpp"
 
 namespace agc::edge {
 
@@ -344,14 +344,8 @@ EdgeColoringResult color_edges_distributed(graph::GraphView g,
                      : runtime::Transport(runtime::Model::CONGEST, opts.congest_bits);
   runtime::Engine engine(g, transport);
   engine.set_executor(opts.executor);
-  if (opts.channel != nullptr) engine.set_channel(opts.channel);
-  std::uint64_t channel_seen =
-      opts.channel != nullptr ? opts.channel->events() : 0;
-
-  obs::PhaseProfile profile;
-  if (opts.collect_phase_times) engine.set_profile(&profile);
+  runtime::HookedRounds rounds(engine, opts);
   if (opts.sink != nullptr) {
-    engine.set_sink(opts.sink);
     obs::Event ev;
     ev.kind = obs::EventKind::RunStart;
     ev.label = opts.tag != nullptr ? opts.tag : "edge";
@@ -388,65 +382,27 @@ EdgeColoringResult color_edges_distributed(graph::GraphView g,
     return graph::max_color(colors) < final_bound &&
            graph::is_proper_edge_coloring(g, colors);
   };
+  // The edge program keeps no adversary-visible RAM (a static protocol), so
+  // injections exercise churn/accounting paths; the proper / converged flags
+  // report whatever damage was done.
   while (result.rounds < cap && !engine.all_halted()) {
-    engine.step();
+    rounds.step();
     ++result.rounds;
-    if (opts.channel != nullptr) {
-      const std::uint64_t now = opts.channel->events();
-      if (now > channel_seen) {
-        result.fault_events += now - channel_seen;
-        if (opts.sink != nullptr) {
-          obs::Event ev;
-          ev.kind = obs::EventKind::Fault;
-          ev.round = result.rounds;
-          ev.label = opts.channel->name();
-          ev.value = now - channel_seen;
-          opts.sink->emit(ev);
-        }
-        channel_seen = now;
-      }
-    }
-    if (opts.adversary != nullptr) {
-      // The edge program keeps no adversary-visible RAM (a static protocol),
-      // so injections here exercise churn/accounting paths; the proper /
-      // converged flags report whatever damage was done.
-      obs::ScopedPhaseTimer timer(
-          opts.collect_phase_times ? profile.extra() : nullptr,
-          obs::Phase::Fault);
-      const std::size_t injected = opts.adversary->inject(engine, result.rounds);
-      if (injected > 0) {
-        result.fault_events += injected;
-        if (opts.sink != nullptr) {
-          obs::Event ev;
-          ev.kind = obs::EventKind::Fault;
-          ev.round = result.rounds;
-          ev.label = opts.adversary->name();
-          ev.value = injected;
-          opts.sink->emit(ev);
-        }
-      }
-    }
     if (result.rounds >= min_rounds && result.rounds % 8 == 0) {
-      obs::ScopedPhaseTimer timer(
-          opts.collect_phase_times ? profile.extra() : nullptr,
-          obs::Phase::Check);
+      obs::ScopedPhaseTimer timer(rounds.timers(), obs::Phase::Check);
       result.colors = extract();
       if (settled(result.colors)) break;
     }
   }
   result.colors = extract();
   result.converged = engine.all_halted() || settled(result.colors);
-  result.metrics = engine.metrics();
+  rounds.finish(result);
   result.palette = graph::palette_size(result.colors);
   result.proper = graph::is_proper_edge_coloring(g, result.colors);
   if (g.m() > 0) {
     result.avg_bits_per_edge =
         static_cast<double>(result.metrics.total_bits) / (2.0 * g.m());
     result.max_bits_per_edge = result.metrics.max_edge_bits;
-  }
-  if (opts.collect_phase_times) {
-    engine.set_profile(nullptr);
-    result.phases = profile.folded();
   }
   result.wall_ns = obs::monotonic_ns() - t0;
   if (opts.sink != nullptr) {

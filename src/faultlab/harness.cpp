@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "agc/graph/checks.hpp"
-#include "agc/obs/event_sink.hpp"
-#include "agc/runtime/faults.hpp"
+#include "agc/obs/phase_timer.hpp"
+#include "agc/runtime/hooked_rounds.hpp"
 
 namespace agc::faultlab {
 
@@ -13,40 +13,21 @@ namespace {
 using runtime::Engine;
 using runtime::RunOptions;
 
-void emit_fault(const RunOptions& opts, const Engine& engine, const char* label,
-                std::uint64_t count) {
-  if (opts.sink == nullptr) return;
-  obs::Event ev;
-  ev.kind = obs::EventKind::Fault;
-  ev.round = engine.rounds();
-  ev.label = label;
-  ev.value = count;
-  opts.sink->emit(ev);
-}
-
 /// Phase 1 of the protocol: drive the engine from its current state (legal or
 /// not — `initially_legal` says which, sparing a redundant check when phase 0
 /// just certified legality) until the check holds for confirm_rounds
-/// consecutive rounds, with the RunOptions fault hooks live and the watchdog
-/// armed.  Fills everything in `out` except the settle bookkeeping; `executed`
-/// counts engine rounds already spent against opts.max_rounds.
-/// `attach_obs` additionally wires opts.sink / phase timers into the engine
-/// for the duration (resettle does; run_stabilization keeps its historical
-/// fault-events-only sink stream).
+/// consecutive rounds, with the RunOptions hooks live through HookedRounds
+/// and the watchdog armed.  Fills everything in `out` except the settle
+/// bookkeeping; `executed` counts engine rounds already spent against
+/// opts.max_rounds.
 void repair_until_legal(Engine& engine, const RunOptions& opts,
                         const StabilizationSpec& spec,
                         const std::vector<std::uint64_t>& baseline,
-                        bool initially_legal, bool attach_obs,
-                        std::size_t executed, StabilizationOutcome& out) {
-  obs::PhaseProfile profile;
-  obs::PhaseProfile* const prev_profile = engine.profile();
-  if (attach_obs && opts.collect_phase_times) engine.set_profile(&profile);
-  obs::EventSink* const prev_sink = engine.sink();
-  if (attach_obs && opts.sink != nullptr) engine.set_sink(opts.sink);
-  runtime::ChannelHook* const prev_channel = engine.channel();
-  if (opts.channel != nullptr) engine.set_channel(opts.channel);
-  std::uint64_t channel_seen =
-      opts.channel != nullptr ? opts.channel->events() : 0;
+                        bool initially_legal, std::size_t executed,
+                        StabilizationOutcome& out) {
+  // The adversary's schedule counts HookedRounds' own rounds, not engine
+  // rounds — a settle phase's length must not eat the schedule.
+  runtime::HookedRounds rounds(engine, opts);
 
   // The entry state anchors the clocks: an already-legal configuration with
   // an empty fault schedule recovers in 0 rounds.
@@ -57,31 +38,9 @@ void repair_until_legal(Engine& engine, const RunOptions& opts,
   std::size_t confirmed = 0;
   out.recovered = legal && spec.confirm_rounds == 0;
 
-  // The adversary's schedule is relative to the start of the fault phase, not
-  // to engine round 0 — a settle phase's length must not eat the schedule.
-  std::size_t fault_round = 0;
   while (!out.recovered && executed < opts.max_rounds) {
-    engine.step();
     ++executed;
-    ++fault_round;
-    std::uint64_t injected = 0;
-    if (opts.channel != nullptr) {
-      const std::uint64_t now = opts.channel->events();
-      if (now > channel_seen) {
-        injected += now - channel_seen;
-        emit_fault(opts, engine, opts.channel->name(), now - channel_seen);
-        channel_seen = now;
-      }
-    }
-    if (opts.adversary != nullptr) {
-      const std::size_t adv = opts.adversary->inject(engine, fault_round);
-      if (adv > 0) {
-        injected += adv;
-        emit_fault(opts, engine, opts.adversary->name(), adv);
-      }
-    }
-    if (injected > 0) {
-      out.fault_events += injected;
+    if (rounds.step().total() > 0) {
       out.last_fault_round = engine.rounds();
       legal = false;
       confirmed = 0;
@@ -127,12 +86,7 @@ void repair_until_legal(Engine& engine, const RunOptions& opts,
                                       engine.rounds(), 0, 0, 0};
   }
 
-  if (opts.channel != nullptr) engine.set_channel(prev_channel);
-  if (attach_obs && opts.sink != nullptr) engine.set_sink(prev_sink);
-  if (attach_obs && opts.collect_phase_times) {
-    engine.set_profile(prev_profile);
-    out.phases = profile.folded();
-  }
+  rounds.finish(out);
   out.rounds = executed;
   out.converged = out.recovered;
 }
@@ -177,14 +131,13 @@ StabilizationOutcome run_stabilization(Engine& engine, const RunOptions& opts,
   const std::vector<std::uint64_t> baseline = spec.outputs(engine);
 
   // --- Phase 1: fault schedule + recovery, under the watchdog -------------
+  const runtime::Metrics settled = engine.metrics();
   repair_until_legal(engine, opts, spec, baseline, /*initially_legal=*/true,
-                     /*attach_obs=*/false, executed, out);
-
-  const runtime::Metrics after_m = engine.metrics();
-  out.metrics.rounds = after_m.rounds - before.rounds;
-  out.metrics.messages = after_m.messages - before.messages;
-  out.metrics.total_bits = after_m.total_bits - before.total_bits;
-  out.metrics.max_edge_bits = after_m.max_edge_bits;
+                     executed, out);
+  // Phase 0's rounds and traffic belong to the run too.
+  out.metrics.rounds += settled.rounds - before.rounds;
+  out.metrics.messages += settled.messages - before.messages;
+  out.metrics.total_bits += settled.total_bits - before.total_bits;
   out.wall_ns = obs::monotonic_ns() - t0;
   return out;
 }
@@ -194,15 +147,8 @@ StabilizationOutcome resettle(Engine& engine, const RunOptions& opts,
                               const std::vector<std::uint64_t>& baseline) {
   const std::uint64_t t0 = obs::monotonic_ns();
   StabilizationOutcome out;
-  const runtime::Metrics before = engine.metrics();
-  const bool legal_now = !spec.check(engine);
-  repair_until_legal(engine, opts, spec, baseline, legal_now,
-                     /*attach_obs=*/true, /*executed=*/0, out);
-  const runtime::Metrics after_m = engine.metrics();
-  out.metrics.rounds = after_m.rounds - before.rounds;
-  out.metrics.messages = after_m.messages - before.messages;
-  out.metrics.total_bits = after_m.total_bits - before.total_bits;
-  out.metrics.max_edge_bits = after_m.max_edge_bits;
+  repair_until_legal(engine, opts, spec, baseline, !spec.check(engine),
+                     /*executed=*/0, out);
   out.wall_ns = obs::monotonic_ns() - t0;
   return out;
 }

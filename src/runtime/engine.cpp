@@ -77,12 +77,6 @@ void Engine::step() {
     ev.ns = obs::monotonic_ns() - t0;
     sink_->emit(ev);
   }
-  if (observer_) {
-    obs::ScopedPhaseTimer timer(
-        profile_ != nullptr ? profile_->extra() : nullptr,
-        obs::Phase::Observer);
-    observer_(*this, metrics_.rounds);
-  }
 }
 
 std::size_t Engine::run(std::size_t max_rounds) {

@@ -6,8 +6,7 @@
 #include <string>
 
 #include "agc/obs/event_sink.hpp"
-#include "agc/runtime/faults.hpp"
-#include "agc/runtime/round.hpp"
+#include "agc/runtime/hooked_rounds.hpp"
 #include "sweep.hpp"
 
 namespace agc::runtime {
@@ -54,7 +53,7 @@ void resync_mirror(Engine& engine, std::vector<Color>& mirror) {
 }
 
 /// The engine path: every vertex runs a RuleProgram on the round engine,
-/// which the adversary and channel hooks act on.
+/// which the adversary and channel hooks act on through HookedRounds.
 IterativeResult run_on_engine(graph::GraphView g, std::vector<Color> initial,
                               const IterativeRule& rule,
                               const IterativeOptions& opts) {
@@ -63,15 +62,6 @@ IterativeResult run_on_engine(graph::GraphView g, std::vector<Color> initial,
 
   Engine engine(g, Transport(opts.model, opts.congest_bits));
   if (opts.executor) engine.set_executor(opts.executor);
-  if (opts.channel != nullptr) engine.set_channel(opts.channel);
-
-  obs::PhaseProfile profile;
-  obs::PhaseStats* extra = nullptr;
-  if (opts.collect_phase_times) {
-    engine.set_profile(&profile);
-    extra = profile.extra();
-  }
-  if (opts.sink != nullptr) engine.set_sink(opts.sink);
 
   std::vector<Color>& mirror = result.colors;
   engine.install([&](const VertexEnv& env) {
@@ -83,13 +73,15 @@ IterativeResult run_on_engine(graph::GraphView g, std::vector<Color> initial,
     }
     return std::make_unique<RuleProgram>(rule, mirror[env.id], &mirror[env.id]);
   });
+  HookedRounds rounds(engine, opts);
+  obs::PhaseStats* const timers = rounds.timers();
 
   if (opts.check_proper_each_round) {
-    obs::ScopedPhaseTimer timer(extra, obs::Phase::Check);
+    obs::ScopedPhaseTimer timer(timers, obs::Phase::Check);
     result.proper_each_round = graph::is_proper_coloring(engine.graph(), mirror);
   }
   if (opts.on_round) {
-    obs::ScopedPhaseTimer timer(extra, obs::Phase::Observer);
+    obs::ScopedPhaseTimer timer(timers, obs::Phase::Observer);
     opts.on_round(0, mirror);
   }
 
@@ -98,65 +90,24 @@ IterativeResult run_on_engine(graph::GraphView g, std::vector<Color> initial,
                        [&](Color c) { return rule.is_final(c); });
   };
 
-  std::uint64_t channel_seen =
-      opts.channel != nullptr ? opts.channel->events() : 0;
-
   while (!all_final() && result.rounds < opts.max_rounds) {
-    engine.step();
+    // Channel faults mutate messages, not RAM: the programs already consumed
+    // the faulted words, so only adversary events leave the mirror stale.
+    if (rounds.step().adversary > 0) resync_mirror(engine, mirror);
     ++result.rounds;
-    if (opts.channel != nullptr) {
-      // Channel faults mutate messages, not RAM, so no mirror resync is
-      // needed — the programs already consumed the faulted words.
-      const std::uint64_t now = opts.channel->events();
-      if (now > channel_seen) {
-        result.fault_events += now - channel_seen;
-        if (opts.sink != nullptr) {
-          obs::Event ev;
-          ev.kind = obs::EventKind::Fault;
-          ev.round = result.rounds;
-          ev.label = opts.channel->name();
-          ev.value = now - channel_seen;
-          opts.sink->emit(ev);
-        }
-        channel_seen = now;
-      }
-    }
-    if (opts.adversary != nullptr) {
-      std::size_t injected = 0;
-      {
-        obs::ScopedPhaseTimer timer(extra, obs::Phase::Fault);
-        injected = opts.adversary->inject(engine, result.rounds);
-      }
-      if (injected > 0) {
-        result.fault_events += injected;
-        resync_mirror(engine, mirror);
-        if (opts.sink != nullptr) {
-          obs::Event ev;
-          ev.kind = obs::EventKind::Fault;
-          ev.round = result.rounds;
-          ev.label = opts.adversary->name();
-          ev.value = injected;
-          opts.sink->emit(ev);
-        }
-      }
-    }
     if (opts.check_proper_each_round && result.proper_each_round) {
-      obs::ScopedPhaseTimer timer(extra, obs::Phase::Check);
+      obs::ScopedPhaseTimer timer(timers, obs::Phase::Check);
       // The adversary may have churned edges: judge against the live graph.
       result.proper_each_round =
           graph::is_proper_coloring(engine.graph(), mirror);
     }
     if (opts.on_round) {
-      obs::ScopedPhaseTimer timer(extra, obs::Phase::Observer);
+      obs::ScopedPhaseTimer timer(timers, obs::Phase::Observer);
       opts.on_round(result.rounds, mirror);
     }
   }
   result.converged = all_final();
-  result.metrics = engine.metrics();
-  if (opts.collect_phase_times) {
-    engine.set_profile(nullptr);
-    result.phases = profile.folded();
-  }
+  rounds.finish(result);
   return result;
 }
 

@@ -25,6 +25,8 @@
 #include "agc/obs/event_sink.hpp"
 #include "agc/obs/phase_timer.hpp"
 #include "agc/runtime/engine.hpp"
+#include "agc/runtime/faults.hpp"
+#include "agc/runtime/hooked_rounds.hpp"
 #include "agc/runtime/iterative.hpp"
 
 namespace {
@@ -48,7 +50,8 @@ using namespace agc;
 using namespace agc::runtime;
 
 /// Broadcasts one bit (legal in every model, including BIT) and folds the
-/// received multiset — without allocating itself.
+/// received multiset — without allocating itself.  Its accumulator is its
+/// RAM, so a RAM adversary can corrupt it (only the low bit goes out).
 class ParityProgram final : public VertexProgram {
  public:
   void on_send(const VertexEnv&, OutboxRef& out) override {
@@ -59,6 +62,7 @@ class ParityProgram final : public VertexProgram {
     for (const std::uint64_t v : in.multiset()) s += v;
     acc_ += s + 1;
   }
+  std::span<std::uint64_t> ram() override { return {&acc_, 1}; }
 
  private:
   std::uint64_t acc_ = 1;
@@ -151,6 +155,47 @@ TEST(AllocHook, ChannelAdversaryStaysAllocationFree) {
   for (int i = 0; i < 8; ++i) engine.step();
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_GT(chan.events(), 0u);  // the adversary really was firing
+}
+
+TEST(AllocHook, HookedRoundsStayAllocationFree) {
+  // The hooked round every fault-injecting runner drives: a wire attacker at
+  // 10% per kind inside the round, a RAM-only PeriodicAdversary firing after
+  // every round, a ring sink and phase timers (the `fault` timer included).
+  // Fault events are fixed-size records and the adversary corrupts RAM in
+  // place, so once warm HookedRounds adds no allocation to the round loop.
+  const auto g = graph::random_regular(256, 8, 5);
+  Engine engine(g, Transport(Model::SET_LOCAL));
+  engine.set_executor(exec::make_executor(2));
+  engine.install(
+      [](const VertexEnv&) { return std::make_unique<ParityProgram>(); });
+  faultlab::ChannelFaultConfig cfg;
+  cfg.seed = 3;
+  cfg.drop_per_million = 100'000;
+  cfg.corrupt_per_million = 100'000;
+  cfg.duplicate_per_million = 100'000;
+  cfg.delay_per_million = 100'000;
+  faultlab::ChannelAdversary chan(cfg);
+  PeriodicAdversary adv(7, {.period = 1, .corrupt = 4});
+  obs::RingSink sink(64);
+  RunOptions opts;
+  opts.adversary = &adv;
+  opts.channel = &chan;
+  opts.sink = &sink;
+  opts.collect_phase_times = true;
+  HookedRounds rounds(engine, opts);
+  for (int i = 0; i < 4; ++i) rounds.step();  // warm arena, lanes, stash
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 8; ++i) rounds.step();
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+
+  // Both adversaries really fired, and HookedRounds booked them.
+  RunReport rep;
+  rounds.finish(rep);
+  EXPECT_EQ(adv.total_events(), 12u * 4);
+  EXPECT_EQ(rep.fault_events, adv.total_events() + chan.events());
+  EXPECT_EQ(rep.phases.phase_calls(obs::Phase::Fault), 12u);
+  EXPECT_GT(sink.seen(), 12u);  // RoundEnd plus Fault events
 }
 
 TEST(AllocHook, SweepRoundsAreAllocationFree) {

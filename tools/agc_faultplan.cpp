@@ -43,6 +43,7 @@
 #include "agc/faultlab/zoo.hpp"
 #include "agc/graph/spec.hpp"
 #include "agc/runtime/faults.hpp"
+#include "agc/runtime/hooked_rounds.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
 
 namespace {
@@ -174,28 +175,22 @@ bool replay_fails(const graph::Graph& g, const selfstab::SsConfig& cfg,
 
   faultlab::PlanAdversary adv(plan);
   faultlab::ChannelPlayback chan(plan.events);
+  runtime::RunOptions opts;
+  opts.adversary = &adv;
+  opts.channel = &chan;
+  opts.max_rounds = budget;
   if (predicate == "unstable") {
-    runtime::RunOptions opts;
-    opts.adversary = &adv;
-    opts.channel = &chan;
-    opts.max_rounds = budget;
     return !selfstab::run_until_stable(engine, cfg, opts).stabilized;
   }
-  engine.set_channel(&chan);
+  runtime::HookedRounds rounds(engine, opts);
   const auto check = faultlab::coloring_check(cfg);
-  bool broke = false;
   const std::size_t horizon =
       static_cast<std::size_t>(adv.last_event_round()) + 4;
-  for (std::size_t r = 0; r < horizon; ++r) {
-    engine.step();
-    adv.inject(engine, r + 1);
-    if (check(engine)) {
-      broke = true;
-      break;
-    }
+  while (rounds.steps() < horizon) {
+    rounds.step();
+    if (check(engine)) return true;
   }
-  engine.set_channel(nullptr);
-  return broke;
+  return false;
 }
 
 int cmd_shrink(const Args& a) {
