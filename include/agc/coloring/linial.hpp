@@ -1,10 +1,11 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "agc/coloring/palette.hpp"
-#include "agc/math/polynomial.hpp"
 #include "agc/runtime/iterative.hpp"
 
 /// \file linial.hpp
@@ -25,10 +26,23 @@ namespace agc::coloring {
 
 struct LinialStage {
   std::uint64_t from_palette;  ///< palette size before the stage
-  std::uint64_t q;             ///< prime field size, q > d*Delta
+  std::uint64_t q;             ///< prime field size, q > ceil(d*Delta/budget)
   std::uint32_t d;             ///< polynomial degree
   std::uint64_t to_palette;    ///< q*q
 };
+
+/// The stage chain of a digit-polynomial reduction from `palette` colors, the
+/// one (q, d) search behind Linial's schedule, FYZ's defective partition and
+/// arb's defective coloring.  Each stage takes the degree d in 1..64 and the
+/// prime q minimizing the next palette q^2, subject to coverage
+/// q^{d+1} >= palette and the collision slack q > ceil(d*delta/budget): some
+/// evaluation point then collides with fewer than `budget` of the <= delta
+/// differently colored neighbors (budget 1, the plain algorithm, means none;
+/// 0 counts as 1).  The chain stops before the first stage that would not
+/// shrink the palette.
+[[nodiscard]] std::vector<LinialStage> linial_stages(std::uint64_t palette,
+                                                     std::size_t delta,
+                                                     std::uint64_t budget = 1);
 
 class LinialSchedule {
  public:
@@ -39,7 +53,8 @@ class LinialSchedule {
   /// `final_room`, if non-zero, widens interval 0 to at least that many
   /// colors — the self-stabilizing exact-(Delta+1) algorithm hosts its mixed
   /// 3AG/AG(N) state space there (Section 7), which is larger than the plain
-  /// final palette.
+  /// final palette.  An id space already at the fixed point gets no stage:
+  /// interval 0 then holds the initial palette max(id_space, 2).
   LinialSchedule(std::uint64_t id_space, std::size_t delta,
                  bool excl_headroom = false, std::uint64_t final_room = 0);
 
@@ -50,30 +65,34 @@ class LinialSchedule {
 
   /// Interval j holds the palette after r-j stages; interval 0 is final,
   /// interval r holds the initial ID space.
-  [[nodiscard]] std::uint64_t interval_size(std::size_t j) const;
+  [[nodiscard]] std::uint64_t interval_size(std::size_t j) const {
+    assert(j <= stages());
+    return offsets_[j + 1] - offsets_[j];
+  }
   [[nodiscard]] std::uint64_t offset(std::size_t j) const { return offsets_[j]; }
   [[nodiscard]] std::size_t interval_of(Color c) const;
   /// One past the largest color any vertex can ever hold.
-  [[nodiscard]] std::uint64_t total_span() const;
+  [[nodiscard]] std::uint64_t total_span() const { return offsets_.back(); }
 
   [[nodiscard]] std::uint64_t final_palette() const { return interval_size(0); }
   [[nodiscard]] std::size_t delta() const noexcept { return delta_; }
 
  private:
   std::size_t delta_;
-  std::uint64_t final_room_ = 0;
-  std::vector<LinialStage> stages_;    ///< stage 0 applies first (widest palette)
-  std::vector<std::uint64_t> offsets_;  ///< offsets_[j], j = 0..r
+  std::vector<LinialStage> stages_;     ///< stage 0 applies first (widest palette)
+  std::vector<std::uint64_t> offsets_;  ///< offsets_[j], j = 0..r+1; [r+1] = span
 };
 
-/// One Mod-Linial update for a vertex in interval j >= 1 with palette index
-/// x.  `same_interval_xs` are the palette indices of neighbors currently in
-/// interval j; `forbidden_next` are absolute colors in interval j-1 the new
-/// color must avoid (Excl-Linial; pass {} for the plain algorithm).  Returns
-/// the new absolute color in interval j-1.
+/// One Mod-Linial update for a vertex holding color `own` in interval j >= 1,
+/// in the O(1)-words form of the end of Section 3.  `neighbors` are the
+/// neighbors' raw colors; those in interval j, [offset(j), offset(j) +
+/// interval_size(j)), constrain the step, and each one's digit polynomial is
+/// rebuilt and evaluated at every candidate point as it is read, with no
+/// per-neighbor state.  `forbidden_next` are absolute colors in interval j-1
+/// the new color must avoid (Excl-Linial; pass {} for the plain algorithm).
+/// Returns the new absolute color in interval j-1.  Allocates nothing.
 [[nodiscard]] Color mod_linial_step(const LinialSchedule& sched, std::size_t j,
-                                    std::uint64_t x,
-                                    std::span<const std::uint64_t> same_interval_xs,
+                                    Color own, std::span<const Color> neighbors,
                                     std::span<const Color> forbidden_next);
 
 class LinialRule final : public runtime::IterativeRule {

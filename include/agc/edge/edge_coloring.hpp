@@ -103,6 +103,8 @@ class EdgeColoringProgram final : public runtime::VertexProgram {
   void apply(const runtime::VertexEnv& env,
              const std::vector<std::optional<std::uint64_t>>& in_words);
 
+  /// Follow edge churn: re-key the per-port state to env.neighbors.
+  void sync_ports(const runtime::VertexEnv& env);
   /// Port of the class-predecessor of edge p (incoming with matching (i,j)),
   /// or npos.
   [[nodiscard]] std::size_t pred_port(std::size_t p) const;

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "agc/math/gf.hpp"
 
@@ -17,43 +19,72 @@
 
 namespace agc::math {
 
-/// A dense polynomial over GF(q), lowest-degree coefficient first.
+/// A digit polynomial over GF(q), lowest-degree coefficient first, held in a
+/// fixed array: building and evaluating one never touches the heap.
 class Polynomial {
  public:
-  Polynomial(GF field, std::vector<std::uint64_t> coeffs)
-      : field_(field), coeffs_(std::move(coeffs)) {
-    for (auto& c : coeffs_) c = field_.reduce(c);
-    trim();
-  }
+  /// Every (q, d) stage search caps the degree at 64.
+  static constexpr int kMaxDegree = 64;
 
   /// The polynomial whose coefficient vector is the base-q representation of
   /// `value` (so distinct values in [0, q^{max_degree+1}) yield distinct
-  /// polynomials of degree <= max_degree).
-  static Polynomial from_digits(GF field, std::uint64_t value, int max_degree);
-
-  [[nodiscard]] std::uint64_t eval(std::uint64_t x) const noexcept;
-
-  [[nodiscard]] int degree() const noexcept {
-    return static_cast<int>(coeffs_.size()) - 1;  // -1 for the zero polynomial
+  /// polynomials of degree <= max_degree).  max_degree <= kMaxDegree.
+  /// Inline, like eval: both sit in the innermost loop of every Linial step.
+  static Polynomial from_digits(GF field, std::uint64_t value, int max_degree) {
+    assert(max_degree >= 0 && max_degree <= kMaxDegree);
+    Polynomial p(field);
+    const std::uint64_t q = field.modulus();
+    p.size_ = static_cast<std::size_t>(max_degree) + 1;
+    for (std::size_t i = 0; i < p.size_; ++i) {
+      p.coeffs_[i] = value % q;
+      value /= q;
+    }
+    while (p.size_ > 0 && p.coeffs_[p.size_ - 1] == 0) --p.size_;
+    return p;
   }
 
-  [[nodiscard]] const std::vector<std::uint64_t>& coefficients() const noexcept {
-    return coeffs_;
+  [[nodiscard]] std::uint64_t eval(std::uint64_t x) const noexcept {
+    // Horner's rule from the leading coefficient: degree() multiplications.
+    if (size_ == 0) return 0;
+    if (x >= field_.modulus()) x = field_.reduce(x);
+    std::uint64_t acc = coeffs_[size_ - 1];
+    for (std::size_t i = size_ - 1; i-- > 0;) {
+      acc = field_.add(field_.mul(acc, x), coeffs_[i]);
+    }
+    return acc;
+  }
+
+  [[nodiscard]] int degree() const noexcept {
+    return static_cast<int>(size_) - 1;  // -1 for the zero polynomial
+  }
+
+  [[nodiscard]] std::span<const std::uint64_t> coefficients() const noexcept {
+    return {coeffs_.data(), size_};
   }
 
   [[nodiscard]] const GF& field() const noexcept { return field_; }
 
   friend bool operator==(const Polynomial& a, const Polynomial& b) noexcept {
-    return a.field_.modulus() == b.field_.modulus() && a.coeffs_ == b.coeffs_;
+    return a.field_.modulus() == b.field_.modulus() &&
+           std::ranges::equal(a.coefficients(), b.coefficients());
   }
 
  private:
-  void trim() {
-    while (!coeffs_.empty() && coeffs_.back() == 0) coeffs_.pop_back();
-  }
+  explicit Polynomial(GF field) : field_(field) {}
 
   GF field_;
-  std::vector<std::uint64_t> coeffs_;
+  std::size_t size_ = 0;  ///< coefficients in use, trailing zeros trimmed
+  std::array<std::uint64_t, kMaxDegree + 1> coeffs_{};
 };
+
+/// a * b, saturating at uint64 max.
+[[nodiscard]] std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) noexcept;
+
+/// base^exp, saturating at uint64 max.
+[[nodiscard]] std::uint64_t sat_pow(std::uint64_t base, std::uint32_t exp) noexcept;
+
+/// Smallest integer r with r^k >= p: the field size at which degree-(k-1)
+/// digit polynomials cover a palette of p colors.
+[[nodiscard]] std::uint64_t ceil_root(std::uint64_t p, std::uint32_t k) noexcept;
 
 }  // namespace agc::math

@@ -1,67 +1,38 @@
 #include "agc/arb/defective.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <limits>
 
+#include "agc/coloring/linial.hpp"
 #include "agc/math/iterated_log.hpp"
 #include "agc/math/polynomial.hpp"
-#include "agc/math/primes.hpp"
 
 namespace agc::arb {
 
 namespace {
 
-std::uint64_t sat_pow(std::uint64_t base, std::uint32_t exp) {
-  std::uint64_t r = 1;
-  for (std::uint32_t i = 0; i < exp; ++i) {
-    if (base != 0 && r > std::numeric_limits<std::uint64_t>::max() / base) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    r *= base;
-  }
-  return r;
-}
-
-std::uint64_t ceil_root(std::uint64_t p, std::uint32_t k) {
-  if (p <= 1) return 1;
-  auto r = static_cast<std::uint64_t>(
-      std::floor(std::pow(static_cast<double>(p), 1.0 / k)));
-  while (sat_pow(r, k) < p) ++r;
-  while (r > 1 && sat_pow(r - 1, k) >= p) --r;
-  return r;
-}
-
-struct Stage {
-  std::uint64_t q;
-  std::uint32_t d;
-};
-
 /// One defective-Linial stage: every vertex picks the evaluation point with
 /// the fewest collisions.  Colors are palette-local (no interval offsets —
-/// the host loop runs stages in lockstep).
+/// the host loop runs stages in lockstep).  Each polynomial is built where it
+/// is evaluated, at all q points at once: a stored polynomial per vertex
+/// would cost ~0.5 KB.
 std::vector<Color> defective_stage(graph::GraphView g,
                                    const std::vector<Color>& colors,
-                                   const Stage& st) {
+                                   const coloring::LinialStage& st) {
   const math::GF field(st.q);
-  std::vector<math::Polynomial> polys;
-  polys.reserve(g.n());
-  for (graph::Vertex v = 0; v < g.n(); ++v) {
-    polys.push_back(
-        math::Polynomial::from_digits(field, colors[v], static_cast<int>(st.d)));
-  }
+  const int d = static_cast<int>(st.d);
   std::vector<Color> next(g.n());
   // Evaluation tables are small (q entries); per vertex we scan its
   // neighbors' values at each point and take the argmin.
   std::vector<std::uint64_t> own_vals(st.q);
   std::vector<std::size_t> hits(st.q);
   for (graph::Vertex v = 0; v < g.n(); ++v) {
-    for (std::uint64_t e = 0; e < st.q; ++e) own_vals[e] = polys[v].eval(e);
+    const auto g_own = math::Polynomial::from_digits(field, colors[v], d);
+    for (std::uint64_t e = 0; e < st.q; ++e) own_vals[e] = g_own.eval(e);
     std::fill(hits.begin(), hits.end(), 0);
     for (graph::Vertex u : g.neighbors(v)) {
+      const auto g_u = math::Polynomial::from_digits(field, colors[u], d);
       for (std::uint64_t e = 0; e < st.q; ++e) {
-        if (polys[u].eval(e) == own_vals[e]) ++hits[e];
+        if (g_u.eval(e) == own_vals[e]) ++hits[e];
       }
     }
     const std::uint64_t best = static_cast<std::uint64_t>(
@@ -69,32 +40,6 @@ std::vector<Color> defective_stage(graph::GraphView g,
     next[v] = best * st.q + own_vals[best];
   }
   return next;
-}
-
-}  // namespace
-
-namespace {
-
-/// Best (q, d) for one stage: minimize the next palette q^2 subject to
-/// coverage q^{d+1} >= palette and per-stage defect d*Delta/q <= budget.
-/// Returns to_palette = max() if no stage shrinks the palette.
-std::pair<Stage, std::uint64_t> best_stage(std::uint64_t palette, std::size_t delta,
-                                           std::uint64_t budget) {
-  std::uint64_t best_to = std::numeric_limits<std::uint64_t>::max();
-  Stage best{};
-  for (std::uint32_t d = 1; d <= 64; ++d) {
-    const std::uint64_t slack =
-        budget > 0 ? (static_cast<std::uint64_t>(d) * delta + budget - 1) / budget
-                   : static_cast<std::uint64_t>(d) * delta;
-    const std::uint64_t q = math::next_prime(
-        std::max<std::uint64_t>(slack + 1, ceil_root(palette, d + 1)));
-    if (q * q < best_to) {
-      best_to = q * q;
-      best = Stage{q, d};
-    }
-    if (sat_pow(slack + 1, d + 1) >= palette) break;
-  }
-  return {best, best_to};
 }
 
 }  // namespace
@@ -116,18 +61,16 @@ DefectiveResult defective_color(graph::GraphView g, std::size_t p,
   std::vector<Color> colors(g.n());
   for (graph::Vertex v = 0; v < g.n(); ++v) colors[v] = v;
 
+  auto stages = coloring::linial_stages(id_space, delta, p);
   const auto max_stages =
       static_cast<std::size_t>(math::log_star(id_space)) + 10;
-  std::uint64_t palette = id_space;
-  for (std::size_t t = 0; t < max_stages; ++t) {
-    const auto [best, best_to] = best_stage(palette, delta, p);
-    if (best_to >= palette) break;  // fixed point
-    colors = defective_stage(g, colors, best);
-    palette = best_to;
-    ++result.rounds;
+  if (stages.size() > max_stages) stages.resize(max_stages);
+  for (const coloring::LinialStage& st : stages) {
+    colors = defective_stage(g, colors, st);
   }
 
-  result.palette_bound = palette;
+  result.rounds = stages.size();
+  result.palette_bound = stages.empty() ? id_space : stages.back().to_palette;
   result.colors = std::move(colors);
   const auto defects = graph::defect_vector(g, result.colors);
   result.max_defect =

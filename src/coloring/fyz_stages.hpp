@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -10,7 +9,7 @@
 
 #include "agc/coloring/fyz.hpp"
 #include "agc/coloring/linial.hpp"
-#include "agc/math/gf.hpp"
+#include "agc/math/polynomial.hpp"
 #include "agc/math/primes.hpp"
 #include "agc/runtime/iterative.hpp"
 
@@ -24,72 +23,28 @@ namespace agc::coloring::detail {
 
 using runtime::Color;
 
-inline std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
-  if (a != 0 && b > std::numeric_limits<std::uint64_t>::max() / a) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  return a * b;
-}
-
-inline std::uint64_t sat_pow(std::uint64_t base, std::uint32_t exp) {
-  std::uint64_t r = 1;
-  for (std::uint32_t i = 0; i < exp; ++i) r = sat_mul(r, base);
-  return r;
-}
-
-inline std::uint64_t ceil_root(std::uint64_t p, std::uint32_t k) {
-  if (p <= 1) return 1;
-  auto r = static_cast<std::uint64_t>(
-      std::floor(std::pow(static_cast<double>(p), 1.0 / k)));
-  while (sat_pow(r, k) < p) ++r;
-  while (r > 1 && sat_pow(r - 1, k) >= p) --r;
-  return r;
-}
-
 // ---------------------------------------------------------------------------
 // Stage 2: the carrier-packed defective partition.
 //
-// The same defective-Linial stage selection as arb::defective_color (minimize
-// the next palette q^2 subject to coverage q^{d+1} >= palette and per-stage
-// defect d*Delta/q <= p), but run as a locally-iterative rule: the working
-// palettes get disjoint intervals (exactly like Mod-Linial), every vertex
-// advances one interval per round in lockstep, and the whole machinery rides
-// on the immutable Linial color as state = lin * span + machinery so every
-// intermediate full coloring is proper.
-
-struct PartStage {
-  std::uint64_t q;
-  std::uint32_t d;
-};
+// The stage chain arb::defective_color runs too, linial_stages at collision
+// budget p (per-stage defect d*Delta/q <= p), but run as a locally-iterative
+// rule: the working palettes get disjoint intervals (exactly like
+// Mod-Linial), every vertex advances one interval per round in lockstep, and
+// the whole machinery rides on the immutable Linial color as
+// state = lin * span + machinery so every intermediate full coloring is
+// proper.
 
 struct PartitionSchedule {
-  std::vector<PartStage> stages;      ///< stage t maps interval t -> t+1
-  std::vector<std::uint64_t> pal;     ///< pal[t] = palette of interval t
-  std::vector<std::uint64_t> off;     ///< off[t] = interval t's color offset
-  std::uint64_t span = 0;             ///< one past the largest machinery color
+  std::vector<LinialStage> stages;  ///< stage t maps interval t -> t+1
+  std::vector<std::uint64_t> pal;   ///< pal[t] = palette of interval t
+  std::vector<std::uint64_t> off;   ///< off[t] = interval t's color offset
+  std::uint64_t span = 0;           ///< one past the largest machinery color
 
   PartitionSchedule(std::uint64_t palette, std::size_t delta,
-                    std::uint64_t budget) {
+                    std::uint64_t budget)
+      : stages(linial_stages(palette, delta, budget)) {
     pal.push_back(palette);
-    for (;;) {
-      std::uint64_t best_to = std::numeric_limits<std::uint64_t>::max();
-      PartStage best{};
-      for (std::uint32_t d = 1; d <= 64; ++d) {
-        const std::uint64_t slack =
-            (static_cast<std::uint64_t>(d) * delta + budget - 1) / budget;
-        const std::uint64_t q = math::next_prime(
-            std::max<std::uint64_t>(slack + 1, ceil_root(palette, d + 1)));
-        if (q * q < best_to) {
-          best_to = q * q;
-          best = PartStage{q, d};
-        }
-        if (sat_pow(slack + 1, d + 1) >= palette) break;
-      }
-      if (best_to >= palette) break;  // fixed point
-      stages.push_back(best);
-      pal.push_back(best_to);
-      palette = best_to;
-    }
+    for (const LinialStage& st : stages) pal.push_back(st.to_palette);
     off.resize(pal.size());
     std::uint64_t o = 0;
     for (std::size_t t = 0; t < pal.size(); ++t) {
@@ -109,25 +64,6 @@ struct PartitionSchedule {
   }
 };
 
-/// Evaluate the degree-d digit polynomial of x over GF(q) at every point
-/// into `vals` (Horner, no allocation).
-inline void eval_digits(const math::GF& f, std::uint64_t x, std::uint32_t d,
-                 std::vector<std::uint64_t>& vals) {
-  const std::uint64_t q = f.modulus();
-  std::uint64_t digits[65];
-  for (std::uint32_t i = 0; i <= d; ++i) {
-    digits[i] = x % q;
-    x /= q;
-  }
-  for (std::uint64_t e = 0; e < q; ++e) {
-    std::uint64_t acc = digits[d];
-    for (std::uint32_t i = d; i-- > 0;) {
-      acc = f.add(f.mul(acc, e), digits[i]);
-    }
-    vals[e] = acc;
-  }
-}
-
 class PartitionRule final : public runtime::IterativeRule {
  public:
   explicit PartitionRule(PartitionSchedule sched) : s_(std::move(sched)) {}
@@ -137,12 +73,13 @@ class PartitionRule final : public runtime::IterativeRule {
     const std::uint64_t m = own % s_.span;
     const std::size_t t = s_.interval_of(m);
     if (t + 1 == s_.pal.size()) return own;  // final interval
-    const PartStage& st = s_.stages[t];
+    const LinialStage& st = s_.stages[t];
     const math::GF field(st.q);
+    const int d = static_cast<int>(st.d);
     std::vector<std::uint64_t> own_vals(st.q);
-    std::vector<std::uint64_t> nbr_vals(st.q);
     std::vector<std::size_t> hits(st.q, 0);
-    eval_digits(field, m - s_.off[t], st.d, own_vals);
+    const auto g_own = math::Polynomial::from_digits(field, m - s_.off[t], d);
+    for (std::uint64_t e = 0; e < st.q; ++e) own_vals[e] = g_own.eval(e);
     // All vertices advance one interval per round in lockstep, so every
     // neighbor is in interval t too; duplicates (identical machinery colors)
     // shift every hit count equally and cannot move the argmin, so the
@@ -153,9 +90,9 @@ class PartitionRule final : public runtime::IterativeRule {
       prev = nc;
       const std::uint64_t nm = nc % s_.span;
       if (nm < s_.off[t] || nm >= s_.off[t] + s_.pal[t]) continue;
-      eval_digits(field, nm - s_.off[t], st.d, nbr_vals);
+      const auto g = math::Polynomial::from_digits(field, nm - s_.off[t], d);
       for (std::uint64_t e = 0; e < st.q; ++e) {
-        hits[e] += nbr_vals[e] == own_vals[e];
+        hits[e] += g.eval(e) == own_vals[e];
       }
     }
     const std::uint64_t best = static_cast<std::uint64_t>(
@@ -285,18 +222,19 @@ class FyzListRule final : public runtime::IterativeRule {
 struct FyzStages {
   FyzStages(std::uint64_t id_space, std::size_t delta)
       : p(fyz_budget(delta)),
-        big_l(linial_palette(id_space, delta)),
+        big_l(LinialSchedule(id_space, delta).final_palette()),
         psched(big_l, delta, p),
         // The tolerant AG field: q >= window + 1 so a moving b meets each
         // conflicting neighbor at most once inside the window.
         q(math::next_prime(std::max<std::uint64_t>(
-            2 * ((delta + p - 1) / p) + 2, ceil_root(psched.classes(), 2)))),
+            2 * ((delta + p - 1) / p) + 2, math::ceil_root(psched.classes(), 2)))),
         d1(delta + 1),
         partition(psched),
         arb(psched.classes(), q, p),
         list(d1) {
     // 64-bit packing guard: the widest state is lin * (K * q^2) + machinery.
-    if (sat_mul(big_l, std::max(sat_mul(psched.classes(), q * q), psched.span)) >=
+    if (math::sat_mul(big_l, std::max(math::sat_mul(psched.classes(), q * q),
+                                       psched.span)) >=
         (std::uint64_t{1} << 62)) {
       throw std::invalid_argument(
           "color_fyz: Delta too large for 64-bit carrier packing");
@@ -311,13 +249,6 @@ struct FyzStages {
   PartitionRule partition;   ///< stage 2 (no rounds when psched is empty)
   FyzArbRule arb;            ///< stage 3
   FyzListRule list;          ///< stage 4
-
- private:
-  static std::uint64_t linial_palette(std::uint64_t id_space, std::size_t delta) {
-    const LinialSchedule lsched(std::max<std::uint64_t>(id_space, 2), delta);
-    return lsched.stages() == 0 ? std::max<std::uint64_t>(id_space, 2)
-                                : lsched.final_palette();
-  }
 };
 
 }  // namespace agc::coloring::detail

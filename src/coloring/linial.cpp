@@ -2,136 +2,92 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
+#include "agc/math/polynomial.hpp"
 #include "agc/math/primes.hpp"
 
 namespace agc::coloring {
 
-namespace {
-
-/// base^exp, saturating at uint64 max.
-std::uint64_t sat_pow(std::uint64_t base, std::uint32_t exp) {
-  std::uint64_t r = 1;
-  for (std::uint32_t i = 0; i < exp; ++i) {
-    if (r > std::numeric_limits<std::uint64_t>::max() / base) {
-      return std::numeric_limits<std::uint64_t>::max();
+std::vector<LinialStage> linial_stages(std::uint64_t palette, std::size_t delta,
+                                       std::uint64_t budget) {
+  budget = std::max<std::uint64_t>(budget, 1);
+  std::vector<LinialStage> stages;
+  while (true) {
+    LinialStage best{palette, 0, 0, std::numeric_limits<std::uint64_t>::max()};
+    for (std::uint32_t d = 1; d <= math::Polynomial::kMaxDegree; ++d) {
+      const std::uint64_t slack =
+          (static_cast<std::uint64_t>(d) * delta + budget - 1) / budget;
+      const std::uint64_t q = math::next_prime(
+          std::max<std::uint64_t>(slack + 1, math::ceil_root(palette, d + 1)));
+      const std::uint64_t to = math::sat_mul(q, q);
+      if (to < best.to_palette) best = LinialStage{palette, q, d, to};
+      // Larger d only raises q once coverage is no longer binding.
+      if (math::sat_pow(slack + 1, d + 1) >= palette) break;
     }
-    r *= base;
+    if (best.to_palette >= palette) return stages;  // fixed point
+    stages.push_back(best);
+    palette = best.to_palette;
   }
-  return r;
 }
-
-/// Smallest integer r with r^k >= p.
-std::uint64_t ceil_root(std::uint64_t p, std::uint32_t k) {
-  if (p <= 1) return 1;
-  auto r = static_cast<std::uint64_t>(
-      std::floor(std::pow(static_cast<double>(p), 1.0 / k)));
-  while (sat_pow(r, k) < p) ++r;
-  while (r > 1 && sat_pow(r - 1, k) >= p) --r;
-  return r;
-}
-
-}  // namespace
 
 LinialSchedule::LinialSchedule(std::uint64_t id_space, std::size_t delta,
-                               bool excl_headroom, std::uint64_t final_room) {
-  delta_ = delta;
-  final_room_ = final_room;
+                               bool excl_headroom, std::uint64_t final_room)
+    : delta_(delta) {
   const std::uint64_t dd = std::max<std::uint64_t>(delta, 1);
-  std::uint64_t palette = std::max<std::uint64_t>(id_space, 2);
-
-  // Greedy stage construction: among degrees d, the field q must satisfy
-  // q > d*Delta (collision slack) and q^{d+1} >= palette (coverage); pick the
-  // d minimizing the resulting palette q^2, stop when no stage shrinks.
-  while (true) {
-    std::uint64_t best_to = std::numeric_limits<std::uint64_t>::max();
-    LinialStage best{};
-    for (std::uint32_t d = 1; d <= 64; ++d) {
-      const std::uint64_t q =
-          math::next_prime(std::max<std::uint64_t>(d * dd + 1, ceil_root(palette, d + 1)));
-      const std::uint64_t to = q * q;
-      if (to < best_to) {
-        best_to = to;
-        best = LinialStage{palette, q, d, to};
-      }
-      // Larger d only raises q once coverage is no longer binding.
-      if (sat_pow(d * dd + 1, d + 1) >= palette) break;
-    }
-    if (best_to >= palette) break;  // fixed point: O(Delta^2)
-    stages_.push_back(best);
-    palette = best_to;
-  }
+  const std::uint64_t initial = std::max<std::uint64_t>(id_space, 2);
+  stages_ = linial_stages(initial, dd);
 
   if (excl_headroom) {
     // Final Excl-Linial stage: degree 2, field large enough to dodge the
     // 2*Delta poly-collisions plus up to 2*Delta forbidden colors.
+    const std::uint64_t palette =
+        stages_.empty() ? initial : stages_.back().to_palette;
     const std::uint64_t q = math::next_prime(
-        std::max<std::uint64_t>(4 * dd + 1, ceil_root(palette, 3)));
+        std::max<std::uint64_t>(4 * dd + 1, math::ceil_root(palette, 3)));
     stages_.push_back(LinialStage{palette, q, 2, q * q});
-    palette = q * q;
   }
 
-  // Interval offsets: interval 0 (final palette) at 0, interval j above it.
+  // Interval 0 (final palette, widened to final_room) at 0, interval j above
+  // it.  Stage i maps interval r-i -> r-i-1, so interval j < r holds stage
+  // r-1-j's output palette and interval r the initial one.
   const std::size_t r = stages_.size();
-  offsets_.assign(r + 1, 0);
-  for (std::size_t j = 1; j <= r; ++j) {
-    offsets_[j] = offsets_[j - 1] + interval_size(j - 1);
+  offsets_.assign(r + 2, 0);
+  for (std::size_t j = 0; j <= r; ++j) {
+    std::uint64_t size = j == r ? initial : stages_[r - 1 - j].to_palette;
+    if (j == 0) size = std::max(size, final_room);
+    offsets_[j + 1] = offsets_[j] + size;
   }
-}
-
-std::uint64_t LinialSchedule::interval_size(std::size_t j) const {
-  const std::size_t r = stages_.size();
-  assert(j <= r);
-  if (j == r && r > 0) return stages_.front().from_palette;
-  // Interval j holds the output palette of stage r-1-j's successor chain:
-  // stage i maps interval r-i -> r-i-1, so interval j's palette is the
-  // to_palette of stage r-1-j.
-  std::uint64_t size = (j == r) ? 0 : stages_[r - 1 - j].to_palette;
-  if (j == 0) size = std::max(size, final_room_);
-  return size;
 }
 
 std::size_t LinialSchedule::interval_of(Color c) const {
-  const std::size_t r = stages_.size();
-  for (std::size_t j = r + 1; j-- > 0;) {
+  for (std::size_t j = stages_.size() + 1; j-- > 0;) {
     if (c >= offsets_[j]) return j;
   }
   return 0;
 }
 
-std::uint64_t LinialSchedule::total_span() const {
-  const std::size_t r = stages_.size();
-  return offsets_[r] + interval_size(r);
-}
-
-Color mod_linial_step(const LinialSchedule& sched, std::size_t j, std::uint64_t x,
-                      std::span<const std::uint64_t> same_interval_xs,
+Color mod_linial_step(const LinialSchedule& sched, std::size_t j, Color own,
+                      std::span<const Color> neighbors,
                       std::span<const Color> forbidden_next) {
   assert(j >= 1 && j <= sched.stages());
   const LinialStage& st = sched.stage(sched.stages() - j);
   const math::GF field(st.q);
-  const auto g_own = math::Polynomial::from_digits(field, x, static_cast<int>(st.d));
-
-  std::vector<math::Polynomial> g_nbrs;
-  g_nbrs.reserve(same_interval_xs.size());
-  for (std::uint64_t nx : same_interval_xs) {
-    g_nbrs.push_back(math::Polynomial::from_digits(field, nx, static_cast<int>(st.d)));
-  }
+  const int d = static_cast<int>(st.d);
+  const std::uint64_t lo = sched.offset(j);
+  const std::uint64_t hi = lo + sched.interval_size(j);
+  assert(own >= lo && own < hi);
+  const auto g_own = math::Polynomial::from_digits(field, own - lo, d);
 
   const std::uint64_t next_off = sched.offset(j - 1);
   for (std::uint64_t e = 0; e < st.q; ++e) {
     const std::uint64_t val = g_own.eval(e);
-    bool ok = true;
-    for (const auto& g : g_nbrs) {
-      if (g.eval(e) == val) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
+    const auto collides = [&](Color nc) {
+      return nc >= lo && nc < hi &&
+             math::Polynomial::from_digits(field, nc - lo, d).eval(e) == val;
+    };
+    if (std::any_of(neighbors.begin(), neighbors.end(), collides)) continue;
     const Color candidate = next_off + e * st.q + val;
     if (std::find(forbidden_next.begin(), forbidden_next.end(), candidate) !=
         forbidden_next.end()) {
@@ -146,12 +102,7 @@ Color mod_linial_step(const LinialSchedule& sched, std::size_t j, std::uint64_t 
 Color LinialRule::step(Color own, std::span<const Color> neighbors) const {
   const std::size_t j = sched_.interval_of(own);
   if (j == 0) return own;  // final palette reached
-  const std::uint64_t off = sched_.offset(j);
-  std::vector<std::uint64_t> xs;
-  for (Color nc : neighbors) {
-    if (sched_.interval_of(nc) == j) xs.push_back(nc - off);
-  }
-  return mod_linial_step(sched_, j, own - off, xs, {});
+  return mod_linial_step(sched_, j, own, neighbors, {});
 }
 
 std::uint32_t LinialRule::color_bits() const {

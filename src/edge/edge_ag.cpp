@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <type_traits>
 
 #include "agc/coloring/cole_vishkin.hpp"
 #include "agc/math/primes.hpp"
@@ -74,6 +75,36 @@ void EdgeColoringProgram::on_start(const runtime::VertexEnv& env) {
     slots_[p].out = env.id < nbrs_[p];
     slots_[p].mine = slots_[p].out ? ++out_rank : ++in_rank;
   }
+}
+
+void EdgeColoringProgram::sync_ports(const runtime::VertexEnv& env) {
+  if (std::ranges::equal(env.neighbors, nbrs_)) return;
+  // The adversary added or removed incident edges since the last round.
+  // Re-key every per-port vector by neighbor ID: a kept edge keeps its state,
+  // a new edge starts fresh, and every index addresses a current port.
+  const std::size_t deg = env.neighbors.size();
+  std::vector<std::size_t> from(deg, npos);
+  for (std::size_t p = 0; p < deg; ++p) {
+    const auto it = std::lower_bound(nbrs_.begin(), nbrs_.end(), env.neighbors[p]);
+    if (it != nbrs_.end() && *it == env.neighbors[p]) {
+      from[p] = static_cast<std::size_t>(it - nbrs_.begin());
+    }
+  }
+  const auto rekey = [&](auto& per_port) {
+    std::remove_reference_t<decltype(per_port)> next(deg);
+    for (std::size_t p = 0; p < deg; ++p) {
+      if (from[p] < per_port.size()) next[p] = per_port[from[p]];
+    }
+    per_port = std::move(next);
+  };
+  rekey(slots_);
+  rekey(pending_new_label_);
+  rekey(pending_out_);
+  rekey(in_acc_);
+  for (std::size_t p = 0; p < deg; ++p) {
+    if (from[p] == npos) slots_[p].out = env.id < env.neighbors[p];
+  }
+  nbrs_.assign(env.neighbors.begin(), env.neighbors.end());
 }
 
 std::size_t EdgeColoringProgram::pred_port(std::size_t p) const {
@@ -162,6 +193,7 @@ std::optional<std::uint64_t> EdgeColoringProgram::word_for_port(
 
 void EdgeColoringProgram::on_send(const runtime::VertexEnv& env,
                                   runtime::OutboxRef& out) {
+  sync_ports(env);
   if (lr_ >= sched_.logical_rounds() || nbrs_.empty()) return;
   const auto& slot = sched_.slot(lr_);
   if (!serialize_ || bit_ == 0) {

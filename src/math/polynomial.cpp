@@ -1,26 +1,30 @@
 #include "agc/math/polynomial.hpp"
 
+#include <cmath>
+#include <limits>
+
 namespace agc::math {
 
-Polynomial Polynomial::from_digits(GF field, std::uint64_t value, int max_degree) {
-  std::vector<std::uint64_t> digits;
-  digits.reserve(static_cast<std::size_t>(max_degree) + 1);
-  const std::uint64_t q = field.modulus();
-  for (int i = 0; i <= max_degree; ++i) {
-    digits.push_back(value % q);
-    value /= q;
+std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) noexcept {
+  if (a != 0 && b > std::numeric_limits<std::uint64_t>::max() / a) {
+    return std::numeric_limits<std::uint64_t>::max();
   }
-  return Polynomial(field, std::move(digits));
+  return a * b;
 }
 
-std::uint64_t Polynomial::eval(std::uint64_t x) const noexcept {
-  // Horner's rule, highest coefficient first.
-  std::uint64_t acc = 0;
-  x = field_.reduce(x);
-  for (auto it = coeffs_.rbegin(); it != coeffs_.rend(); ++it) {
-    acc = field_.add(field_.mul(acc, x), *it);
-  }
-  return acc;
+std::uint64_t sat_pow(std::uint64_t base, std::uint32_t exp) noexcept {
+  std::uint64_t r = 1;
+  for (std::uint32_t i = 0; i < exp; ++i) r = sat_mul(r, base);
+  return r;
+}
+
+std::uint64_t ceil_root(std::uint64_t p, std::uint32_t k) noexcept {
+  if (p <= 1) return 1;
+  auto r = static_cast<std::uint64_t>(
+      std::floor(std::pow(static_cast<double>(p), 1.0 / k)));
+  while (sat_pow(r, k) < p) ++r;
+  while (r > 1 && sat_pow(r - 1, k) >= p) --r;
+  return r;
 }
 
 }  // namespace agc::math

@@ -83,14 +83,6 @@ std::uint64_t SsConfig::step(std::uint64_t id, std::uint64_t color,
   }
 
   // Intervals I_j, j >= 1: Mod-Linial descent.
-  const std::uint64_t off = sched_.offset(j);
-  std::vector<std::uint64_t> same_interval;
-  for (std::uint64_t nc : neighbors) {
-    if (nc >= off && nc < off + sched_.interval_size(j)) {
-      same_interval.push_back(nc - off);
-    }
-  }
-
   std::vector<Color> forbidden;
   if (j == 1) {
     // Excl-Linial: dodge every color an I_0 neighbor might hold next round.
@@ -114,7 +106,7 @@ std::uint64_t SsConfig::step(std::uint64_t id, std::uint64_t color,
   }
 
   const Color raw =
-      coloring::mod_linial_step(sched_, j, color - off, same_interval, forbidden);
+      coloring::mod_linial_step(sched_, j, color, neighbors, forbidden);
   if (j == 1 && mode_ == PaletteMode::ExactDeltaPlusOne) {
     return mixed_->lift(raw);
   }

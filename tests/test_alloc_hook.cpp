@@ -10,6 +10,7 @@
 // a non-allocating program) are the only actors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include "agc/runtime/faults.hpp"
 #include "agc/runtime/hooked_rounds.hpp"
 #include "agc/runtime/iterative.hpp"
+#include "agc/selfstab/ss_coloring.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -233,6 +235,48 @@ TEST(AllocHook, SweepRoundsAreAllocationFree) {
     }
     EXPECT_GT(res.phases.total_ns(), 0u);
     EXPECT_GT(sink.seen(), seen);  // RunStart + one RoundEnd per round
+  }
+}
+
+TEST(AllocHook, LinialStepsAreAllocationFree) {
+  // The one Mod-Linial step rebuilds each neighbor's digit polynomial where
+  // it evaluates it: no per-step vector, no per-neighbor polynomial on the
+  // heap.  Checked for LinialRule over a padded ID space (several stages)
+  // and for the Mod-Linial branch of the self-stabilizing step (j >= 2).
+  const std::size_t delta = 8;
+  const std::uint64_t ids = std::uint64_t{256} << 20;
+  const coloring::LinialRule rule(coloring::LinialSchedule(ids, delta));
+  const selfstab::SsConfig cfg(ids, delta, selfstab::PaletteMode::ODelta);
+  struct Case {
+    bool selfstab;
+    Color own;
+    std::vector<Color> nbrs;  // sorted, delta of them, mostly same-interval
+  };
+  std::vector<Case> cases;
+  graph::Rng rng(3);
+  for (const bool ss : {false, true}) {
+    const auto& sched = ss ? cfg.schedule() : rule.schedule();
+    ASSERT_GE(sched.stages(), 2u);
+    for (std::size_t j = ss ? 2 : 1; j <= sched.stages(); ++j) {
+      for (int trial = 0; trial < 20; ++trial) {
+        Case c{ss, sched.offset(j) + rng.below(sched.interval_size(j)), {}};
+        while (c.nbrs.size() < delta) {
+          const Color nc = rng.below(4) == 0
+                               ? rng.below(sched.total_span())
+                               : sched.offset(j) + rng.below(sched.interval_size(j));
+          if (nc != c.own) c.nbrs.push_back(nc);
+        }
+        std::sort(c.nbrs.begin(), c.nbrs.end());
+        cases.push_back(std::move(c));
+      }
+    }
+  }
+  for (const Case& c : cases) {
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const Color next = c.selfstab ? cfg.step(7, c.own, c.nbrs) : rule.step(c.own, c.nbrs);
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+        << (c.selfstab ? "SsConfig::step" : "LinialRule::step") << " own=" << c.own;
+    EXPECT_NE(next, c.own);
   }
 }
 

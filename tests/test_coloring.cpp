@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <span>
 #include <string>
 
+#include "../src/coloring/fyz_stages.hpp"
+#include "agc/arb/defective.hpp"
 #include "agc/coloring/ag.hpp"
 #include "agc/coloring/ag3.hpp"
 #include "agc/coloring/cole_vishkin.hpp"
@@ -263,6 +266,104 @@ TEST(Linial, RunsInScheduleManyRounds) {
   EXPECT_LT(graph::max_color(res.colors), sched.final_palette());
 }
 
+TEST(LinialSchedule, ZeroStagesHoldTheInitialPalette) {
+  // 100 IDs at Delta = 10 are already below the O(Delta^2) fixed point, so
+  // interval 0 is the ID space itself and every ID is final.
+  const coloring::LinialSchedule sched(100, 10);
+  ASSERT_EQ(sched.stages(), 0u);
+  EXPECT_EQ(sched.final_palette(), 100u);
+  EXPECT_EQ(sched.total_span(), 100u);
+  EXPECT_EQ(coloring::LinialSchedule(100, 10, false, 150).final_palette(), 150u);
+  const coloring::LinialRule rule(sched);
+  EXPECT_EQ(rule.color_bits(), 7u);
+  const auto g = graph::random_regular(100, 10, 3);
+  runtime::IterativeOptions opts;
+  opts.max_rounds = 5;
+  const auto res = runtime::run_locally_iterative(
+      g, coloring::identity_coloring(g.n()), rule, opts);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.rounds, 0u);
+  EXPECT_EQ(res.colors, coloring::identity_coloring(g.n()));
+}
+
+// Every stage of every digit-polynomial schedule, pinned to the values the
+// three stage-search loops that linial_stages replaced produced
+// (LinialSchedule's, FYZ's PartitionSchedule's and arb's best_stage).  A row
+// is one schedule at one budget; its text lists "q/d/to" per stage for every
+// Delta and palette, and its FNV-1a digest is the pin.  FYZ never runs with
+// budget 0 (fyz_budget >= 1), so only the defective rows cover it.
+std::string stage_text(std::span<const coloring::LinialStage> stages) {
+  std::string s;
+  for (const auto& st : stages) {
+    s += " " + std::to_string(st.q) + "/" + std::to_string(st.d) + "/" +
+         std::to_string(st.to_palette);
+  }
+  return s;
+}
+
+TEST(StageSearch, EveryScheduleMatchesItsPin) {
+  constexpr std::uint64_t kPalettes[] = {
+      1, 2, 3, 10, 100, 1000, 12345, 1ULL << 16, 1000000, 1ULL << 20, 1ULL << 24,
+      1000000007ULL, 1ULL << 32, 1ULL << 40, 1ULL << 48, 1ULL << 52, 1ULL << 56,
+      1ULL << 60};
+  constexpr std::size_t kDeltas[] = {0, 1, 2, 5, 16, 37, 256};
+  struct Row {
+    const char* name;
+    std::uint64_t budget;
+    std::uint64_t want;
+  };
+  constexpr Row kRows[] = {
+      {"linial", 1, 0x2965fb0d57ad6035ULL},
+      {"linial-excl", 1, 0x976448eeaecb6cabULL},
+      {"fyz", 1, 0x15e98ff0bbaf5a00ULL},
+      {"fyz", 2, 0x33b3fbed9d0f812fULL},
+      {"fyz", 5, 0x50bec03655c115d5ULL},
+      {"defective", 0, 0x008749c59b826a57ULL},
+      {"defective", 1, 0x4fba37ca55252e1fULL},
+      {"defective", 2, 0x95c7ca709f88d8f6ULL},
+      {"defective", 5, 0xa29d532910ed1a03ULL},
+  };
+  const auto schedule = [](const std::string& name, std::uint64_t palette,
+                           std::size_t delta, std::uint64_t budget) {
+    if (name == "fyz") {
+      return coloring::detail::PartitionSchedule(palette, delta, budget).stages;
+    }
+    if (name == "defective") {
+      // arb::defective_color's chain (its log* + 10 cap never binds here).
+      return coloring::linial_stages(palette, std::max<std::size_t>(delta, 1),
+                                     budget);
+    }
+    const coloring::LinialSchedule sched(palette, delta, name == "linial-excl");
+    std::vector<coloring::LinialStage> stages;
+    for (std::size_t i = 0; i < sched.stages(); ++i) stages.push_back(sched.stage(i));
+    return stages;
+  };
+  for (const Row& row : kRows) {
+    std::string text;
+    for (const std::size_t delta : kDeltas) {
+      for (const std::uint64_t palette : kPalettes) {
+        text += std::string(row.name) + " b=" + std::to_string(row.budget) +
+                " delta=" + std::to_string(delta) +
+                " palette=" + std::to_string(palette) + ":" +
+                stage_text(schedule(row.name, palette, delta, row.budget)) + "\n";
+      }
+    }
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const unsigned char c : text) h = (h ^ c) * 1099511628211ULL;
+    EXPECT_EQ(h, row.want) << text;
+  }
+  // Two rows spelled out, and arb::defective_color running exactly its chain.
+  EXPECT_EQ(stage_text(schedule("linial", 1ULL << 60, 16, 1)),
+            " 131/8/17161 37/2/1369");
+  EXPECT_EQ(stage_text(schedule("fyz", 1ULL << 60, 16, 2)),
+            " 73/9/5329 19/2/361 17/2/289");
+  const auto g = graph::random_regular(200, 8, 1);
+  const auto chain = coloring::linial_stages(1ULL << 20, 8, 2);
+  const auto defective = arb::defective_color(g, 2, 1ULL << 20);
+  EXPECT_EQ(defective.rounds, chain.size());
+  EXPECT_EQ(defective.palette_bound, chain.back().to_palette);
+}
+
 TEST(ModLinial, ExclForbiddenColorsAvoided) {
   const std::size_t delta = 6;
   coloring::LinialSchedule sched(1000, delta, /*excl_headroom=*/true);
@@ -271,11 +372,12 @@ TEST(ModLinial, ExclForbiddenColorsAvoided) {
   EXPECT_GE(last.q, 4 * delta + 1);
 
   // Forbid a batch of interval-0 colors; the step must dodge all of them.
-  std::vector<std::uint64_t> xs = {1, 2, 3};  // same-interval neighbors
+  const Color off = sched.offset(1);
+  const std::vector<Color> nbrs = {off + 1, off + 2, off + 3};  // same interval
   std::vector<Color> forbidden;
   for (Color c = 0; c < 2 * delta; ++c) forbidden.push_back(c);
   for (std::uint64_t x = 10; x < 30; ++x) {
-    const Color out = coloring::mod_linial_step(sched, 1, x, xs, forbidden);
+    const Color out = coloring::mod_linial_step(sched, 1, off + x, nbrs, forbidden);
     EXPECT_LT(out, sched.interval_size(0));
     EXPECT_EQ(std::find(forbidden.begin(), forbidden.end(), out), forbidden.end());
   }
@@ -283,19 +385,22 @@ TEST(ModLinial, ExclForbiddenColorsAvoided) {
 
 TEST(ModLinial, SameIntervalNeighborsGetDistinctColors) {
   const std::size_t delta = 5;
-  coloring::LinialSchedule sched(100000, delta);
+  // The ID space holds every index below, so all six share the top interval.
+  coloring::LinialSchedule sched(1000000, delta);
   const std::size_t j = sched.stages();  // topmost interval
+  const Color off = sched.offset(j);
   // Any set of <= delta+1 distinct palette indices maps to distinct pairs.
-  std::vector<std::uint64_t> group = {17, 4242, 999, 31337, 271828, 55};
+  std::vector<Color> group = {17, 4242, 999, 31337, 271828, 55};
+  for (Color& c : group) c += off;
   for (std::size_t i = 0; i < group.size(); ++i) {
-    std::vector<std::uint64_t> others;
+    std::vector<Color> others;
     for (std::size_t k = 0; k < group.size(); ++k) {
       if (k != i) others.push_back(group[k]);
     }
     const Color ci = coloring::mod_linial_step(sched, j, group[i], others, {});
     for (std::size_t k = 0; k < group.size(); ++k) {
       if (k == i) continue;
-      std::vector<std::uint64_t> rest;
+      std::vector<Color> rest;
       for (std::size_t m = 0; m < group.size(); ++m) {
         if (m != k) rest.push_back(group[m]);
       }

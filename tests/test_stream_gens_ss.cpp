@@ -1,10 +1,13 @@
-// Streaming (O(1)-memory) Linial equivalence, the structured generators'
-// arithmetic, ArbAgRule unit behavior, and unit tests of every branch of the
-// self-stabilizing step function.
+// The streaming (O(1)-memory) Mod-Linial step against a materializing
+// oracle, the structured generators' arithmetic, ArbAgRule unit behavior,
+// and unit tests of every branch of the self-stabilizing step function.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "agc/arb/arbag.hpp"
-#include "agc/coloring/linial_stream.hpp"
+#include "agc/coloring/linial.hpp"
 #include "agc/coloring/pipeline.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/math/polynomial.hpp"
@@ -19,6 +22,36 @@ using coloring::Color;
 // Streaming Linial
 // ---------------------------------------------------------------------------
 
+/// The textbook Mod-Linial step: materialize the digit polynomial of every
+/// neighbor in interval j, then take the smallest evaluation point where the
+/// own polynomial differs from all of them and whose color is not forbidden.
+Color oracle_step(const coloring::LinialSchedule& sched, std::size_t j, Color own,
+                  std::span<const Color> neighbors,
+                  std::span<const Color> forbidden) {
+  const auto& st = sched.stage(sched.stages() - j);
+  const math::GF field(st.q);
+  const int d = static_cast<int>(st.d);
+  const std::uint64_t off = sched.offset(j);
+  const auto g_own = math::Polynomial::from_digits(field, own - off, d);
+  std::vector<math::Polynomial> same;
+  for (const Color nc : neighbors) {
+    if (nc >= off && nc < off + sched.interval_size(j)) {
+      same.push_back(math::Polynomial::from_digits(field, nc - off, d));
+    }
+  }
+  for (std::uint64_t e = 0; e < st.q; ++e) {
+    const std::uint64_t val = g_own.eval(e);
+    const Color c = sched.offset(j - 1) + e * st.q + val;
+    if (std::none_of(same.begin(), same.end(),
+                     [&](const math::Polynomial& g) { return g.eval(e) == val; }) &&
+        std::find(forbidden.begin(), forbidden.end(), c) == forbidden.end()) {
+      return c;
+    }
+  }
+  ADD_FAILURE() << "no admissible point";
+  return 0;
+}
+
 TEST(StreamLinial, DigitEvalMatchesPolynomial) {
   graph::Rng rng(4);
   for (int trial = 0; trial < 3000; ++trial) {
@@ -26,32 +59,74 @@ TEST(StreamLinial, DigitEvalMatchesPolynomial) {
     const std::uint64_t value = rng.below(q * q * q);
     const auto d = static_cast<std::uint32_t>(2 + rng.below(4));
     const std::uint64_t e = rng.below(q);
+    // sum_i digit_i * e^i over GF(q), digit_i = (value / q^i) % q.
+    std::uint64_t want = 0;
+    std::uint64_t rest = value;
+    for (std::uint32_t i = 0; i <= d; ++i) {
+      want = (want + rest % q * math::pow_mod(e, i, q)) % q;
+      rest /= q;
+    }
     const auto poly =
         math::Polynomial::from_digits(math::GF(q), value, static_cast<int>(d));
-    EXPECT_EQ(coloring::eval_digit_poly(q, value, d, e), poly.eval(e))
-        << "q=" << q << " value=" << value << " e=" << e;
+    EXPECT_EQ(poly.eval(e), want) << "q=" << q << " value=" << value << " e=" << e;
   }
 }
 
-TEST(StreamLinial, StepMatchesMaterializedStep) {
-  coloring::LinialSchedule sched(1ULL << 24, 7);
+TEST(StreamLinial, StepMatchesMaterializingOracle) {
+  const std::size_t delta = 7;
   graph::Rng rng(8);
-  for (std::size_t j = 1; j <= sched.stages(); ++j) {
-    const std::uint64_t palette = sched.interval_size(j);
-    for (int trial = 0; trial < 100; ++trial) {
-      const std::uint64_t x = rng.below(palette);
-      std::vector<std::uint64_t> xs(1 + rng.below(6));
-      bool clash = false;
-      for (auto& nx : xs) {
-        nx = rng.below(palette);
-        clash |= nx == x;
+  for (const bool excl : {false, true}) {
+    const coloring::LinialSchedule sched(1ULL << 24, delta, excl);
+    for (std::size_t j = 1; j <= sched.stages(); ++j) {
+      const std::uint64_t off = sched.offset(j);
+      const std::uint64_t size = sched.interval_size(j);
+      for (int trial = 0; trial < 100; ++trial) {
+        const Color own = off + rng.below(size);
+        // Up to delta neighbors: mostly in interval j, a third anywhere in
+        // (or just past) the whole span.
+        std::vector<Color> nbrs;
+        for (std::uint64_t k = 1 + rng.below(delta); k > 0; --k) {
+          const Color nc = rng.below(3) == 0 ? rng.below(sched.total_span() + 1000)
+                                             : off + rng.below(size);
+          if (nc != own) nbrs.push_back(nc);
+        }
+        std::sort(nbrs.begin(), nbrs.end());
+        std::vector<Color> forbidden;
+        if (excl && j == 1) {
+          // Excl-Linial's headroom: forbid the free choice plus up to
+          // 2*delta - 1 random final colors.
+          forbidden.push_back(oracle_step(sched, j, own, nbrs, {}));
+          for (std::uint64_t k = rng.below(2 * delta); k > 0; --k) {
+            forbidden.push_back(rng.below(sched.interval_size(0)));
+          }
+        }
+        EXPECT_EQ(coloring::mod_linial_step(sched, j, own, nbrs, forbidden),
+                  oracle_step(sched, j, own, nbrs, forbidden))
+            << "excl=" << excl << " j=" << j << " own=" << own;
       }
-      if (clash) continue;
-      EXPECT_EQ(coloring::mod_linial_step_stream(sched, j, x, xs),
-                coloring::mod_linial_step(sched, j, x, xs, {}));
     }
   }
 }
+
+/// LinialRule with the oracle step in place of the streaming one.
+class OracleLinialRule final : public runtime::IterativeRule {
+ public:
+  explicit OracleLinialRule(const coloring::LinialSchedule& sched) : sched_(sched) {}
+
+  [[nodiscard]] Color step(Color own, std::span<const Color> neighbors) const override {
+    const std::size_t j = sched_.interval_of(own);
+    return j == 0 ? own : oracle_step(sched_, j, own, neighbors, {});
+  }
+  [[nodiscard]] bool is_final(Color c) const override {
+    return c < sched_.final_palette();
+  }
+  [[nodiscard]] std::uint32_t color_bits() const override {
+    return runtime::width_of(sched_.total_span() - 1);
+  }
+
+ private:
+  const coloring::LinialSchedule& sched_;
+};
 
 TEST(StreamLinial, FullRunBitIdentical) {
   const auto g = graph::random_regular(300, 9, 33);
@@ -62,12 +137,13 @@ TEST(StreamLinial, FullRunBitIdentical) {
   auto init = coloring::identity_coloring(g.n());
   for (auto& c : init) c += top;
 
-  coloring::LinialRule classic(sched);
-  coloring::StreamLinialRule stream(sched);
-  auto a = runtime::run_locally_iterative(g, init, classic);
-  auto b = runtime::run_locally_iterative(g, init, stream);
+  coloring::LinialRule streaming(sched);
+  OracleLinialRule oracle(sched);
+  auto a = runtime::run_locally_iterative(g, init, streaming);
+  auto b = runtime::run_locally_iterative(g, init, oracle);
   EXPECT_EQ(a.colors, b.colors);
   EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.metrics.total_bits, b.metrics.total_bits);
 }
 
 // ---------------------------------------------------------------------------
