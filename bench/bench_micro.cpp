@@ -69,7 +69,7 @@ void BM_AgStep(benchmark::State& state) {
   std::sort(nbrs.begin(), nbrs.end());
   coloring::Color own = q * q - 1;
   for (auto _ : state) {
-    own = rule.step(own, nbrs);
+    own = rule.step({}, own, nbrs);
     benchmark::DoNotOptimize(own);
   }
 }
@@ -253,8 +253,8 @@ BENCHMARK(BM_MessagePathChannelAdversary)->Arg(64)
 
 // End-to-end round throughput of two registry entries: one complete
 // pipeline run per iteration on the BM_MessagePathRegular graph, counting
-// the rounds actually executed.  FYZ runs fault-free, so its rounds are
-// sweep rounds; Luby keeps its own loop on the engine.  Named
+// the rounds actually executed.  Both run fault-free, so their rounds are
+// sweep rounds (Luby's rule skips done vertices like any final color).  Named
 // BM_MessagePath* so the CI perf-gate filter ('MessagePath')
 // tracks their rounds_per_sec against the committed baseline with no
 // workflow change.

@@ -34,7 +34,7 @@ class ArbAgRule final : public runtime::IterativeRule {
  public:
   ArbAgRule(std::uint64_t q, std::size_t p) : q_(q), p_(p) {}
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override {
     return (c % (q_ * q_)) / q_ == 0;  // a == 0

@@ -31,7 +31,7 @@ class ThreeAgRule final : public runtime::IterativeRule {
  public:
   explicit ThreeAgRule(std::uint64_t p) : code_{p} {}
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color x) const override { return code_.is_final(x); }
   [[nodiscard]] std::uint32_t color_bits() const override;
@@ -49,7 +49,7 @@ class AgnRule final : public runtime::IterativeRule {
  public:
   explicit AgnRule(std::uint64_t n_colors) : n_(n_colors) {}
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override { return c < n_; }
   [[nodiscard]] std::uint32_t color_bits() const override {
@@ -78,7 +78,7 @@ class MixedRule final : public runtime::IterativeRule {
   /// coloring (must be <= p^2 for the largest prime p <= 2*delta+1).
   MixedRule(std::size_t delta, std::uint64_t palette);
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override { return c < n_; }
   [[nodiscard]] std::uint32_t color_bits() const override;
@@ -127,7 +127,7 @@ class Mixed3Rule final : public runtime::IterativeRule {
   /// std::logic_error otherwise (pre-reduce with AG first).
   Mixed3Rule(std::size_t delta, std::uint64_t palette);
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override { return c < n_; }
   [[nodiscard]] std::uint32_t color_bits() const override;

@@ -49,7 +49,7 @@ class KwRule final : public runtime::IterativeRule {
  public:
   explicit KwRule(KwSchedule schedule) : sched_(std::move(schedule)) {}
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override {
     return c < sched_.size(sched_.phases());

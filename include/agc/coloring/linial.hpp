@@ -99,7 +99,7 @@ class LinialRule final : public runtime::IterativeRule {
  public:
   explicit LinialRule(LinialSchedule schedule) : sched_(std::move(schedule)) {}
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override {
     return c < sched_.interval_size(0);

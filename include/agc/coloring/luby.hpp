@@ -21,8 +21,21 @@
 /// order.  A fixed seed therefore replays bit-identically across 1/2/8
 /// threads.  Distinct seeds give distinct trajectories.
 ///
-/// Unlike everything else in coloring/, Luby is NOT locally-iterative: an
-/// uncolored vertex has no proper color to maintain, so PipelineReport::
+/// Luby is a runtime::IterativeRule over one state word, which is also the
+/// broadcast: state < Delta+1 is done with final color `state`; state =
+/// Delta+1 + cand is active, proposing `cand`.  The initial state holds the
+/// round-0 draw; a vertex that defers in round r draws its round-(r+1)
+/// candidate at the end of its step, from the done colors of that round's
+/// neighbor multiset.  color_luby is one run_locally_iterative call tagged
+/// "luby": the sweep unless the options carry a fault hook.
+///
+/// A rewritten state is kept, not redrawn: after a RAM write or a vertex
+/// reset (which restarts a vertex from its current word) an active vertex
+/// proposes that word's candidate until it defers, and a done word stays
+/// done.  Properness is judged against the input graph.
+///
+/// Unlike the coloring pipelines, Luby is NOT locally-iterative, rule or not:
+/// an uncolored vertex has no proper color to maintain, so PipelineReport::
 /// proper_each_round is reported false by construction.  That contrast —
 /// randomized O(log n) without the invariant vs deterministic sublinear with
 /// it — is exactly what the extended Table 1 measures.

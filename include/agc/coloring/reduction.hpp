@@ -26,7 +26,7 @@ class GreedyReduceRule final : public runtime::IterativeRule {
   GreedyReduceRule(std::uint64_t target, std::uint64_t palette_bound)
       : target_(target), palette_bound_(palette_bound) {}
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override { return c < target_; }
   [[nodiscard]] std::uint32_t color_bits() const override {

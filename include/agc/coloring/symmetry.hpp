@@ -25,9 +25,12 @@ struct MisReport : runtime::RunReport {
   bool valid = false;
 };
 
-/// Reduce a proper coloring to an MIS on the engine (one broadcast per round;
-/// a vertex decides once every smaller-colored neighbor has decided, joining
-/// iff no neighbor joined).
+/// Reduce a proper coloring to an MIS (one broadcast per round; a vertex
+/// decides once every smaller-colored neighbor has decided, joining iff no
+/// neighbor joined).  The wave is a rule over the word (color << 2) | status,
+/// run by run_locally_iterative under `opts` — executor, fault hooks, sink,
+/// phase timers and on_round included — for at most palette + 2 rounds; an
+/// untagged run is tagged "mis-wave".
 [[nodiscard]] MisReport mis_from_coloring(graph::GraphView g,
                                           const std::vector<Color>& colors,
                                           const runtime::IterativeOptions& opts = {});

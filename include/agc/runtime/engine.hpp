@@ -63,7 +63,7 @@ class VertexProgram {
   /// valid only for the duration of the call.
   virtual void on_receive(const VertexEnv& env, const InboxRef& in) = 0;
 
-  /// A halted program stops the run() loop once every vertex reports halted.
+  /// A runner stops once every vertex reports halted (Engine::all_halted).
   /// Self-stabilizing programs never halt.
   [[nodiscard]] virtual bool halted(const VertexEnv& /*env*/) const { return false; }
 
@@ -122,10 +122,7 @@ class Engine {
   /// Run one synchronous round.
   void step();
 
-  /// Run until every program reports halted(), or `max_rounds` elapse.
-  /// Returns the number of rounds executed.
-  std::size_t run(std::size_t max_rounds);
-
+  /// True once every program reports halted().
   [[nodiscard]] bool all_halted() const;
 
   [[nodiscard]] graph::GraphView graph() const noexcept { return view_; }

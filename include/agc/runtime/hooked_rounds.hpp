@@ -14,11 +14,11 @@
 /// The fully-dynamic self-stabilizing model has a single fault semantics
 /// (Section 4): the channel hook attacks messages inside a round, the
 /// adversary acts between rounds, and a run reports what both injected.
-/// HookedRounds spells that round once.  The iterative engine path, Luby,
-/// the edge colorer, the selfstab run_until_* runners, the stabilization
-/// harness and agc-faultplan's replay all step through it, so none of them
-/// attaches hooks, drains channel events, injects faults, emits Fault events
-/// or computes metric deltas by hand.
+/// HookedRounds spells that round once.  The iterative engine path (Luby
+/// and the MIS wave included), the edge colorer, the selfstab run_until_*
+/// runners, the stabilization harness and agc-faultplan's replay all step
+/// through it, so none of them attaches hooks, drains channel events,
+/// injects faults, emits Fault events or computes metric deltas by hand.
 ///
 /// Contract:
 ///   * The constructor attaches RunOptions::channel and ::sink (when set)

@@ -21,7 +21,8 @@
 /// per-round update function; crucially it receives the neighbors' colors as
 /// a sorted, sender-anonymous multiset, which makes every rule expressed this
 /// way directly executable in the SET-LOCAL model of [33] (Section 1.2.3 of
-/// the paper).
+/// the paper).  Luby and the coloring-to-MIS wave, whose broadcast words are
+/// not colorings, run as rules too.
 ///
 /// The runner evaluates the rule on one of two backends, chosen only from
 /// the hooks the caller already passes (docs/EXEC.md):
@@ -46,13 +47,23 @@ namespace agc::runtime {
 
 using graph::Color;
 
+/// What a step may read besides the colors: the vertex's own ID (the
+/// paper's ROM) and the round clock, the 0-based round within the run.  A
+/// SET-LOCAL rule may read both but never a neighbor's ID; deterministic
+/// rules ignore them.
+struct StepContext {
+  graph::Vertex id = 0;
+  std::uint64_t round = 0;
+};
+
 class IterativeRule {
  public:
   virtual ~IterativeRule() = default;
 
-  /// The next color of a vertex currently colored `own`, whose neighbors'
-  /// colors form the sorted multiset `neighbors`.  Must be a pure function.
-  [[nodiscard]] virtual Color step(Color own,
+  /// The next color of vertex `ctx.id`, currently colored `own`, whose
+  /// neighbors' colors form the sorted multiset `neighbors`, in round
+  /// `ctx.round`.  Must be a pure function of its arguments.
+  [[nodiscard]] virtual Color step(StepContext ctx, Color own,
                                    std::span<const Color> neighbors) const = 0;
 
   /// True once a color has reached its final form.  Contract: a final
@@ -94,12 +105,5 @@ struct IterativeResult : RunReport {
                                                     std::vector<Color> initial,
                                                     const IterativeRule& rule,
                                                     const IterativeOptions& opts = {});
-
-/// Convenience: run a sequence of rules back to back (a staged pipeline, as
-/// in Corollary 3.6), feeding each stage's final coloring to the next.
-/// Metrics and round counts accumulate into the returned result.
-[[nodiscard]] IterativeResult run_stages(
-    graph::GraphView g, std::vector<Color> initial,
-    std::span<const IterativeRule* const> stages, const IterativeOptions& opts = {});
 
 }  // namespace agc::runtime

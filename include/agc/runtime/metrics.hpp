@@ -24,7 +24,7 @@ struct Metrics {
 
   /// Deterministic reduce, used both for per-shard accounting (the parallel
   /// executor folds one Metrics per shard, in shard order) and for stage
-  /// accumulation (run_stages, the pipelines).  Counters add; max_edge_bits
+  /// accumulation (the pipelines).  Counters add; max_edge_bits
   /// is a maximum — summing it would double-count the heaviest edge.
   void merge(const Metrics& other) {
     rounds += other.rounds;

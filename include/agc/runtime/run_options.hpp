@@ -43,8 +43,8 @@ struct RunOptions {
   std::shared_ptr<RoundExecutor> executor;
 
   /// Fault adversary invoked between rounds (non-owning; null = fault-free).
-  /// Works for iterative, pipeline, Luby and edge runs as well as the selfstab
-  /// runners and the faultlab harness, which all step through
+  /// Works for iterative, pipeline, Luby, MIS-wave and edge runs as well as
+  /// the selfstab runners and the faultlab harness, which all step through
   /// runtime::HookedRounds; see faults.hpp for the hook contract and
   /// hooked_rounds.hpp for the round index and event stamps.
   FaultAdversary* adversary = nullptr;

@@ -42,7 +42,7 @@ struct RunReport {
 
   /// Stage accumulation: counters add, metrics merge (max_edge_bits is a
   /// max), phase stats merge, convergence ANDs, state_bytes is a max.  Used
-  /// by run_stages and the pipelines.
+  /// by the pipelines.
   void absorb(const RunReport& stage);
 };
 

@@ -8,7 +8,8 @@
 
 namespace agc::arb {
 
-Color ArbAgRule::step(Color own, std::span<const Color> neighbors) const {
+Color ArbAgRule::step(runtime::StepContext, Color own,
+                      std::span<const Color> neighbors) const {
   const std::uint64_t qq = q_ * q_;
   const std::uint64_t psi = own / qq;
   const std::uint64_t a = (own % qq) / q_;

@@ -16,7 +16,8 @@ std::uint64_t ag_modulus(std::size_t delta, std::uint64_t palette) {
   return math::next_prime(std::max<std::uint64_t>(2 * delta + 1, sqrt_pal));
 }
 
-Color AgRule::step(Color own, std::span<const Color> neighbors) const {
+Color AgRule::step(runtime::StepContext, Color own,
+                   std::span<const Color> neighbors) const {
   const std::uint64_t a = code_.a(own);
   const std::uint64_t b = code_.b(own);
   // Conflict (Definition 3.1): a neighbor whose second coordinate equals b.

@@ -15,7 +15,8 @@ std::uint64_t three_ag_modulus(std::size_t delta, std::uint64_t palette) {
   return math::next_prime(std::max<std::uint64_t>(3 * delta + 1, cbrt_pal));
 }
 
-Color ThreeAgRule::step(Color own, std::span<const Color> neighbors) const {
+Color ThreeAgRule::step(runtime::StepContext, Color own,
+                        std::span<const Color> neighbors) const {
   const std::uint64_t p = code_.p;
   const std::uint64_t cv = code_.c(own);
   const std::uint64_t bv = code_.b(own);
@@ -50,7 +51,8 @@ std::uint32_t ThreeAgRule::color_bits() const {
   return runtime::width_of(code_.p * code_.p * code_.p - 1);
 }
 
-Color AgnRule::step(Color own, std::span<const Color> neighbors) const {
+Color AgnRule::step(runtime::StepContext, Color own,
+                    std::span<const Color> neighbors) const {
   const std::uint64_t b = own / n_;
   const std::uint64_t a = own % n_;
   if (b == 0) return own;  // final
@@ -122,7 +124,8 @@ Color MixedRule::transition(Color own, bool value_conflict,
   return 2 * N + b * p_ + (a + b) % p_;
 }
 
-Color MixedRule::step(Color own, std::span<const Color> neighbors) const {
+Color MixedRule::step(runtime::StepContext, Color own,
+                      std::span<const Color> neighbors) const {
   if (delta_ == 0) return 0;
   const std::uint64_t N = n_;
   if (own < 2 * N) {
@@ -180,7 +183,8 @@ std::size_t Mixed3Rule::round_bound() const {
          32;
 }
 
-Color Mixed3Rule::step(Color own, std::span<const Color> neighbors) const {
+Color Mixed3Rule::step(runtime::StepContext, Color own,
+                       std::span<const Color> neighbors) const {
   if (delta_ == 0) return 0;
   const std::uint64_t N = n_;
   const std::uint64_t p = p_;

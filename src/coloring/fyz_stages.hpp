@@ -68,7 +68,7 @@ class PartitionRule final : public runtime::IterativeRule {
  public:
   explicit PartitionRule(PartitionSchedule sched) : s_(std::move(sched)) {}
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override {
     const std::uint64_t m = own % s_.span;
     const std::size_t t = s_.interval_of(m);
@@ -125,7 +125,7 @@ class FyzArbRule final : public runtime::IterativeRule {
   FyzArbRule(std::uint64_t classes, std::uint64_t q, std::uint64_t p)
       : k_(classes), q_(q), p_(p), m_(classes * q * q) {}
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override {
     const std::uint64_t m = own % m_;
     const std::uint64_t a = (m / q_) % q_;
@@ -184,7 +184,7 @@ class FyzListRule final : public runtime::IterativeRule {
  public:
   explicit FyzListRule(std::uint64_t d1) : d1_(d1) {}
 
-  [[nodiscard]] Color step(Color own,
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<const Color> neighbors) const override {
     if (own < d1_) return own;  // done
     const std::uint64_t prio = (own - d1_) / d1_;

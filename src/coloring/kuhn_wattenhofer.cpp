@@ -38,7 +38,8 @@ std::size_t KwSchedule::round_bound() const {
   return (phases() + 1) * (delta_ + 4) + 16;
 }
 
-Color KwRule::step(Color own, std::span<const Color> neighbors) const {
+Color KwRule::step(runtime::StepContext, Color own,
+                   std::span<const Color> neighbors) const {
   const std::size_t last = sched_.phases();
   const std::size_t k = sched_.interval_of(own);
   if (k == last) return own;  // final interval

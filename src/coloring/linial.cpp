@@ -99,7 +99,8 @@ Color mod_linial_step(const LinialSchedule& sched, std::size_t j, Color own,
   throw std::logic_error("mod_linial_step: no admissible evaluation point");
 }
 
-Color LinialRule::step(Color own, std::span<const Color> neighbors) const {
+Color LinialRule::step(runtime::StepContext, Color own,
+                       std::span<const Color> neighbors) const {
   const std::size_t j = sched_.interval_of(own);
   if (j == 0) return own;  // final palette reached
   return mod_linial_step(sched_, j, own, neighbors, {});

@@ -1,12 +1,8 @@
 #include "agc/coloring/luby.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <stdexcept>
 #include <vector>
 
-#include "agc/obs/event_sink.hpp"
-#include "agc/runtime/hooked_rounds.hpp"
 #include "stage.hpp"
 
 namespace agc::coloring {
@@ -32,140 +28,88 @@ constexpr std::uint64_t draw(std::uint64_t seed, std::uint64_t round,
                0xD1B54A32D192ED03ULL * (id + 1));
 }
 
-/// One Luby vertex.  The whole volatile state is one packed word:
-///   state < d1          — done, holding final color `state`;
-///   state = d1 + cand   — active, proposing candidate `cand` this round.
-/// The broadcast IS the state word, so neighbors decode done colors and
-/// live candidates from the same message.
-class LubyProgram final : public runtime::VertexProgram {
+/// Luby over its one-word state (luby.hpp): state < d1 is done, d1 + cand is
+/// active and proposing `cand`.  The broadcast IS the state word, so
+/// neighbors decode done colors and live candidates from the same message.
+class LubyRule final : public runtime::IterativeRule {
  public:
-  LubyProgram(std::uint64_t seed, std::uint64_t d1, std::uint32_t bits,
-              Color* mirror)
-      : seed_(seed), d1_(d1), bits_(bits), used_(d1, 0), mirror_(mirror) {
-    state_ = d1_;  // active; the first candidate is drawn at the first send
-    *mirror_ = state_;
+  LubyRule(std::uint64_t seed, std::uint64_t d1) : seed_(seed), d1_(d1) {}
+
+  /// Vertex v's state before round 0: active, proposing its round-0 draw
+  /// (no neighbor is done yet, so the free list is the whole palette).
+  [[nodiscard]] Color initial(graph::Vertex v) const {
+    return d1_ + draw(seed_, 0, v) % d1_;
   }
 
-  void on_send(const runtime::VertexEnv& env, runtime::OutboxRef& out) override {
-    // A fresh draw every round (from the free list as of the last receive)
-    // is what breaks candidate symmetry between deferring neighbors.
-    if (state_ >= d1_) state_ = d1_ + pick(env);
-    out.broadcast(runtime::Word{state_, bits_});
-  }
-
-  void on_receive(const runtime::VertexEnv&, const runtime::InboxRef& in) override {
-    const auto nbrs = in.multiset();
-    std::fill(used_.begin(), used_.end(), std::uint8_t{0});
-    used_count_ = 0;
-    bool conflict = false;
-    // Modulo guards: wire faults (and the RAM adversary) can put arbitrary
+  [[nodiscard]] Color step(runtime::StepContext ctx, Color own,
+                           std::span<const Color> neighbors) const override {
+    if (own < d1_) return own;  // done
+    // Modulo guards: wire faults and the RAM adversary can put arbitrary
     // words on the channel; decode them into the candidate range instead of
     // indexing out of bounds.  Clean runs never take the reduction.
-    const std::uint64_t cand = state_ >= d1_ ? (state_ - d1_) % d1_ : 0;
-    for (const std::uint64_t nc : nbrs) {
-      if (nc < d1_) {
-        if (used_[nc] == 0) {
-          used_[nc] = 1;
-          ++used_count_;
-        }
-      } else if (state_ >= d1_ && (nc - d1_) % d1_ == cand) {
-        // An active neighbor drew the same candidate: both sides see the
-        // same symmetric evidence and both defer — no tie-break needed,
-        // next round's fresh draws separate them with high probability.
-        conflict = true;
-      }
-    }
-    if (state_ >= d1_ && !conflict && used_[cand] == 0) state_ = cand;
-    *mirror_ = state_;
+    const std::uint64_t cand = (own - d1_) % d1_;
+    // The multiset is sorted, so the done colors are its prefix.
+    const auto active = std::lower_bound(neighbors.begin(), neighbors.end(), d1_);
+    const std::span<const Color> done(neighbors.begin(), active);
+    // An active neighbor that drew the same candidate sees the same
+    // symmetric evidence, so both defer — next round's fresh draws separate
+    // them with high probability.
+    const bool conflict = std::any_of(active, neighbors.end(), [&](Color nc) {
+      return (nc - d1_) % d1_ == cand;
+    });
+    if (!conflict && !std::binary_search(done.begin(), done.end(), cand)) return cand;
+    return d1_ + pick(draw(seed_, ctx.round + 1, ctx.id), done);
   }
 
-  /// Expose the packed word so the unified RunOptions adversary can corrupt
-  /// Luby runs like any other.  (Luby is not self-stabilizing: a corrupted
-  /// done color stays; the end-of-run properness check reports it.)
-  std::span<std::uint64_t> ram() override { return {&state_, 1}; }
+  [[nodiscard]] bool is_final(Color c) const override { return c < d1_; }
+  [[nodiscard]] std::uint32_t color_bits() const override {
+    return runtime::width_of(2 * d1_);
+  }
 
  private:
-  /// Candidate for this round: the draw(seed, round, id) hash reduced onto
-  /// the free list — the (Delta+1)-palette minus the done-neighbor colors
-  /// seen last round.  The free list is never empty on a static graph
-  /// (<= Delta done neighbors vs Delta+1 colors); if adversarial edge
-  /// insertion empties it, fall back to the whole palette and keep trying.
-  [[nodiscard]] std::uint64_t pick(const runtime::VertexEnv& env) const {
-    const std::uint64_t h = draw(seed_, env.round, env.id);
-    const std::uint64_t free_count = d1_ - used_count_;
-    if (free_count == 0) return h % d1_;
-    std::uint64_t idx = h % free_count;
-    for (std::uint64_t c = 0; c < d1_; ++c) {
-      if (used_[c] != 0) continue;
-      if (idx == 0) return c;
-      --idx;
+  /// The draw `h` reduced onto the free list: the (Delta+1)-palette minus
+  /// the sorted done colors `done`.  The free list is never empty on a static
+  /// graph (<= Delta done neighbors vs Delta+1 colors); if adversarial edges
+  /// or wire faults empty it, fall back to the whole palette.
+  [[nodiscard]] std::uint64_t pick(std::uint64_t h, std::span<const Color> done) const {
+    std::uint64_t distinct = 0;
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      distinct += i == 0 || done[i] != done[i - 1];
     }
-    return h % d1_;  // unreachable: the loop visits free_count free colors
+    if (distinct == d1_) return h % d1_;
+    // The (h mod free)-th free color: every distinct done color at or below
+    // the running answer pushes it one further.
+    std::uint64_t c = h % (d1_ - distinct);
+    for (std::size_t i = 0; i < done.size() && done[i] <= c; ++i) {
+      c += i == 0 || done[i] != done[i - 1];
+    }
+    return c;
   }
 
-  const std::uint64_t seed_;
-  const std::uint64_t d1_;
-  const std::uint32_t bits_;
-  std::uint64_t state_ = 0;
-  std::vector<std::uint8_t> used_;  ///< done-neighbor colors, last receive
-  std::uint64_t used_count_ = 0;
-  Color* mirror_;
+  std::uint64_t seed_;
+  std::uint64_t d1_;
 };
 
 }  // namespace
 
 PipelineReport color_luby(graph::GraphView g, const PipelineOptions& opts) {
-  const std::uint64_t t0 = obs::monotonic_ns();
   PipelineReport rep = detail::fresh_report();
+  const LubyRule rule(opts.iter.seed, std::uint64_t{g.max_degree()} + 1);
+  std::vector<Color> initial(g.n());
+  for (graph::Vertex v = 0; v < g.n(); ++v) initial[v] = rule.initial(v);
+
+  runtime::IterativeOptions iter = detail::stage_opts(opts, "luby");
+  // Candidate words are not a coloring: there is no invariant to check.
+  iter.check_proper_each_round = false;
+  runtime::IterativeResult r =
+      runtime::run_locally_iterative(g, std::move(initial), rule, iter);
+  rep.absorb(r);
+  rep.rounds_core = r.rounds;
+  rep.colors = std::move(r.colors);
   // An uncolored vertex holds no proper color, so the locally-iterative
   // invariant cannot hold mid-run by construction — reported honestly.
   rep.proper_each_round = false;
-
-  const std::size_t delta = g.max_degree();
-  const std::uint64_t d1 = static_cast<std::uint64_t>(delta) + 1;
-  const std::uint32_t bits = runtime::width_of(2 * d1);
-  const runtime::IterativeOptions iter = detail::stage_opts(opts, "luby");
-  const std::uint64_t seed = iter.seed;
-
-  rep.colors.assign(g.n(), d1);  // everyone starts active
-  std::vector<Color>& mirror = rep.colors;
-
-  runtime::Engine engine(g, runtime::Transport(iter.model, iter.congest_bits));
-  if (iter.executor) engine.set_executor(iter.executor);
-  engine.install([&](const runtime::VertexEnv& env) {
-    if (env.id >= mirror.size()) {
-      throw std::logic_error(
-          "color_luby: adding vertices mid-run is unsupported");
-    }
-    return std::make_unique<LubyProgram>(seed, d1, bits, &mirror[env.id]);
-  });
-  runtime::HookedRounds rounds(engine, iter);
-
-  detail::stage_event(opts, obs::EventKind::RunStart, "luby", 0, g.n());
-
-  auto all_done = [&] {
-    return std::all_of(mirror.begin(), mirror.end(),
-                       [&](Color c) { return c < d1; });
-  };
-
-  while (!all_done() && rep.rounds < iter.max_rounds) {
-    if (rounds.step().adversary > 0) {
-      // RAM corruption rewrote state words behind the mirror's back.
-      for (graph::Vertex v = 0; v < engine.graph().n(); ++v) {
-        const auto ram = engine.ram(v);
-        if (!ram.empty()) mirror[v] = ram[0];
-      }
-    }
-    ++rep.rounds;
-  }
-
-  rep.converged = all_done();
-  rep.rounds_core = rep.rounds;
-  rounds.finish(rep);
-  detail::finish(rep, engine.graph());
-  rep.wall_ns = obs::monotonic_ns() - t0;
-  detail::stage_event(opts, obs::EventKind::RunEnd, "luby", rep.rounds,
-                      rep.rounds, rep.wall_ns);
+  detail::finish(rep, g);
   return rep;
 }
 

@@ -5,7 +5,8 @@
 
 namespace agc::coloring {
 
-Color GreedyReduceRule::step(Color own, std::span<const Color> neighbors) const {
+Color GreedyReduceRule::step(runtime::StepContext, Color own,
+                             std::span<const Color> neighbors) const {
   if (own < target_) return own;  // final
   // Act only as a local maximum; ties are impossible between neighbors
   // (the coloring is proper), so the global maximum always acts.

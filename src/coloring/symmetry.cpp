@@ -1,11 +1,6 @@
 #include "agc/coloring/symmetry.hpp"
 
-#include <memory>
-
 #include "agc/graph/checks.hpp"
-#include "agc/obs/event_sink.hpp"
-#include "agc/obs/phase_timer.hpp"
-#include "agc/runtime/engine.hpp"
 
 namespace agc::coloring {
 
@@ -13,97 +8,61 @@ namespace {
 
 enum Status : std::uint64_t { kUndecided = 0, kIn = 1, kOut = 2 };
 
-/// Broadcasts (color, status); decides once every smaller-colored neighbor
-/// has, joining iff no neighbor is in.
-class MisWaveProgram final : public runtime::VertexProgram {
+/// The MIS wave over the word (color << 2) | status: a vertex decides once
+/// every smaller-colored neighbor has, joining iff no neighbor is in.
+class MisWaveRule final : public runtime::IterativeRule {
  public:
-  MisWaveProgram(Color color, std::uint32_t color_bits)
-      : color_(color), bits_(color_bits) {}
+  explicit MisWaveRule(std::uint32_t color_bits) : bits_(color_bits + 2) {}
 
-  void on_send(const runtime::VertexEnv&, runtime::OutboxRef& out) override {
-    out.broadcast(runtime::Word{(color_ << 2) | status_, bits_ + 2});
-  }
-
-  void on_receive(const runtime::VertexEnv&, const runtime::InboxRef& in) override {
-    if (status_ != kUndecided) return;
-    bool any_in = false;
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
+                           std::span<const Color> neighbors) const override {
+    if (is_final(own)) return own;
+    const Color color = own >> 2;
     bool smaller_undecided = false;
-    for (const auto packed : in.multiset()) {
-      const Color c = packed >> 2;
-      const auto s = static_cast<Status>(packed & 3);
-      if (s == kIn) any_in = true;
-      if (s == kUndecided && c < color_) smaller_undecided = true;
+    for (const Color word : neighbors) {
+      if ((word & 3) == kIn) return (color << 2) | kOut;
+      if ((word & 3) == kUndecided && (word >> 2) < color) smaller_undecided = true;
     }
-    if (any_in) {
-      status_ = kOut;
-    } else if (!smaller_undecided) {
-      status_ = kIn;
-    }
+    return smaller_undecided ? own : (color << 2) | kIn;
   }
 
-  [[nodiscard]] bool halted(const runtime::VertexEnv&) const override {
-    return status_ != kUndecided;
+  [[nodiscard]] bool is_final(Color word) const override {
+    return (word & 3) != kUndecided;
   }
-
-  [[nodiscard]] bool in_mis() const noexcept { return status_ == kIn; }
+  [[nodiscard]] std::uint32_t color_bits() const override { return bits_; }
 
  private:
-  Color color_;
   std::uint32_t bits_;
-  std::uint64_t status_ = kUndecided;
 };
 
 }  // namespace
 
 MisReport mis_from_coloring(graph::GraphView g, const std::vector<Color>& colors,
                             const runtime::IterativeOptions& opts) {
-  const std::uint64_t t0 = obs::monotonic_ns();
-  MisReport rep;
   const Color palette = graph::max_color(colors) + 1;
-  const std::uint32_t bits = runtime::width_of(palette - 1);
+  const MisWaveRule rule(runtime::width_of(palette - 1));
+  std::vector<Color> words(colors.size());
+  for (std::size_t v = 0; v < colors.size(); ++v) words[v] = colors[v] << 2;
 
-  // The MIS wave sends directed status words, which SET-LOCAL cannot; the
-  // broadcast here is sender-anonymous, so SET_LOCAL remains allowed.
-  runtime::Engine engine(g, runtime::Transport(opts.model, opts.congest_bits));
-  if (opts.executor) engine.set_executor(opts.executor);
-  obs::PhaseProfile profile;
-  if (opts.collect_phase_times) engine.set_profile(&profile);
-  if (opts.sink != nullptr) engine.set_sink(opts.sink);
-  engine.install([&](const runtime::VertexEnv& env) {
-    return std::make_unique<MisWaveProgram>(colors[env.id], bits);
-  });
+  runtime::IterativeOptions wave = opts;
+  // On a proper input a color-c vertex decides by round c + 1, so palette + 2
+  // rounds always suffice.
+  wave.max_rounds = static_cast<std::size_t>(palette) + 2;
+  if (wave.tag == nullptr) wave.tag = "mis-wave";
+  // The words are proper iff the input coloring is; is_mis judges the output.
+  wave.check_proper_each_round = false;
+  runtime::IterativeResult r =
+      runtime::run_locally_iterative(g, std::move(words), rule, wave);
 
-  if (opts.sink != nullptr) {
-    obs::Event ev;
-    ev.kind = obs::EventKind::StageStart;
-    ev.label = opts.tag != nullptr ? opts.tag : "mis-wave";
-    ev.value = g.n();
-    opts.sink->emit(ev);
+  MisReport rep;
+  static_cast<runtime::RunReport&>(rep) = r;
+  rep.in_mis.resize(r.colors.size());
+  for (std::size_t v = 0; v < r.colors.size(); ++v) {
+    rep.in_mis[v] = (r.colors[v] & 3) == kIn;
   }
-
-  rep.rounds_mis = engine.run(static_cast<std::size_t>(palette) + 2);
-
-  rep.in_mis.resize(g.n());
-  for (graph::Vertex v = 0; v < g.n(); ++v) {
-    rep.in_mis[v] = dynamic_cast<const MisWaveProgram&>(engine.program(v)).in_mis();
-  }
-  rep.valid = engine.all_halted() && graph::is_mis(g, rep.in_mis);
-
-  rep.rounds = rep.rounds_mis;
+  rep.rounds_mis = r.rounds;
+  rep.valid = r.converged && graph::is_mis(g, rep.in_mis);
   rep.converged = rep.valid;
-  rep.metrics = engine.metrics();
-  rep.phases = profile.folded();
-  rep.wall_ns = obs::monotonic_ns() - t0;
-
-  if (opts.sink != nullptr) {
-    obs::Event ev;
-    ev.kind = obs::EventKind::StageEnd;
-    ev.label = opts.tag != nullptr ? opts.tag : "mis-wave";
-    ev.round = rep.rounds_mis;
-    ev.value = rep.valid ? 1 : 0;
-    ev.ns = rep.wall_ns;
-    opts.sink->emit(ev);
-  }
   return rep;
 }
 

@@ -79,15 +79,6 @@ void Engine::step() {
   }
 }
 
-std::size_t Engine::run(std::size_t max_rounds) {
-  std::size_t executed = 0;
-  while (executed < max_rounds && !all_halted()) {
-    step();
-    ++executed;
-  }
-  return executed;
-}
-
 bool Engine::all_halted() const {
   for (graph::Vertex v = 0; v < view_.n(); ++v) {
     if (!programs_[v]->halted(envs_[v])) return false;

@@ -27,8 +27,8 @@ class RuleProgram final : public VertexProgram {
     out.broadcast(Word{color_, rule_.color_bits()});
   }
 
-  void on_receive(const VertexEnv&, const InboxRef& in) override {
-    color_ = rule_.step(color_, in.multiset());
+  void on_receive(const VertexEnv& env, const InboxRef& in) override {
+    color_ = rule_.step({env.id, env.round}, color_, in.multiset());
     *mirror_ = color_;
   }
 
@@ -147,43 +147,6 @@ IterativeResult run_locally_iterative(graph::GraphView g,
     opts.sink->emit(ev);
   }
   return result;
-}
-
-IterativeResult run_stages(graph::GraphView g, std::vector<Color> initial,
-                           std::span<const IterativeRule* const> stages,
-                           const IterativeOptions& opts) {
-  IterativeResult total;
-  total.colors = std::move(initial);
-  total.converged = true;
-  std::size_t index = 0;
-  for (const IterativeRule* stage : stages) {
-    if (opts.sink != nullptr) {
-      obs::Event ev;
-      ev.kind = obs::EventKind::StageStart;
-      ev.round = total.rounds;
-      ev.label = opts.tag;
-      ev.value = index;
-      opts.sink->emit(ev);
-    }
-    IterativeResult r = run_locally_iterative(g, std::move(total.colors), *stage, opts);
-    total.colors = std::move(r.colors);
-    total.proper_each_round = total.proper_each_round && r.proper_each_round;
-    // Each stage runs a fresh engine with its own per-edge ledger, so the
-    // cross-stage max_edge_bits is the max over stages, not their sum
-    // (RunReport::absorb delegates to Metrics::merge, which does exactly that).
-    total.absorb(r);
-    if (opts.sink != nullptr) {
-      obs::Event ev;
-      ev.kind = obs::EventKind::StageEnd;
-      ev.round = total.rounds;
-      ev.label = opts.tag;
-      ev.value = r.rounds;
-      opts.sink->emit(ev);
-    }
-    ++index;
-    if (!total.converged) break;
-  }
-  return total;
 }
 
 }  // namespace agc::runtime

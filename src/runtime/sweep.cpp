@@ -150,7 +150,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
         // The engine delivers neighbor colors as a sorted, sender-anonymous
         // multiset (InboxRef::multiset); reproduce it exactly.
         std::sort(sh.nbrs.begin(), sh.nbrs.end());
-        const Color c = rule.step(own, sh.nbrs);
+        const Color c = rule.step({v, result.rounds}, own, sh.nbrs);
         if (fits(c)) {
           next->set(v, c);
         } else if (sh.bad == kNone && g.degree(v) > 0) {

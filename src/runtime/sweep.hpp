@@ -12,8 +12,8 @@
 namespace agc::runtime::detail {
 
 /// Evaluate `rule` from `colors` with one double-buffered sweep per round:
-/// next[v] = rule.step(cur[v], sorted N(v) colors) for every vertex whose
-/// current color is not final.  Reproduces the engine path's colors, rounds,
+/// next[v] = rule.step({v, round}, cur[v], sorted N(v) colors) for every
+/// vertex whose current color is not final.  Reproduces the engine path's colors, rounds,
 /// convergence, per-round properness, on_round calls, RoundEnd events,
 /// transport errors and (in closed form) metrics.  Requires no adversary
 /// and no channel hook; emits neither RunStart nor RunEnd and leaves wall_ns

@@ -70,7 +70,7 @@ std::uint64_t SsConfig::step(std::uint64_t id, std::uint64_t color,
       if (nc < i0_size) in_zero.push_back(nc);
     }
     if (mode_ == PaletteMode::ExactDeltaPlusOne) {
-      return mixed_->step(color, in_zero);
+      return mixed_->step({}, color, in_zero);
     }
     // Plain AG over Z_{ag_q_}.
     const std::uint64_t q = ag_q_;

@@ -16,10 +16,14 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "agc/coloring/linial.hpp"
+#include "agc/coloring/luby.hpp"
 #include "agc/coloring/palette.hpp"
 #include "agc/coloring/reduction.hpp"
+#include "agc/coloring/symmetry.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/faultlab/channel.hpp"
 #include "agc/graph/generators.hpp"
@@ -238,6 +242,48 @@ TEST(AllocHook, SweepRoundsAreAllocationFree) {
   }
 }
 
+TEST(AllocHook, LubyAndMisWaveRoundsAreAllocationFree) {
+  // Luby and the MIS wave are rules on the same sweep: with the sink and
+  // phase timers on, nothing between two consecutive on_round callbacks
+  // allocates once the run is warm.  The wave starts from the identity
+  // coloring, whose long decreasing chains give it enough rounds.
+  const auto g = graph::random_regular(1024, 16, 5);
+  const std::vector<Color> ids = coloring::identity_coloring(g.n());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    for (const char* what : {"luby", "mis-wave"}) {
+      obs::RingSink sink(64);
+      coloring::PipelineOptions po;
+      po.run().executor = exec::make_executor(threads);
+      po.run().sink = &sink;
+      po.run().collect_phase_times = true;
+      std::array<std::uint64_t, 256> at_round{};
+      std::size_t seen = 0;
+      po.iter.on_round = [&](std::size_t round, std::span<const Color>) {
+        if (round < at_round.size()) at_round[round] = g_allocs.load(std::memory_order_relaxed);
+        seen = round;
+      };
+      RunReport rep;
+      if (std::string(what) == "luby") {
+        const auto luby = coloring::color_luby(g, po);
+        ASSERT_TRUE(luby.proper);
+        rep = luby;
+      } else {
+        const auto mis = coloring::mis_from_coloring(g, ids, po.iter);
+        ASSERT_TRUE(mis.valid);
+        rep = mis;
+      }
+      ASSERT_GT(seen, 4u) << what << ": too few rounds to reach a steady state";
+      ASSERT_LT(seen, at_round.size());
+      for (std::size_t r = 3; r < seen; ++r) {  // rounds 1-2 warm up
+        EXPECT_EQ(at_round[r + 1] - at_round[r], 0u)
+            << what << " threads=" << threads << ": allocations in round " << r + 1;
+      }
+      EXPECT_GT(rep.phases.total_ns(), 0u);
+      EXPECT_GT(sink.seen(), seen);  // RunStart + one RoundEnd per round
+    }
+  }
+}
+
 TEST(AllocHook, LinialStepsAreAllocationFree) {
   // The one Mod-Linial step rebuilds each neighbor's digit polynomial where
   // it evaluates it: no per-step vector, no per-neighbor polynomial on the
@@ -273,7 +319,7 @@ TEST(AllocHook, LinialStepsAreAllocationFree) {
   }
   for (const Case& c : cases) {
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    const Color next = c.selfstab ? cfg.step(7, c.own, c.nbrs) : rule.step(c.own, c.nbrs);
+    const Color next = c.selfstab ? cfg.step(7, c.own, c.nbrs) : rule.step({}, c.own, c.nbrs);
     EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
         << (c.selfstab ? "SsConfig::step" : "LinialRule::step") << " own=" << c.own;
     EXPECT_NE(next, c.own);

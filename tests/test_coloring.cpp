@@ -45,7 +45,7 @@ TEST(Ag, FinalColorsAreFixedPoints) {
   for (Color b = 0; b < 11; ++b) {
     std::vector<Color> nbrs = {b, b + 11, 120, 3};
     std::sort(nbrs.begin(), nbrs.end());
-    EXPECT_EQ(rule.step(b, nbrs), b);
+    EXPECT_EQ(rule.step({}, b, nbrs), b);
     EXPECT_TRUE(rule.is_final(b));
   }
 }
@@ -53,10 +53,10 @@ TEST(Ag, FinalColorsAreFixedPoints) {
 TEST(Ag, ConflictShiftsNoConflictFinalizes) {
   coloring::AgRule rule(11);
   const Color c = 3 * 11 + 5;  // <3,5>
-  EXPECT_EQ(rule.step(c, std::vector<Color>{2 * 11 + 5}), 3 * 11 + (5 + 3) % 11);
-  EXPECT_EQ(rule.step(c, std::vector<Color>{2 * 11 + 6}), 5u);  // finalize <0,5>
+  EXPECT_EQ(rule.step({}, c, std::vector<Color>{2 * 11 + 5}), 3 * 11 + (5 + 3) % 11);
+  EXPECT_EQ(rule.step({}, c, std::vector<Color>{2 * 11 + 6}), 5u);  // finalize <0,5>
   // Out-of-range neighbors (other pipeline stages) are ignored.
-  EXPECT_EQ(rule.step(c, std::vector<Color>{11 * 11 + 5}), 5u);
+  EXPECT_EQ(rule.step({}, c, std::vector<Color>{11 * 11 + 5}), 5u);
 }
 
 TEST(Ag, NeighborPairConflictsAtMostTwicePerWindow) {
@@ -70,8 +70,8 @@ TEST(Ag, NeighborPairConflictsAtMostTwicePerWindow) {
       int conflicts = 0;
       for (std::uint64_t round = 0; round < q; ++round) {
         if (u % q == v % q) ++conflicts;
-        const Color nu = rule.step(u, std::vector<Color>{v});
-        const Color nv = rule.step(v, std::vector<Color>{u});
+        const Color nu = rule.step({}, u, std::vector<Color>{v});
+        const Color nv = rule.step({}, v, std::vector<Color>{u});
         u = nu;
         v = nv;
       }
@@ -140,7 +140,7 @@ TEST(ThreeAg, StepLandsInDeclaredCandidateStates) {
     std::vector<Color> nbrs(rng.below(6));
     for (auto& c : nbrs) c = rng.below(space);
     std::sort(nbrs.begin(), nbrs.end());
-    const Color next = rule.step(own, nbrs);
+    const Color next = rule.step({}, own, nbrs);
     if (next == own) continue;
     const auto cands = rule.candidates(own);
     EXPECT_NE(std::find(cands.begin(), cands.end(), next), cands.end())

@@ -85,19 +85,6 @@ TEST(EdgeCases, SsLineODeltaMode) {
       g, selfstab::current_edge_colors(engine)));
 }
 
-TEST(EdgeCases, RunStagesComposesRules) {
-  const auto g = graph::random_regular(120, 6, 3);
-  auto lin = coloring::linial_color(g, coloring::identity_coloring(g.n()), g.n(), 6);
-  const std::uint64_t q = coloring::ag_modulus(6, graph::max_color(lin.colors) + 1);
-  coloring::AgRule ag(q);
-  coloring::GreedyReduceRule reduce(7, q);
-  const runtime::IterativeRule* stages[] = {&ag, &reduce};
-  auto res = runtime::run_stages(g, std::move(lin.colors), stages);
-  EXPECT_TRUE(res.converged);
-  EXPECT_TRUE(res.proper_each_round);
-  EXPECT_LT(graph::max_color(res.colors), 7u);
-}
-
 TEST(EdgeCases, ReductionAlreadyBelowTarget) {
   const auto g = graph::path(10);
   std::vector<graph::Color> alternating(10);

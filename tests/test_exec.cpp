@@ -295,8 +295,8 @@ TEST(ExecFailure, EngineStepRethrowsAndExecutorStaysUsable) {
 class ThrowingRule final : public runtime::IterativeRule {
  public:
   explicit ThrowingRule(graph::Color bad) : bad_(bad) {}
-  [[nodiscard]] graph::Color step(
-      graph::Color own, std::span<const graph::Color> /*nbrs*/) const override {
+  [[nodiscard]] graph::Color step(runtime::StepContext, graph::Color own,
+                                  std::span<const graph::Color> /*nbrs*/) const override {
     if (own == bad_) throw std::runtime_error("boom");
     return own;
   }

@@ -5,7 +5,9 @@
 // seeds must drive distinct trajectories.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "agc/coloring/luby.hpp"
@@ -14,6 +16,7 @@
 #include "agc/graph/checks.hpp"
 #include "agc/graph/frozen.hpp"
 #include "agc/graph/generators.hpp"
+#include "agc/graph/spec.hpp"
 
 namespace {
 
@@ -26,6 +29,19 @@ coloring::PipelineReport run_luby(graph::GraphView g, std::uint64_t seed,
   opts.run().seed = seed;
   opts.run().executor = std::move(ex);
   return coloring::color_luby(g, opts);
+}
+
+/// The colors (FNV-1a digest), rounds and transport metrics of one run.
+std::string fingerprint(const coloring::PipelineReport& rep) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const Color c : rep.colors) h = (h ^ c) * 1099511628211ULL;
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "colors=%016llx rounds=%zu metrics=%llu/%llu/%llu",
+                static_cast<unsigned long long>(h), rep.rounds,
+                static_cast<unsigned long long>(rep.metrics.messages),
+                static_cast<unsigned long long>(rep.metrics.total_bits),
+                static_cast<unsigned long long>(rep.metrics.max_edge_bits));
+  return buf;
 }
 
 TEST(Luby, ProperAndWithinPalette) {
@@ -52,6 +68,38 @@ TEST(Luby, SeedReplayAcrossThreads) {
     const auto bsp = run_luby(g, 7, exec::make_executor(threads));
     EXPECT_EQ(bsp.colors, base.colors) << "bsp threads=" << threads;
     EXPECT_EQ(bsp.rounds, base.rounds) << "bsp threads=" << threads;
+  }
+}
+
+TEST(Luby, TrajectoryIsPinned) {
+  // Pinned from the engine program that ran Luby before it became an
+  // IterativeRule: every seed must keep its trajectory at every thread count.
+  struct Pin {
+    const char* graph;
+    std::uint64_t seed;
+    const char* expect;
+  };
+  const Pin pins[] = {
+      {"regular:n=1000,d=40,seed=733", 1,
+       "colors=839a495cc0d0c012 rounds=7 metrics=279986/1959902/49"},
+      {"regular:n=1000,d=40,seed=733", 7,
+       "colors=823ada21cc254485 rounds=7 metrics=279986/1959902/49"},
+      {"regular:n=1000,d=40,seed=733", 0xDEADBEEF,
+       "colors=430ce1ee7a63ceb3 rounds=7 metrics=279986/1959902/49"},
+      {"gnp:n=2000,p=0.01,seed=5", 1,
+       "colors=305b213162bef1c6 rounds=5 metrics=198830/1391810/35"},
+      {"gnp:n=2000,p=0.01,seed=5", 7,
+       "colors=e9cbcfd831c94be6 rounds=5 metrics=198830/1391810/35"},
+      {"gnp:n=2000,p=0.01,seed=5", 0xDEADBEEF,
+       "colors=6ee7bde415b532fd rounds=6 metrics=238596/1670172/42"},
+  };
+  for (const Pin& pin : pins) {
+    const graph::Graph g = graph::GraphSpec::parse(pin.graph).build();
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      EXPECT_EQ(fingerprint(run_luby(g, pin.seed, exec::make_executor(threads))),
+                pin.expect)
+          << pin.graph << " seed=" << pin.seed << " threads=" << threads;
+    }
   }
 }
 

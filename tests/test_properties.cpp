@@ -26,9 +26,9 @@ std::array<Color, 3> step3(const Rule& rule, Color a, Color b, Color c,
     std::sort(v.begin(), v.end());
     return v;
   };
-  const auto na = rule.step(a, triangle ? ms({b, c}) : ms({b}));
-  const auto nb = rule.step(b, ms({a, c}));
-  const auto nc = rule.step(c, triangle ? ms({a, b}) : ms({b}));
+  const auto na = rule.step({}, a, triangle ? ms({b, c}) : ms({b}));
+  const auto nb = rule.step({}, b, ms({a, c}));
+  const auto nc = rule.step({}, c, triangle ? ms({a, b}) : ms({b}));
   return {na, nb, nc};
 }
 
@@ -63,8 +63,8 @@ TEST(ExhaustiveAgn, EdgeProper) {
   for (Color a = 0; a < 2 * N; ++a) {
     for (Color b = 0; b < 2 * N; ++b) {
       if (a == b) continue;
-      const Color na = rule.step(a, std::vector<Color>{b});
-      const Color nb = rule.step(b, std::vector<Color>{a});
+      const Color na = rule.step({}, a, std::vector<Color>{b});
+      const Color nb = rule.step({}, b, std::vector<Color>{a});
       EXPECT_NE(na, nb) << a << "," << b;
       EXPECT_LT(na, 2 * N);
     }
@@ -78,8 +78,8 @@ TEST(ExhaustiveMixed, EdgeProper) {
   for (Color a = 0; a < space; ++a) {
     for (Color b = 0; b < space; ++b) {
       if (a == b) continue;
-      const Color na = rule.step(a, std::vector<Color>{b});
-      const Color nb = rule.step(b, std::vector<Color>{a});
+      const Color na = rule.step({}, a, std::vector<Color>{b});
+      const Color nb = rule.step({}, b, std::vector<Color>{a});
       EXPECT_NE(na, nb) << a << "," << b;
       EXPECT_LT(na, space);
     }
@@ -94,8 +94,8 @@ TEST(ExhaustiveMixed3, EdgeProper) {
     if (a >= low && a < low + rule.p()) continue;  // malformed high states
     for (Color b = 0; b < space; ++b) {
       if (a == b || (b >= low && b < low + rule.p())) continue;
-      const Color na = rule.step(a, std::vector<Color>{b});
-      const Color nb = rule.step(b, std::vector<Color>{a});
+      const Color na = rule.step({}, a, std::vector<Color>{b});
+      const Color nb = rule.step({}, b, std::vector<Color>{a});
       EXPECT_NE(na, nb) << a << "," << b;
       EXPECT_LT(na, space);
     }
@@ -138,8 +138,8 @@ TEST(RandomizedKw, SameIntervalPairsStayProper) {
     const Color b = rng.below(span);
     if (a == b || sched.interval_of(a) != sched.interval_of(b)) continue;
     ++done;
-    const Color na = rule.step(a, std::vector<Color>{b});
-    const Color nb = rule.step(b, std::vector<Color>{a});
+    const Color na = rule.step({}, a, std::vector<Color>{b});
+    const Color nb = rule.step({}, b, std::vector<Color>{a});
     ASSERT_NE(na, nb) << a << "," << b;
     ASSERT_LT(na, span);
   }
@@ -156,8 +156,8 @@ TEST(RandomizedLinial, ProperPairsStayProper) {
     const Color b = rng.below(span);
     if (a == b) continue;
     ++done;
-    const Color na = rule.step(a, std::vector<Color>{b});
-    const Color nb = rule.step(b, std::vector<Color>{a});
+    const Color na = rule.step({}, a, std::vector<Color>{b});
+    const Color nb = rule.step({}, b, std::vector<Color>{a});
     ASSERT_NE(na, nb) << a << "," << b;
     ASSERT_LT(na, span);
   }

@@ -113,7 +113,8 @@ class OracleLinialRule final : public runtime::IterativeRule {
  public:
   explicit OracleLinialRule(const coloring::LinialSchedule& sched) : sched_(sched) {}
 
-  [[nodiscard]] Color step(Color own, std::span<const Color> neighbors) const override {
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
+                           std::span<const Color> neighbors) const override {
     const std::size_t j = sched_.interval_of(own);
     return j == 0 ? own : oracle_step(sched_, j, own, neighbors, {});
   }
@@ -217,7 +218,7 @@ TEST(ArbAgRule, FrozenStatesAreFixedPoints) {
                              arb::ArbAgRule::pack(4, 1, 7, 11),
                              arb::ArbAgRule::pack(6, 3, 7, 11)};
   std::sort(nbrs.begin(), nbrs.end());
-  EXPECT_EQ(rule.step(frozen, nbrs), frozen);  // even with > p conflicts
+  EXPECT_EQ(rule.step({}, frozen, nbrs), frozen);  // even with > p conflicts
 }
 
 TEST(ArbAgRule, ToleranceThreshold) {
@@ -227,18 +228,18 @@ TEST(ArbAgRule, ToleranceThreshold) {
   std::vector<Color> two = {arb::ArbAgRule::pack(1, 1, 5, 11),
                             arb::ArbAgRule::pack(2, 0, 5, 11)};
   std::sort(two.begin(), two.end());
-  EXPECT_EQ(rule.step(c, two), arb::ArbAgRule::pack(9, 0, 5, 11));
+  EXPECT_EQ(rule.step({}, c, two), arb::ArbAgRule::pack(9, 0, 5, 11));
   // Three: shifts b by a.
   auto three = two;
   three.push_back(arb::ArbAgRule::pack(3, 4, 5, 11));
   std::sort(three.begin(), three.end());
-  EXPECT_EQ(rule.step(c, three), arb::ArbAgRule::pack(9, 3, (5 + 3) % 11, 11));
+  EXPECT_EQ(rule.step({}, c, three), arb::ArbAgRule::pack(9, 3, (5 + 3) % 11, 11));
   // Same-psi conflicts are ignored entirely.
   std::vector<Color> same = {arb::ArbAgRule::pack(9, 1, 5, 11),
                              arb::ArbAgRule::pack(9, 2, 5, 11),
                              arb::ArbAgRule::pack(9, 4, 5, 11)};
   std::sort(same.begin(), same.end());
-  EXPECT_EQ(rule.step(c, same), arb::ArbAgRule::pack(9, 0, 5, 11));
+  EXPECT_EQ(rule.step({}, c, same), arb::ArbAgRule::pack(9, 0, 5, 11));
 }
 
 // ---------------------------------------------------------------------------

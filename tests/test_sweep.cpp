@@ -1,16 +1,17 @@
 // The locally-iterative sweep — run_locally_iterative's backend for hook-free
 // BSP runs — against the round engine, which a no-op fault adversary forces
 // without changing the run: every registry algorithm that runs through
-// run_locally_iterative, on both graph backends, at 1/2/8 threads, must
-// report the same colors, rounds, convergence, per-round properness,
-// metrics, RoundEnd events and observer trace.  Also pins the is_final
-// contract (final colors are fixed points of step()) that lets the sweep
-// skip final vertices, for every rule the library's entry points run.
+// run_locally_iterative (Luby included), on both graph backends, at 1/2/8
+// threads, must report the same colors, rounds, convergence, per-round
+// properness, metrics, RoundEnd events and observer trace.  Also pins the
+// is_final contract (final colors are fixed points of step()) that lets the
+// sweep skip final vertices, for every rule the library's entry points run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -25,10 +26,12 @@
 #include "agc/coloring/fyz.hpp"
 #include "agc/coloring/kuhn_wattenhofer.hpp"
 #include "agc/coloring/linial.hpp"
+#include "agc/coloring/luby.hpp"
 #include "agc/coloring/palette.hpp"
 #include "agc/coloring/pipeline.hpp"
 #include "agc/coloring/reduction.hpp"
 #include "agc/coloring/registry.hpp"
+#include "agc/coloring/symmetry.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/graph/spec.hpp"
@@ -157,8 +160,8 @@ TEST(SweepVsEngine, EveryIterativeAlgorithmEveryBackendEveryThreadCount) {
       "path:1",
       "path:0",
   };
-  const char* const algos[] = {"gps", "kw",  "ag",  "exact",
-                               "odelta", "fyz", "eps", "sublinear"};
+  const char* const algos[] = {"gps", "kw",  "ag",  "exact", "odelta",
+                               "fyz", "eps", "sublinear", "luby"};
   for (const char* spec : specs) {
     const auto s = graph::GraphSpec::parse(spec);
     const graph::Graph dyn = s.build();
@@ -231,7 +234,8 @@ TEST(SweepVsEngine, InitialColoringMustCoverEveryVertex) {
 /// that makes it monochromatic, and every other tag to r = 2.
 class CollideInRoundTwo final : public runtime::IterativeRule {
  public:
-  [[nodiscard]] Color step(Color own, std::span<const Color>) const override {
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
+                           std::span<const Color>) const override {
     if (own >= 200) return own;
     if (own == 101 || own == 102) return 500;
     return own + 100;
@@ -292,7 +296,8 @@ TEST(SweepVsEngine, CongestCapBelowColorBitsThrowsTheSameError) {
 /// appears, if there is one.  3 is a non-final fixed point.
 class OutgrowsItsWidth final : public runtime::IterativeRule {
  public:
-  [[nodiscard]] Color step(Color own, std::span<const Color>) const override {
+  [[nodiscard]] Color step(runtime::StepContext, Color own,
+                           std::span<const Color>) const override {
     if (own == 1) return 2;
     return own == 2 || own == 9 ? 100 : own;
   }
@@ -327,6 +332,26 @@ TEST(SweepVsEngine, ValueWiderThanColorBitsFailsOnTheSameRound) {
 // The is_final contract, for every rule the library's entry points run.
 // ---------------------------------------------------------------------------
 
+/// on_round observer: counts the vertices that were final before a round
+/// (by `is_final`) and those of them whose color changed in it.
+struct FinalWatch {
+  explicit FinalWatch(std::function<bool(Color)> f) : is_final(std::move(f)) {}
+
+  std::function<bool(Color)> is_final;
+  std::vector<Color> before;
+  std::size_t final_steps = 0;
+  std::size_t moved = 0;
+
+  void observe(std::size_t round, std::span<const Color> now) {
+    for (std::size_t v = 0; round > 0 && v < now.size(); ++v) {
+      if (!is_final(before[v])) continue;
+      ++final_steps;
+      moved += now[v] != before[v];
+    }
+    before.assign(now.begin(), now.end());
+  }
+};
+
 /// Engine-forced run whose on_round checks that no vertex whose color was
 /// final before a round changes in it.
 void expect_final_is_fixed(const char* what, GraphView g, std::vector<Color> init,
@@ -337,21 +362,14 @@ void expect_final_is_fixed(const char* what, GraphView g, std::vector<Color> ini
   io.adversary = &noop;
   io.max_rounds = max_rounds;
   io.check_proper_each_round = false;
-  std::vector<Color> before;
-  std::size_t final_steps = 0;
-  std::size_t moved = 0;
+  FinalWatch watch{[&](Color c) { return rule.is_final(c); }};
   io.on_round = [&](std::size_t round, std::span<const Color> now) {
-    for (std::size_t v = 0; round > 0 && v < now.size(); ++v) {
-      if (!rule.is_final(before[v])) continue;
-      ++final_steps;
-      moved += now[v] != before[v];
-    }
-    before.assign(now.begin(), now.end());
+    watch.observe(round, now);
   };
   const auto res = runtime::run_locally_iterative(g, std::move(init), rule, io);
   EXPECT_TRUE(res.converged);
-  EXPECT_GT(final_steps, 0u);  // final vertices really were stepped
-  EXPECT_EQ(moved, 0u);
+  EXPECT_GT(watch.final_steps, 0u);  // final vertices really were stepped
+  EXPECT_EQ(watch.moved, 0u);
 }
 
 TEST(IsFinalContract, EveryPipelineRuleKeepsFinalColorsFixed) {
@@ -422,6 +440,48 @@ TEST(IsFinalContract, EveryPipelineRuleKeepsFinalColorsFixed) {
                                        seed.colors[v] % q, q);
   }
   expect_final_is_fixed("arbag", g, arb_init, arb::ArbAgRule(q, p), window);
+}
+
+// Luby's and the MIS wave's rules are internal to their entry points:
+// watch engine-forced runs of those through on_round.
+
+TEST(IsFinalContract, LubyDoneStatesStayFixed) {
+  const auto g = graph::random_regular(300, 8, 17);
+  const Color d1 = g.max_degree() + 1;
+  for (const std::uint64_t seed : {1u, 7u}) {
+    NoopAdversary noop;
+    coloring::PipelineOptions po;
+    po.run().adversary = &noop;
+    po.run().seed = seed;
+    FinalWatch watch{[d1](Color state) { return state < d1; }};  // done
+    po.iter.on_round = [&](std::size_t round, std::span<const Color> now) {
+      watch.observe(round, now);
+    };
+    const auto rep = coloring::color_luby(g, po);
+    EXPECT_TRUE(rep.proper) << "seed=" << seed;
+    EXPECT_GT(watch.final_steps, 0u) << "seed=" << seed;
+    EXPECT_EQ(watch.moved, 0u) << "seed=" << seed;
+  }
+}
+
+TEST(IsFinalContract, MisWaveDecidedWordsStayFixed) {
+  // Word = (color << 2) | status; status 0 is undecided.  The identity
+  // coloring's long decreasing chains keep the wave going for many rounds.
+  const auto g = graph::random_regular(300, 8, 17);
+  const auto colored = coloring::color_delta_plus_one(g);
+  for (const auto& colors : {colored.colors, coloring::identity_coloring(g.n())}) {
+    NoopAdversary noop;
+    runtime::IterativeOptions io;
+    io.adversary = &noop;
+    FinalWatch watch{[](Color word) { return (word & 3) != 0; }};
+    io.on_round = [&](std::size_t round, std::span<const Color> now) {
+      watch.observe(round, now);
+    };
+    const auto rep = coloring::mis_from_coloring(g, colors, io);
+    EXPECT_TRUE(rep.valid);
+    EXPECT_GT(watch.final_steps, 0u);
+    EXPECT_EQ(watch.moved, 0u);
+  }
 }
 
 TEST(IsFinalContract, FyzStagesKeepFinalColorsFixed) {
