@@ -1,6 +1,6 @@
 // M1 — google-benchmark microbenchmarks for the substrate hot paths: field
-// arithmetic, Linial polynomial evaluation, AG rule steps, locally-iterative
-// rounds on the sweep, and the raw engine message path
+// arithmetic, Linial polynomial evaluation, AG and Linial rule steps,
+// locally-iterative rounds on the sweep, and the raw engine message path
 // (send/validate/deliver/receive).  These bound the simulator's throughput,
 // not the paper's claims.
 //
@@ -74,6 +74,28 @@ void BM_AgStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AgStep)->Arg(8)->Arg(64)->Arg(512);
+
+// One Mod-Linial step at the first stage of perfbench's scale graph (ID
+// space 10^6, Delta = 37: q = 101, d = 2), over 16 neighbors in the same
+// interval; the own colors cycle through 256 seeded draws.
+void BM_LinialStep(benchmark::State& state) {
+  const coloring::LinialRule rule(coloring::LinialSchedule(1'000'000, 37));
+  const coloring::LinialSchedule& sched = rule.schedule();
+  const std::size_t top = sched.stages();
+  const coloring::LinialStage& st = sched.stage(0);
+  if (st.q != 101 || st.d != 2) state.SkipWithError("unexpected first stage");
+  graph::Rng rng(11);
+  const auto draw = [&] { return sched.offset(top) + rng.below(sched.interval_size(top)); };
+  std::vector<coloring::Color> nbrs(16);
+  for (auto& c : nbrs) c = draw();
+  std::vector<coloring::Color> owns(256);
+  for (auto& c : owns) c = draw();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rule.step({}, owns[i++ & 255], nbrs));
+  }
+}
+BENCHMARK(BM_LinialStep);
 
 void BM_EngineRound(benchmark::State& state) {
   const auto delta = static_cast<std::size_t>(state.range(0));

@@ -35,7 +35,7 @@ class ArbAgRule final : public runtime::IterativeRule {
   ArbAgRule(std::uint64_t q, std::size_t p) : q_(q), p_(p) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override;
+                           std::span<Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override {
     return (c % (q_ * q_)) / q_ == 0;  // a == 0
   }

@@ -29,7 +29,7 @@ class AgRule final : public runtime::IterativeRule {
   explicit AgRule(std::uint64_t q) : code_{q} {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override;
+                           std::span<Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override { return code_.is_final(c); }
   [[nodiscard]] std::uint32_t color_bits() const override;
 

@@ -32,7 +32,7 @@ class ThreeAgRule final : public runtime::IterativeRule {
   explicit ThreeAgRule(std::uint64_t p) : code_{p} {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override;
+                           std::span<Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color x) const override { return code_.is_final(x); }
   [[nodiscard]] std::uint32_t color_bits() const override;
 
@@ -50,7 +50,7 @@ class AgnRule final : public runtime::IterativeRule {
   explicit AgnRule(std::uint64_t n_colors) : n_(n_colors) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override;
+                           std::span<Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override { return c < n_; }
   [[nodiscard]] std::uint32_t color_bits() const override {
     return runtime::width_of(2 * n_ - 1);
@@ -79,7 +79,7 @@ class MixedRule final : public runtime::IterativeRule {
   MixedRule(std::size_t delta, std::uint64_t palette);
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override;
+                           std::span<Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override { return c < n_; }
   [[nodiscard]] std::uint32_t color_bits() const override;
 
@@ -128,7 +128,7 @@ class Mixed3Rule final : public runtime::IterativeRule {
   Mixed3Rule(std::size_t delta, std::uint64_t palette);
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override;
+                           std::span<Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override { return c < n_; }
   [[nodiscard]] std::uint32_t color_bits() const override;
 

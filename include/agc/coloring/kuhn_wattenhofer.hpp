@@ -50,7 +50,7 @@ class KwRule final : public runtime::IterativeRule {
   explicit KwRule(KwSchedule schedule) : sched_(std::move(schedule)) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override;
+                           std::span<Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override {
     return c < sched_.size(sched_.phases());
   }

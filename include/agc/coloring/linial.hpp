@@ -87,10 +87,12 @@ class LinialSchedule {
 /// in the O(1)-words form of the end of Section 3.  `neighbors` are the
 /// neighbors' raw colors; those in interval j, [offset(j), offset(j) +
 /// interval_size(j)), constrain the step, and each one's digit polynomial is
-/// rebuilt and evaluated at every candidate point as it is read, with no
-/// per-neighbor state.  `forbidden_next` are absolute colors in interval j-1
-/// the new color must avoid (Excl-Linial; pass {} for the plain algorithm).
-/// Returns the new absolute color in interval j-1.  Allocates nothing.
+/// evaluated digit by digit at every candidate point as it is read
+/// (Polynomial::eval_digits), with no polynomial and no per-neighbor state;
+/// their order does not matter.  `forbidden_next` are absolute colors in
+/// interval j-1 the new color must avoid (Excl-Linial; pass {} for the plain
+/// algorithm).  Returns the new absolute color in interval j-1.  Allocates
+/// nothing.
 [[nodiscard]] Color mod_linial_step(const LinialSchedule& sched, std::size_t j,
                                     Color own, std::span<const Color> neighbors,
                                     std::span<const Color> forbidden_next);
@@ -100,7 +102,7 @@ class LinialRule final : public runtime::IterativeRule {
   explicit LinialRule(LinialSchedule schedule) : sched_(std::move(schedule)) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override;
+                           std::span<Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override {
     return c < sched_.interval_size(0);
   }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "agc/graph/checks.hpp"
@@ -47,6 +48,11 @@ struct TripleCode {
   /// Final form <0,0,a>.
   [[nodiscard]] constexpr bool is_final(Color x) const { return x < p; }
 };
+
+/// The smallest color absent from the multiset `taken`, found by sorting
+/// `taken` in place and taking the first gap: the greedy choice of the
+/// reduction rules, which pass the neighbor buffer they own for the step.
+[[nodiscard]] Color smallest_free(std::span<Color> taken);
 
 /// The identity coloring phi(v) = id(v): the canonical proper n-coloring that
 /// every static run starts from.

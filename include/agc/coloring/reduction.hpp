@@ -27,7 +27,7 @@ class GreedyReduceRule final : public runtime::IterativeRule {
       : target_(target), palette_bound_(palette_bound) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override;
+                           std::span<Color> neighbors) const override;
   [[nodiscard]] bool is_final(Color c) const override { return c < target_; }
   [[nodiscard]] std::uint32_t color_bits() const override {
     return runtime::width_of(palette_bound_ - 1);

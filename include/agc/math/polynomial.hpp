@@ -33,11 +33,11 @@ class Polynomial {
   static Polynomial from_digits(GF field, std::uint64_t value, int max_degree) {
     assert(max_degree >= 0 && max_degree <= kMaxDegree);
     Polynomial p(field);
-    const std::uint64_t q = field.modulus();
     p.size_ = static_cast<std::size_t>(max_degree) + 1;
     for (std::size_t i = 0; i < p.size_; ++i) {
-      p.coeffs_[i] = value % q;
-      value /= q;
+      const auto [rest, digit] = field.divmod(value);
+      p.coeffs_[i] = digit;
+      value = rest;
     }
     while (p.size_ > 0 && p.coeffs_[p.size_ - 1] == 0) --p.size_;
     return p;
@@ -50,6 +50,26 @@ class Polynomial {
     std::uint64_t acc = coeffs_[size_ - 1];
     for (std::size_t i = size_ - 1; i-- > 0;) {
       acc = field_.add(field_.mul(acc, x), coeffs_[i]);
+    }
+    return acc;
+  }
+
+  /// from_digits(field, value, max_degree).eval(x) in O(1) memory, the
+  /// evaluation of the end of Section 3: streams the base-q digits lowest
+  /// first and stops once x^i = 0 (so x = 0 reads one digit) or the digits
+  /// left are all zero.
+  [[nodiscard]] static std::uint64_t eval_digits(const GF& field, std::uint64_t value,
+                                                 int max_degree,
+                                                 std::uint64_t x) noexcept {
+    assert(max_degree >= 0 && max_degree <= kMaxDegree);
+    if (x >= field.modulus()) x = field.reduce(x);
+    auto [rest, acc] = field.divmod(value);
+    std::uint64_t power = x;  // x^i
+    for (int i = 1; i <= max_degree && rest != 0 && power != 0; ++i) {
+      const auto [next, digit] = field.divmod(rest);
+      acc = field.add(acc, field.mul(digit, power));
+      power = field.mul(power, x);
+      rest = next;
     }
     return acc;
   }

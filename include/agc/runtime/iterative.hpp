@@ -19,10 +19,12 @@
 /// where each vertex computes its next color *only* from the colors in its
 /// 1-hop neighborhood (Szegedy-Vishwanathan [62]).  An IterativeRule is the
 /// per-round update function; crucially it receives the neighbors' colors as
-/// a sorted, sender-anonymous multiset, which makes every rule expressed this
-/// way directly executable in the SET-LOCAL model of [33] (Section 1.2.3 of
-/// the paper).  Luby and the coloring-to-MIS wave, whose broadcast words are
-/// not colorings, run as rules too.
+/// a sender-anonymous multiset in unspecified order, which makes every rule
+/// expressed this way directly executable in the SET-LOCAL model of [33]
+/// (Section 1.2.3 of the paper).  The multiset arrives in the runner's
+/// scratch buffer: a rule may reorder or overwrite it, and one that needs
+/// order sorts it itself.  Luby and the coloring-to-MIS wave, whose
+/// broadcast words are not colorings, run as rules too.
 ///
 /// The runner evaluates the rule on one of two backends, chosen only from
 /// the hooks the caller already passes (docs/EXEC.md):
@@ -61,10 +63,13 @@ class IterativeRule {
   virtual ~IterativeRule() = default;
 
   /// The next color of vertex `ctx.id`, currently colored `own`, whose
-  /// neighbors' colors form the sorted multiset `neighbors`, in round
-  /// `ctx.round`.  Must be a pure function of its arguments.
+  /// neighbors' colors form the multiset `neighbors`, in round `ctx.round`.
+  /// The order of `neighbors` is unspecified, and the result must not depend
+  /// on it: a pure function of (ctx, own, the multiset).  The buffer is the
+  /// runner's scratch, refilled for every step, so the rule may reorder or
+  /// overwrite it — a rule that needs order sorts it in place.
   [[nodiscard]] virtual Color step(StepContext ctx, Color own,
-                                   std::span<const Color> neighbors) const = 0;
+                                   std::span<Color> neighbors) const = 0;
 
   /// True once a color has reached its final form.  Contract: a final
   /// color is a fixed point of step() — step(c, N) == c for every

@@ -306,10 +306,11 @@ class InboxRef {
   /// SET-LOCAL view: the sorted multiset of first-word values, stripped of
   /// sender identity.  Algorithms that only use this view are directly
   /// executable in the SET-LOCAL model (Section 1.2.3 of the paper).  The
-  /// values are materialized into the shard's reusable scratch buffer, so
-  /// the returned span is invalidated by the next multiset() call on this
-  /// shard (i.e. by the next vertex's on_receive).
-  [[nodiscard]] std::span<const std::uint64_t> multiset() const {
+  /// values are materialized into the shard's reusable scratch buffer, which
+  /// the caller may reorder or overwrite; the returned span is invalidated
+  /// by the next multiset() call on this shard (i.e. by the next vertex's
+  /// on_receive).
+  [[nodiscard]] std::span<std::uint64_t> multiset() const {
     auto& vals = *scratch_;
     vals.clear();
     for (std::uint32_t p = 0; p < ports_; ++p) {

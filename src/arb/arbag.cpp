@@ -9,7 +9,7 @@
 namespace agc::arb {
 
 Color ArbAgRule::step(runtime::StepContext, Color own,
-                      std::span<const Color> neighbors) const {
+                      std::span<Color> neighbors) const {
   const std::uint64_t qq = q_ * q_;
   const std::uint64_t psi = own / qq;
   const std::uint64_t a = (own % qq) / q_;

@@ -17,7 +17,7 @@ std::uint64_t ag_modulus(std::size_t delta, std::uint64_t palette) {
 }
 
 Color AgRule::step(runtime::StepContext, Color own,
-                   std::span<const Color> neighbors) const {
+                   std::span<Color> neighbors) const {
   const std::uint64_t a = code_.a(own);
   const std::uint64_t b = code_.b(own);
   // Conflict (Definition 3.1): a neighbor whose second coordinate equals b.

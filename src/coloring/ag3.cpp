@@ -16,7 +16,7 @@ std::uint64_t three_ag_modulus(std::size_t delta, std::uint64_t palette) {
 }
 
 Color ThreeAgRule::step(runtime::StepContext, Color own,
-                        std::span<const Color> neighbors) const {
+                        std::span<Color> neighbors) const {
   const std::uint64_t p = code_.p;
   const std::uint64_t cv = code_.c(own);
   const std::uint64_t bv = code_.b(own);
@@ -52,7 +52,7 @@ std::uint32_t ThreeAgRule::color_bits() const {
 }
 
 Color AgnRule::step(runtime::StepContext, Color own,
-                    std::span<const Color> neighbors) const {
+                    std::span<Color> neighbors) const {
   const std::uint64_t b = own / n_;
   const std::uint64_t a = own % n_;
   if (b == 0) return own;  // final
@@ -125,7 +125,7 @@ Color MixedRule::transition(Color own, bool value_conflict,
 }
 
 Color MixedRule::step(runtime::StepContext, Color own,
-                      std::span<const Color> neighbors) const {
+                      std::span<Color> neighbors) const {
   if (delta_ == 0) return 0;
   const std::uint64_t N = n_;
   if (own < 2 * N) {
@@ -184,7 +184,7 @@ std::size_t Mixed3Rule::round_bound() const {
 }
 
 Color Mixed3Rule::step(runtime::StepContext, Color own,
-                       std::span<const Color> neighbors) const {
+                       std::span<Color> neighbors) const {
   if (delta_ == 0) return 0;
   const std::uint64_t N = n_;
   const std::uint64_t p = p_;

@@ -9,6 +9,7 @@
 
 #include "agc/coloring/fyz.hpp"
 #include "agc/coloring/linial.hpp"
+#include "agc/coloring/palette.hpp"
 #include "agc/math/polynomial.hpp"
 #include "agc/math/primes.hpp"
 #include "agc/runtime/iterative.hpp"
@@ -69,36 +70,43 @@ class PartitionRule final : public runtime::IterativeRule {
   explicit PartitionRule(PartitionSchedule sched) : s_(std::move(sched)) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override {
+                           std::span<Color> neighbors) const override {
     const std::uint64_t m = own % s_.span;
     const std::size_t t = s_.interval_of(m);
     if (t + 1 == s_.pal.size()) return own;  // final interval
     const LinialStage& st = s_.stages[t];
     const math::GF field(st.q);
     const int d = static_cast<int>(st.d);
-    std::vector<std::uint64_t> own_vals(st.q);
-    std::vector<std::size_t> hits(st.q, 0);
-    const auto g_own = math::Polynomial::from_digits(field, m - s_.off[t], d);
-    for (std::uint64_t e = 0; e < st.q; ++e) own_vals[e] = g_own.eval(e);
+    const std::uint64_t lo = s_.off[t];
+    const std::uint64_t hi = lo + s_.pal[t];
     // All vertices advance one interval per round in lockstep, so every
-    // neighbor is in interval t too; duplicates (identical machinery colors)
-    // shift every hit count equally and cannot move the argmin, so the
-    // sorted multiset lets us skip them.
-    Color prev = std::numeric_limits<Color>::max();
-    for (const Color nc : neighbors) {
-      if (nc == prev) continue;
-      prev = nc;
-      const std::uint64_t nm = nc % s_.span;
-      if (nm < s_.off[t] || nm >= s_.off[t] + s_.pal[t]) continue;
-      const auto g = math::Polynomial::from_digits(field, nm - s_.off[t], d);
-      for (std::uint64_t e = 0; e < st.q; ++e) {
-        hits[e] += g.eval(e) == own_vals[e];
+    // neighbor is in interval t too.  A point's hit count counts distinct
+    // neighbor colors: a duplicate would add hits only at its own
+    // polynomial's collision points, so counting it could move the choice.
+    // Sorted, a duplicate follows its twin.
+    std::sort(neighbors.begin(), neighbors.end());
+    // The first point with the fewest hits: a point is dropped once its
+    // count reaches the best so far, and a point with no hit ends the scan.
+    std::uint64_t best = 0;
+    std::uint64_t best_val = 0;
+    std::uint64_t best_hits = std::numeric_limits<std::uint64_t>::max();
+    for (std::uint64_t e = 0; e < st.q && best_hits > 0; ++e) {
+      const std::uint64_t val = math::Polynomial::eval_digits(field, m - lo, d, e);
+      std::uint64_t hits = 0;
+      for (std::size_t i = 0; i < neighbors.size() && hits < best_hits; ++i) {
+        const Color nc = neighbors[i];
+        if (i > 0 && nc == neighbors[i - 1]) continue;
+        const std::uint64_t nm = nc % s_.span;
+        hits += nm >= lo && nm < hi &&
+                math::Polynomial::eval_digits(field, nm - lo, d, e) == val;
+      }
+      if (hits < best_hits) {
+        best = e;
+        best_val = val;
+        best_hits = hits;
       }
     }
-    const std::uint64_t best = static_cast<std::uint64_t>(
-        std::min_element(hits.begin(), hits.end()) - hits.begin());
-    const std::uint64_t next = best * st.q + own_vals[best];
-    return (own / s_.span) * s_.span + s_.off[t + 1] + next;
+    return (own / s_.span) * s_.span + s_.off[t + 1] + best * st.q + best_val;
   }
 
   [[nodiscard]] bool is_final(Color c) const override {
@@ -126,7 +134,7 @@ class FyzArbRule final : public runtime::IterativeRule {
       : k_(classes), q_(q), p_(p), m_(classes * q * q) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override {
+                           std::span<Color> neighbors) const override {
     const std::uint64_t m = own % m_;
     const std::uint64_t a = (m / q_) % q_;
     if (a == 0) return own;  // frozen
@@ -185,25 +193,27 @@ class FyzListRule final : public runtime::IterativeRule {
   explicit FyzListRule(std::uint64_t d1) : d1_(d1) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override {
+                           std::span<Color> neighbors) const override {
     if (own < d1_) return own;  // done
     const std::uint64_t prio = (own - d1_) / d1_;
     const std::uint64_t prop = (own - d1_) % d1_;
-    // One pass over the (sorted) multiset: done colors seen, and whether a
+    // One pass over the multiset: the done colors, compacted into the front
+    // of the buffer, whether one of them is the proposal, and whether a
     // smaller-priority active neighbor holds the same proposal.
-    std::vector<bool> used(d1_, false);
+    std::size_t done = 0;
+    bool taken = false;
     bool defer = false;
     for (const Color nc : neighbors) {
       if (nc < d1_) {
-        used[nc] = true;
+        neighbors[done++] = nc;
+        taken = taken || nc == prop;
       } else if ((nc - d1_) % d1_ == prop && (nc - d1_) / d1_ < prio) {
         defer = true;
       }
     }
-    if (used[prop]) {
-      std::uint64_t fresh = 0;
-      while (used[fresh]) ++fresh;  // < d1_: at most Delta done neighbors
-      return d1_ + prio * d1_ + fresh;
+    if (taken) {
+      // < d1_: at most Delta done neighbors.
+      return d1_ + prio * d1_ + smallest_free(neighbors.first(done));
     }
     if (!defer) return prop;  // commit
     return own;

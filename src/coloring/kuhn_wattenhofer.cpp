@@ -39,7 +39,7 @@ std::size_t KwSchedule::round_bound() const {
 }
 
 Color KwRule::step(runtime::StepContext, Color own,
-                   std::span<const Color> neighbors) const {
+                   std::span<Color> neighbors) const {
   const std::size_t last = sched_.phases();
   const std::size_t k = sched_.interval_of(own);
   if (k == last) return own;  // final interval
@@ -71,29 +71,27 @@ Color KwRule::step(runtime::StepContext, Color own,
     if (nx / block_size == block && nx > x) return own;
   }
 
-  // Collect positions occupied by same-block neighbors in this interval and
-  // the next one (vertices that already descended from this block).
-  std::vector<bool> taken(target, false);
-  for (Color nc : neighbors) {
+  // Positions occupied by same-block neighbors in this interval and the
+  // next one (vertices that already descended from this block), compacted
+  // into the front of the neighbor buffer: at most deg of them.
+  std::size_t taken = 0;
+  for (const Color nc : neighbors) {
     const std::size_t nk = sched_.interval_of(nc);
     if (nk == k) {
       const std::uint64_t nx = nc - sched_.offset(k);
-      if (nx / block_size == block) {
-        const std::uint64_t np = nx % block_size;
-        if (np < target) taken[np] = true;
+      if (nx / block_size == block && nx % block_size < target) {
+        neighbors[taken++] = nx % block_size;
       }
     } else if (nk == k + 1) {
       const std::uint64_t ny = nc - down_off;
-      if (ny / target == block) taken[ny % target] = true;
+      if (ny / target == block) neighbors[taken++] = ny % target;
     }
   }
-  for (std::uint64_t p = 0; p < target; ++p) {
-    if (!taken[p]) return down_off + block * target + p;
-  }
-  // Unreachable: at most Delta neighbors exclude at most Delta of the
+  // < target: at most Delta neighbors exclude at most Delta of the
   // target = Delta+1 positions.
-  assert(false);
-  return own;
+  const std::uint64_t p = smallest_free(neighbors.first(taken));
+  assert(p < target);
+  return down_off + block * target + p;
 }
 
 std::uint32_t KwRule::color_bits() const {

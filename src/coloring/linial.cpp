@@ -78,14 +78,13 @@ Color mod_linial_step(const LinialSchedule& sched, std::size_t j, Color own,
   const std::uint64_t lo = sched.offset(j);
   const std::uint64_t hi = lo + sched.interval_size(j);
   assert(own >= lo && own < hi);
-  const auto g_own = math::Polynomial::from_digits(field, own - lo, d);
 
   const std::uint64_t next_off = sched.offset(j - 1);
   for (std::uint64_t e = 0; e < st.q; ++e) {
-    const std::uint64_t val = g_own.eval(e);
+    const std::uint64_t val = math::Polynomial::eval_digits(field, own - lo, d, e);
     const auto collides = [&](Color nc) {
       return nc >= lo && nc < hi &&
-             math::Polynomial::from_digits(field, nc - lo, d).eval(e) == val;
+             math::Polynomial::eval_digits(field, nc - lo, d, e) == val;
     };
     if (std::any_of(neighbors.begin(), neighbors.end(), collides)) continue;
     const Color candidate = next_off + e * st.q + val;
@@ -100,7 +99,7 @@ Color mod_linial_step(const LinialSchedule& sched, std::size_t j, Color own,
 }
 
 Color LinialRule::step(runtime::StepContext, Color own,
-                       std::span<const Color> neighbors) const {
+                       std::span<Color> neighbors) const {
   const std::size_t j = sched_.interval_of(own);
   if (j == 0) return own;  // final palette reached
   return mod_linial_step(sched_, j, own, neighbors, {});

@@ -42,13 +42,14 @@ class LubyRule final : public runtime::IterativeRule {
   }
 
   [[nodiscard]] Color step(runtime::StepContext ctx, Color own,
-                           std::span<const Color> neighbors) const override {
+                           std::span<Color> neighbors) const override {
     if (own < d1_) return own;  // done
     // Modulo guards: wire faults and the RAM adversary can put arbitrary
     // words on the channel; decode them into the candidate range instead of
     // indexing out of bounds.  Clean runs never take the reduction.
     const std::uint64_t cand = (own - d1_) % d1_;
-    // The multiset is sorted, so the done colors are its prefix.
+    // Sorted, the done colors are the multiset's prefix.
+    std::sort(neighbors.begin(), neighbors.end());
     const auto active = std::lower_bound(neighbors.begin(), neighbors.end(), d1_);
     const std::span<const Color> done(neighbors.begin(), active);
     // An active neighbor that drew the same candidate sees the same

@@ -6,25 +6,16 @@
 namespace agc::coloring {
 
 Color GreedyReduceRule::step(runtime::StepContext, Color own,
-                             std::span<const Color> neighbors) const {
+                             std::span<Color> neighbors) const {
   if (own < target_) return own;  // final
   // Act only as a local maximum; ties are impossible between neighbors
   // (the coloring is proper), so the global maximum always acts.
   for (Color nc : neighbors) {
     if (nc > own) return own;
   }
-  // Smallest color in [0, target) unused by any neighbor.  `neighbors` is
-  // sorted, so a single sweep finds the first gap.
-  Color candidate = 0;
-  for (Color nc : neighbors) {
-    if (nc < candidate) continue;  // duplicates / below candidate
-    if (nc == candidate) {
-      ++candidate;
-    } else {
-      break;  // gap found before nc
-    }
-  }
-  return candidate;  // <= Delta < target since at most Delta neighbors
+  // Smallest color in [0, target) unused by any neighbor: sorting only here,
+  // where a vertex acts, keeps the common waiting step a single pass.
+  return smallest_free(neighbors);  // <= Delta < target: <= Delta neighbors
 }
 
 runtime::IterativeResult reduce_colors(graph::GraphView g,

@@ -15,7 +15,7 @@ class MisWaveRule final : public runtime::IterativeRule {
   explicit MisWaveRule(std::uint32_t color_bits) : bits_(color_bits + 2) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override {
+                           std::span<Color> neighbors) const override {
     if (is_final(own)) return own;
     const Color color = own >> 2;
     bool smaller_undecided = false;

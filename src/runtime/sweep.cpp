@@ -48,7 +48,7 @@ std::vector<Vertex> shard_bounds(graph::GraphView g, std::size_t shards) {
 /// of the stepping bitset and the colors of its own vertex range; the
 /// driving thread reads the results after the executor's barrier.
 struct Shard {
-  std::vector<Color> nbrs;   ///< neighbor-multiset scratch
+  std::vector<Color> nbrs;   ///< neighbor-multiset scratch, the rule's to reorder
   std::size_t nonfinal = 0;  ///< stepped vertices whose color is not final
   /// First vertex with a port whose next broadcast the transport rejects.
   Vertex bad = kNone;
@@ -145,11 +145,10 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
           stepping[w] &= ~bit_of(v);
           continue;
         }
+        // The multiset in CSR order: a rule's result does not depend on the
+        // order, and the rule may reorder the scratch (iterative.hpp).
         sh.nbrs.clear();
         for (const Vertex u : g.neighbors(v)) sh.nbrs.push_back(cur->get(u));
-        // The engine delivers neighbor colors as a sorted, sender-anonymous
-        // multiset (InboxRef::multiset); reproduce it exactly.
-        std::sort(sh.nbrs.begin(), sh.nbrs.end());
         const Color c = rule.step({v, result.rounds}, own, sh.nbrs);
         if (fits(c)) {
           next->set(v, c);

@@ -14,15 +14,19 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "../src/coloring/fyz_stages.hpp"
+#include "agc/coloring/ag.hpp"
 #include "agc/coloring/linial.hpp"
 #include "agc/coloring/luby.hpp"
 #include "agc/coloring/palette.hpp"
 #include "agc/coloring/reduction.hpp"
+#include "agc/coloring/registry.hpp"
 #include "agc/coloring/symmetry.hpp"
 #include "agc/exec/executor.hpp"
 #include "agc/faultlab/channel.hpp"
@@ -204,41 +208,112 @@ TEST(AllocHook, HookedRoundsStayAllocationFree) {
   EXPECT_GT(sink.seen(), 12u);  // RoundEnd plus Fault events
 }
 
+/// Keeps the tag of the latest RunStart (the running stage) without
+/// allocating: stage tags are static strings.
+class StageSink final : public obs::EventSink {
+ public:
+  void emit(const obs::Event& ev) override {
+    if (ev.kind == obs::EventKind::RunStart) stage = ev.label;
+    ++seen;
+  }
+  const char* stage = nullptr;
+  std::uint64_t seen = 0;
+};
+
 TEST(AllocHook, SweepRoundsAreAllocationFree) {
-  // run_locally_iterative's sweep (no fault hooks, BSP executor) with the
-  // sink and phase timers on: once a stage is running, nothing between two
-  // consecutive on_round callbacks allocates — not the shard passes, the
-  // incremental properness check, the RoundEnd event nor the phase timers.
-  // GreedyReduceRule steps without allocating and, from Linial's O(Delta^2)
-  // palette, runs for many rounds.
-  const auto g = graph::random_regular(512, 8, 5);
-  const auto lin = coloring::linial_color(g, coloring::identity_coloring(g.n()),
-                                          g.n(), g.max_degree());
-  const Color k = graph::max_color(lin.colors) + 1;
-  const Color target = g.max_degree() + 1;
-  const coloring::GreedyReduceRule rule(target, k);
+  // Every rule the registry pipelines run on run_locally_iterative's sweep
+  // (no fault hooks, BSP executor), with the sink and phase timers on.
+  //   * Stages with rounds to spare: once a stage is running, nothing
+  //     between two consecutive on_round callbacks allocates — not the
+  //     shard passes, the steps, the incremental properness check, the
+  //     RoundEnd event nor the phase timers.
+  //   * Stages too short for a steady state (Linial, AG, FYZ's partition
+  //     and arb stages): each step is checked on its own, on the stage's
+  //     real initial neighborhoods in CSR order, as the sweep presents them.
+  // A padded ID space gives Linial stages to run.
+  const auto g = graph::random_regular(1024, 16, 5);
+  const std::size_t delta = g.max_degree();
+  const std::uint64_t id_factor = 1024;
+  const std::uint64_t id_space = g.n() * id_factor;
+  const std::vector<std::string> per_round = {"reduce", "kw", "mixed", "fyz-list"};
+  const std::vector<std::string> per_call = {"linial", "ag", "fyz-partition", "fyz-arb"};
+  std::map<std::string, std::vector<Color>> initial;  // stage -> round-0 colors
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    obs::RingSink sink(64);
-    IterativeOptions io;
-    io.executor = exec::make_executor(threads);
-    io.sink = &sink;
-    io.collect_phase_times = true;
-    std::array<std::uint64_t, 4096> at_round{};
-    std::size_t seen = 0;
-    io.on_round = [&](std::size_t round, std::span<const Color>) {
-      if (round < at_round.size()) at_round[round] = g_allocs.load(std::memory_order_relaxed);
-      seen = round;
-    };
-    const auto res = run_locally_iterative(g, lin.colors, rule, io);
-    ASSERT_TRUE(res.converged);
-    ASSERT_GT(seen, 6u) << "too few rounds to reach a steady state";
-    ASSERT_LT(seen, at_round.size());
-    for (std::size_t r = 3; r < seen; ++r) {  // rounds 1-2 warm up
-      EXPECT_EQ(at_round[r + 1] - at_round[r], 0u)
-          << "threads=" << threads << ": allocations in round " << r + 1;
+    for (const char* algo : {"gps", "kw", "ag", "exact", "fyz"}) {
+      struct Sample {
+        const char* stage;
+        std::size_t round;
+        std::uint64_t allocs;
+      };
+      std::array<Sample, 4096> samples{};
+      std::size_t taken = 0;
+      StageSink sink;
+      coloring::PipelineOptions po;
+      po.run().executor = exec::make_executor(threads);
+      po.run().sink = &sink;
+      po.run().collect_phase_times = true;
+      po.id_space_factor = id_factor;
+      po.iter.on_round = [&](std::size_t round, std::span<const Color> colors) {
+        const std::uint64_t now = g_allocs.load(std::memory_order_relaxed);
+        if (taken < samples.size()) samples[taken++] = {sink.stage, round, now};
+        if (round == 0) initial[sink.stage].assign(colors.begin(), colors.end());
+      };
+      const auto rep = coloring::find_algo(algo)->run(g, po);
+      ASSERT_TRUE(rep.proper) << algo;
+      ASSERT_LT(taken, samples.size()) << algo;
+      EXPECT_GT(rep.phases.total_ns(), 0u) << algo;
+      EXPECT_GT(sink.seen, taken) << algo;  // RunStart + one RoundEnd per round
+
+      std::map<std::string, std::size_t> last_round;
+      for (std::size_t i = 0; i + 1 < taken; ++i) {
+        const Sample& a = samples[i];
+        const Sample& b = samples[i + 1];
+        if (a.stage != b.stage || b.round != a.round + 1) continue;  // next stage
+        last_round[a.stage] = b.round;
+        if (a.round < 3) continue;  // rounds 1-3 warm up
+        EXPECT_EQ(b.allocs - a.allocs, 0u)
+            << algo << " stage " << a.stage << " threads=" << threads
+            << ": allocations in round " << b.round;
+      }
+      for (const auto& [stage, rounds] : last_round) {
+        if (std::find(per_round.begin(), per_round.end(), stage) != per_round.end()) {
+          EXPECT_GT(rounds, 5u) << algo << " stage " << stage
+                                << ": too few rounds to reach a steady state";
+        }
+      }
     }
-    EXPECT_GT(res.phases.total_ns(), 0u);
-    EXPECT_GT(sink.seen(), seen);  // RunStart + one RoundEnd per round
+  }
+  for (const std::string& stage : per_round) EXPECT_EQ(initial.count(stage), 1u) << stage;
+
+  // The short stages, step by step, with the rules their entry points build.
+  const coloring::LinialRule linial(coloring::LinialSchedule(id_space, delta));
+  const coloring::detail::FyzStages fyz(id_space, delta);
+  ASSERT_FALSE(fyz.psched.stages.empty());
+  ASSERT_EQ(initial.count("ag"), 1u);
+  const coloring::AgRule ag(
+      coloring::ag_modulus(delta, graph::max_color(initial["ag"]) + 1));
+  const std::map<std::string, const runtime::IterativeRule*> rules = {
+      {"linial", &linial}, {"ag", &ag}, {"fyz-partition", &fyz.partition},
+      {"fyz-arb", &fyz.arb}};
+  for (const std::string& stage : per_call) {
+    ASSERT_EQ(initial.count(stage), 1u) << stage;
+    const std::vector<Color>& colors = initial[stage];
+    const runtime::IterativeRule& rule = *rules.at(stage);
+    std::vector<Color> nbrs;
+    nbrs.reserve(delta);
+    std::size_t stepped = 0;
+    for (graph::Vertex v = 0; v < g.n(); ++v) {
+      if (rule.is_final(colors[v])) continue;
+      nbrs.clear();
+      for (const graph::Vertex u : g.neighbors(v)) nbrs.push_back(colors[u]);
+      const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+      const Color next = rule.step({v, 0}, colors[v], nbrs);
+      EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+          << stage << " step of vertex " << v;
+      EXPECT_NE(next, colors[v]) << stage;  // the stage's rules move every non-final
+      ++stepped;
+    }
+    EXPECT_GT(stepped, 0u) << stage;
   }
 }
 
@@ -317,7 +392,7 @@ TEST(AllocHook, LinialStepsAreAllocationFree) {
       }
     }
   }
-  for (const Case& c : cases) {
+  for (Case& c : cases) {
     const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
     const Color next = c.selfstab ? cfg.step(7, c.own, c.nbrs) : rule.step({}, c.own, c.nbrs);
     EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)

@@ -24,6 +24,11 @@ namespace {
 using namespace agc;
 using coloring::Color;
 
+/// rule.step for a vertex with a single neighbor.
+Color step1(const runtime::IterativeRule& rule, Color own, Color nbr) {
+  return rule.step({}, own, std::span<Color>(&nbr, 1));
+}
+
 // ---------------------------------------------------------------------------
 // AG (Section 3)
 // ---------------------------------------------------------------------------
@@ -53,10 +58,10 @@ TEST(Ag, FinalColorsAreFixedPoints) {
 TEST(Ag, ConflictShiftsNoConflictFinalizes) {
   coloring::AgRule rule(11);
   const Color c = 3 * 11 + 5;  // <3,5>
-  EXPECT_EQ(rule.step({}, c, std::vector<Color>{2 * 11 + 5}), 3 * 11 + (5 + 3) % 11);
-  EXPECT_EQ(rule.step({}, c, std::vector<Color>{2 * 11 + 6}), 5u);  // finalize <0,5>
+  EXPECT_EQ(step1(rule, c, 2 * 11 + 5), 3 * 11 + (5 + 3) % 11);
+  EXPECT_EQ(step1(rule, c, 2 * 11 + 6), 5u);  // finalize <0,5>
   // Out-of-range neighbors (other pipeline stages) are ignored.
-  EXPECT_EQ(rule.step({}, c, std::vector<Color>{11 * 11 + 5}), 5u);
+  EXPECT_EQ(step1(rule, c, 11 * 11 + 5), 5u);
 }
 
 TEST(Ag, NeighborPairConflictsAtMostTwicePerWindow) {
@@ -70,8 +75,8 @@ TEST(Ag, NeighborPairConflictsAtMostTwicePerWindow) {
       int conflicts = 0;
       for (std::uint64_t round = 0; round < q; ++round) {
         if (u % q == v % q) ++conflicts;
-        const Color nu = rule.step({}, u, std::vector<Color>{v});
-        const Color nv = rule.step({}, v, std::vector<Color>{u});
+        const Color nu = step1(rule, u, v);
+        const Color nv = step1(rule, v, u);
         u = nu;
         v = nv;
       }

@@ -296,7 +296,7 @@ class ThrowingRule final : public runtime::IterativeRule {
  public:
   explicit ThrowingRule(graph::Color bad) : bad_(bad) {}
   [[nodiscard]] graph::Color step(runtime::StepContext, graph::Color own,
-                                  std::span<const graph::Color> /*nbrs*/) const override {
+                                  std::span<graph::Color> /*nbrs*/) const override {
     if (own == bad_) throw std::runtime_error("boom");
     return own;
   }

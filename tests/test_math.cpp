@@ -1,6 +1,9 @@
 // Math substrate: primality, modular arithmetic, GF(p), polynomials, log*.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "agc/math/gf.hpp"
 #include "agc/math/iterated_log.hpp"
 #include "agc/math/polynomial.hpp"
@@ -87,6 +90,49 @@ TEST(GFTest, FieldLaws) {
     EXPECT_EQ(f.mul(a, f.inv(a)), 1u) << a;
   }
   EXPECT_EQ(f.pow(2, 100), 1u);  // Fermat
+}
+
+// Barrett reduction against the hardware: the primes at the edges of the
+// q < 2^32 range, operands at the edges of 64 bits, and seeded values.
+const std::uint64_t kEdgePrimes[] = {2, 3, 101, 65521, 2147483647ULL, 4294967291ULL};
+
+std::vector<std::uint64_t> edge_values(std::uint64_t q) {
+  return {0, 1, q - 1, q, q * q - 1, 1ULL << 32, 1ULL << 63, ~0ULL};
+}
+
+TEST(GFTest, DivModMatchesHardwareDivide) {
+  std::mt19937_64 rng(42);
+  for (const std::uint64_t q : kEdgePrimes) {
+    const GF f(q);
+    std::vector<std::uint64_t> xs = edge_values(q);
+    for (int i = 0; i < 100000; ++i) xs.push_back(rng());
+    for (const std::uint64_t x : xs) {
+      const auto [quot, rem] = f.divmod(x);
+      ASSERT_EQ(quot, x / q) << "q=" << q << " x=" << x;
+      ASSERT_EQ(rem, x % q) << "q=" << q << " x=" << x;
+      ASSERT_EQ(f.reduce(x), x % q) << "q=" << q << " x=" << x;
+    }
+  }
+}
+
+TEST(GFTest, MulMatchesMulMod) {
+  std::mt19937_64 rng(43);
+  for (const std::uint64_t q : kEdgePrimes) {
+    const GF f(q);
+    // Every edge value reduced into the field, pairwise.
+    std::vector<std::uint64_t> residues;
+    for (const std::uint64_t x : edge_values(q)) residues.push_back(x % q);
+    for (const std::uint64_t a : residues) {
+      for (const std::uint64_t b : residues) {
+        ASSERT_EQ(f.mul(a, b), mul_mod(a, b, q)) << "q=" << q << " a=" << a << " b=" << b;
+      }
+    }
+    for (int i = 0; i < 100000; ++i) {
+      const std::uint64_t a = rng() % q;
+      const std::uint64_t b = rng() % q;
+      ASSERT_EQ(f.mul(a, b), mul_mod(a, b, q)) << "q=" << q << " a=" << a << " b=" << b;
+    }
+  }
 }
 
 TEST(PolynomialTest, DigitsRoundTrip) {

@@ -3,6 +3,8 @@
 // of Lemmas 3.2, 7.1 and 7.4), state-space closure, and determinism.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "agc/coloring/ag.hpp"
 #include "agc/coloring/ag3.hpp"
 #include "agc/coloring/kuhn_wattenhofer.hpp"
@@ -26,10 +28,16 @@ std::array<Color, 3> step3(const Rule& rule, Color a, Color b, Color c,
     std::sort(v.begin(), v.end());
     return v;
   };
-  const auto na = rule.step({}, a, triangle ? ms({b, c}) : ms({b}));
-  const auto nb = rule.step({}, b, ms({a, c}));
-  const auto nc = rule.step({}, c, triangle ? ms({a, b}) : ms({b}));
-  return {na, nb, nc};
+  auto of_a = triangle ? ms({b, c}) : ms({b});
+  auto of_b = ms({a, c});
+  auto of_c = triangle ? ms({a, b}) : ms({b});
+  return {rule.step({}, a, of_a), rule.step({}, b, of_b), rule.step({}, c, of_c)};
+}
+
+/// rule.step for a vertex with a single neighbor.
+template <typename Rule>
+Color step1(const Rule& rule, Color own, Color nbr) {
+  return rule.step({}, own, std::span<Color>(&nbr, 1));
 }
 
 TEST(ExhaustiveAg, PathAndTriangleProper) {
@@ -63,8 +71,8 @@ TEST(ExhaustiveAgn, EdgeProper) {
   for (Color a = 0; a < 2 * N; ++a) {
     for (Color b = 0; b < 2 * N; ++b) {
       if (a == b) continue;
-      const Color na = rule.step({}, a, std::vector<Color>{b});
-      const Color nb = rule.step({}, b, std::vector<Color>{a});
+      const Color na = step1(rule, a, b);
+      const Color nb = step1(rule, b, a);
       EXPECT_NE(na, nb) << a << "," << b;
       EXPECT_LT(na, 2 * N);
     }
@@ -78,8 +86,8 @@ TEST(ExhaustiveMixed, EdgeProper) {
   for (Color a = 0; a < space; ++a) {
     for (Color b = 0; b < space; ++b) {
       if (a == b) continue;
-      const Color na = rule.step({}, a, std::vector<Color>{b});
-      const Color nb = rule.step({}, b, std::vector<Color>{a});
+      const Color na = step1(rule, a, b);
+      const Color nb = step1(rule, b, a);
       EXPECT_NE(na, nb) << a << "," << b;
       EXPECT_LT(na, space);
     }
@@ -94,8 +102,8 @@ TEST(ExhaustiveMixed3, EdgeProper) {
     if (a >= low && a < low + rule.p()) continue;  // malformed high states
     for (Color b = 0; b < space; ++b) {
       if (a == b || (b >= low && b < low + rule.p())) continue;
-      const Color na = rule.step({}, a, std::vector<Color>{b});
-      const Color nb = rule.step({}, b, std::vector<Color>{a});
+      const Color na = step1(rule, a, b);
+      const Color nb = step1(rule, b, a);
       EXPECT_NE(na, nb) << a << "," << b;
       EXPECT_LT(na, space);
     }
@@ -138,8 +146,8 @@ TEST(RandomizedKw, SameIntervalPairsStayProper) {
     const Color b = rng.below(span);
     if (a == b || sched.interval_of(a) != sched.interval_of(b)) continue;
     ++done;
-    const Color na = rule.step({}, a, std::vector<Color>{b});
-    const Color nb = rule.step({}, b, std::vector<Color>{a});
+    const Color na = step1(rule, a, b);
+    const Color nb = step1(rule, b, a);
     ASSERT_NE(na, nb) << a << "," << b;
     ASSERT_LT(na, span);
   }
@@ -156,8 +164,8 @@ TEST(RandomizedLinial, ProperPairsStayProper) {
     const Color b = rng.below(span);
     if (a == b) continue;
     ++done;
-    const Color na = rule.step({}, a, std::vector<Color>{b});
-    const Color nb = rule.step({}, b, std::vector<Color>{a});
+    const Color na = step1(rule, a, b);
+    const Color nb = step1(rule, b, a);
     ASSERT_NE(na, nb) << a << "," << b;
     ASSERT_LT(na, span);
   }

@@ -203,7 +203,7 @@ TEST(AdversaryTest, EventsAreCountedAndCapped) {
 /// Rule: decrement to zero (needs no neighbor info); final at 0.
 class CountdownRule final : public IterativeRule {
  public:
-  Color step(StepContext, Color own, std::span<const Color>) const override {
+  Color step(StepContext, Color own, std::span<Color>) const override {
     return own == 0 ? 0 : own - 1;
   }
   bool is_final(Color c) const override { return c == 0; }
@@ -233,7 +233,7 @@ TEST(IterativeHarness, DetectsImproperIntermediate) {
 TEST(IterativeHarness, MaxRoundsCap) {
   class NeverRule final : public IterativeRule {
    public:
-    Color step(StepContext, Color own, std::span<const Color>) const override {
+    Color step(StepContext, Color own, std::span<Color>) const override {
       return own ^ 1;
     }
     bool is_final(Color) const override { return false; }

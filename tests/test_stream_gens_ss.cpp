@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <span>
+#include <vector>
 
 #include "agc/arb/arbag.hpp"
 #include "agc/coloring/linial.hpp"
@@ -69,6 +70,30 @@ TEST(StreamLinial, DigitEvalMatchesPolynomial) {
     const auto poly =
         math::Polynomial::from_digits(math::GF(q), value, static_cast<int>(d));
     EXPECT_EQ(poly.eval(e), want) << "q=" << q << " value=" << value << " e=" << e;
+    EXPECT_EQ(math::Polynomial::eval_digits(math::GF(q), value, static_cast<int>(d), e),
+              want)
+        << "q=" << q << " value=" << value << " e=" << e;
+  }
+  // The streaming evaluator against from_digits(...).eval at the edges:
+  // the primes at both ends of the q < 2^32 range, degrees up to the cap,
+  // values up to 2^64 - 1, and the points 0 (one digit read), 1, q - 1 and
+  // random ones, some beyond q.
+  for (const std::uint64_t q : {2ULL, 3ULL, 101ULL, 65521ULL, 2147483647ULL, 4294967291ULL}) {
+    const math::GF field(q);
+    for (const int d : {1, 2, 3, 8, 64}) {
+      std::vector<std::uint64_t> values = {0, 1, q - 1, q, q * q - 1, ~0ULL};
+      for (int i = 0; i < 40; ++i) values.push_back(rng.next());
+      std::vector<std::uint64_t> points = {0, 1, q - 1};
+      for (int i = 0; i < 8; ++i) points.push_back(rng.below(q));
+      points.push_back(q + rng.below(q));
+      for (const std::uint64_t value : values) {
+        const auto poly = math::Polynomial::from_digits(field, value, d);
+        for (const std::uint64_t x : points) {
+          ASSERT_EQ(math::Polynomial::eval_digits(field, value, d, x), poly.eval(x))
+              << "q=" << q << " d=" << d << " value=" << value << " x=" << x;
+        }
+      }
+    }
   }
 }
 
@@ -114,7 +139,7 @@ class OracleLinialRule final : public runtime::IterativeRule {
   explicit OracleLinialRule(const coloring::LinialSchedule& sched) : sched_(sched) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color> neighbors) const override {
+                           std::span<Color> neighbors) const override {
     const std::size_t j = sched_.interval_of(own);
     return j == 0 ? own : oracle_step(sched_, j, own, neighbors, {});
   }

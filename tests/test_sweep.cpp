@@ -3,15 +3,19 @@
 // without changing the run: every registry algorithm that runs through
 // run_locally_iterative (Luby included), on both graph backends, at 1/2/8
 // threads, must report the same colors, rounds, convergence, per-round
-// properness, metrics, RoundEnd events and observer trace.  Also pins the
-// is_final contract (final colors are fixed points of step()) that lets the
-// sweep skip final vertices, for every rule the library's entry points run.
+// properness, metrics, RoundEnd events and observer trace — the sweep hands
+// rules their neighbors in CSR order, the engine sorted.  Also pins, for
+// every rule the library's entry points run, the is_final contract (final
+// colors are fixed points of step()) that lets the sweep skip final
+// vertices, and the order contract (step() ignores the neighbors' order).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -235,7 +239,7 @@ TEST(SweepVsEngine, InitialColoringMustCoverEveryVertex) {
 class CollideInRoundTwo final : public runtime::IterativeRule {
  public:
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color>) const override {
+                           std::span<Color>) const override {
     if (own >= 200) return own;
     if (own == 101 || own == 102) return 500;
     return own + 100;
@@ -297,7 +301,7 @@ TEST(SweepVsEngine, CongestCapBelowColorBitsThrowsTheSameError) {
 class OutgrowsItsWidth final : public runtime::IterativeRule {
  public:
   [[nodiscard]] Color step(runtime::StepContext, Color own,
-                           std::span<const Color>) const override {
+                           std::span<Color>) const override {
     if (own == 1) return 2;
     return own == 2 || own == 9 ? 100 : own;
   }
@@ -372,42 +376,55 @@ void expect_final_is_fixed(const char* what, GraphView g, std::vector<Color> ini
   EXPECT_EQ(watch.moved, 0u);
 }
 
-TEST(IsFinalContract, EveryPipelineRuleKeepsFinalColorsFixed) {
-  const auto g = graph::random_regular(300, 8, 17);
+/// A rule the library's entry points run, an initial coloring it really
+/// meets there, and a round cap.
+struct RuleCase {
+  std::string name;
+  std::unique_ptr<runtime::IterativeRule> rule;
+  std::vector<Color> init;
+  std::size_t max_rounds;
+};
+
+/// Every rule the library's entry points run, apart from FYZ's stage rules
+/// (FyzStages) and Luby's and the MIS wave's (internal to their entry
+/// points).
+std::vector<RuleCase> pipeline_rules(GraphView g) {
   const std::size_t delta = g.max_degree();
   const std::uint64_t n = g.n();
+  std::vector<RuleCase> cases;
+  const auto add = [&](const char* name, auto rule, std::vector<Color> init,
+                       std::size_t max_rounds) {
+    cases.push_back({name, std::make_unique<decltype(rule)>(std::move(rule)),
+                     std::move(init), max_rounds});
+  };
 
   // Linial moves every vertex down one interval per round in lockstep, so
   // start half of them at their final color to have final vertices stepped.
   const coloring::LinialSchedule lsched(n, delta);
-  ASSERT_GT(lsched.stages(), 0u);
+  EXPECT_GT(lsched.stages(), 0u);
   const auto lin = coloring::linial_color(g, coloring::identity_coloring(n), n, delta);
   std::vector<Color> half = coloring::identity_coloring(n);
   for (graph::Vertex v = 0; v < n; ++v) {
     half[v] = v % 2 == 0 ? lin.colors[v] : v + lsched.offset(lsched.stages());
   }
-  expect_final_is_fixed("linial", g, half, coloring::LinialRule(lsched),
-                        lsched.stages() + 2);
+  add("linial", coloring::LinialRule(lsched), half, lsched.stages() + 2);
 
   const Color k_lin = graph::max_color(lin.colors) + 1;
   const coloring::AgRule ag(coloring::ag_modulus(delta, k_lin));
-  expect_final_is_fixed("ag", g, lin.colors, ag, ag.q() + 2);
+  add("ag", ag, lin.colors, ag.q() + 2);
 
   const auto ag_out = coloring::additive_group_color(g, lin.colors, delta);
   const Color k_ag = graph::max_color(ag_out.colors) + 1;
-  expect_final_is_fixed("reduce", g, ag_out.colors,
-                        coloring::GreedyReduceRule(delta + 1, std::max<Color>(k_ag, delta + 1)),
-                        k_ag + 1);
+  add("reduce", coloring::GreedyReduceRule(delta + 1, std::max<Color>(k_ag, delta + 1)),
+      ag_out.colors, k_ag + 1);
 
   const coloring::KwSchedule kw_sched(k_lin, delta);
   std::vector<Color> kw_init = lin.colors;
   for (Color& c : kw_init) c += kw_sched.offset(0);
-  expect_final_is_fixed("kw", g, kw_init, coloring::KwRule(kw_sched),
-                        kw_sched.round_bound());
+  add("kw", coloring::KwRule(kw_sched), kw_init, kw_sched.round_bound());
 
   const std::uint64_t p3 = coloring::three_ag_modulus(delta, n);
-  expect_final_is_fixed("3ag", g, coloring::identity_coloring(n),
-                        coloring::ThreeAgRule(p3), 2 * p3 + 2);
+  add("3ag", coloring::ThreeAgRule(p3), coloring::identity_coloring(n), 2 * p3 + 2);
 
   const auto exact = coloring::color_delta_plus_one(g);
   const std::uint64_t big_n = delta + 1;
@@ -415,17 +432,17 @@ TEST(IsFinalContract, EveryPipelineRuleKeepsFinalColorsFixed) {
   // the unshifted half starts final.
   std::vector<Color> shifted = exact.colors;
   for (graph::Vertex v = 0; v < n; v += 2) shifted[v] += big_n;
-  expect_final_is_fixed("ag(n)", g, shifted, coloring::AgnRule(big_n), big_n + 1);
+  add("ag(n)", coloring::AgnRule(big_n), shifted, big_n + 1);
 
   const coloring::MixedRule mixed(delta, k_ag);
   std::vector<Color> mixed_init = ag_out.colors;
   for (Color& c : mixed_init) c = mixed.lift(c);
-  expect_final_is_fixed("mixed", g, mixed_init, mixed, mixed.round_bound());
+  add("mixed", mixed, mixed_init, mixed.round_bound());
 
   const coloring::Mixed3Rule mixed3(delta, k_ag);
   std::vector<Color> mixed3_init = ag_out.colors;
   for (Color& c : mixed3_init) c = mixed3.lift(c);
-  expect_final_is_fixed("mixed3", g, mixed3_init, mixed3, mixed3.round_bound());
+  add("mixed3", mixed3, mixed3_init, mixed3.round_bound());
 
   // ArbAG, seeded exactly as arb::arbdefective_color seeds it.
   const std::size_t p = 2;
@@ -439,7 +456,15 @@ TEST(IsFinalContract, EveryPipelineRuleKeepsFinalColorsFixed) {
     arb_init[v] = arb::ArbAgRule::pack(seed.colors[v], seed.colors[v] / q,
                                        seed.colors[v] % q, q);
   }
-  expect_final_is_fixed("arbag", g, arb_init, arb::ArbAgRule(q, p), window);
+  add("arbag", arb::ArbAgRule(q, p), arb_init, window);
+  return cases;
+}
+
+TEST(IsFinalContract, EveryPipelineRuleKeepsFinalColorsFixed) {
+  const auto g = graph::random_regular(300, 8, 17);
+  for (const RuleCase& c : pipeline_rules(g)) {
+    expect_final_is_fixed(c.name.c_str(), g, c.init, *c.rule, c.max_rounds);
+  }
 }
 
 // Luby's and the MIS wave's rules are internal to their entry points:
@@ -524,6 +549,85 @@ TEST(IsFinalContract, FyzStagesKeepFinalColorsFixed) {
               (std::vector<std::string>{"fyz-partition", "fyz-arb", "fyz-list"}));
     EXPECT_GT(final_steps, 0u);
     EXPECT_EQ(moved, 0u) << "Delta=" << delta;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The order contract: step() reads the neighbor multiset, never the order
+// the runner presents it in (the sweep passes CSR order, the engine sorted).
+// ---------------------------------------------------------------------------
+
+/// Steps every non-final vertex of `colors` on its real neighborhood,
+/// presented sorted, reversed and in three seeded shuffles, and counts the
+/// vertices whose five results are not all equal.
+std::size_t order_dependent_steps(GraphView g, std::span<const Color> colors,
+                                  const runtime::IterativeRule& rule,
+                                  std::uint64_t round) {
+  std::size_t bad = 0;
+  std::vector<Color> sorted;
+  std::vector<Color> shown;
+  for (graph::Vertex v = 0; v < g.n(); ++v) {
+    if (rule.is_final(colors[v])) continue;
+    sorted.clear();
+    for (const graph::Vertex u : g.neighbors(v)) sorted.push_back(colors[u]);
+    std::sort(sorted.begin(), sorted.end());
+    const auto step = [&] { return rule.step({v, round}, colors[v], shown); };
+    shown = sorted;
+    const Color want = step();
+    shown.assign(sorted.rbegin(), sorted.rend());
+    bool same = step() == want;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      shown = sorted;
+      graph::Rng rng(seed * 1000003 + v);
+      for (std::size_t i = shown.size(); i > 1; --i) {
+        std::swap(shown[i - 1], shown[rng.below(i)]);
+      }
+      same = same && step() == want;
+    }
+    bad += !same;
+  }
+  return bad;
+}
+
+TEST(OrderContract, EveryRuleIgnoresNeighbourOrder) {
+  // Every round of a run from each rule's initial coloring, so the rarely
+  // taken branches that sort (a greedy local maximum, a KW descent, a FYZ
+  // re-proposal) are reached.
+  const auto g = graph::random_regular(300, 8, 17);
+  for (const RuleCase& c : pipeline_rules(g)) {
+    SCOPED_TRACE(c.name);
+    std::size_t bad = 0;
+    std::size_t rounds = 0;
+    runtime::IterativeOptions io;
+    io.max_rounds = c.max_rounds;
+    io.on_round = [&](std::size_t round, std::span<const Color> now) {
+      bad += order_dependent_steps(g, now, *c.rule, round);
+      rounds = round;
+    };
+    const auto res = runtime::run_locally_iterative(g, c.init, *c.rule, io);
+    EXPECT_TRUE(res.converged);
+    EXPECT_GT(rounds, 0u);
+    EXPECT_EQ(bad, 0u);
+  }
+
+  // FYZ's three stage rules, judged on every round of color_fyz's own run.
+  const auto gf = graph::random_regular(400, 16, 23);
+  const coloring::detail::FyzStages st(gf.n(), gf.max_degree());
+  const std::vector<std::pair<std::string, const runtime::IterativeRule*>> fyz = {
+      {"fyz-partition", &st.partition}, {"fyz-arb", &st.arb}, {"fyz-list", &st.list}};
+  Recorder rec;
+  coloring::PipelineOptions po;
+  po.run().sink = &rec;
+  std::map<std::string, std::size_t> bad;
+  po.iter.on_round = [&](std::size_t round, std::span<const Color> now) {
+    for (const auto& [stage, rule] : fyz) {
+      if (stage == rec.stage) bad[stage] += order_dependent_steps(gf, now, *rule, round);
+    }
+  };
+  EXPECT_TRUE(coloring::color_fyz(gf, po).proper);
+  for (const auto& [stage, rule] : fyz) {
+    ASSERT_EQ(bad.count(stage), 1u) << stage << " never ran";
+    EXPECT_EQ(bad[stage], 0u) << stage;
   }
 }
 
