@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "agc/coloring/palette.hpp"
@@ -135,9 +136,16 @@ class Mixed3Rule final : public runtime::IterativeRule {
   /// Map a proper input color (< palette) into the rule's state space.
   [[nodiscard]] Color lift(Color proper_color) const;
 
-  /// The (at most 2) colors a vertex in state c can hold next round, besides
-  /// c itself.  Excl-Linial forbids exactly these (the set S' of Sec. 4.1).
-  [[nodiscard]] std::vector<Color> candidates(Color c) const;
+  /// The colors a vertex in state c can hold next round, besides c itself:
+  /// at most two, in place.  Excl-Linial forbids exactly these (the set S'
+  /// of Sec. 4.1).
+  struct Candidates {
+    std::array<Color, 2> colors{};
+    std::size_t size = 0;
+    [[nodiscard]] const Color* begin() const noexcept { return colors.data(); }
+    [[nodiscard]] const Color* end() const noexcept { return colors.data() + size; }
+  };
+  [[nodiscard]] Candidates candidates(Color c) const;
 
   /// One past the largest state value (the room interval I_0 must provide).
   [[nodiscard]] std::uint64_t space() const { return 2 * n_ + p_ * p_ * p_; }

@@ -1,11 +1,15 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "agc/coloring/palette.hpp"
+#include "agc/math/gf.hpp"
+#include "agc/math/polynomial.hpp"
 #include "agc/runtime/iterative.hpp"
 
 /// \file linial.hpp
@@ -89,13 +93,42 @@ class LinialSchedule {
 /// interval_size(j)), constrain the step, and each one's digit polynomial is
 /// evaluated digit by digit at every candidate point as it is read
 /// (Polynomial::eval_digits), with no polynomial and no per-neighbor state;
-/// their order does not matter.  `forbidden_next` are absolute colors in
-/// interval j-1 the new color must avoid (Excl-Linial; pass {} for the plain
-/// algorithm).  Returns the new absolute color in interval j-1.  Allocates
-/// nothing.
+/// their order does not matter.  `excluded(c)` says whether the absolute
+/// color c in interval j-1 must be avoided (Excl-Linial's set S', which the
+/// self-stabilizing step derives from its I_0 neighbors as it is asked).
+/// Returns the new absolute color in interval j-1.  Allocates nothing.
+template <typename Excluded>
 [[nodiscard]] Color mod_linial_step(const LinialSchedule& sched, std::size_t j,
                                     Color own, std::span<const Color> neighbors,
-                                    std::span<const Color> forbidden_next);
+                                    const Excluded& excluded) {
+  assert(j >= 1 && j <= sched.stages());
+  const LinialStage& st = sched.stage(sched.stages() - j);
+  const math::GF field(st.q);
+  const int d = static_cast<int>(st.d);
+  const std::uint64_t lo = sched.offset(j);
+  const std::uint64_t hi = lo + sched.interval_size(j);
+  assert(own >= lo && own < hi);
+
+  const std::uint64_t next_off = sched.offset(j - 1);
+  for (std::uint64_t e = 0; e < st.q; ++e) {
+    const std::uint64_t val = math::Polynomial::eval_digits(field, own - lo, d, e);
+    const auto collides = [&](Color nc) {
+      return nc >= lo && nc < hi &&
+             math::Polynomial::eval_digits(field, nc - lo, d, e) == val;
+    };
+    if (std::any_of(neighbors.begin(), neighbors.end(), collides)) continue;
+    const Color candidate = next_off + e * st.q + val;
+    if (!excluded(candidate)) return candidate;
+  }
+  // Sizing guarantees existence: d*Delta collisions + |S'| < q.
+  throw std::logic_error("mod_linial_step: no admissible evaluation point");
+}
+
+/// The plain algorithm: no color excluded.
+[[nodiscard]] inline Color mod_linial_step(const LinialSchedule& sched, std::size_t j,
+                                           Color own, std::span<const Color> neighbors) {
+  return mod_linial_step(sched, j, own, neighbors, [](Color) { return false; });
+}
 
 class LinialRule final : public runtime::IterativeRule {
  public:

@@ -9,6 +9,7 @@
 #include "agc/runtime/run_report.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_line.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 /// \file harness.hpp
 /// The stabilization harness: run any self-stabilizing algorithm under a
@@ -28,27 +29,11 @@
 
 namespace agc::faultlab {
 
-enum class ViolationKind : std::uint8_t {
-  None = 0,
-  MonochromaticEdge,  ///< edge {u, v} shares a color (`value`)
-  OutOfPalette,       ///< vertex v holds color `value` outside the palette
-  InvalidState,       ///< algorithm-specific predicate failed at v
-  NeverSettled,       ///< phase 0 found no fault-free fixed point
-};
-
-[[nodiscard]] const char* to_string(ViolationKind k) noexcept;
-
-struct Violation {
-  ViolationKind kind = ViolationKind::None;
-  std::uint64_t round = 0;  ///< engine round the violation was observed at
-  graph::Vertex u = 0;
-  graph::Vertex v = 0;
-  std::uint64_t value = 0;
-
-  [[nodiscard]] explicit operator bool() const noexcept {
-    return kind != ViolationKind::None;
-  }
-};
+// The outcome types are the flat runner's too (selfstab/stabilization.hpp).
+using selfstab::StabilizationOutcome;
+using selfstab::to_string;
+using selfstab::Violation;
+using selfstab::ViolationKind;
 
 /// Legality check: ViolationKind::None means the configuration is legal;
 /// anything else pinpoints the first violation found.  Must be pure in the
@@ -59,32 +44,13 @@ using CheckFn = std::function<Violation(runtime::Engine&)>;
 /// (color, packed color+status, ... — whatever "output" means for the task).
 using OutputFn = std::function<std::vector<std::uint64_t>(runtime::Engine&)>;
 
-struct StabilizationSpec {
+/// The watchdog and the confirm window (selfstab::RecoverySpec), plus the
+/// task's check and outputs.
+struct StabilizationSpec : selfstab::RecoverySpec {
   CheckFn check;
   OutputFn outputs;
-  /// Watchdog: abort when this many rounds elapse after the last fault event
-  /// without the check passing.
-  std::size_t recovery_budget = 10'000;
-  /// Consecutive legal rounds required to call the run recovered.
-  std::size_t confirm_rounds = 8;
   /// Round cap for the fault-free phase 0 (0 = use recovery_budget).
   std::size_t settle_budget = 0;
-};
-
-struct StabilizationOutcome : runtime::RunReport {
-  bool recovered = false;
-  /// Engine round of the last fault event (0 if none fired).
-  std::uint64_t last_fault_round = 0;
-  /// Engine round at which the check first held after the last fault.
-  std::uint64_t first_legal_round = 0;
-  /// first_legal_round - last_fault_round: the paper's stabilization time.
-  std::size_t recovery_rounds = 0;
-  /// Vertices whose output differs from the pre-fault fixed point (vertices
-  /// added mid-run always count).  Its size over |faulty set| approximates
-  /// the adjustment radius.
-  std::vector<graph::Vertex> adjusted;
-  /// Set when !recovered: what the watchdog saw when it gave up.
-  Violation violation;
 };
 
 /// Run the two-phase protocol above on an installed engine.  opts.adversary
@@ -112,14 +78,15 @@ struct StabilizationOutcome : runtime::RunReport {
 /// anchored at the call: when the state is already legal on entry the run
 /// recovers in 0 rounds after the confirm window.  opts.adversary /
 /// opts.channel, opts.sink and opts.collect_phase_times act exactly as in
-/// run_stabilization's phase 1.
+/// run_stabilization's phase 1.  For the coloring with no fault hooks,
+/// selfstab::flat_resettle runs the same repair without the engine.
 [[nodiscard]] StabilizationOutcome resettle(
     runtime::Engine& engine, const runtime::RunOptions& opts,
     const StabilizationSpec& spec,
     const std::vector<std::uint64_t>& baseline);
 
 /// Legality check for the self-stabilizing coloring: every color in the
-/// final palette and no monochromatic edge.
+/// final palette and no monochromatic edge (selfstab::coloring_violation).
 [[nodiscard]] CheckFn coloring_check(const selfstab::SsConfig& cfg);
 
 /// Output snapshot for coloring tasks: RAM word 0 of every vertex.

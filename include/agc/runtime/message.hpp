@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -37,14 +38,9 @@ struct Word {
   friend bool operator==(const Word&, const Word&) = default;
 };
 
-/// Helper: the narrowest width that can carry `value`.
+/// Helper: the narrowest width that can carry `value` (1 for 0).
 [[nodiscard]] constexpr std::uint32_t width_of(std::uint64_t value) noexcept {
-  std::uint32_t w = 0;
-  while (value != 0) {
-    ++w;
-    value >>= 1;
-  }
-  return w == 0 ? 1 : w;
+  return std::max<std::uint32_t>(1, static_cast<std::uint32_t>(std::bit_width(value)));
 }
 
 class OutboxRef;

@@ -2,97 +2,23 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "agc/coloring/ag3.hpp"
-#include "agc/coloring/linial.hpp"
 #include "agc/runtime/engine.hpp"
 #include "agc/runtime/run_options.hpp"
 #include "agc/runtime/run_report.hpp"
+#include "agc/selfstab/ss_config.hpp"
 
 /// \file ss_coloring.hpp
-/// The fully-dynamic self-stabilizing coloring algorithm (Section 4.1 of the
-/// paper, plus the Section 7 extension that stabilizes to exactly Delta+1
-/// colors).
-///
-/// Every vertex stores exactly one RAM word — its color — which the adversary
-/// may overwrite arbitrarily between rounds (as may edge and vertex churn).
-/// Each round, every vertex broadcasts its color and runs one pure step:
-///
-///   1. Check-Error: a color that clashes with a neighbor or is structurally
-///      invalid resets to the ID interval I_r.
-///   2. Colors in interval I_j (j >= 2) descend one Linial interval
-///      (Mod-Linial).
-///   3. Colors in I_1 descend via Excl-Linial, dodging the set S' of all
-///      colors that I_0 neighbors might hold next round.
-///   4. Colors in I_0 run the additive-group machinery: plain AG for the
-///      O(Delta)-color mode, or the mixed 3AG/AG(N) rule for the exact
-///      (Delta+1)-color mode.
-///
-/// Once faults stop, the coloring stabilizes within O(Delta + log* n) rounds
-/// and only vertices adjacent to a fault ever recompute (adjustment
-/// radius 1).
+/// The self-stabilizing coloring (ss_config.hpp) on the round engine: one
+/// SsColoringProgram per vertex broadcasts its color every round and runs
+/// SsConfig::step on what it receives.  This is the path the fault hooks act
+/// on — RAM corruption and churn between rounds, channel faults inside them
+/// (faultlab, the zoo, campaigns, `agccli selfstab`).  Runs whose faults all
+/// land between runs can take the flat rounds of stabilization.hpp instead.
 
 namespace agc::selfstab {
-
-using graph::Color;
-
-enum class PaletteMode {
-  ODelta,             ///< stabilize to O(Delta) colors (Lemma 4.2)
-  ExactDeltaPlusOne,  ///< stabilize to exactly Delta+1 colors (Theorem 7.5)
-};
-
-/// Immutable per-run configuration (ROM contents): the interval schedule and
-/// the I_0 rule.  Shared by all vertices; must outlive the engine.
-class SsConfig {
- public:
-  SsConfig(std::uint64_t id_space, std::size_t delta, PaletteMode mode);
-
-  /// The complete self-stabilizing step: pure function of (own id, own
-  /// color, sorted multiset of neighbor colors).  Used verbatim by vertex
-  /// programs and by the line-graph virtual vertices of Section 4.2.
-  [[nodiscard]] std::uint64_t step(std::uint64_t id, std::uint64_t color,
-                                   std::span<const std::uint64_t> neighbors) const;
-
-  /// The initial state of a vertex with this id (also the Check-Error reset).
-  [[nodiscard]] std::uint64_t reset_color(std::uint64_t id) const;
-
-  /// Is this color in the final palette (stable once neighbors are stable)?
-  [[nodiscard]] bool is_final(std::uint64_t color) const;
-
-  /// One past the largest final color: q = O(Delta) in ODelta mode,
-  /// Delta+1 in exact mode.
-  [[nodiscard]] std::uint64_t final_palette() const;
-
-  /// One past the largest representable state.
-  [[nodiscard]] std::uint64_t span() const { return span_; }
-
-  [[nodiscard]] std::uint32_t color_bits() const {
-    return runtime::width_of(span_ - 1);
-  }
-
-  /// Truncate a (possibly adversarially corrupted) RAM word to the message
-  /// field width, as fixed-width hardware would.  Check-Error rejects the
-  /// resulting garbage value on the next step.
-  [[nodiscard]] std::uint64_t truncate(std::uint64_t ram_word) const {
-    const std::uint32_t b = color_bits();
-    return b >= 64 ? ram_word : ram_word & ((1ULL << b) - 1);
-  }
-
-  [[nodiscard]] PaletteMode mode() const noexcept { return mode_; }
-  [[nodiscard]] std::size_t delta() const noexcept { return delta_; }
-  [[nodiscard]] const coloring::LinialSchedule& schedule() const { return sched_; }
-
- private:
-  std::size_t delta_;
-  PaletteMode mode_;
-  coloring::LinialSchedule sched_;
-  std::optional<coloring::Mixed3Rule> mixed_;  ///< exact mode only
-  std::uint64_t ag_q_ = 0;                     ///< ODelta mode: I_0 field size
-  std::uint64_t span_ = 0;
-};
 
 /// The forever-running coloring program.  RAM word 0 is the color.
 class SsColoringProgram final : public runtime::VertexProgram {

@@ -10,7 +10,7 @@
 /// sub-buckets per power of two, exact below 32) covering the full uint64
 /// range, so recording is O(1), allocation-free after construction, and
 /// quantiles are read without keeping individual samples.  Values are unitful
-/// only by convention — the service records one histogram in engine rounds
+/// only by convention — the service records one histogram in repair rounds
 /// (deterministic) and one in microseconds (timing; excluded from the
 /// deterministic aggregate, docs/SERVICE.md).
 ///

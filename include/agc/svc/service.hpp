@@ -5,23 +5,23 @@
 #include <string>
 #include <vector>
 
-#include "agc/faultlab/harness.hpp"
+#include "agc/graph/graph.hpp"
 #include "agc/graph/spec.hpp"
-#include "agc/runtime/engine.hpp"
 #include "agc/runtime/run_options.hpp"
 #include "agc/runtime/run_report.hpp"
-#include "agc/selfstab/ss_coloring.hpp"
+#include "agc/selfstab/ss_config.hpp"
+#include "agc/selfstab/stabilization.hpp"
 #include "agc/svc/histogram.hpp"
 
 /// \file service.hpp
-/// Coloring-as-a-service: a long-lived Service owns one engine running the
-/// self-stabilizing coloring and serves a mutation/query API on top of it
-/// (ROADMAP item 2).  Clients submit operations; the service batches them
-/// into *epochs*, applies each batch through the engine's adversary
-/// interface, and calls faultlab::resettle() to drive the coloring back to
-/// legal — recoloring only the affected region (the paper's adjustment
-/// radius 1 is what makes an epoch O(batch * (Delta + log* n)) instead of a
-/// from-scratch run).
+/// Coloring-as-a-service: a long-lived Service owns a graph and one RAM word
+/// per vertex — its color under the self-stabilizing coloring — and serves a
+/// mutation/query API on top of them.  Clients submit operations; the
+/// service batches them into *epochs*, applies each batch to the graph and
+/// the colors, and calls selfstab::flat_resettle() to drive the coloring
+/// back to legal — recoloring only the affected region (the paper's
+/// adjustment radius 1 is what makes an epoch O(batch * (Delta + log* n))
+/// rounds instead of a from-scratch run).
 ///
 /// Epoch semantics (docs/SERVICE.md has the long form):
 ///   - submit() only enqueues; nothing observes the op until pump().
@@ -31,13 +31,20 @@
 ///     is judged at the op's position in the submission order, so a query
 ///     racing a remove_vertex in the same batch keeps sequential semantics.
 ///   - Per-op latency is measured from submit to the end of the op's epoch,
-///     once in engine rounds (deterministic) and once in wall-clock ns
+///     once in repair rounds (deterministic) and once in wall-clock ns
 ///     (timing; excluded from the deterministic aggregate).
+///
+/// Fault contract: every fault the service sees is a client mutation, and it
+/// lands between repair runs, so every round is fault-free and runs flat
+/// (no engine).  ServiceConfig::run must therefore carry no adversary and no
+/// channel hook; the constructor throws std::invalid_argument otherwise.
+/// Faults inside a round are faultlab's business (faultlab::resettle on the
+/// engine).
 ///
 /// Determinism contract: with a fixed config and submission sequence, every
 /// OpResult field except latency_ns — and every ServiceStats field except
 /// the timing block — is bit-identical for any RunOptions::executor thread
-/// count (the exec backend is shard-deterministic; tests/test_svc.cpp pins
+/// count (the flat rounds are shard-deterministic; tests/test_svc.cpp pins
 /// this at 1/2/8 threads).
 
 namespace agc::svc {
@@ -73,7 +80,7 @@ struct OpResult {
   /// QueryColor: the color; AddVertex: the new vertex id; otherwise 0.
   std::uint64_t value = 0;
   std::uint64_t epoch = 0;  ///< epoch index the op completed in
-  /// Engine rounds from submit to the end of the op's epoch (legal coloring
+  /// Repair rounds from submit to the end of the op's epoch (legal coloring
   /// with the op's effect visible).  Deterministic.
   std::uint64_t latency_rounds = 0;
   /// Same interval in wall-clock ns.  Timing-only: never part of the
@@ -91,23 +98,24 @@ struct ServiceConfig {
   /// (0 = twice the initial max degree).  AddEdge ops that would exceed it
   /// are rejected.
   std::size_t delta_bound = 0;
-  /// Hard vertex cap — fixes the Linial ID space (engine n_bound), so
-  /// appended vertices keep valid padded ids (0 = twice the initial n).
-  /// AddVertex ops beyond it are rejected.
+  /// Hard vertex cap — fixes the Linial ID space, so appended vertices keep
+  /// valid ids (0 = twice the initial n).  AddVertex ops beyond it are
+  /// rejected.
   std::uint64_t max_vertices = 0;
   selfstab::PaletteMode mode = selfstab::PaletteMode::ODelta;
   /// Max ops consumed per pump() epoch.
   std::size_t epoch_batch = 64;
-  /// faultlab watchdog: abort an epoch's repair after this many rounds
+  /// Repair watchdog: abort an epoch's repair after this many rounds
   /// without reaching legality (counts as a legality violation in stats).
   std::size_t repair_budget = 50'000;
   /// Consecutive legal rounds before an epoch commits.
   std::size_t confirm_rounds = 2;
-  /// Executor / observability / round budget for the underlying engine.
-  /// run.sink receives the engine's RoundEnd stream plus one StageStart /
+  /// Executor / observability / round budget of the repair rounds.
+  /// run.sink receives one RoundEnd per round plus one StageStart /
   /// StageEnd pair per epoch; run.collect_phase_times folds the phase
-  /// timings of the boot settle and every epoch's repair into
-  /// report().phases.
+  /// timings (receive, check, barrier) of the boot settle and every epoch's
+  /// repair into report().phases.  run.adversary and run.channel must stay
+  /// null (the fault contract above).
   runtime::RunOptions run;
 };
 
@@ -119,13 +127,13 @@ struct ServiceStats {
   std::uint64_t mutations = 0;  ///< accepted mutations
   std::uint64_t queries = 0;    ///< accepted queries
   std::uint64_t rejected = 0;
-  std::uint64_t repair_rounds = 0;  ///< engine rounds spent in resettle()
+  std::uint64_t repair_rounds = 0;  ///< rounds spent in epoch repairs
   std::uint64_t adjusted_total = 0;  ///< sum of per-epoch adjustment sets
   std::uint64_t max_adjusted = 0;
   /// Epochs whose repair did not reach a legal coloring within
   /// repair_budget.  The acceptance bar for every committed artifact is 0.
   std::uint64_t legality_violations = 0;
-  LatencyHistogram latency_rounds;  ///< per-op, in engine rounds
+  LatencyHistogram latency_rounds;  ///< per-op, in repair rounds
 
   // --- timing block (excluded when include_timing=false) ------------------
   LatencyHistogram latency_us;  ///< per-op, in microseconds
@@ -161,16 +169,19 @@ class Service {
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
   [[nodiscard]] const ServiceStats& stats() const noexcept { return stats_; }
 
-  /// Cumulative engine-level report (rounds, metrics, phase timings).
+  /// Cumulative report over the boot settle and every repair: rounds,
+  /// phase timings and metrics in the flat rounds' closed form — messages =
+  /// sum over rounds of 2m, total_bits = messages * color_bits(),
+  /// max_edge_bits = rounds run with an edge * color_bits().  That last one
+  /// is what the engine's per-edge ledger reports whenever some edge existed
+  /// in every round.
   [[nodiscard]] runtime::RunReport report() const;
 
   /// The settled coloring as of the last committed epoch, truncated to the
   /// palette field width.  Retired vertices keep their last color.
   [[nodiscard]] std::vector<graph::Color> colors() const;
 
-  [[nodiscard]] graph::GraphView graph() const noexcept {
-    return engine_.graph();
-  }
+  [[nodiscard]] graph::GraphView graph() const noexcept { return graph_; }
   [[nodiscard]] const selfstab::SsConfig& coloring_config() const noexcept {
     return ss_cfg_;
   }
@@ -189,21 +200,27 @@ class Service {
     std::uint64_t submit_ns;
   };
 
-  /// Apply one mutation through the engine's adversary interface; fills
-  /// result.status / result.value.  Returns true when the engine changed.
+  /// Apply one mutation to the graph and the colors; fills result.status /
+  /// result.value.  Returns true when either changed.
   bool apply(const Op& op, OpResult& result);
 
+  /// Run the flat repair rounds from the current colors; the adjustment
+  /// diff is against settled_, which then takes the repaired colors.
+  selfstab::StabilizationOutcome repair();
+
+  graph::Graph graph_;  ///< built before cfg_, whose bounds it resolves
   ServiceConfig cfg_;
   selfstab::SsConfig ss_cfg_;
-  runtime::Engine engine_;
-  faultlab::StabilizationSpec spec_;
-  std::vector<std::uint64_t> settled_;  ///< outputs at last committed epoch
+  std::vector<std::uint64_t> ram_;      ///< every vertex's RAM word: its color
+  std::vector<std::uint64_t> settled_;  ///< ram_ at the last committed epoch
+  std::uint64_t rounds_ = 0;            ///< repair rounds so far, boot included
+  runtime::Metrics metrics_;            ///< summed over every repair
   std::vector<bool> live_;
   std::size_t n_live_ = 0;
   std::deque<Queued> queue_;
   std::uint64_t next_op_ = 0;
   ServiceStats stats_;
-  obs::PhaseStats phases_;  ///< folded resettle() phase timings
+  obs::PhaseStats phases_;  ///< folded repair phase timings
 };
 
 }  // namespace agc::svc

@@ -248,16 +248,14 @@ std::uint32_t Mixed3Rule::color_bits() const {
   return runtime::width_of(space() - 1);
 }
 
-std::vector<Color> Mixed3Rule::candidates(Color own) const {
-  std::vector<Color> out;
-  if (delta_ == 0) return out;
+Mixed3Rule::Candidates Mixed3Rule::candidates(Color own) const {
+  if (delta_ == 0) return {};
   const std::uint64_t N = n_;
   const std::uint64_t p = p_;
-  if (own < N) return {own};  // final: keeps its color forever, so forbid it
+  if (own < N) return {{own}, 1};  // final: keeps its color forever, so forbid it
   if (own < 2 * N) {
     const std::uint64_t a = own % N;
-    out = {a, N + (a + 1) % N};
-    return out;
+    return {{a, N + (a + 1) % N}, 2};
   }
   const std::uint64_t y = own - 2 * N;
   const std::uint64_t cv = y / (p * p);
@@ -267,15 +265,10 @@ std::vector<Color> Mixed3Rule::candidates(Color own) const {
     return 2 * N + (c * p + b) * p + a;
   };
   if (cv != 0) {
-    if (bv != 0) {
-      out = {enc(0, bv, av), enc(cv, (bv + cv) % p, av)};
-    } else {
-      out = {av, enc(cv, cv, av)};
-    }
-  } else {
-    out = {av, enc(0, bv, (av + bv) % p)};
+    if (bv != 0) return {{enc(0, bv, av), enc(cv, (bv + cv) % p, av)}, 2};
+    return {{av, enc(cv, cv, av)}, 2};
   }
-  return out;
+  return {{av, enc(0, bv, (av + bv) % p)}, 2};
 }
 
 runtime::IterativeResult exact_delta_plus_one(graph::GraphView g,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <stdexcept>
 
 #include "agc/math/polynomial.hpp"
 #include "agc/math/primes.hpp"
@@ -68,41 +67,11 @@ std::size_t LinialSchedule::interval_of(Color c) const {
   return 0;
 }
 
-Color mod_linial_step(const LinialSchedule& sched, std::size_t j, Color own,
-                      std::span<const Color> neighbors,
-                      std::span<const Color> forbidden_next) {
-  assert(j >= 1 && j <= sched.stages());
-  const LinialStage& st = sched.stage(sched.stages() - j);
-  const math::GF field(st.q);
-  const int d = static_cast<int>(st.d);
-  const std::uint64_t lo = sched.offset(j);
-  const std::uint64_t hi = lo + sched.interval_size(j);
-  assert(own >= lo && own < hi);
-
-  const std::uint64_t next_off = sched.offset(j - 1);
-  for (std::uint64_t e = 0; e < st.q; ++e) {
-    const std::uint64_t val = math::Polynomial::eval_digits(field, own - lo, d, e);
-    const auto collides = [&](Color nc) {
-      return nc >= lo && nc < hi &&
-             math::Polynomial::eval_digits(field, nc - lo, d, e) == val;
-    };
-    if (std::any_of(neighbors.begin(), neighbors.end(), collides)) continue;
-    const Color candidate = next_off + e * st.q + val;
-    if (std::find(forbidden_next.begin(), forbidden_next.end(), candidate) !=
-        forbidden_next.end()) {
-      continue;
-    }
-    return candidate;
-  }
-  // Sizing guarantees existence: d*Delta collisions + |forbidden| < q.
-  throw std::logic_error("mod_linial_step: no admissible evaluation point");
-}
-
 Color LinialRule::step(runtime::StepContext, Color own,
                        std::span<Color> neighbors) const {
   const std::size_t j = sched_.interval_of(own);
   if (j == 0) return own;  // final palette reached
-  return mod_linial_step(sched_, j, own, neighbors, {});
+  return mod_linial_step(sched_, j, own, neighbors);
 }
 
 std::uint32_t LinialRule::color_bits() const {

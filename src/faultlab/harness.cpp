@@ -1,10 +1,9 @@
 #include "agc/faultlab/harness.hpp"
 
-#include <algorithm>
-
 #include "agc/graph/checks.hpp"
 #include "agc/obs/phase_timer.hpp"
 #include "agc/runtime/hooked_rounds.hpp"
+#include "agc/selfstab/detail/repair_loop.hpp"
 
 namespace agc::faultlab {
 
@@ -15,11 +14,10 @@ using runtime::RunOptions;
 
 /// Phase 1 of the protocol: drive the engine from its current state (legal or
 /// not — `initially_legal` says which, sparing a redundant check when phase 0
-/// just certified legality) until the check holds for confirm_rounds
-/// consecutive rounds, with the RunOptions hooks live through HookedRounds
-/// and the watchdog armed.  Fills everything in `out` except the settle
-/// bookkeeping; `executed` counts engine rounds already spent against
-/// opts.max_rounds.
+/// just certified legality) through selfstab::detail::repair_loop, with the
+/// RunOptions hooks live through HookedRounds.  Fills everything in `out`
+/// except the settle bookkeeping; `executed` counts engine rounds already
+/// spent against opts.max_rounds.
 void repair_until_legal(Engine& engine, const RunOptions& opts,
                         const StabilizationSpec& spec,
                         const std::vector<std::uint64_t>& baseline,
@@ -28,81 +26,17 @@ void repair_until_legal(Engine& engine, const RunOptions& opts,
   // The adversary's schedule counts HookedRounds' own rounds, not engine
   // rounds — a settle phase's length must not eat the schedule.
   runtime::HookedRounds rounds(engine, opts);
-
-  // The entry state anchors the clocks: an already-legal configuration with
-  // an empty fault schedule recovers in 0 rounds.
-  out.last_fault_round = engine.rounds();
-  out.first_legal_round = engine.rounds();
-  bool legal = initially_legal;
-  Violation v;
-  std::size_t confirmed = 0;
-  out.recovered = legal && spec.confirm_rounds == 0;
-
-  while (!out.recovered && executed < opts.max_rounds) {
-    ++executed;
-    if (rounds.step().total() > 0) {
-      out.last_fault_round = engine.rounds();
-      legal = false;
-      confirmed = 0;
-    }
-    v = spec.check(engine);
-    if (!v) {
-      if (!legal) {
-        legal = true;
-        out.first_legal_round = engine.rounds();
-        confirmed = 0;
-      }
-      ++confirmed;
-      if (confirmed >= spec.confirm_rounds) out.recovered = true;
-    } else {
-      legal = false;
-      confirmed = 0;
-      // Watchdog: the adversary has been quiet for recovery_budget rounds
-      // and the configuration is still illegal — report what we see and
-      // stop burning rounds.
-      if (engine.rounds() - out.last_fault_round > spec.recovery_budget) {
-        out.violation = v;
-        break;
-      }
-    }
-  }
-
-  if (out.recovered) {
-    out.recovery_rounds = static_cast<std::size_t>(out.first_legal_round -
-                                                   out.last_fault_round);
-    const std::vector<std::uint64_t> after = spec.outputs(engine);
-    const std::size_t common = std::min(baseline.size(), after.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      if (after[i] != baseline[i]) {
-        out.adjusted.push_back(static_cast<graph::Vertex>(i));
-      }
-    }
-    for (std::size_t i = common; i < after.size(); ++i) {
-      out.adjusted.push_back(static_cast<graph::Vertex>(i));
-    }
-  } else if (!out.violation) {
-    // opts.max_rounds ran out before the watchdog or the confirm window.
-    out.violation = v ? v : Violation{ViolationKind::InvalidState,
-                                      engine.rounds(), 0, 0, 0};
-  }
-
+  selfstab::detail::repair_loop(
+      spec, opts.max_rounds, initially_legal, executed,
+      [&] { return engine.rounds(); }, [&] { return rounds.step().total() > 0; },
+      [&] { return spec.check(engine); }, out);
+  if (out.recovered) out.adjusted = selfstab::detail::adjusted(spec.outputs(engine), baseline);
   rounds.finish(out);
   out.rounds = executed;
   out.converged = out.recovered;
 }
 
 }  // namespace
-
-const char* to_string(ViolationKind k) noexcept {
-  switch (k) {
-    case ViolationKind::None: return "none";
-    case ViolationKind::MonochromaticEdge: return "monochromatic_edge";
-    case ViolationKind::OutOfPalette: return "out_of_palette";
-    case ViolationKind::InvalidState: return "invalid_state";
-    case ViolationKind::NeverSettled: return "never_settled";
-  }
-  return "?";
-}
 
 StabilizationOutcome run_stabilization(Engine& engine, const RunOptions& opts,
                                        const StabilizationSpec& spec) {
@@ -154,24 +88,10 @@ StabilizationOutcome resettle(Engine& engine, const RunOptions& opts,
 }
 
 CheckFn coloring_check(const selfstab::SsConfig& cfg) {
-  return [&cfg](Engine& engine) -> Violation {
-    const graph::GraphView g = engine.graph();
-    for (graph::Vertex u = 0; u < g.n(); ++u) {
-      const auto ram = engine.ram(u);
-      const std::uint64_t cu = ram.empty() ? 0 : cfg.truncate(ram[0]);
-      if (!cfg.is_final(cu)) {
-        return {ViolationKind::OutOfPalette, engine.rounds(), u, u, cu};
-      }
-      for (const graph::Vertex w : g.neighbors(u)) {
-        if (w <= u) continue;
-        const auto wram = engine.ram(w);
-        const std::uint64_t cw = wram.empty() ? 0 : cfg.truncate(wram[0]);
-        if (cu == cw) {
-          return {ViolationKind::MonochromaticEdge, engine.rounds(), u, w, cu};
-        }
-      }
-    }
-    return {};
+  return [&cfg](Engine& engine) {
+    return selfstab::coloring_violation(engine.graph(), cfg,
+                                        selfstab::current_colors(engine),
+                                        engine.rounds());
   };
 }
 

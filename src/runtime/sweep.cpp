@@ -9,7 +9,7 @@
 #include "agc/obs/event_sink.hpp"
 #include "agc/obs/phase_timer.hpp"
 #include "agc/runtime/packed.hpp"
-#include "agc/runtime/round.hpp"
+#include "agc/runtime/shards.hpp"
 
 namespace agc::runtime::detail {
 
@@ -18,31 +18,6 @@ namespace {
 using graph::Vertex;
 
 constexpr Vertex kNone = std::numeric_limits<Vertex>::max();
-
-/// Degree-weighted contiguous shard bounds, with every cut rounded up to a
-/// multiple of 64 vertices — 64 entries span whole words at every packed
-/// width, so shards never write the same word (PackedColors contract).
-/// Same weighting as ParallelExecutor::refresh_bounds; any contiguous
-/// partition is result-identical, the weighting only balances wall clock.
-std::vector<Vertex> shard_bounds(graph::GraphView g, std::size_t shards) {
-  const std::size_t n = g.n();
-  std::vector<Vertex> bounds(shards + 1, static_cast<Vertex>(n));
-  bounds[0] = 0;
-  const std::uint64_t total = 2 * static_cast<std::uint64_t>(g.m()) + n;
-  std::uint64_t acc = 0;
-  std::size_t s = 1;
-  for (Vertex v = 0; v < n && s < shards; ++v) {
-    acc += g.degree(v) + 1;
-    while (s < shards && acc * shards >= total * s) {
-      const std::uint64_t cut = (std::uint64_t{v} + 1 + 63) & ~std::uint64_t{63};
-      bounds[s++] = static_cast<Vertex>(std::min<std::uint64_t>(cut, n));
-    }
-  }
-  for (std::size_t i = 1; i <= shards; ++i) {
-    bounds[i] = std::max(bounds[i], bounds[i - 1]);
-  }
-  return bounds;
-}
 
 /// Per-shard results and scratch.  Shard s writes only its Shard, its words
 /// of the stepping bitset and the colors of its own vertex range; the
@@ -74,19 +49,16 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   const bool over_cap = transport.width_cap() != 0 && bits > transport.width_cap();
   const auto fits = [bits](Color c) { return bits >= 64 || (c >> bits) == 0; };
 
-  SequentialExecutor sequential;
-  RoundExecutor& backend = opts.executor ? *opts.executor : sequential;
-  const std::size_t shard_count = std::max<std::size_t>(1, backend.threads());
-  const std::vector<Vertex> bounds = shard_bounds(g, shard_count);
-  std::vector<Shard> shards(shard_count);
+  VertexShards pass(g, opts.executor.get(), opts.collect_phase_times);
+  std::vector<Shard> shards(pass.size());
 
   // Bit v is set while v still steps: its color was not final at the start
   // of the last round.  Shard cuts are multiples of 64, so every word has
   // one owner.
   std::vector<std::uint64_t> stepping((n + 63) / 64, 0);
   const auto words_of = [&](std::size_t s) {
-    const Vertex b = bounds[s];
-    const Vertex e = bounds[s + 1];
+    const Vertex b = pass.begin(s);
+    const Vertex e = pass.end(s);
     return b == e ? std::pair<std::size_t, std::size_t>{0, 0}
                   : std::pair<std::size_t, std::size_t>{b / 64, (e + 63) / 64};
   };
@@ -97,14 +69,6 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   PackedColors* next = &buf_b;
   result.state_bytes = buf_a.memory_bytes() + buf_b.memory_bytes();
 
-  obs::PhaseProfile profile;
-  obs::PhaseProfile* prof = opts.collect_phase_times ? &profile : nullptr;
-  if (prof != nullptr) prof->ensure_shards(shard_count);
-  obs::PhaseStats* extra = prof != nullptr ? prof->extra() : nullptr;
-  const auto stats_of = [prof](std::size_t s) {
-    return prof != nullptr ? prof->shard(s) : nullptr;
-  };
-
   // Fill both buffers, mark the non-final vertices, find the first vertex
   // whose round-1 broadcast the transport rejects.  A color too wide to pack
   // is never read from the buffers: with a port it fails that broadcast, and
@@ -112,7 +76,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   const std::function<void(std::size_t)> init = [&](std::size_t s) {
     Shard& sh = shards[s];
     sh.nbrs.reserve(g.max_degree());
-    for (Vertex v = bounds[s]; v < bounds[s + 1]; ++v) {
+    for (Vertex v = pass.begin(s); v < pass.end(s); ++v) {
       const Color c = col[v];
       if (fits(c)) {
         buf_a.set(v, c);
@@ -131,7 +95,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   // copied into `next` once — the round after it became final, when only
   // `cur` holds its color — and is never stepped again.
   const std::function<void(std::size_t)> step = [&](std::size_t s) {
-    obs::ScopedPhaseTimer timer(stats_of(s), obs::Phase::Receive);
+    obs::ScopedPhaseTimer timer(pass.timers(s), obs::Phase::Receive);
     Shard& sh = shards[s];
     sh.bad = kNone;
     std::size_t nonfinal = 0;
@@ -168,7 +132,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   // their previous color still in `cur`).
   bool full_check = true;
   const std::function<void(std::size_t)> check = [&](std::size_t s) {
-    obs::ScopedPhaseTimer timer(stats_of(s), obs::Phase::Check);
+    obs::ScopedPhaseTimer timer(pass.timers(s), obs::Phase::Check);
     Shard& sh = shards[s];
     const auto clashes = [&](Vertex v) {
       const Color c = col[v];
@@ -179,7 +143,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
     };
     sh.proper = true;
     if (full_check) {
-      for (Vertex v = bounds[s]; v < bounds[s + 1] && sh.proper; ++v) {
+      for (Vertex v = pass.begin(s); v < pass.end(s) && sh.proper; ++v) {
         sh.proper = !clashes(v);
       }
       return;
@@ -193,21 +157,6 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
     }
   };
 
-  // Fork/join one pass; with phase times on, book the shards' wait for the
-  // slowest one as Barrier, like ParallelExecutor::round does.
-  const auto run = [&](const std::function<void(std::size_t)>& task,
-                       obs::Phase phase) {
-    if (prof == nullptr || shard_count == 1) {
-      backend.run_shards(shard_count, task);
-      return;
-    }
-    const std::uint64_t busy_before = prof->busy_ns(phase);
-    const std::uint64_t t0 = obs::monotonic_ns();
-    backend.run_shards(shard_count, task);
-    const std::uint64_t occupied = (obs::monotonic_ns() - t0) * shard_count;
-    const std::uint64_t busy = prof->busy_ns(phase) - busy_before;
-    extra->add(obs::Phase::Barrier, occupied > busy ? occupied - busy : 0);
-  };
   const auto all_proper = [&] {
     return std::all_of(shards.begin(), shards.end(),
                        [](const Shard& sh) { return sh.proper; });
@@ -223,16 +172,16 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
     return bad;
   };
 
-  backend.run_shards(shard_count, init);
+  pass.run(init);
   std::size_t nonfinal = count_nonfinal();
 
   if (opts.check_proper_each_round) {
-    run(check, obs::Phase::Check);
+    pass.run(check, obs::Phase::Check);
     result.proper_each_round = all_proper();
   }
   full_check = false;
   if (opts.on_round) {
-    obs::ScopedPhaseTimer timer(extra, obs::Phase::Observer);
+    obs::ScopedPhaseTimer timer(pass.extra(), obs::Phase::Observer);
     opts.on_round(0, col);
   }
 
@@ -245,7 +194,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
       transport.validate_broadcast(Word{col[bad], bits});
     }
     const std::uint64_t t0 = opts.sink != nullptr ? obs::monotonic_ns() : 0;
-    run(step, obs::Phase::Receive);
+    pass.run(step, obs::Phase::Receive);
     ++result.rounds;
     nonfinal = count_nonfinal();
     if (opts.sink != nullptr) {
@@ -257,12 +206,12 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
       opts.sink->emit(ev);
     }
     if (opts.check_proper_each_round && result.proper_each_round) {
-      run(check, obs::Phase::Check);
+      pass.run(check, obs::Phase::Check);
       result.proper_each_round = all_proper();
     }
     std::swap(cur, next);
     if (opts.on_round) {
-      obs::ScopedPhaseTimer timer(extra, obs::Phase::Observer);
+      obs::ScopedPhaseTimer timer(pass.extra(), obs::Phase::Observer);
       opts.on_round(result.rounds, col);
     }
   }
@@ -273,7 +222,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   result.metrics.messages = result.rounds * messages_per_round;
   result.metrics.total_bits = result.metrics.messages * bits;
   result.metrics.max_edge_bits = g.m() > 0 ? result.rounds * bits : 0;
-  if (prof != nullptr) result.phases = profile.folded();
+  if (opts.collect_phase_times) result.phases = pass.folded();
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <utility>
 
 #include "agc/obs/event_sink.hpp"
@@ -12,32 +13,48 @@ namespace agc::svc {
 
 namespace {
 
-using runtime::Engine;
-
 /// One pass of validation shared by the apply rules and documented in
 /// docs/SERVICE.md; the workload generator mirrors these exactly so a seeded
 /// run completes with zero rejects.
 struct Rules {
-  const Engine& engine;
+  graph::GraphView g;
   const std::vector<bool>& live;
   std::size_t delta_bound;
   std::uint64_t max_vertices;
 
   [[nodiscard]] bool known(graph::Vertex v) const {
-    return v < engine.graph().n() && live[v];
+    return v < g.n() && live[v];
   }
   [[nodiscard]] bool can_add_edge(graph::Vertex u, graph::Vertex v) const {
-    graph::GraphView g = engine.graph();
     return u != v && known(u) && known(v) && !g.has_edge(u, v) &&
            g.degree(u) < delta_bound && g.degree(v) < delta_bound;
   }
   [[nodiscard]] bool can_remove_edge(graph::Vertex u, graph::Vertex v) const {
-    return known(u) && known(v) && engine.graph().has_edge(u, v);
+    return known(u) && known(v) && g.has_edge(u, v);
   }
-  [[nodiscard]] bool can_add_vertex() const {
-    return engine.graph().n() < max_vertices;
-  }
+  [[nodiscard]] bool can_add_vertex() const { return g.n() < max_vertices; }
 };
+
+/// The service's graph, built once; the fault contract is checked first.
+graph::Graph build_graph(const ServiceConfig& cfg) {
+  if (cfg.run.adversary != nullptr || cfg.run.channel != nullptr) {
+    throw std::invalid_argument(
+        "svc::Service: repairs run fault-free; run.adversary and run.channel "
+        "must be null");
+  }
+  return cfg.spec.build();
+}
+
+/// The lifetime bounds, resolved from the initial graph before any member
+/// that bakes them in.
+ServiceConfig resolve_bounds(ServiceConfig cfg, const graph::Graph& g) {
+  if (cfg.delta_bound == 0) {
+    cfg.delta_bound = 2 * std::max<std::size_t>(1, g.max_degree());
+  }
+  if (cfg.max_vertices == 0) cfg.max_vertices = 2 * g.n();
+  cfg.max_vertices = std::max<std::uint64_t>(cfg.max_vertices, g.n());
+  return cfg;
+}
 
 void emit_stage(obs::EventSink* sink, obs::EventKind kind, std::uint64_t round,
                 std::uint64_t value) {
@@ -89,65 +106,42 @@ const char* to_string(OpKind k) noexcept {
 }
 
 Service::Service(ServiceConfig cfg)
-    : cfg_([&] {
-        // Resolve the lifetime bounds before any member that bakes them in.
-        graph::Graph g0 = cfg.spec.build();
-        if (cfg.delta_bound == 0) {
-          cfg.delta_bound = 2 * std::max<std::size_t>(1, g0.max_degree());
-        }
-        if (cfg.max_vertices == 0) cfg.max_vertices = 2 * g0.n();
-        cfg.max_vertices = std::max<std::uint64_t>(cfg.max_vertices, g0.n());
-        return cfg;
-      }()),
-      ss_cfg_(cfg_.max_vertices, cfg_.delta_bound, cfg_.mode),
-      engine_(cfg_.spec.build(), runtime::Transport(runtime::Model::LOCAL),
-              runtime::EngineOptions{.id_space_factor = 1,
-                                     .delta_bound = cfg_.delta_bound,
-                                     .n_bound = cfg_.max_vertices}) {
-  engine_.install(selfstab::ss_coloring_factory(ss_cfg_));
-  if (cfg_.run.executor != nullptr) engine_.set_executor(cfg_.run.executor);
-  spec_.check = faultlab::coloring_check(ss_cfg_);
-  spec_.outputs = faultlab::coloring_outputs();
-  spec_.recovery_budget = cfg_.repair_budget;
-  spec_.confirm_rounds = cfg_.confirm_rounds;
-
-  live_.assign(engine_.graph().n(), true);
-  n_live_ = engine_.graph().n();
+    : graph_(build_graph(cfg)),
+      cfg_(resolve_bounds(std::move(cfg), graph_)),
+      ss_cfg_(cfg_.max_vertices, cfg_.delta_bound, cfg_.mode) {
+  // Every vertex starts from its reset color (the Check-Error reset).
+  ram_.resize(graph_.n());
+  for (graph::Vertex v = 0; v < graph_.n(); ++v) ram_[v] = ss_cfg_.reset_color(v);
+  live_.assign(graph_.n(), true);
+  n_live_ = graph_.n();
 
   // Settle the initial graph so epoch 0 starts from a legal coloring; this
   // is the only from-scratch stabilization the service ever pays.
-  runtime::RunOptions boot = cfg_.run;
-  boot.adversary = nullptr;
-  boot.channel = nullptr;
-  const auto out =
-      faultlab::resettle(engine_, boot, spec_, /*baseline=*/{});
-  if (!out.recovered) ++stats_.legality_violations;
-  phases_.merge(out.phases);
-  settled_ = spec_.outputs(engine_);
+  if (!repair().recovered) ++stats_.legality_violations;
 }
 
 std::uint64_t Service::submit(const Op& op) {
-  queue_.push_back(Queued{op, next_op_, engine_.rounds(),
-                          obs::monotonic_ns()});
+  queue_.push_back(Queued{op, next_op_, rounds_, obs::monotonic_ns()});
   return next_op_++;
 }
 
 bool Service::apply(const Op& op, OpResult& result) {
-  const Rules rules{engine_, live_, cfg_.delta_bound, cfg_.max_vertices};
+  const Rules rules{graph_, live_, cfg_.delta_bound, cfg_.max_vertices};
   switch (op.kind) {
     case OpKind::AddEdge:
       if (!rules.can_add_edge(op.u, op.v)) break;
-      engine_.add_edge(op.u, op.v);
+      graph_.add_edge(op.u, op.v);
       result.status = OpStatus::Ok;
       return true;
     case OpKind::RemoveEdge:
       if (!rules.can_remove_edge(op.u, op.v)) break;
-      engine_.remove_edge(op.u, op.v);
+      graph_.remove_edge(op.u, op.v);
       result.status = OpStatus::Ok;
       return true;
     case OpKind::AddVertex: {
       if (!rules.can_add_vertex()) break;
-      const graph::Vertex v = engine_.add_vertex();
+      const graph::Vertex v = graph_.add_vertex();
+      ram_.push_back(ss_cfg_.reset_color(v));
       live_.push_back(true);
       ++n_live_;
       result.status = OpStatus::Ok;
@@ -156,9 +150,10 @@ bool Service::apply(const Op& op, OpResult& result) {
     }
     case OpKind::RemoveVertex:
       if (!rules.known(op.u)) break;
-      // Retire: drop the vertex's edges and restart its program.  The slot
-      // stays in the engine (ids are stable) but leaves the service API.
-      engine_.reset_vertex(op.u);
+      // Retire: drop the vertex's edges and reset its color.  The slot stays
+      // (ids are stable) but leaves the service API.
+      graph_.isolate(op.u);
+      ram_[op.u] = ss_cfg_.reset_color(op.u);
       live_[op.u] = false;
       --n_live_;
       result.status = OpStatus::Ok;
@@ -175,14 +170,28 @@ bool Service::apply(const Op& op, OpResult& result) {
   return false;
 }
 
+selfstab::StabilizationOutcome Service::repair() {
+  const selfstab::RecoverySpec spec{.recovery_budget = cfg_.repair_budget,
+                                    .confirm_rounds = cfg_.confirm_rounds};
+  auto out = selfstab::flat_resettle(graph_, ram_, ss_cfg_, cfg_.run, spec, rounds_,
+                                     settled_);
+  rounds_ += out.rounds;
+  metrics_.rounds += out.metrics.rounds;
+  metrics_.messages += out.metrics.messages;
+  metrics_.total_bits += out.metrics.total_bits;
+  metrics_.max_edge_bits += out.metrics.max_edge_bits;
+  phases_.merge(out.phases);
+  settled_ = ram_;
+  return out;
+}
+
 std::vector<OpResult> Service::pump() {
   std::vector<OpResult> results;
   if (queue_.empty()) return results;
   const std::uint64_t t0 = obs::monotonic_ns();
   const std::size_t batch = std::min(cfg_.epoch_batch, queue_.size());
   const std::uint64_t epoch = stats_.epochs;
-  emit_stage(cfg_.run.sink, obs::EventKind::StageStart, engine_.rounds(),
-             batch);
+  emit_stage(cfg_.run.sink, obs::EventKind::StageStart, rounds_, batch);
 
   std::vector<Queued> taken;
   taken.reserve(batch);
@@ -190,11 +199,6 @@ std::vector<OpResult> Service::pump() {
     taken.push_back(queue_.front());
     queue_.pop_front();
   }
-
-  // The pre-epoch settled snapshot is the adjustment-diff baseline.  It may
-  // be shorter than the post-epoch graph (AddVertex): resettle counts the
-  // appended tail as adjusted, which is exactly right.
-  const std::vector<std::uint64_t> baseline = settled_;
 
   results.resize(batch);
   std::size_t mutated = 0;
@@ -206,20 +210,21 @@ std::vector<OpResult> Service::pump() {
     if (apply(taken[i].op, r)) ++mutated;
   }
 
-  // Repair only when the epoch actually touched the engine; a query-only
-  // epoch leaves the settled coloring untouched and costs zero rounds.
+  // Repair only when the epoch actually mutated; a query-only epoch leaves
+  // the settled coloring untouched and costs zero rounds.  The pre-epoch
+  // settled snapshot is the adjustment-diff baseline.  It may be shorter than
+  // the post-epoch graph (AddVertex): the repair counts the appended tail as
+  // adjusted, which is exactly right.
   if (mutated > 0) {
-    const auto out = faultlab::resettle(engine_, cfg_.run, spec_, baseline);
+    const auto out = repair();
     stats_.repair_rounds += out.rounds;
     stats_.adjusted_total += out.adjusted.size();
     stats_.max_adjusted =
         std::max<std::uint64_t>(stats_.max_adjusted, out.adjusted.size());
     if (!out.recovered) ++stats_.legality_violations;
-    phases_.merge(out.phases);
-    settled_ = spec_.outputs(engine_);
   }
 
-  const std::uint64_t legal_round = engine_.rounds();
+  const std::uint64_t legal_round = rounds_;
   const std::uint64_t legal_ns = obs::monotonic_ns();
   for (std::size_t i = 0; i < batch; ++i) {
     OpResult& r = results[i];
@@ -241,8 +246,7 @@ std::vector<OpResult> Service::pump() {
   }
   ++stats_.epochs;
   stats_.wall_ns += obs::monotonic_ns() - t0;
-  emit_stage(cfg_.run.sink, obs::EventKind::StageEnd, engine_.rounds(),
-             mutated);
+  emit_stage(cfg_.run.sink, obs::EventKind::StageEnd, rounds_, mutated);
   return results;
 }
 
@@ -257,9 +261,9 @@ std::vector<OpResult> Service::drain() {
 
 runtime::RunReport Service::report() const {
   runtime::RunReport rep;
-  rep.rounds = engine_.rounds();
+  rep.rounds = rounds_;
   rep.converged = stats_.legality_violations == 0;
-  rep.metrics = engine_.metrics();
+  rep.metrics = metrics_;
   rep.wall_ns = stats_.wall_ns;
   rep.phases = phases_;
   return rep;

@@ -38,6 +38,7 @@
 #include "agc/runtime/hooked_rounds.hpp"
 #include "agc/runtime/iterative.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -398,6 +399,102 @@ TEST(AllocHook, LinialStepsAreAllocationFree) {
     EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
         << (c.selfstab ? "SsConfig::step" : "LinialRule::step") << " own=" << c.own;
     EXPECT_NE(next, c.own);
+  }
+}
+
+TEST(AllocHook, SelfStabilizingStepIsAllocationFreeInEveryInterval) {
+  // SsConfig::step builds no neighbor subset and no forbidden set: Check-Error
+  // scans the buffer, I_0 compacts its I_0 neighbors in place, Excl-Linial
+  // asks its I_0 neighbors for S' as it tries each point.  Every interval,
+  // both palette modes.
+  const std::uint64_t ids = std::uint64_t{256} << 20;
+  for (const auto mode : {selfstab::PaletteMode::ODelta,
+                          selfstab::PaletteMode::ExactDeltaPlusOne}) {
+    const selfstab::SsConfig cfg(ids, 8, mode);
+    const auto& sched = cfg.schedule();
+    ASSERT_GE(sched.stages(), 3u);
+    const bool exact = mode == selfstab::PaletteMode::ExactDeltaPlusOne;
+    const Color q = sched.stage(sched.stages() - 1).q;  // ODelta's I_0 field
+    const Color N = cfg.final_palette();               // exact: Delta + 1
+    const Color i1 = sched.offset(1);
+    const Color i2 = sched.offset(2);
+    // A working I_0 state — AG's <2,5>, AG(N)'s <1,3> — and I_0 neighbors
+    // with and without a conflict with it: finals, working states and, in
+    // exact mode, the 3AG state <0,2,6> (p = 17).
+    const Color working = exact ? N + 3 : 2 * q + 5;
+    const std::vector<Color> clash = {exact ? Color{3} : Color{5}, exact ? N + 6 : q + 6};
+    const std::vector<Color> calm = {exact ? Color{5} : Color{3}, exact ? 2 * N + 40 : 3 * q + 1};
+    struct Case {
+      const char* what;
+      Color own;
+      std::vector<Color> nbrs;
+      std::size_t into;  ///< interval of the result
+    };
+    std::vector<Case> cases = {
+        {"reset", cfg.reset_color(7), {cfg.reset_color(8), cfg.reset_color(9), i1 + 3},
+         sched.stages() - 1},
+        {"invalid word", cfg.span() + 5, {i1 + 1}, sched.stages()},
+        {"conflict", i1 + 5, {i1 + 5, i2 + 1}, sched.stages()},
+        {"I_j, j >= 2", i2 + 11, {i2 + 12, i2 + 13, i1 + 1, 4}, 1},
+        {"I_1 with I_0 neighbors", i1 + 7,
+         {i1 + 8, clash[0], clash[1], calm[1], i2 + 4}, 0},
+        {"I_0 with a conflict", working, {clash[0], i1 + 2, clash[1]}, 0},
+        {"I_0 without one", working, {calm[0], i1 + 2, calm[1]}, 0},
+    };
+    std::vector<Color> next;
+    for (Case& c : cases) {
+      const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+      const Color out = cfg.step(7, c.own, c.nbrs);
+      EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+          << (exact ? "exact " : "odelta ") << c.what;
+      EXPECT_EQ(sched.interval_of(out), c.into) << (exact ? "exact " : "odelta ") << c.what;
+      next.push_back(out);
+    }
+    // The two I_0 cases take different branches: a shift, a finalization.
+    EXPECT_FALSE(cfg.is_final(next[5]));
+    EXPECT_TRUE(cfg.is_final(next[6]));
+  }
+}
+
+TEST(AllocHook, FlatSelfStabilizingRoundsAreAllocationFree) {
+  // selfstab::flat_resettle from reset colors in a padded ID space (several
+  // Linial rounds, then AG, then an all-I_0 confirm window), with the sink
+  // and phase timers on: nothing between two consecutive RoundEnd events
+  // allocates once the run is warm.
+  class AllocAtRound final : public obs::EventSink {
+   public:
+    void emit(const obs::Event& ev) override {
+      if (ev.kind == obs::EventKind::RoundEnd && taken < at.size()) {
+        at[taken++] = g_allocs.load(std::memory_order_relaxed);
+      }
+    }
+    std::array<std::uint64_t, 256> at{};
+    std::size_t taken = 0;
+  };
+  const auto g = graph::random_regular(1024, 16, 5);
+  for (const auto mode : {selfstab::PaletteMode::ODelta,
+                          selfstab::PaletteMode::ExactDeltaPlusOne}) {
+    const selfstab::SsConfig cfg(g.n() << 10, g.max_degree(), mode);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      std::vector<std::uint64_t> ram(g.n());
+      for (graph::Vertex v = 0; v < g.n(); ++v) ram[v] = cfg.reset_color(v);
+      AllocAtRound sink;
+      RunOptions opts;
+      opts.executor = exec::make_executor(threads);
+      opts.sink = &sink;
+      opts.collect_phase_times = true;
+      const auto out = selfstab::flat_resettle(
+          g, ram, cfg, opts, {.confirm_rounds = 6}, 0, {});
+      ASSERT_TRUE(out.recovered);
+      ASSERT_GT(sink.taken, 8u) << "too few rounds to reach a steady state";
+      ASSERT_LT(sink.taken, sink.at.size());
+      for (std::size_t r = 3; r + 1 < sink.taken; ++r) {  // rounds 1-3 warm up
+        EXPECT_EQ(sink.at[r + 1] - sink.at[r], 0u)
+            << "threads=" << threads << ": allocations in round " << r + 2;
+      }
+      EXPECT_GT(out.phases.phase_calls(obs::Phase::Receive), 0u);
+      EXPECT_GT(out.phases.phase_calls(obs::Phase::Check), 0u);
+    }
   }
 }
 

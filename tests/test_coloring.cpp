@@ -382,7 +382,9 @@ TEST(ModLinial, ExclForbiddenColorsAvoided) {
   std::vector<Color> forbidden;
   for (Color c = 0; c < 2 * delta; ++c) forbidden.push_back(c);
   for (std::uint64_t x = 10; x < 30; ++x) {
-    const Color out = coloring::mod_linial_step(sched, 1, off + x, nbrs, forbidden);
+    const Color out = coloring::mod_linial_step(sched, 1, off + x, nbrs, [&](Color c) {
+      return std::find(forbidden.begin(), forbidden.end(), c) != forbidden.end();
+    });
     EXPECT_LT(out, sched.interval_size(0));
     EXPECT_EQ(std::find(forbidden.begin(), forbidden.end(), out), forbidden.end());
   }
@@ -402,14 +404,14 @@ TEST(ModLinial, SameIntervalNeighborsGetDistinctColors) {
     for (std::size_t k = 0; k < group.size(); ++k) {
       if (k != i) others.push_back(group[k]);
     }
-    const Color ci = coloring::mod_linial_step(sched, j, group[i], others, {});
+    const Color ci = coloring::mod_linial_step(sched, j, group[i], others);
     for (std::size_t k = 0; k < group.size(); ++k) {
       if (k == i) continue;
       std::vector<Color> rest;
       for (std::size_t m = 0; m < group.size(); ++m) {
         if (m != k) rest.push_back(group[m]);
       }
-      EXPECT_NE(ci, coloring::mod_linial_step(sched, j, group[k], rest, {}));
+      EXPECT_NE(ci, coloring::mod_linial_step(sched, j, group[k], rest));
     }
   }
 }

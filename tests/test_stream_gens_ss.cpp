@@ -125,7 +125,10 @@ TEST(StreamLinial, StepMatchesMaterializingOracle) {
             forbidden.push_back(rng.below(sched.interval_size(0)));
           }
         }
-        EXPECT_EQ(coloring::mod_linial_step(sched, j, own, nbrs, forbidden),
+        const auto excluded = [&](Color c) {
+          return std::find(forbidden.begin(), forbidden.end(), c) != forbidden.end();
+        };
+        EXPECT_EQ(coloring::mod_linial_step(sched, j, own, nbrs, excluded),
                   oracle_step(sched, j, own, nbrs, forbidden))
             << "excl=" << excl << " j=" << j << " own=" << own;
       }

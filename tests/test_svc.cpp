@@ -10,8 +10,10 @@
 #include <vector>
 
 #include "agc/exec/executor.hpp"
+#include "agc/faultlab/channel.hpp"
 #include "agc/graph/checks.hpp"
 #include "agc/obs/event_sink.hpp"
+#include "agc/runtime/faults.hpp"
 #include "agc/svc/service.hpp"
 #include "agc/svc/wire.hpp"
 #include "agc/svc/workload.hpp"
@@ -58,7 +60,7 @@ TEST(ServiceBasics, BootsSettledAndAnswersQueries) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, OpStatus::Ok);
   EXPECT_LT(results[0].value, service.coloring_config().final_palette());
-  // Query-only epochs never step the engine.
+  // Query-only epochs run no round.
   EXPECT_EQ(results[0].latency_rounds, 0u);
 }
 
@@ -98,6 +100,22 @@ TEST(ServiceBasics, MutationsValidateLikeDocumented) {
   EXPECT_TRUE(service.live(200));
   EXPECT_EQ(service.live_vertices(), 200u);  // -1 retired, +1 added
   (void)dmax;
+}
+
+TEST(ServiceBasics, RejectsFaultHooks) {
+  // Every fault the service sees is a client mutation between repairs; a
+  // fault hook would have no round to act in, so construction refuses it.
+  struct Idle final : runtime::FaultAdversary {
+    std::size_t inject(runtime::Engine&, std::size_t) override { return 0; }
+  } idle;
+  auto with_adversary = small_config();
+  with_adversary.run.adversary = &idle;
+  EXPECT_THROW(svc::Service{with_adversary}, std::invalid_argument);
+
+  faultlab::ChannelAdversary channel(faultlab::ChannelFaultConfig{});
+  auto with_channel = small_config();
+  with_channel.run.channel = &channel;
+  EXPECT_THROW(svc::Service{with_channel}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -286,11 +304,12 @@ TEST(ServiceObs, EveryEpochEmitsStagePairAndPhaseTimings) {
   EXPECT_EQ(starts, service.stats().epochs);
   EXPECT_EQ(ends, service.stats().epochs);
   // collect_phase_times folded the phase timers of the boot settle and of
-  // every epoch's repair into report().
+  // every epoch's repair into report(): flat rounds book the step pass as
+  // receive and the legality pass as check.
   const runtime::RunReport rep = service.report();
   EXPECT_GT(rep.rounds, 0u);
-  EXPECT_GT(rep.phases.phase_calls(obs::Phase::Send), 0u);
   EXPECT_GT(rep.phases.phase_calls(obs::Phase::Receive), 0u);
+  EXPECT_GT(rep.phases.phase_calls(obs::Phase::Check), 0u);
   EXPECT_GT(rep.phases.total_ns(), 0u);
 }
 
