@@ -1,7 +1,7 @@
 // M1 — google-benchmark microbenchmarks for the substrate hot paths: field
 // arithmetic, Linial polynomial evaluation, AG and Linial rule steps,
-// locally-iterative rounds on the sweep, and the raw engine message path
-// (send/validate/deliver/receive).  These bound the simulator's throughput,
+// locally-iterative rounds on the sweep, graph builds, and the raw engine
+// message path (send/validate/deliver/receive).  These bound the simulator's throughput,
 // not the paper's claims.
 //
 // Flags: everything google-benchmark accepts, plus the repo-wide
@@ -15,6 +15,7 @@
 #include "agc/coloring/linial.hpp"
 #include "agc/coloring/luby.hpp"
 #include "agc/graph/generators.hpp"
+#include "agc/graph/spec.hpp"
 #include "agc/math/polynomial.hpp"
 #include "agc/math/primes.hpp"
 #include "agc/exec/executor.hpp"
@@ -154,6 +155,35 @@ void BM_LinialScheduleBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinialScheduleBuild);
+
+// ---------------------------------------------------------------------------
+// Graph build: the generator behind each perfbench workload, from its spec
+// string, into the type the workload builds — table1's random regular graph
+// (Delta = 32) and scale's streamed G(n, p) as a frozen CSR (scale's at
+// n = 10^5), the service's G(n, p) as a mutable Graph.
+
+void BM_GraphBuild(benchmark::State& state, const char* spec, bool frozen) {
+  const graph::GraphSpec s = graph::GraphSpec::parse(spec);
+  std::size_t m = 0;
+  for (auto _ : state) {
+    if (frozen) {
+      const graph::FrozenGraph g = s.build_frozen();
+      m = g.m();
+      benchmark::DoNotOptimize(g.neighbors(0).data());
+    } else {
+      const graph::Graph g = s.build();
+      m = g.m();
+      benchmark::DoNotOptimize(g.neighbors(0).data());
+    }
+  }
+  state.counters["m"] = static_cast<double>(m);
+}
+BENCHMARK_CAPTURE(BM_GraphBuild, regular_1500_32, "regular:1500,32,1266", true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GraphBuild, gnp_4000_graph, "gnp:4000,0.002,11", false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GraphBuild, gnp_100000_frozen, "gnp:100000,0.00016,1", true)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Message path: rounds/sec through the engine's send -> validate -> deliver

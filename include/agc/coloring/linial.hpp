@@ -33,6 +33,7 @@ struct LinialStage {
   std::uint64_t q;             ///< prime field size, q > ceil(d*Delta/budget)
   std::uint32_t d;             ///< polynomial degree
   std::uint64_t to_palette;    ///< q*q
+  math::GF field;              ///< GF(q), built once with the schedule
 };
 
 /// The stage chain of a digit-polynomial reduction from `palette` colors, the
@@ -103,7 +104,7 @@ template <typename Excluded>
                                     const Excluded& excluded) {
   assert(j >= 1 && j <= sched.stages());
   const LinialStage& st = sched.stage(sched.stages() - j);
-  const math::GF field(st.q);
+  const math::GF& field = st.field;
   const int d = static_cast<int>(st.d);
   const std::uint64_t lo = sched.offset(j);
   const std::uint64_t hi = lo + sched.interval_size(j);

@@ -31,6 +31,9 @@ class Graph {
 
   /// Build a graph on n vertices from an edge list (duplicates and self-loops
   /// are rejected with an assertion in debug builds, ignored in release).
+  /// Equal to add_edge over the list, m() and topology_version() included,
+  /// but in bulk: each list is allocated once, and sorted only if the edge
+  /// order left it unsorted.
   static Graph from_edges(std::size_t n, std::span<const Edge> edges);
 
   [[nodiscard]] std::size_t n() const noexcept { return adj_.size(); }
@@ -47,6 +50,10 @@ class Graph {
 
   /// Inserts (u,v); returns false if it already existed or u == v.
   bool add_edge(Vertex u, Vertex v);
+
+  /// Room for `degree` neighbors of v, so a builder that can predict v's
+  /// degree spares add_edge the regrowth.  Changes nothing observable.
+  void reserve(Vertex v, std::size_t degree) { adj_[v].reserve(degree); }
 
   /// Removes (u,v); returns false if it was not present.
   bool remove_edge(Vertex u, Vertex v);

@@ -299,13 +299,14 @@ class InboxRef {
     return w.empty() ? fallback : w.front().value;
   }
 
-  /// SET-LOCAL view: the sorted multiset of first-word values, stripped of
-  /// sender identity.  Algorithms that only use this view are directly
-  /// executable in the SET-LOCAL model (Section 1.2.3 of the paper).  The
-  /// values are materialized into the shard's reusable scratch buffer, which
-  /// the caller may reorder or overwrite; the returned span is invalidated
-  /// by the next multiset() call on this shard (i.e. by the next vertex's
-  /// on_receive).
+  /// SET-LOCAL view: the multiset of first-word values, stripped of sender
+  /// identity, in unspecified order (every reader is order-free, as
+  /// IterativeRule::step is).  Algorithms that only use this view are
+  /// directly executable in the SET-LOCAL model (Section 1.2.3 of the
+  /// paper).  The values are materialized into the shard's reusable scratch
+  /// buffer, which the caller may reorder or overwrite; the returned span is
+  /// invalidated by the next multiset() call on this shard (i.e. by the next
+  /// vertex's on_receive).
   [[nodiscard]] std::span<std::uint64_t> multiset() const {
     auto& vals = *scratch_;
     vals.clear();
@@ -313,7 +314,6 @@ class InboxRef {
       const auto w = arena_->words(peer_[p]);
       if (!w.empty()) vals.push_back(w.front().value);
     }
-    std::sort(vals.begin(), vals.end());
     return vals;
   }
 

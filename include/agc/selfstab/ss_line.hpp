@@ -80,6 +80,11 @@ class SsLineProgram final : public runtime::VertexProgram {
   const SsLineConfig& cfg_;
   std::vector<graph::Vertex> keys_;   ///< neighbor ids, sorted (port order)
   std::vector<std::uint64_t> vals_;   ///< replica per key (RAM)
+  // Phase B scratch, reused every round: the next replicas, one edge's
+  // line-graph neighborhood and its colors.
+  std::vector<std::uint64_t> next_;
+  std::vector<std::uint64_t> packed_;
+  std::vector<std::uint64_t> colors_;
 };
 
 [[nodiscard]] runtime::ProgramFactory ss_line_factory(const SsLineConfig& cfg);

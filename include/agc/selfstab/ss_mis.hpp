@@ -69,6 +69,7 @@ class SsMisProgram final : public runtime::VertexProgram {
  private:
   const SsConfig& cfg_;
   std::uint64_t ram_[2] = {0, 0};  ///< [0] color, [1] status
+  std::vector<std::uint64_t> colors_;  ///< neighbor colors, reused each round
 };
 
 [[nodiscard]] runtime::ProgramFactory ss_mis_factory(const SsConfig& cfg);

@@ -18,7 +18,7 @@ namespace {
 std::vector<Color> defective_stage(graph::GraphView g,
                                    const std::vector<Color>& colors,
                                    const coloring::LinialStage& st) {
-  const math::GF field(st.q);
+  const math::GF& field = st.field;
   const int d = static_cast<int>(st.d);
   std::vector<Color> next(g.n());
   // Evaluation tables are small (q entries); per vertex we scan its
@@ -64,7 +64,9 @@ DefectiveResult defective_color(graph::GraphView g, std::size_t p,
   auto stages = coloring::linial_stages(id_space, delta, p);
   const auto max_stages =
       static_cast<std::size_t>(math::log_star(id_space)) + 10;
-  if (stages.size() > max_stages) stages.resize(max_stages);
+  if (stages.size() > max_stages) {
+    stages.erase(stages.begin() + static_cast<std::ptrdiff_t>(max_stages), stages.end());
+  }
   for (const coloring::LinialStage& st : stages) {
     colors = defective_stage(g, colors, st);
   }

@@ -75,7 +75,7 @@ class PartitionRule final : public runtime::IterativeRule {
     const std::size_t t = s_.interval_of(m);
     if (t + 1 == s_.pal.size()) return own;  // final interval
     const LinialStage& st = s_.stages[t];
-    const math::GF field(st.q);
+    const math::GF& field = st.field;
     const int d = static_cast<int>(st.d);
     const std::uint64_t lo = s_.off[t];
     const std::uint64_t hi = lo + s_.pal[t];

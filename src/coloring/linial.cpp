@@ -14,20 +14,26 @@ std::vector<LinialStage> linial_stages(std::uint64_t palette, std::size_t delta,
   budget = std::max<std::uint64_t>(budget, 1);
   std::vector<LinialStage> stages;
   while (true) {
-    LinialStage best{palette, 0, 0, std::numeric_limits<std::uint64_t>::max()};
+    std::uint64_t best_q = 0;
+    std::uint32_t best_d = 0;
+    std::uint64_t best_to = std::numeric_limits<std::uint64_t>::max();
     for (std::uint32_t d = 1; d <= math::Polynomial::kMaxDegree; ++d) {
       const std::uint64_t slack =
           (static_cast<std::uint64_t>(d) * delta + budget - 1) / budget;
       const std::uint64_t q = math::next_prime(
           std::max<std::uint64_t>(slack + 1, math::ceil_root(palette, d + 1)));
       const std::uint64_t to = math::sat_mul(q, q);
-      if (to < best.to_palette) best = LinialStage{palette, q, d, to};
+      if (to < best_to) {
+        best_q = q;
+        best_d = d;
+        best_to = to;
+      }
       // Larger d only raises q once coverage is no longer binding.
       if (math::sat_pow(slack + 1, d + 1) >= palette) break;
     }
-    if (best.to_palette >= palette) return stages;  // fixed point
-    stages.push_back(best);
-    palette = best.to_palette;
+    if (best_to >= palette) return stages;  // fixed point
+    stages.push_back(LinialStage{palette, best_q, best_d, best_to, math::GF(best_q)});
+    palette = best_to;
   }
 }
 
@@ -45,7 +51,7 @@ LinialSchedule::LinialSchedule(std::uint64_t id_space, std::size_t delta,
         stages_.empty() ? initial : stages_.back().to_palette;
     const std::uint64_t q = math::next_prime(
         std::max<std::uint64_t>(4 * dd + 1, math::ceil_root(palette, 3)));
-    stages_.push_back(LinialStage{palette, q, 2, q * q});
+    stages_.push_back(LinialStage{palette, q, 2, q * q, math::GF(q)});
   }
 
   // Interval 0 (final palette, widened to final_room) at 0, interval j above

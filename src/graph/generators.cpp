@@ -1,11 +1,12 @@
 #include "agc/graph/generators.hpp"
 
 #include <algorithm>
-
-#include "agc/graph/view.hpp"
+#include <array>
 #include <cassert>
 #include <cmath>
-#include <numeric>
+#include <span>
+
+#include "agc/graph/view.hpp"
 
 namespace agc::graph {
 
@@ -40,12 +41,14 @@ std::uint64_t Rng::next() noexcept {
 
 std::uint64_t Rng::below(std::uint64_t bound) noexcept {
   assert(bound > 0);
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = ~0ULL - (~0ULL % bound);
-  std::uint64_t r;
-  do {
-    r = next();
-  } while (r >= limit);
+  // Rejection sampling to avoid modulo bias: reject r >= limit = 2^64 - 1 -
+  // (2^64 - 1) % bound.  Since limit >= 2^64 - bound, a draw below that
+  // (-bound in u64) is accepted without the divide that computes limit.
+  std::uint64_t r = next();
+  if (r >= -bound) {
+    const std::uint64_t limit = ~0ULL - (~0ULL % bound);
+    while (r >= limit) r = next();
+  }
   return r % bound;
 }
 
@@ -193,35 +196,151 @@ void chung_lu_stream(std::size_t n, double gamma, double avg_deg,
   }
 }
 
+/// How many emissions a scattered CSR write trails its edge by.
+constexpr std::size_t kDefer = 32;
+
+/// One replay of stream_to_csr.  claim(v) takes row v's next slot and put()
+/// fills it; row(v) is what a claim of v reads first.  Counting claims a
+/// slot by bumping v's degree and puts nothing.
+struct CountPass {
+  std::vector<std::uint64_t>& offsets;
+  [[nodiscard]] const void* row(Vertex v) const { return &offsets[v + 1]; }
+  std::uint64_t* claim(Vertex v) { return &++offsets[v + 1]; }
+  static void put(std::uint64_t*, Vertex) {}
+};
+
+struct FillPass {
+  std::vector<std::uint64_t>& cursor;
+  std::vector<Vertex>& targets;
+  [[nodiscard]] const void* row(Vertex v) const { return &cursor[v]; }
+  Vertex* claim(Vertex v) { return &targets[cursor[v]++]; }
+  static void put(Vertex* slot, Vertex value) { *slot = value; }
+};
+
+/// Replay `stream` through `pass`: each emitted edge (a, b) claims and fills
+/// its slot in row a at once, and its slot in row b in two deferred steps —
+/// the claim kDefer/2 emissions later and the put kDefer emissions later,
+/// each after a prefetch of what it touches.  The source a runs in
+/// ascending blocks, so row a is walked in order, while row b lands anywhere
+/// in arrays far larger than the cache; the deferral lets those misses
+/// overlap the next emissions.
+///
+/// Deferred claims keep their emission order, so every row's slots are
+/// claimed in emission order and its neighbors stay sorted: gnp emits
+/// b < a, so every deferred claim on row b follows b's own block; the
+/// power-law stream emits b > a, so deferred claims on row b precede b's own
+/// block, and the queue is drained before a block's claims could overtake
+/// one (once a reaches the smallest queued b above its source).
+template <typename Stream, typename Pass>
+void replay_deferred(Stream&& stream, Pass& pass) {
+  using Slot = decltype(pass.claim(0));
+  struct Pending {
+    Vertex row;
+    Vertex value;
+    Slot slot;
+  };
+  std::array<Pending, kDefer> queue;  // a ring
+  std::size_t pushed = 0;
+  std::size_t claimed = 0;
+  std::size_t put = 0;
+  Vertex ahead = ~Vertex{0};  // <= every queued row whose block is to come
+  const auto claim_next = [&] {
+    Pending& p = queue[claimed++ % kDefer];
+    p.slot = pass.claim(p.row);
+    __builtin_prefetch(p.slot, 1);
+  };
+  const auto put_next = [&] {
+    const Pending& p = queue[put++ % kDefer];
+    pass.put(p.slot, p.value);
+  };
+  const auto drain = [&] {
+    while (claimed < pushed) claim_next();
+    while (put < pushed) put_next();
+  };
+  stream([&](Vertex a, Vertex b) {
+    if (a >= ahead) {
+      drain();
+      ahead = ~Vertex{0};
+    }
+    pass.put(pass.claim(a), b);
+    __builtin_prefetch(pass.row(b), 1);
+    if (pushed - claimed == kDefer / 2) claim_next();
+    if (pushed - put == kDefer) put_next();
+    queue[pushed++ % kDefer] = {b, a, Slot{}};
+    if (b > a) ahead = std::min(ahead, b);
+  });
+  drain();
+}
+
 /// Replay `stream` twice — once to count degrees, once to fill — writing the
 /// emitted undirected edges straight into a frozen CSR.  Both generators
 /// above emit each vertex's neighbors in ascending order (smaller endpoints
-/// during its own source block, larger ones as later blocks reach it), so
-/// the filled target ranges are already sorted.
+/// during its own source block, larger ones as later blocks reach it), and
+/// replay_deferred keeps each row's order, so the filled target ranges are
+/// already sorted.
 template <typename Stream>
 FrozenGraph stream_to_csr(std::size_t n, Stream&& stream) {
   std::vector<std::uint64_t> offsets(n + 1, 0);
-  stream([&](Vertex a, Vertex b) {
-    ++offsets[a + 1];
-    ++offsets[b + 1];
-  });
+  CountPass count{offsets};
+  replay_deferred(stream, count);
   for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
   std::vector<Vertex> targets(offsets[n]);
   std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-  stream([&](Vertex a, Vertex b) {
-    targets[cursor[a]++] = b;
-    targets[cursor[b]++] = a;
-  });
+  FillPass fill{cursor, targets};
+  replay_deferred(stream, fill);
   return FrozenGraph::from_csr(std::move(offsets), std::move(targets));
 }
+
+/// The simple graph a pairing builds so far, as one flat n x d block: row v
+/// holds v's partners in pairing order.  Every vertex owns exactly d stubs,
+/// so no row outgrows d and a duplicate check scans at most d entries.
+class Pairing {
+ public:
+  Pairing(std::size_t n, std::size_t d) : d_(d), partners_(n * d), size_(n) {}
+
+  /// Forget every pair, touching only the rows that hold one.
+  void clear() {
+    for (const auto& [u, v] : edges_) size_[u] = size_[v] = 0;
+    edges_.clear();
+  }
+
+  /// Pairs u with v; false (and nothing recorded) for a loop or a duplicate,
+  /// exactly when Graph::add_edge would refuse the edge.
+  bool add(Vertex u, Vertex v) {
+    if (u == v) return false;
+    Vertex* const row_u = partners_.data() + u * d_;
+    if (std::find(row_u, row_u + size_[u], v) != row_u + size_[u]) return false;
+    row_u[size_[u]++] = v;
+    partners_[v * d_ + size_[v]++] = u;
+    edges_.push_back({u, v});
+    return true;
+  }
+
+  /// Every pair added since the last clear(), in insertion order.
+  [[nodiscard]] std::span<const Edge> edges() const { return edges_; }
+
+ private:
+  std::size_t d_;
+  std::vector<Vertex> partners_;
+  std::vector<std::uint32_t> size_;
+  std::vector<Edge> edges_;
+};
 
 }  // namespace
 
 Graph random_gnp(std::size_t n, double p, std::uint64_t seed) {
   if (p >= 1.0 && n >= 2) return complete(n);
   Graph g(n);
-  gnp_stream(n, p, seed,
-             [&](Vertex v, Vertex w) { g.add_edge(v, w); });
+  // Every row starts with room for the expected degree, so most rows never
+  // regrow, and the stream emits each row in ascending order, so every
+  // add_edge appends.  Exact sizes would cost more: a counting replay costs
+  // time, and an O(m) edge buffer or slack-free rows raise a churning
+  // service's peak memory (EXPERIMENTS.md M1i).
+  if (p > 0.0 && n >= 2) {  // then p < 1, so room <= n - 1
+    const auto room = static_cast<std::size_t>(std::ceil(p * static_cast<double>(n - 1)));
+    for (Vertex v = 0; v < n; ++v) g.reserve(v, room);
+  }
+  gnp_stream(n, p, seed, [&](Vertex v, Vertex w) { g.add_edge(v, w); });
   return g;
 }
 
@@ -248,7 +367,6 @@ Graph random_regular(std::size_t n, std::size_t d, std::uint64_t seed) {
   assert(d < n);
   assert((n * d) % 2 == 0);
   Rng rng(seed);
-  Graph g(n);
   // Pairing model: d stubs per vertex, shuffle, pair consecutive stubs.
   // Bad pairs (loops / duplicates) are retried a bounded number of times.
   std::vector<Vertex> stubs;
@@ -256,42 +374,41 @@ Graph random_regular(std::size_t n, std::size_t d, std::uint64_t seed) {
   for (Vertex v = 0; v < n; ++v) {
     for (std::size_t k = 0; k < d; ++k) stubs.push_back(v);
   }
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    // Fisher-Yates shuffle.
+  const auto shuffle = [&] {  // Fisher-Yates
     for (std::size_t i = stubs.size(); i > 1; --i) {
       std::swap(stubs[i - 1], stubs[rng.below(i)]);
     }
-    Graph trial(n);
+  };
+  Pairing pairing(n, d);
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    shuffle();
+    pairing.clear();
     bool clean = true;
-    for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
-      if (!trial.add_edge(stubs[i], stubs[i + 1])) {
-        clean = false;
-        break;
-      }
+    for (std::size_t i = 0; i + 1 < stubs.size() && clean; i += 2) {
+      clean = pairing.add(stubs[i], stubs[i + 1]);
     }
-    if (clean) return trial;
+    if (clean) return Graph::from_edges(n, pairing.edges());
   }
   // Repair fallback: greedy matching of remaining stubs, skipping bad pairs.
-  for (std::size_t i = stubs.size(); i > 1; --i) {
-    std::swap(stubs[i - 1], stubs[rng.below(i)]);
-  }
+  shuffle();
+  pairing.clear();
   std::vector<Vertex> pending;
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
-    if (!g.add_edge(stubs[i], stubs[i + 1])) {
+    if (!pairing.add(stubs[i], stubs[i + 1])) {
       pending.push_back(stubs[i]);
       pending.push_back(stubs[i + 1]);
     }
   }
   for (std::size_t i = 0; i < pending.size(); ++i) {
     for (std::size_t j = i + 1; j < pending.size(); ++j) {
-      if (g.add_edge(pending[i], pending[j])) {
+      if (pairing.add(pending[i], pending[j])) {
         std::swap(pending[j], pending[i + 1]);
         ++i;
         break;
       }
     }
   }
-  return g;
+  return Graph::from_edges(n, pairing.edges());
 }
 
 Graph random_bounded_degree(std::size_t n, std::size_t dmax, std::size_t target_m,

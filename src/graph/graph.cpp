@@ -8,12 +8,32 @@
 namespace agc::graph {
 
 Graph Graph::from_edges(std::size_t n, std::span<const Edge> edges) {
-  Graph g(n);
+  // In bulk: size every list once, fill it in edge order, then sort (unless
+  // the order already was) and drop duplicates.  The result, m() and
+  // topology_version() are what add_edge over `edges` would leave.
+  const auto valid = [n](Vertex u, Vertex v) { return u != v && u < n && v < n; };
+  std::vector<std::size_t> degree(n, 0);
   for (const auto& [u, v] : edges) {
-    assert(u < n && v < n && u != v);
-    [[maybe_unused]] bool inserted = g.add_edge(u, v);
-    assert(inserted);
+    assert(valid(u, v));
+    if (!valid(u, v)) continue;
+    ++degree[u];
+    ++degree[v];
   }
+  Graph g(n);
+  for (Vertex v = 0; v < n; ++v) g.adj_[v].reserve(degree[v]);
+  for (const auto& [u, v] : edges) {
+    if (!valid(u, v)) continue;
+    g.adj_[u].push_back(v);
+    g.adj_[v].push_back(u);
+  }
+  for (auto& a : g.adj_) {
+    if (!std::is_sorted(a.begin(), a.end())) std::sort(a.begin(), a.end());
+    assert(std::adjacent_find(a.begin(), a.end()) == a.end());
+    a.erase(std::unique(a.begin(), a.end()), a.end());
+    g.m_ += a.size();
+  }
+  g.m_ /= 2;
+  g.version_ = g.m_;
   return g;
 }
 

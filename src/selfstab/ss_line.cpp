@@ -11,7 +11,12 @@ namespace agc::selfstab {
 void SsLineProgram::sync_keys(const runtime::VertexEnv& env) {
   // Merge the replica table with the current neighbor list (both sorted):
   // new edges get the deterministic reset state (same at both endpoints),
-  // removed edges drop their replicas.
+  // removed edges drop their replicas.  An unchanged neighborhood, the
+  // steady state, keeps the table as it is.
+  if (std::equal(keys_.begin(), keys_.end(), env.neighbors.begin(),
+                 env.neighbors.end())) {
+    return;
+  }
   std::vector<graph::Vertex> keys;
   std::vector<std::uint64_t> vals;
   keys.reserve(env.neighbors.size());
@@ -73,37 +78,37 @@ void SsLineProgram::on_receive(const runtime::VertexEnv& env,
   }
 
   // Phase B: run the virtual-vertex step for every incident edge, from the
-  // pre-update snapshot (all virtual vertices move simultaneously).
-  std::vector<std::uint64_t> next = vals_;
+  // pre-update snapshot (all virtual vertices move simultaneously).  The
+  // snapshot, the neighborhood and its colors live in the program's scratch,
+  // which stops growing once it has seen the largest neighborhood.
+  next_.assign(vals_.begin(), vals_.end());
   for (std::size_t p = 0; p < keys_.size(); ++p) {
     const auto words = in.from_port(p);
     if (words.empty()) continue;
 
     // The line-graph neighborhood of edge (me, w): my other incident edges
-    // plus w's other incident edges (words[1..] of w's message).
-    std::vector<std::uint64_t> packed;
-    packed.reserve(keys_.size() - 1 + (words.size() - 1));
+    // plus w's other incident edges (words[1..] of w's message), in no
+    // particular order — the step and mis_update are order-free.
+    packed_.clear();
     for (std::size_t q = 0; q < keys_.size(); ++q) {
-      if (q != p) packed.push_back(vals_[q]);
+      if (q != p) packed_.push_back(vals_[q]);
     }
-    for (std::size_t i = 1; i < words.size(); ++i) packed.push_back(words[i].value);
-    std::sort(packed.begin(), packed.end());
+    for (std::size_t i = 1; i < words.size(); ++i) packed_.push_back(words[i].value);
 
-    std::vector<std::uint64_t> colors;
-    colors.reserve(packed.size());
-    for (std::uint64_t w : packed) colors.push_back(packed_color(w));
+    colors_.clear();
+    for (std::uint64_t w : packed_) colors_.push_back(packed_color(w));
 
     const std::uint64_t state = vals_[p];
     const std::uint64_t eid = cfg_.edge_id(env.id, keys_[p]);
     const std::uint64_t new_color =
-        cfg_.coloring().step(eid, packed_color(state), colors);
+        cfg_.coloring().step(eid, packed_color(state), colors_);
     std::uint64_t new_status = 0;
     if (cfg_.task() == LineTask::MaximalMatching) {
-      new_status = mis_update(new_color, packed_status(state), packed);
+      new_status = mis_update(new_color, packed_status(state), packed_);
     }
-    next[p] = pack_cs(new_color, new_status);
+    next_[p] = pack_cs(new_color, new_status);
   }
-  vals_ = std::move(next);
+  vals_.swap(next_);
 }
 
 std::optional<std::uint64_t> SsLineProgram::replica(graph::Vertex w) const {

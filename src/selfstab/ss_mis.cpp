@@ -41,12 +41,11 @@ MisStatus mis_update(std::uint64_t my_color, MisStatus my_status,
 void SsMisProgram::on_receive(const runtime::VertexEnv& env,
                               const runtime::InboxRef& in) {
   const auto packed = in.multiset();
-  // Color step first (on the color components, which arrive sorted because
-  // the status occupies the low bits).
-  std::vector<std::uint64_t> colors;
-  colors.reserve(packed.size());
-  for (std::uint64_t w : packed) colors.push_back(packed_color(w));
-  ram_[0] = cfg_.step(env.padded_id, ram_[0], colors);
+  // Color step first, on the color components in the program's scratch (the
+  // step may reorder them; mis_update still reads the packed words).
+  colors_.clear();
+  for (std::uint64_t w : packed) colors_.push_back(packed_color(w));
+  ram_[0] = cfg_.step(env.padded_id, ram_[0], colors_);
   ram_[1] = mis_update(ram_[0], packed_status(ram_[1] & 3), packed);
 }
 

@@ -38,6 +38,8 @@
 #include "agc/runtime/hooked_rounds.hpp"
 #include "agc/runtime/iterative.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
+#include "agc/selfstab/ss_line.hpp"
+#include "agc/selfstab/ss_mis.hpp"
 #include "agc/selfstab/stabilization.hpp"
 
 namespace {
@@ -494,6 +496,37 @@ TEST(AllocHook, FlatSelfStabilizingRoundsAreAllocationFree) {
       }
       EXPECT_GT(out.phases.phase_calls(obs::Phase::Receive), 0u);
       EXPECT_GT(out.phases.phase_calls(obs::Phase::Check), 0u);
+    }
+  }
+}
+
+TEST(AllocHook, SelfStabilizingMisAndLineRoundsAreAllocationFree) {
+  // SsMisProgram and SsLineProgram keep the neighborhoods they step on in
+  // program-owned scratch, and an unchanged neighbor list leaves the line
+  // program's replica table alone: once warm, an engine round of either
+  // allocates nothing (the line program's phase-B rounds included).
+  const auto g = graph::random_regular(256, 8, 5);
+  const std::size_t delta = g.max_degree();
+  const selfstab::SsConfig mis_cfg(g.n(), delta, selfstab::PaletteMode::ODelta);
+  const selfstab::SsLineConfig line_cfg(g.n(), delta,
+                                        selfstab::LineTask::MaximalMatching);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    for (const char* what : {"ss-mis", "ss-line"}) {
+      EngineOptions eo;
+      eo.delta_bound = delta;
+      Engine engine(g, Transport(Model::LOCAL), eo);
+      engine.set_executor(exec::make_executor(threads));
+      if (std::string(what) == "ss-mis") {
+        engine.install(selfstab::ss_mis_factory(mis_cfg));
+      } else {
+        engine.install(selfstab::ss_line_factory(line_cfg));
+      }
+      for (int i = 0; i < 6; ++i) engine.step();  // warm arena, lanes, scratch
+
+      const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+      for (int i = 0; i < 16; ++i) engine.step();
+      EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u)
+          << what << " threads=" << threads;
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "agc/graph/line_graph.hpp"
 #include "agc/graph/orientation.hpp"
 #include "agc/graph/spec.hpp"
+#include "agc/graph/view.hpp"
 
 namespace {
 
@@ -115,6 +116,97 @@ TEST(Generators, RngUniformity) {
   for (auto b : buckets) {
     EXPECT_GT(b, 800u);
     EXPECT_LT(b, 1200u);
+  }
+}
+
+/// FNV-1a over 64-bit words: n, m and topology_version, then every row's
+/// degree and sorted neighbors.
+std::uint64_t adjacency_digest(GraphView g) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
+  mix(g.n());
+  mix(g.m());
+  mix(g.topology_version());
+  for (Vertex v = 0; v < g.n(); ++v) {
+    mix(g.degree(v));
+    for (const Vertex u : g.neighbors(v)) mix(u);
+  }
+  return h;
+}
+
+// Every random generator's output, pinned to digests of the builders that
+// grew each row through Graph::add_edge: a faster build must keep the same
+// draws, edges, sorted rows, m() and topology_version().
+TEST(Generators, PinnedDigests) {
+  struct Regular {
+    std::size_t n, d;
+    std::uint64_t seed, want;
+  };
+  constexpr Regular kRegular[] = {
+      // perfbench table1's four graphs: every attempt fails, fallback.
+      {1500, 4, 1238, 0x12a08d91698ff7fdULL},
+      {1500, 8, 1242, 0xe3ce9cdce940c66bULL},
+      {1500, 16, 1250, 0x127fd1c312413e65ULL},
+      {1500, 32, 1266, 0x1b63f19c57abc86bULL},
+      // A clean pairing at attempt 3, 46 and 0.
+      {100, 3, 1, 0x50cc5bde3ad2a671ULL},
+      {200, 4, 9, 0xddacbc4d588f408dULL},
+      {300, 2, 5, 0xf7b49865dad3f21fULL},
+      // d >= n/2, fallback (11-vertex 10-regular is K_11).
+      {20, 10, 3, 0x2e0bd6fd68bda9e6ULL},
+      {11, 10, 4, 0xe64e55be6e99758cULL},
+      {40, 20, 6, 0x07091d0a686b0c79ULL},
+  };
+  for (const Regular& r : kRegular) {
+    EXPECT_EQ(adjacency_digest(random_regular(r.n, r.d, r.seed)), r.want)
+        << "regular n=" << r.n << " d=" << r.d << " seed=" << r.seed;
+  }
+  EXPECT_EQ(adjacency_digest(random_gnp(4000, 0.002, 11)), 0xde0f507d91f82806ULL);
+  EXPECT_EQ(adjacency_digest(random_powerlaw(5000, 2.2, 10.0, 7)),
+            0x0f447f24607bfae4ULL);
+  EXPECT_EQ(adjacency_digest(stream_gnp_frozen(100000, 0.00016, 1)),
+            0x6e98ce92d52410fcULL);
+  EXPECT_EQ(adjacency_digest(stream_powerlaw_frozen(100000, 2.5, 8.0, 3)),
+            0x360025baa63fc77bULL);
+  EXPECT_EQ(adjacency_digest(random_bounded_degree(500, 7, 1500, 5)),
+            0x97e3accd4b58658fULL);
+  EXPECT_EQ(adjacency_digest(barabasi_albert(500, 3, 4)), 0xf9b0538ecf300ba8ULL);
+  EXPECT_EQ(adjacency_digest(random_geometric(400, 0.08, 9)), 0x25a46c2e3bfac535ULL);
+}
+
+TEST(Rng, BelowMatchesReference) {
+  // below() skips the divide behind the rejection limit when the draw is
+  // far from it; it must draw and return exactly what the two-divide
+  // formula does.  At 2^63 + 1 about half the draws are rejected, and at
+  // 2^64 - 1 every draw takes the limit check.
+  const auto reference = [](Rng& rng, std::uint64_t bound, std::size_t& rejected) {
+    const std::uint64_t limit = ~0ULL - (~0ULL % bound);
+    std::uint64_t r = rng.next();
+    for (; r >= limit; r = rng.next()) ++rejected;
+    return r % bound;
+  };
+  constexpr std::uint64_t kBounds[] = {1,
+                                       2,
+                                       3,
+                                       (std::uint64_t{1} << 32) - 1,
+                                       (std::uint64_t{1} << 32) + 1,
+                                       (std::uint64_t{1} << 63) + 1,
+                                       ~std::uint64_t{0}};
+  for (const std::uint64_t bound : kBounds) {
+    std::size_t rejected = 0;
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+      Rng got(seed);
+      Rng want(seed);
+      for (int i = 0; i < 256; ++i) {
+        ASSERT_EQ(got.below(bound), reference(want, bound, rejected))
+            << "bound=" << bound << " seed=" << seed << " draw " << i;
+      }
+      ASSERT_EQ(got.next(), want.next()) << "bound=" << bound << " seed=" << seed;
+    }
+    if (bound == (std::uint64_t{1} << 63) + 1) {  // ~1 rejection per call
+      EXPECT_GT(rejected, 64u * 256 / 2);
+      EXPECT_LT(rejected, 64u * 256 * 2);
+    }
   }
 }
 
