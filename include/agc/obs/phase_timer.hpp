@@ -26,9 +26,10 @@
 
 namespace agc::obs {
 
-/// The phase taxonomy (see docs/OBSERVABILITY.md).  Engine phases come from
-/// RoundContext; Barrier is the executor's fork/join idle time; Check and
-/// Observer are runner-level (properness assertion, on_round callbacks).
+/// The phase taxonomy (see docs/OBSERVABILITY.md).  Engine phases are the
+/// passes of Engine::step; Barrier is a pass's fork/join idle time
+/// (VertexShards::run); Check and Observer are runner-level (properness
+/// assertion, on_round callbacks).
 enum class Phase : std::uint8_t {
   Send = 0,  ///< on_send + transport validation (compute)
   Deliver,   ///< receiver-sharded accounting over the frozen arena
@@ -131,16 +132,16 @@ class PhaseProfile {
   [[nodiscard]] PhaseStats* extra() noexcept { return &extra_; }
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
-  /// Sum of `p`-phase busy time over all shards (used by executors to derive
-  /// barrier idle time from a phase's wall clock).
+  /// Sum of `p`-phase busy time over all shards (VertexShards::run derives
+  /// barrier idle time from a pass's wall clock with it).
   [[nodiscard]] std::uint64_t busy_ns(Phase p) const noexcept {
     std::uint64_t t = 0;
     for (const auto& s : shards_) t += s.phase_ns(p);
     return t;
   }
 
-  /// Fold in shard order (then the extra set) — deterministic like
-  /// RoundContext::reduce.
+  /// Fold in shard order (then the extra set) — deterministic like the
+  /// engine's shard-order fold of Metrics.
   [[nodiscard]] PhaseStats folded() const noexcept {
     PhaseStats total;
     for (const auto& s : shards_) total.merge(s);

@@ -2,12 +2,14 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "agc/graph/view.hpp"
 #include "agc/runtime/message.hpp"
 #include "agc/runtime/metrics.hpp"
+#include "agc/runtime/shards.hpp"
 #include "agc/runtime/transport.hpp"
 
 /// \file engine.hpp
@@ -21,8 +23,7 @@
 /// setting: RAM corruption, edge churn and vertex churn between rounds.
 
 namespace agc::obs {
-class EventSink;     // obs/event_sink.hpp
-class PhaseProfile;  // obs/phase_timer.hpp
+class EventSink;  // obs/event_sink.hpp
 }  // namespace agc::obs
 
 namespace agc::runtime {
@@ -89,7 +90,6 @@ struct EngineOptions {
   std::uint64_t n_bound = 0;
 };
 
-class RoundExecutor;   // round.hpp — the engine's execution backend
 class FaultEventSink;  // faults.hpp — fault recording hook
 
 class Engine {
@@ -113,6 +113,7 @@ class Engine {
   /// subsystem's parallel backend is bit-identical to sequential for every
   /// thread count (see docs/EXEC.md), so this only changes wall-clock time.
   void set_executor(std::shared_ptr<RoundExecutor> executor) {
+    if (executor != executor_) shards_.reset();
     executor_ = std::move(executor);
   }
   [[nodiscard]] const std::shared_ptr<RoundExecutor>& executor() const noexcept {
@@ -143,7 +144,10 @@ class Engine {
 
   /// Per-shard phase-timing accumulator (non-owning; null = timing off, the
   /// default — each phase then costs one branch and no clock read).
-  void set_profile(obs::PhaseProfile* profile) noexcept { profile_ = profile; }
+  void set_profile(obs::PhaseProfile* profile) noexcept {
+    if (profile != profile_) shards_.reset();
+    profile_ = profile;
+  }
   [[nodiscard]] obs::PhaseProfile* profile() const noexcept { return profile_; }
 
   /// Structured event sink (non-owning; null = no events).  The engine emits
@@ -189,7 +193,21 @@ class Engine {
   void reset_vertex(graph::Vertex v);
 
  private:
+  /// Recompute the ROM view of `v` for the current round.
   void refresh_env(graph::Vertex v);
+
+  // The three passes of step(), each over shard s's vertex range (see
+  // docs/EXEC.md for the shard-determinism contract).
+
+  /// Refresh envs, reset the shard's ports and spill lane, collect and
+  /// validate outgoing messages.  A channel hook attacks each sender's
+  /// validated ports right here, inside the shard that owns them.
+  void send_shard(std::size_t s);
+  /// Account every message addressed to the shard's receivers into
+  /// shard_metrics_[s], reading the frozen arena in place.
+  void deliver_shard(std::size_t s);
+  /// State updates of the shard's vertices.
+  void receive_shard(std::size_t s);
 
   /// Copy-on-churn: the mutable backing graph, materializing a private copy
   /// of a view-backed topology (and re-pointing every env's neighbor span at
@@ -210,6 +228,10 @@ class Engine {
   EdgeBitLedger edge_bits_;
   MailboxArena arena_;
   std::shared_ptr<RoundExecutor> executor_;
+  /// The cut step() runs on, rebuilt when the arena rebuilds or the executor
+  /// or the profile changes.  Granule 1: shards own ports, not packed words.
+  std::optional<VertexShards> shards_;
+  std::vector<Metrics> shard_metrics_;  ///< deliver's accounting, per shard
   obs::PhaseProfile* profile_ = nullptr;
   obs::EventSink* sink_ = nullptr;
   ChannelHook* channel_ = nullptr;

@@ -83,14 +83,16 @@ class MailboxArena {
   static constexpr std::uint32_t kNoLane = 0xffffffffu;
 
   /// Rebuild the port tables iff the graph's topology changed since the last
-  /// call.  O(1) when unchanged; O(n + m) after churn.
-  void ensure(graph::GraphView g) {
-    if (built_ && version_ == g.topology_version()) return;
+  /// call, and report whether it did.  O(1) when unchanged; O(n + m) after
+  /// churn.
+  bool ensure(graph::GraphView g) {
+    if (built_ && version_ == g.topology_version()) return false;
     rebuild(g);
+    return true;
   }
 
   /// Size the per-shard spill lanes and multiset scratch.  Allocation happens
-  /// only when the shard count changes (executors call this every round).
+  /// only when the shard count grows (the engine calls this per new cut).
   void ensure_shards(std::size_t shards) {
     if (lanes_.size() < shards) lanes_.resize(shards);
     if (scratch_.size() < shards) scratch_.resize(shards);

@@ -1,5 +1,6 @@
 #include "agc/graph/spec.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -73,10 +74,17 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
+/// Digits only: strtoull alone would take a sign (wrapping "-3" to 2^64 - 3)
+/// or leading blanks, and saturate on overflow.
 std::string canonical_u64(const std::string& spec, const std::string& text) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
+    fail(spec, "bad integer '" + text + "'");
+  }
   char* end = nullptr;
+  errno = 0;
   const auto v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') fail(spec, "bad integer '" + text + "'");
+  if (*end != '\0') fail(spec, "bad integer '" + text + "'");
+  if (errno == ERANGE) fail(spec, "integer out of range '" + text + "'");
   return std::to_string(v);
 }
 
@@ -151,6 +159,15 @@ GraphSpec GraphSpec::parse(const std::string& spec) {
     if (out.values_[i].empty()) {
       fail(spec, std::string("missing parameter '") + def->params[i].key + "'");
     }
+  }
+  // The generators only assert these; a spec is outside input.
+  if (out.kind_ == "regular") {
+    const std::uint64_t n = out.num("n");
+    const std::uint64_t d = out.num("d");
+    if (d >= n || (n * d) % 2 != 0) fail(spec, "regular needs d < n and n*d even");
+  }
+  if (out.kind_ == "hypercube" && out.num("d") >= 32) {
+    fail(spec, "hypercube needs d < 32 (vertex ids are 32-bit)");
   }
   return out;
 }

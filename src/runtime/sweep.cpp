@@ -49,7 +49,9 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   const bool over_cap = transport.width_cap() != 0 && bits > transport.width_cap();
   const auto fits = [bits](Color c) { return bits >= 64 || (c >> bits) == 0; };
 
-  VertexShards pass(g, opts.executor.get(), opts.collect_phase_times);
+  obs::PhaseProfile profile;
+  const VertexShards pass(g, opts.executor.get(),
+                          opts.collect_phase_times ? &profile : nullptr, 64);
   std::vector<Shard> shards(pass.size());
 
   // Bit v is set while v still steps: its color was not final at the start
@@ -222,7 +224,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   result.metrics.messages = result.rounds * messages_per_round;
   result.metrics.total_bits = result.metrics.messages * bits;
   result.metrics.max_edge_bits = g.m() > 0 ? result.rounds * bits : 0;
-  if (opts.collect_phase_times) result.phases = pass.folded();
+  if (opts.collect_phase_times) result.phases = profile.folded();
   return result;
 }
 

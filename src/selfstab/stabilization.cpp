@@ -70,7 +70,9 @@ StabilizationOutcome flat_resettle(graph::GraphView g, std::vector<std::uint64_t
   }
   const std::uint64_t t0 = obs::monotonic_ns();
   StabilizationOutcome out;
-  runtime::VertexShards pass(g, opts.executor.get(), opts.collect_phase_times);
+  obs::PhaseProfile profile;
+  const runtime::VertexShards pass(g, opts.executor.get(),
+                                   opts.collect_phase_times ? &profile : nullptr, 64);
   std::vector<Shard> shards(pass.size());
   for (Shard& sh : shards) sh.nbrs.reserve(g.max_degree());
   std::vector<std::uint64_t> next(ram.size());
@@ -122,7 +124,7 @@ StabilizationOutcome flat_resettle(graph::GraphView g, std::vector<std::uint64_t
   out.metrics.messages = executed * messages_per_round;
   out.metrics.total_bits = out.metrics.messages * cfg.color_bits();
   out.metrics.max_edge_bits = g.m() > 0 ? executed * cfg.color_bits() : 0;
-  if (opts.collect_phase_times) out.phases = pass.folded();
+  if (opts.collect_phase_times) out.phases = profile.folded();
   out.wall_ns = obs::monotonic_ns() - t0;
   return out;
 }

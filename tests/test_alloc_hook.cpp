@@ -132,15 +132,18 @@ TEST(AllocHook, ObservabilityOnStaysAllocationFree) {
   for (int i = 0; i < 8; ++i) engine.step();
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
 
-  // And the instrumentation actually observed the rounds.
+  // And the instrumentation actually observed the rounds: each of the two
+  // shards times each pass, and each of the three passes books its barrier.
   EXPECT_GT(profile.folded().total_ns(), 0u);
+  EXPECT_EQ(profile.folded().phase_calls(obs::Phase::Send), 2u * 11);
+  EXPECT_EQ(profile.folded().phase_calls(obs::Phase::Barrier), 3u * 11);
   EXPECT_EQ(sink.seen(), 11u);  // one RoundEnd per step
 }
 
 TEST(AllocHook, ChannelAdversaryStaysAllocationFree) {
   // The wire attacker mutates ports in place; drops and corruptions touch
-  // existing words, duplicates land in the pre-reserved spill lanes
-  // (RoundContext doubles the lane reservation when a channel hook is
+  // existing words, duplicates land in the pre-reserved spill lanes (the
+  // engine's send pass doubles the lane reservation when a channel hook is
   // attached), and the delay stash is bound once per topology.  With all four
   // fault kinds firing at high rates AND full observability attached, the
   // steady-state round loop still performs zero allocations — as long as no

@@ -16,6 +16,7 @@
 #include "agc/runtime/engine.hpp"
 #include "agc/runtime/faults.hpp"
 #include "agc/runtime/iterative.hpp"
+#include "agc/runtime/shards.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_line.hpp"
 
@@ -355,6 +356,77 @@ TEST(ThreadPool, PropagatesLowestIndexedException) {
     pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
     for (int h : hits) EXPECT_EQ(h, 1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The shard cut every round runner runs on (runtime::VertexShards).
+// ---------------------------------------------------------------------------
+
+/// Reports a thread count without starting a thread: the cut reads only
+/// threads().
+class FixedThreads final : public runtime::RoundExecutor {
+ public:
+  explicit FixedThreads(std::size_t threads) : threads_(threads) {}
+  [[nodiscard]] std::size_t threads() const noexcept override { return threads_; }
+
+ private:
+  std::size_t threads_;
+};
+
+/// begin(0), then end(s) of every shard s.
+std::vector<graph::Vertex> cut_points(graph::GraphView g, std::size_t threads,
+                                      std::size_t granule) {
+  FixedThreads ex(threads);
+  const runtime::VertexShards shards(g, &ex, nullptr, granule);
+  std::vector<graph::Vertex> points = {shards.begin(0)};
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    if (s > 0) {
+      EXPECT_EQ(shards.begin(s), shards.end(s - 1)) << "shard " << s;
+    }
+    points.push_back(shards.end(s));
+  }
+  return points;
+}
+
+TEST(VertexShardsCut, OrderedContiguousCoverOnGranuleMultiples) {
+  for (const std::size_t n : {0u, 1u, 5u, 63u, 64u, 65u, 1000u}) {
+    const graph::Graph graphs[] = {graph::path(n), graph::star(n), graph::Graph(n)};
+    for (const graph::Graph& g : graphs) {
+      for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+        for (const std::size_t granule : {1u, 64u}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(g.m()) +
+                       " threads=" + std::to_string(threads) +
+                       " granule=" + std::to_string(granule));
+          const auto points = cut_points(g, threads, granule);
+          ASSERT_EQ(points.size(), threads + 1);
+          EXPECT_EQ(points.front(), 0u);
+          EXPECT_EQ(points.back(), n);
+          for (std::size_t s = 1; s < points.size(); ++s) {
+            EXPECT_LE(points[s - 1], points[s]);
+            EXPECT_TRUE(points[s] % granule == 0 || points[s] == n) << points[s];
+          }
+        }
+      }
+    }
+  }
+  const auto g = graph::path(10);
+  const runtime::VertexShards sequential(g, nullptr, nullptr, 1);
+  EXPECT_EQ(sequential.size(), 1u);
+  EXPECT_EQ(sequential.end(0), 10u);
+}
+
+TEST(VertexShardsCut, EngineGranuleKeepsTheExecutorsDegreeCut) {
+  // Granule 1 is the engine's.  The constants are the cuts the parallel
+  // executor made for the engine when it still cut its own shards: the
+  // spill-lane layout depends on the partition, so it must not move.  A star
+  // puts half the weight on vertex 0; the power law is skewed throughout.
+  using Points = std::vector<graph::Vertex>;
+  const auto star = graph::star(40);
+  const auto skewed = graph::random_powerlaw(300, 2.1, 4.0, 7);
+  EXPECT_EQ(cut_points(star, 3, 1), (Points{0, 1, 21, 40}));
+  EXPECT_EQ(cut_points(star, 8, 1), (Points{0, 1, 1, 4, 11, 18, 26, 33, 40}));
+  EXPECT_EQ(cut_points(skewed, 3, 1), (Points{0, 19, 110, 300}));
+  EXPECT_EQ(cut_points(skewed, 8, 1), (Points{0, 4, 11, 25, 51, 92, 148, 214, 300}));
 }
 
 TEST(Executors, FactorySemantics) {

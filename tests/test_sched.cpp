@@ -75,6 +75,17 @@ TEST(GraphSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(GraphSpec::parse("cycle:n=10,extra=1"), std::invalid_argument);
   EXPECT_THROW(GraphSpec::parse("cycle:n=10,n=11"), std::invalid_argument);
   EXPECT_THROW(GraphSpec::parse("cycle"), std::invalid_argument);
+  // A sign, an overflow, a regular graph no pairing builds, and a hypercube
+  // past 32-bit vertex ids: each used to parse, then fail in the build.
+  for (const char* bad :
+       {"path:-3", "path:+3", "path: 3", "cycle:18446744073709551616",
+        "gnp:n=-1,p=0.1,seed=1", "regular:5,3,1", "regular:3,5,1", "regular:4,4,1",
+        "regular:0,0,1", "hypercube:32", "hypercube:64"}) {
+    EXPECT_THROW(GraphSpec::parse(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW(GraphSpec::parse("cycle:18446744073709551615"));
+  EXPECT_NO_THROW(GraphSpec::parse("regular:6,3,1"));
+  EXPECT_NO_THROW(GraphSpec::parse("hypercube:31"));
 }
 
 TEST(GraphSpec, EstimatedBytesScalesWithSize) {

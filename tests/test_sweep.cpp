@@ -4,10 +4,12 @@
 // run_locally_iterative (Luby included), on both graph backends, at 1/2/8
 // threads, must report the same colors, rounds, convergence, per-round
 // properness, metrics, RoundEnd events and observer trace — the sweep hands
-// rules their neighbors in CSR order, the engine sorted.  Also pins, for
-// every rule the library's entry points run, the is_final contract (final
-// colors are fixed points of step()) that lets the sweep skip final
-// vertices, and the order contract (step() ignores the neighbors' order).
+// rules their neighbors in CSR order, the engine in port order.  Both must
+// also match a reference evaluator over plain vectors, which shares neither
+// their shard cut nor their final-vertex skipping.  Also pins, for every rule
+// the library's entry points run, the is_final contract (final colors are
+// fixed points of step()) that lets the sweep skip final vertices, and the
+// order contract (step() ignores the neighbors' order).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -460,6 +462,72 @@ std::vector<RuleCase> pipeline_rules(GraphView g) {
   return cases;
 }
 
+// ---------------------------------------------------------------------------
+// A third oracle: the rule evaluated the plainest way.
+// ---------------------------------------------------------------------------
+
+/// What a run is judged on against the reference evaluator.
+struct Trajectory {
+  std::vector<std::pair<std::size_t, std::uint64_t>> trace;  ///< as Observed
+  std::size_t rounds = 0;
+  bool converged = false;
+};
+
+/// Every round, every vertex steps on a fresh vector of its neighbors'
+/// colors; the new coloring replaces the old once all have stepped.  No
+/// packing, sharding, final-vertex skipping or closed-form accounting.  It
+/// stops where the runners do: once every color is final, or at max_rounds.
+Trajectory reference_run(GraphView g, std::vector<Color> colors,
+                         const runtime::IterativeRule& rule, std::size_t max_rounds) {
+  const auto all_final = [&] {
+    return std::all_of(colors.begin(), colors.end(),
+                       [&](Color c) { return rule.is_final(c); });
+  };
+  Trajectory t;
+  t.trace.emplace_back(0, digest(colors));
+  while (!all_final() && t.rounds < max_rounds) {
+    std::vector<Color> next(colors.size());
+    for (graph::Vertex v = 0; v < g.n(); ++v) {
+      std::vector<Color> nbrs;
+      for (const graph::Vertex u : g.neighbors(v)) nbrs.push_back(colors[u]);
+      next[v] = rule.step({v, t.rounds}, colors[v], nbrs);
+    }
+    colors = std::move(next);
+    ++t.rounds;
+    t.trace.emplace_back(t.rounds, digest(colors));
+  }
+  t.converged = all_final();
+  return t;
+}
+
+TEST(ReferenceEvaluator, SweepAndEngineMatchItOnEveryPipelineRule) {
+  // Past 8 * 64 vertices, so every sweep shard at 8 threads owns vertices;
+  // the sparse G(n, p) has isolated vertices and uneven degrees, so the
+  // engine's degree-weighted cuts are not even.
+  const graph::Graph regular = graph::random_regular(600, 8, 17);
+  const graph::Graph uneven = graph::random_gnp(1500, 0.003, 9);
+  for (const graph::Graph* g : {&regular, &uneven}) {
+    for (const RuleCase& c : pipeline_rules(*g)) {
+      const Trajectory want = reference_run(*g, c.init, *c.rule, c.max_rounds);
+      EXPECT_GT(want.rounds, 0u) << c.name;
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        for (const bool on_engine : {false, true}) {
+          SCOPED_TRACE(c.name + " n=" + std::to_string(g->n()) +
+                       " threads=" + std::to_string(threads) +
+                       (on_engine ? " engine" : " sweep"));
+          runtime::IterativeOptions io;
+          io.max_rounds = c.max_rounds;
+          io.executor = exec::make_executor(threads);
+          const Observed got = run_rule(*g, c.init, *c.rule, io, on_engine);
+          EXPECT_EQ(got.trace, want.trace);
+          EXPECT_EQ(got.rounds, want.rounds);
+          EXPECT_EQ(got.converged, want.converged);
+        }
+      }
+    }
+  }
+}
+
 TEST(IsFinalContract, EveryPipelineRuleKeepsFinalColorsFixed) {
   const auto g = graph::random_regular(300, 8, 17);
   for (const RuleCase& c : pipeline_rules(g)) {
@@ -554,7 +622,8 @@ TEST(IsFinalContract, FyzStagesKeepFinalColorsFixed) {
 
 // ---------------------------------------------------------------------------
 // The order contract: step() reads the neighbor multiset, never the order
-// the runner presents it in (the sweep passes CSR order, the engine sorted).
+// the runner presents it in (the sweep passes CSR order, the engine port
+// order; a rule may reorder the buffer).
 // ---------------------------------------------------------------------------
 
 /// Steps every non-final vertex of `colors` on its real neighborhood,
