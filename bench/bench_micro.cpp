@@ -1,5 +1,5 @@
 // M1 — google-benchmark microbenchmarks for the substrate hot paths: field
-// arithmetic, Linial polynomial evaluation, AG and Linial rule steps,
+// arithmetic, Linial polynomial evaluation, AG, Linial and KW rule steps,
 // locally-iterative rounds on the sweep, graph builds, and the raw engine
 // message path (send/validate/deliver/receive).  These bound the simulator's throughput,
 // not the paper's claims.
@@ -12,8 +12,10 @@
 
 #include "agc/coloring/ag.hpp"
 #include "agc/coloring/fyz.hpp"
+#include "agc/coloring/kuhn_wattenhofer.hpp"
 #include "agc/coloring/linial.hpp"
 #include "agc/coloring/luby.hpp"
+#include "agc/coloring/reduction.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/graph/spec.hpp"
 #include "agc/math/polynomial.hpp"
@@ -97,6 +99,55 @@ void BM_LinialStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinialStep);
+
+// One Kuhn-Wattenhofer step at Delta = range(0) over Delta neighbors, on the
+// schedule of a 4 Delta^2 palette (Linial's output size): own colors cycle
+// through 256 seeded draws from the non-final intervals and neighbors come
+// from every interval, so the row mixes the hold, descend and act paths.
+void BM_KwStep(benchmark::State& state) {
+  const auto delta = static_cast<std::size_t>(state.range(0));
+  const coloring::KwRule rule(coloring::KwSchedule(4 * delta * delta, delta));
+  const coloring::KwSchedule& sched = rule.schedule();
+  graph::Rng rng(13);
+  const auto draw = [&](std::size_t k) {
+    return sched.offset(k) + rng.below(sched.size(k));
+  };
+  std::vector<coloring::Color> nbrs(delta);
+  for (auto& c : nbrs) c = draw(rng.below(sched.phases() + 1));
+  std::vector<coloring::Color> owns(256);
+  for (auto& c : owns) c = draw(rng.below(sched.phases()));
+  std::vector<coloring::Color> scratch(delta);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    // The rule may overwrite its neighbor buffer, as the sweep's scratch.
+    std::copy(nbrs.begin(), nbrs.end(), scratch.begin());
+    benchmark::DoNotOptimize(rule.step({}, owns[i++ & 255], scratch));
+  }
+}
+BENCHMARK(BM_KwStep)->Arg(8)->Arg(32);
+
+// One greedy-reduction round on the sweep over regular:1500,Delta from the
+// identity coloring: all but Delta+1 vertices step, so the row is the
+// sweep's per-vertex cost of one neighbor gather plus one rule scan (and the
+// run's setup, which the one round amortizes).
+void BM_GreedySweepStep(benchmark::State& state) {
+  const auto delta = static_cast<std::size_t>(state.range(0));
+  const auto rg = benchutil::resolve_graph(benchutil::regular_spec(1500, delta, 1));
+  const graph::GraphView g = rg.view();
+  const coloring::GreedyReduceRule rule(delta + 1, g.n());
+  for (auto _ : state) {
+    state.PauseTiming();
+    runtime::IterativeOptions io;
+    io.max_rounds = 1;
+    io.check_proper_each_round = false;
+    auto init = coloring::identity_coloring(g.n());
+    state.ResumeTiming();
+    auto res = runtime::run_locally_iterative(g, std::move(init), rule, io);
+    benchmark::DoNotOptimize(res.rounds);
+  }
+  state.SetItemsProcessed(state.iterations() * g.n());
+}
+BENCHMARK(BM_GreedySweepStep)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 void BM_EngineRound(benchmark::State& state) {
   const auto delta = static_cast<std::size_t>(state.range(0));

@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "agc/coloring/palette.hpp"
+#include "agc/math/gf.hpp"
 #include "agc/runtime/iterative.hpp"
 
 /// \file ag.hpp
@@ -26,7 +27,7 @@ namespace agc::coloring {
 /// The AG update rule (locally-iterative, SET-LOCAL executable).
 class AgRule final : public runtime::IterativeRule {
  public:
-  explicit AgRule(std::uint64_t q) : code_{q} {}
+  explicit AgRule(std::uint64_t q) : code_{q}, zq_(q) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<Color> neighbors) const override;
@@ -37,6 +38,7 @@ class AgRule final : public runtime::IterativeRule {
 
  private:
   PairCode code_;
+  math::Zm zq_;  ///< decodes <a,b> without a divide
 };
 
 /// Run AG to completion: proper k-coloring -> proper q-coloring in <= q

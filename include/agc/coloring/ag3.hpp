@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "agc/coloring/palette.hpp"
+#include "agc/math/gf.hpp"
 #include "agc/runtime/iterative.hpp"
 
 /// \file ag3.hpp
@@ -103,6 +104,7 @@ class MixedRule final : public runtime::IterativeRule {
   std::uint64_t n_;  ///< N = delta+1
   std::uint64_t p_;  ///< prime, (1+eps)*delta <= p <= 2*delta+1
   std::size_t delta_;
+  math::Zm zp_;      ///< Z_p: decodes high states without a divide
 };
 
 /// Run MixedRule to completion: proper `initial` coloring (palette <= ~4Δ²)

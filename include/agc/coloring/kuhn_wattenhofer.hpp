@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "agc/coloring/palette.hpp"
+#include "agc/math/gf.hpp"
 #include "agc/runtime/iterative.hpp"
 
 /// \file kuhn_wattenhofer.hpp
@@ -47,7 +48,8 @@ class KwSchedule {
 
 class KwRule final : public runtime::IterativeRule {
  public:
-  explicit KwRule(KwSchedule schedule) : sched_(std::move(schedule)) {}
+  explicit KwRule(KwSchedule schedule)
+      : sched_(std::move(schedule)), block_(2 * (sched_.delta() + 1)) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<Color> neighbors) const override;
@@ -60,6 +62,7 @@ class KwRule final : public runtime::IterativeRule {
 
  private:
   KwSchedule sched_;
+  math::Zm block_;  ///< Z_{2(Delta+1)}: a color's block and position in it
 };
 
 /// Run the full KW reduction: proper k-coloring -> proper (Delta+1)-coloring

@@ -48,7 +48,9 @@ class ParallelExecutor final : public runtime::RoundExecutor {
 
 /// The fleet-wide default thread count: the AGC_THREADS environment variable
 /// if set (0 = hardware concurrency), else 1.  Benches and the CLI use this
-/// as the fallback when --threads is not given.
+/// as the fallback when --threads is not given.  Throws
+/// std::invalid_argument when AGC_THREADS is set but is not an unsigned
+/// decimal (graph::parse_u64).
 [[nodiscard]] std::size_t default_threads();
 
 }  // namespace agc::exec

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "agc/graph/frozen.hpp"
@@ -58,6 +60,13 @@ class ResolvedGraph {
   std::unique_ptr<Graph> dyn_;
   std::unique_ptr<FrozenGraph> frozen_;
 };
+
+/// The one strict reading of an unsigned decimal from outside input — a spec
+/// parameter, a CLI flag, an environment variable, a campaign key: digits
+/// only, so no sign, blank or trailing text, and nothing past 2^64 - 1.
+/// strtoull alone would wrap "-3" to 2^64 - 3, saturate on overflow and stop
+/// at the first non-digit.  nullopt when `text` is not such a number.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept;
 
 class GraphSpec {
  public:

@@ -11,20 +11,50 @@
 /// The AG family of algorithms performs its color updates in Z_q for a prime
 /// q (Section 3 of the paper), but the exact-(Delta+1) finisher AG(N) works in
 /// Z_N for a *composite* N = Delta+1 (Section 7).  `Zm` models the additive
-/// group (addition/subtraction only); `GF` additionally provides
-/// multiplication and inversion, asserts a prime modulus below 2^32, and
-/// reduces without dividing.
+/// group (addition/subtraction) and divides by its modulus without a
+/// hardware divide; `GF` additionally provides multiplication and inversion
+/// and asserts a prime modulus below 2^32.  The locally-iterative rules build
+/// one Zm per rule constant and decode every neighbor color through it.
 
 namespace agc::math {
 
-/// The additive group of integers modulo m.  Values are canonical (< m).
+/// The additive group of integers modulo m >= 1.  Values are canonical (< m).
+/// Construction computes floor((2^64 - 1) / m) once; divmod and reduce then
+/// run inline as one 64x64->128 multiply plus at most one correction (Barrett
+/// reduction), with no hardware divide.
 class Zm {
  public:
-  explicit Zm(std::uint64_t modulus) : m_(modulus) { assert(m_ >= 1); }
+  /// `modulus` must be at least 1 (0 divides by zero here).
+  explicit Zm(std::uint64_t modulus)
+      : m_(modulus), recip_(~std::uint64_t{0} / modulus) {}
 
   [[nodiscard]] std::uint64_t modulus() const noexcept { return m_; }
 
-  [[nodiscard]] std::uint64_t reduce(std::uint64_t x) const noexcept { return x % m_; }
+  struct DivMod {
+    std::uint64_t quot;
+    std::uint64_t rem;
+  };
+
+  /// x / m and x % m for any 64-bit x and any modulus m >= 1.  With
+  /// r = (2^64 - 1) % m, the estimate hi64(x * recip) falls short of x / m by
+  /// x * (1 + r) / (m * 2^64) < 1 (as x < 2^64 and 1 + r <= m), so it is
+  /// floor(x / m) or one less, and one conditional step corrects it.  The
+  /// remainder x - quot * m never exceeds x, so nothing overflows even for
+  /// m > 2^63.
+  [[nodiscard]] DivMod divmod(std::uint64_t x) const noexcept {
+    std::uint64_t quot = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(x) * recip_) >> 64);
+    std::uint64_t rem = x - quot * m_;
+    if (rem >= m_) {
+      ++quot;
+      rem -= m_;
+    }
+    return {quot, rem};
+  }
+
+  [[nodiscard]] std::uint64_t reduce(std::uint64_t x) const noexcept {
+    return divmod(x).rem;
+  }
 
   [[nodiscard]] std::uint64_t add(std::uint64_t a, std::uint64_t b) const noexcept {
     assert(a < m_ && b < m_);
@@ -44,41 +74,17 @@ class Zm {
 
  private:
   std::uint64_t m_;
+  std::uint64_t recip_;  ///< floor((2^64 - 1) / m)
 };
 
 /// The prime field GF(p) for a prime p < 2^32, so the product of two
-/// residues fits in 64 bits.  Construction asserts both and computes
-/// floor((2^64 - 1) / p) once; reduce, mul and divmod then run inline as one
-/// 64x64->128 multiply plus at most one correction (Barrett reduction), with
-/// no hardware divide.
+/// residues fits in 64 bits.  Construction asserts both; mul reduces through
+/// Zm's divide-free divmod.
 class GF : public Zm {
  public:
-  explicit GF(std::uint64_t p) : Zm(p), recip_(~std::uint64_t{0} / p) {
+  explicit GF(std::uint64_t p) : Zm(p) {
     assert(p < (std::uint64_t{1} << 32));
     assert(is_prime(p));
-  }
-
-  struct DivMod {
-    std::uint64_t quot;
-    std::uint64_t rem;
-  };
-
-  /// x / p and x % p for any 64-bit x.  The estimate hi64(x * recip) falls
-  /// short of x / p by x * (1 + (2^64 - 1) % p) / (p * 2^64) < 1, so one
-  /// conditional step corrects it.
-  [[nodiscard]] DivMod divmod(std::uint64_t x) const noexcept {
-    std::uint64_t quot = static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(x) * recip_) >> 64);
-    std::uint64_t rem = x - quot * modulus();
-    if (rem >= modulus()) {
-      ++quot;
-      rem -= modulus();
-    }
-    return {quot, rem};
-  }
-
-  [[nodiscard]] std::uint64_t reduce(std::uint64_t x) const noexcept {
-    return divmod(x).rem;
   }
 
   [[nodiscard]] std::uint64_t mul(std::uint64_t a, std::uint64_t b) const noexcept {
@@ -95,9 +101,6 @@ class GF : public Zm {
     assert(a != 0 && a < modulus());
     return pow(a, modulus() - 2);
   }
-
- private:
-  std::uint64_t recip_;  ///< floor((2^64 - 1) / p)
 };
 
 }  // namespace agc::math

@@ -30,10 +30,11 @@
 /// the hooks the caller already passes (docs/EXEC.md):
 ///
 ///   * the sweep — no adversary and no channel hook: one double-buffered
-///     pass per round over two bit-packed color buffers (packed.hpp),
-///     stepping only vertices whose color is not final, in word-aligned
-///     shards the executor (none = sequential) runs through
-///     RoundExecutor::run_shards;
+///     pass per round over two byte-lane color buffers (packed.hpp),
+///     stepping only vertices whose color is not final, each on its
+///     neighbors' colors gathered into a span of degree(v) in one call, in
+///     64-vertex-aligned shards the executor (none = sequential) runs
+///     through RoundExecutor::run_shards;
 ///   * the round engine — otherwise: one RuleProgram per vertex broadcasting
 ///     its color each round, which the fault hooks act on.
 ///

@@ -24,9 +24,8 @@ class VertexShards {
   /// fall on cumulative (degree + 1) quantiles — edge work dominates every
   /// pass, and the +1 keeps long runs of isolated vertices from collapsing
   /// into one shard — each rounded up to a multiple of `granule` (or to n).
-  /// The flat runners pass 64: 64 entries span whole words at every packed
-  /// width, so shards never write the same word (PackedColors contract), and
-  /// a bitset word has one owner.  The engine passes 1.  Any contiguous
+  /// The flat runners pass 64, so a word of a per-vertex bitset (the
+  /// sweep's stepping set) has one owner.  The engine passes 1.  Any contiguous
   /// partition is result-identical; the weighting only balances wall clock.
   /// With a `profile` (non-owning), timed passes accumulate shard s's phase
   /// times into profile->shard(s) and barrier waits into its extra set.

@@ -13,11 +13,11 @@
 /// At n = 10^7 the round engine's per-vertex programs and mailboxes do not
 /// fit the budget, and none of them is needed for the fault-free BSP case.
 /// run_locally_iterative already evaluates such runs with the sweep — two
-/// bit-packed color buffers, one pass per round over the frozen CSR that
-/// steps only non-final vertices, word-aligned shards on the exec thread
-/// pool (iterative.hpp, docs/EXEC.md).  This header is the thin wrapper the
-/// scale bench drives: coloring::color_delta_plus_one on a thread count,
-/// reported with the packed state size.  The pipeline is described once,
+/// byte-lane color buffers, one pass per round over the frozen CSR that
+/// steps only non-final vertices, 64-vertex-aligned shards on the exec
+/// thread pool (iterative.hpp, docs/EXEC.md).  This header is the thin
+/// wrapper the scale bench drives: coloring::color_delta_plus_one on a
+/// thread count, reported with the lane state size.  The pipeline is described once,
 /// in coloring/pipeline.cpp.
 
 namespace agc::scale {
@@ -36,7 +36,7 @@ struct FlatResult {
   bool converged = false;
   bool proper = false;            ///< final coloring verified proper
   std::size_t palette = 0;        ///< distinct colors in the final coloring
-  /// Peak bytes of packed working state (both buffers) across stages — the
+  /// Peak bytes of lane working state (both buffers) across stages — the
   /// number BENCH_scale.json reports as state_bytes_per_vertex.
   std::uint64_t state_bytes = 0;
 };

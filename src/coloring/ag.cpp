@@ -18,22 +18,21 @@ std::uint64_t ag_modulus(std::size_t delta, std::uint64_t palette) {
 
 Color AgRule::step(runtime::StepContext, Color own,
                    std::span<Color> neighbors) const {
-  const std::uint64_t a = code_.a(own);
-  const std::uint64_t b = code_.b(own);
+  const auto [a, b] = zq_.divmod(own);
   // Conflict (Definition 3.1): a neighbor whose second coordinate equals b.
   // Finalized neighbors <0,b'> participate with second coordinate b'.
   // Colors outside [0, q^2) belong to other stages of a composed pipeline
   // and are ignored (they are in disjoint ranges and cannot collide).
   bool conflict = false;
   for (Color nc : neighbors) {
-    if (code_.in_range(nc) && code_.b(nc) == b) {
+    if (code_.in_range(nc) && zq_.reduce(nc) == b) {
       conflict = true;
       break;
     }
   }
   if (!conflict) return code_.encode(0, b);  // finalize <0,b>
   // <a, b+a mod q>; a no-op for already-final vertices (a == 0).
-  return code_.encode(a, (b + a) % code_.q);
+  return code_.encode(a, zq_.reduce(b + a));
 }
 
 std::uint32_t AgRule::color_bits() const {

@@ -78,7 +78,7 @@ std::uint64_t largest_prime_at_most(std::uint64_t x) {
 }  // namespace
 
 MixedRule::MixedRule(std::size_t delta, std::uint64_t palette)
-    : n_(delta + 1), p_(largest_prime_at_most(2 * delta + 1)), delta_(delta) {
+    : n_(delta + 1), p_(largest_prime_at_most(2 * delta + 1)), delta_(delta), zp_(p_) {
   if (delta_ == 0) return;  // edgeless graphs: step() collapses everything to 0
   if (p_ < 2) throw std::logic_error("MixedRule: no usable prime");
   if (palette > p_ * p_) {
@@ -117,11 +117,9 @@ Color MixedRule::transition(Color own, bool value_conflict,
     return N + (a + 1) % N;
   }
   // High state: AG(p) with the finalize gate.
-  const std::uint64_t y = own - 2 * N;
-  const std::uint64_t b = y / p_;
-  const std::uint64_t a = y % p_;
+  const auto [b, a] = zp_.divmod(own - 2 * N);
   if (!value_conflict && !low_working_neighbor) return a;  // drop to low range
-  return 2 * N + b * p_ + (a + b) % p_;
+  return 2 * N + b * p_ + zp_.reduce(a + b);
 }
 
 Color MixedRule::step(runtime::StepContext, Color own,
@@ -130,11 +128,11 @@ Color MixedRule::step(runtime::StepContext, Color own,
   const std::uint64_t N = n_;
   if (own < 2 * N) {
     // Low conflict: a neighbor (working or final, high neighbors ignored)
-    // with the same value coordinate.
-    const std::uint64_t a = own % N;
+    // with the same value coordinate — below 2N, value a is color a or a+N.
+    const std::uint64_t a = own < N ? own : own - N;
     bool conflict = false;
     for (Color nc : neighbors) {
-      if (nc < 2 * N && nc % N == a) {
+      if (nc == a || nc == a + N) {
         conflict = true;
         break;
       }
@@ -143,12 +141,12 @@ Color MixedRule::step(runtime::StepContext, Color own,
   }
   // High conflict: value collision among high neighbors / low finals; the
   // gate closes while any low neighbor is still working.
-  const std::uint64_t a = (own - 2 * N) % p_;
+  const std::uint64_t a = zp_.reduce(own - 2 * N);
   bool gate_closed = false;
   bool conflict = false;
   for (Color nc : neighbors) {
     if (nc >= N && nc < 2 * N) gate_closed = true;
-    if (nc >= 2 * N && (nc - 2 * N) % p_ == a) conflict = true;
+    if (nc >= 2 * N && zp_.reduce(nc - 2 * N) == a) conflict = true;
     if (nc < N && nc == a) conflict = true;
   }
   return transition(own, conflict, gate_closed);

@@ -67,11 +67,12 @@ struct PartitionSchedule {
 
 class PartitionRule final : public runtime::IterativeRule {
  public:
-  explicit PartitionRule(PartitionSchedule sched) : s_(std::move(sched)) {}
+  explicit PartitionRule(PartitionSchedule sched)
+      : s_(std::move(sched)), span_(s_.span) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<Color> neighbors) const override {
-    const std::uint64_t m = own % s_.span;
+    const std::uint64_t m = span_.reduce(own);
     const std::size_t t = s_.interval_of(m);
     if (t + 1 == s_.pal.size()) return own;  // final interval
     const LinialStage& st = s_.stages[t];
@@ -83,8 +84,21 @@ class PartitionRule final : public runtime::IterativeRule {
     // neighbor is in interval t too.  A point's hit count counts distinct
     // neighbor colors: a duplicate would add hits only at its own
     // polynomial's collision points, so counting it could move the choice.
-    // Sorted, a duplicate follows its twin.
+    // Sorted, a duplicate follows its twin.  The distinct colors whose
+    // machinery lies in interval t go, relative to it, to the front of the
+    // buffer, so each neighbor is decoded once and not once per point.
+    // The compaction may overwrite neighbors[i - 1], so the duplicate test
+    // keeps the previous color itself.
     std::sort(neighbors.begin(), neighbors.end());
+    Color prev = 0;
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      const Color nc = neighbors[i];
+      if (i > 0 && nc == prev) continue;
+      prev = nc;
+      const std::uint64_t nm = span_.reduce(nc);
+      if (nm >= lo && nm < hi) neighbors[live++] = nm - lo;
+    }
     // The first point with the fewest hits: a point is dropped once its
     // count reaches the best so far, and a point with no hit ends the scan.
     std::uint64_t best = 0;
@@ -93,12 +107,8 @@ class PartitionRule final : public runtime::IterativeRule {
     for (std::uint64_t e = 0; e < st.q && best_hits > 0; ++e) {
       const std::uint64_t val = math::Polynomial::eval_digits(field, m - lo, d, e);
       std::uint64_t hits = 0;
-      for (std::size_t i = 0; i < neighbors.size() && hits < best_hits; ++i) {
-        const Color nc = neighbors[i];
-        if (i > 0 && nc == neighbors[i - 1]) continue;
-        const std::uint64_t nm = nc % s_.span;
-        hits += nm >= lo && nm < hi &&
-                math::Polynomial::eval_digits(field, nm - lo, d, e) == val;
+      for (std::size_t i = 0; i < live && hits < best_hits; ++i) {
+        hits += math::Polynomial::eval_digits(field, neighbors[i], d, e) == val;
       }
       if (hits < best_hits) {
         best = e;
@@ -106,11 +116,11 @@ class PartitionRule final : public runtime::IterativeRule {
         best_hits = hits;
       }
     }
-    return (own / s_.span) * s_.span + s_.off[t + 1] + best * st.q + best_val;
+    return own - m + s_.off[t + 1] + best * st.q + best_val;
   }
 
   [[nodiscard]] bool is_final(Color c) const override {
-    return c % s_.span >= s_.off.back();
+    return span_.reduce(c) >= s_.off.back();
   }
   [[nodiscard]] std::uint32_t color_bits() const override { return 64; }
 
@@ -118,6 +128,7 @@ class PartitionRule final : public runtime::IterativeRule {
 
  private:
   PartitionSchedule s_;
+  math::Zm span_;  ///< Z_span: a state's machinery, without a divide
 };
 
 // ---------------------------------------------------------------------------
@@ -131,19 +142,21 @@ class PartitionRule final : public runtime::IterativeRule {
 class FyzArbRule final : public runtime::IterativeRule {
  public:
   FyzArbRule(std::uint64_t classes, std::uint64_t q, std::uint64_t p)
-      : k_(classes), q_(q), p_(p), m_(classes * q * q) {}
+      : q_(q), p_(p), zm_(classes * q * q), zq_(q) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<Color> neighbors) const override {
-    const std::uint64_t m = own % m_;
-    const std::uint64_t a = (m / q_) % q_;
+    const std::uint64_t m = zm_.reduce(own);
+    const auto [psi_a, b] = zq_.divmod(m);
+    const std::uint64_t a = zq_.reduce(psi_a);
     if (a == 0) return own;  // frozen
-    const std::uint64_t b = m % q_;
-    const std::uint64_t psi = m / (q_ * q_);
+    // psi's machinery is [psi_lo, psi_lo + q^2).
+    const std::uint64_t psi_lo = m - a * q_ - b;
+    const std::uint64_t psi_span = q_ * q_;
     std::uint64_t conflicts = 0;
     for (const Color nc : neighbors) {
-      const std::uint64_t nm = nc % m_;
-      conflicts += nm % q_ == b && nm / (q_ * q_) != psi;
+      const std::uint64_t nm = zm_.reduce(nc);
+      conflicts += zq_.reduce(nm) == b && (nm < psi_lo || nm - psi_lo >= psi_span);
     }
     if (conflicts <= p_) {
       return own - a * q_;  // freeze: a <- 0, keep psi and b
@@ -153,14 +166,16 @@ class FyzArbRule final : public runtime::IterativeRule {
   }
 
   [[nodiscard]] bool is_final(Color c) const override {
-    return (c % m_ / q_) % q_ == 0;
+    return zq_.reduce(zq_.divmod(zm_.reduce(c)).quot) == 0;
   }
   [[nodiscard]] std::uint32_t color_bits() const override { return 64; }
 
   [[nodiscard]] std::uint64_t q() const { return q_; }
 
  private:
-  std::uint64_t k_, q_, p_, m_;
+  std::uint64_t q_, p_;
+  math::Zm zm_;  ///< Z_{K q^2}: a state's machinery above the carrier
+  math::Zm zq_;  ///< Z_q: its digits
 };
 
 // ---------------------------------------------------------------------------
@@ -190,13 +205,14 @@ class FyzArbRule final : public runtime::IterativeRule {
 
 class FyzListRule final : public runtime::IterativeRule {
  public:
-  explicit FyzListRule(std::uint64_t d1) : d1_(d1) {}
+  explicit FyzListRule(std::uint64_t d1) : d1_(d1), zd1_(d1) {}
 
   [[nodiscard]] Color step(runtime::StepContext, Color own,
                            std::span<Color> neighbors) const override {
     if (own < d1_) return own;  // done
-    const std::uint64_t prio = (own - d1_) / d1_;
-    const std::uint64_t prop = (own - d1_) % d1_;
+    const std::uint64_t prop = zd1_.reduce(own);
+    // Active states of a smaller priority lie below own's priority base.
+    const Color prio_base = own - prop;
     // One pass over the multiset: the done colors, compacted into the front
     // of the buffer, whether one of them is the proposal, and whether a
     // smaller-priority active neighbor holds the same proposal.
@@ -207,13 +223,13 @@ class FyzListRule final : public runtime::IterativeRule {
       if (nc < d1_) {
         neighbors[done++] = nc;
         taken = taken || nc == prop;
-      } else if ((nc - d1_) % d1_ == prop && (nc - d1_) / d1_ < prio) {
+      } else if (nc < prio_base && zd1_.reduce(nc) == prop) {
         defer = true;
       }
     }
     if (taken) {
       // < d1_: at most Delta done neighbors.
-      return d1_ + prio * d1_ + smallest_free(neighbors.first(done));
+      return prio_base + smallest_free(neighbors.first(done));
     }
     if (!defer) return prop;  // commit
     return own;
@@ -224,6 +240,7 @@ class FyzListRule final : public runtime::IterativeRule {
 
  private:
   std::uint64_t d1_;
+  math::Zm zd1_;  ///< Z_{Delta+1}: a state's proposal
 };
 
 /// Every parameter and rule of the FYZ pipeline for an ID space and max

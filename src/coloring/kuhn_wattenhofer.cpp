@@ -40,58 +40,51 @@ std::size_t KwSchedule::round_bound() const {
 
 Color KwRule::step(runtime::StepContext, Color own,
                    std::span<Color> neighbors) const {
-  const std::size_t last = sched_.phases();
   const std::size_t k = sched_.interval_of(own);
-  if (k == last) return own;  // final interval
+  if (k == sched_.phases()) return own;  // final interval
 
+  // Interval k is [lo, hi): every higher interval lies at or above hi (none
+  // lies above interval 0), interval k+1 ends at lo.  Own block holds
+  // [block_lo, block_lo + 2 * target) of interval k, and it descends into
+  // [down_lo, down_lo + target) of interval k+1.  Every color lies below
+  // offset(0) + size(0), so each neighbor is classified by comparisons.
   const std::uint64_t target = sched_.delta() + 1;
-  const std::uint64_t block_size = 2 * target;
-  const std::uint64_t x = own - sched_.offset(k);
-  const std::uint64_t block = x / block_size;
-  const std::uint64_t pos = x % block_size;
-  const std::uint64_t down_off = sched_.offset(k + 1);
+  const std::uint64_t lo = sched_.offset(k);
+  const Color hi = k == 0 ? ~Color{0} : sched_.offset(k - 1);
+  const auto [block, pos] = block_.divmod(own - lo);
+  const Color block_lo = own - pos;
+  const Color down_lo = sched_.offset(k + 1) + block * target;
 
   // Hold position while any neighbor is still in a higher interval: a late
   // arrival could otherwise land on a color this vertex vacated and collide
   // with it one interval further down.  This locally sequentializes the
   // phases without any global round knowledge.
-  for (Color nc : neighbors) {
-    if (sched_.interval_of(nc) < k) return own;
-  }
-
   if (pos < target) {
     // Lower half: descend verbatim into the next interval.
-    return down_off + block * target + pos;
+    for (const Color nc : neighbors) {
+      if (nc >= hi) return own;
+    }
+    return down_lo + pos;
   }
 
-  // Upper half: act only as the block-local maximum.
-  for (Color nc : neighbors) {
-    if (sched_.interval_of(nc) != k) continue;
-    const std::uint64_t nx = nc - sched_.offset(k);
-    if (nx / block_size == block && nx > x) return own;
-  }
-
-  // Positions occupied by same-block neighbors in this interval and the
-  // next one (vertices that already descended from this block), compacted
-  // into the front of the neighbor buffer: at most deg of them.
+  // Upper half: act only as the block-local maximum.  The positions taken
+  // by the block's lower half and by neighbors that already descended from
+  // it are compacted into the front of the neighbor buffer: at most deg.
+  const Color block_hi = block_lo + 2 * target;
   std::size_t taken = 0;
   for (const Color nc : neighbors) {
-    const std::size_t nk = sched_.interval_of(nc);
-    if (nk == k) {
-      const std::uint64_t nx = nc - sched_.offset(k);
-      if (nx / block_size == block && nx % block_size < target) {
-        neighbors[taken++] = nx % block_size;
-      }
-    } else if (nk == k + 1) {
-      const std::uint64_t ny = nc - down_off;
-      if (ny / target == block) neighbors[taken++] = ny % target;
+    if (nc >= hi || (nc > own && nc < block_hi)) return own;
+    if (nc >= block_lo && nc < block_lo + target) {
+      neighbors[taken++] = nc - block_lo;
+    } else if (nc >= down_lo && nc < down_lo + target) {
+      neighbors[taken++] = nc - down_lo;
     }
   }
   // < target: at most Delta neighbors exclude at most Delta of the
   // target = Delta+1 positions.
   const std::uint64_t p = smallest_free(neighbors.first(taken));
   assert(p < target);
-  return down_off + block * target + p;
+  return down_lo + p;
 }
 
 std::uint32_t KwRule::color_bits() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "agc/math/gf.hpp"
 #include "stage.hpp"
 
 namespace agc::coloring {
@@ -33,12 +34,12 @@ constexpr std::uint64_t draw(std::uint64_t seed, std::uint64_t round,
 /// neighbors decode done colors and live candidates from the same message.
 class LubyRule final : public runtime::IterativeRule {
  public:
-  LubyRule(std::uint64_t seed, std::uint64_t d1) : seed_(seed), d1_(d1) {}
+  LubyRule(std::uint64_t seed, std::uint64_t d1) : seed_(seed), d1_(d1), zd1_(d1) {}
 
   /// Vertex v's state before round 0: active, proposing its round-0 draw
   /// (no neighbor is done yet, so the free list is the whole palette).
   [[nodiscard]] Color initial(graph::Vertex v) const {
-    return d1_ + draw(seed_, 0, v) % d1_;
+    return d1_ + zd1_.reduce(draw(seed_, 0, v));
   }
 
   [[nodiscard]] Color step(runtime::StepContext ctx, Color own,
@@ -47,7 +48,7 @@ class LubyRule final : public runtime::IterativeRule {
     // Modulo guards: wire faults and the RAM adversary can put arbitrary
     // words on the channel; decode them into the candidate range instead of
     // indexing out of bounds.  Clean runs never take the reduction.
-    const std::uint64_t cand = (own - d1_) % d1_;
+    const std::uint64_t cand = zd1_.reduce(own - d1_);
     // Sorted, the done colors are the multiset's prefix.
     std::sort(neighbors.begin(), neighbors.end());
     const auto active = std::lower_bound(neighbors.begin(), neighbors.end(), d1_);
@@ -56,7 +57,7 @@ class LubyRule final : public runtime::IterativeRule {
     // symmetric evidence, so both defer — next round's fresh draws separate
     // them with high probability.
     const bool conflict = std::any_of(active, neighbors.end(), [&](Color nc) {
-      return (nc - d1_) % d1_ == cand;
+      return zd1_.reduce(nc - d1_) == cand;
     });
     if (!conflict && !std::binary_search(done.begin(), done.end(), cand)) return cand;
     return d1_ + pick(draw(seed_, ctx.round + 1, ctx.id), done);
@@ -77,7 +78,7 @@ class LubyRule final : public runtime::IterativeRule {
     for (std::size_t i = 0; i < done.size(); ++i) {
       distinct += i == 0 || done[i] != done[i - 1];
     }
-    if (distinct == d1_) return h % d1_;
+    if (distinct == d1_) return zd1_.reduce(h);
     // The (h mod free)-th free color: every distinct done color at or below
     // the running answer pushes it one further.
     std::uint64_t c = h % (d1_ - distinct);
@@ -89,6 +90,7 @@ class LubyRule final : public runtime::IterativeRule {
 
   std::uint64_t seed_;
   std::uint64_t d1_;
+  math::Zm zd1_;  ///< Z_{Delta+1}: decodes candidates without a divide
 };
 
 }  // namespace

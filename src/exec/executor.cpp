@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <thread>
+
+#include "agc/graph/spec.hpp"
 
 namespace agc::exec {
 
@@ -17,9 +21,13 @@ std::shared_ptr<runtime::RoundExecutor> make_executor(std::size_t threads) {
 std::size_t default_threads() {
   const char* env = std::getenv("AGC_THREADS");
   if (env == nullptr || *env == '\0') return 1;
-  const auto v = std::strtoull(env, nullptr, 10);
-  if (v == 0) return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  return static_cast<std::size_t>(v);
+  const auto v = graph::parse_u64(env);
+  if (!v) {
+    throw std::invalid_argument(
+        std::string("AGC_THREADS needs an unsigned integer, got '") + env + "'");
+  }
+  if (*v == 0) return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return static_cast<std::size_t>(*v);
 }
 
 }  // namespace agc::exec

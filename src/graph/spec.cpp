@@ -1,6 +1,6 @@
 #include "agc/graph/spec.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -74,18 +74,10 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
-/// Digits only: strtoull alone would take a sign (wrapping "-3" to 2^64 - 3)
-/// or leading blanks, and saturate on overflow.
 std::string canonical_u64(const std::string& spec, const std::string& text) {
-  if (text.empty() || text[0] < '0' || text[0] > '9') {
-    fail(spec, "bad integer '" + text + "'");
-  }
-  char* end = nullptr;
-  errno = 0;
-  const auto v = std::strtoull(text.c_str(), &end, 10);
-  if (*end != '\0') fail(spec, "bad integer '" + text + "'");
-  if (errno == ERANGE) fail(spec, "integer out of range '" + text + "'");
-  return std::to_string(v);
+  const auto v = parse_u64(text);
+  if (!v) fail(spec, "bad integer '" + text + "'");
+  return std::to_string(*v);
 }
 
 /// Shortest %.*g spelling that strtod round-trips to the same double — so
@@ -103,6 +95,16 @@ std::string canonical_f64(const std::string& spec, const std::string& text) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
+  // from_chars takes neither a sign nor leading blanks for an unsigned type
+  // and reports overflow instead of saturating.
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return v;
+}
 
 GraphSpec GraphSpec::parse(const std::string& spec) {
   const auto colon = spec.find(':');

@@ -4,6 +4,8 @@
 
 namespace agc::math {
 
-static_assert(sizeof(Zm) == sizeof(std::uint64_t));
+// The modulus and its Barrett reciprocal; GF adds no state of its own.
+static_assert(sizeof(Zm) == 2 * sizeof(std::uint64_t));
+static_assert(sizeof(GF) == sizeof(Zm));
 
 }  // namespace agc::math

@@ -4,6 +4,7 @@
 #include <bit>
 #include <functional>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "agc/obs/event_sink.hpp"
@@ -23,7 +24,8 @@ constexpr Vertex kNone = std::numeric_limits<Vertex>::max();
 /// of the stepping bitset and the colors of its own vertex range; the
 /// driving thread reads the results after the executor's barrier.
 struct Shard {
-  std::vector<Color> nbrs;   ///< neighbor-multiset scratch, the rule's to reorder
+  /// Neighbor-multiset scratch of max-degree entries, the rule's to reorder.
+  std::vector<Color> nbrs;
   std::size_t nonfinal = 0;  ///< stepped vertices whose color is not final
   /// First vertex with a port whose next broadcast the transport rejects.
   Vertex bad = kNone;
@@ -48,6 +50,8 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   const Transport transport(opts.model, opts.congest_bits);
   const bool over_cap = transport.width_cap() != 0 && bits > transport.width_cap();
   const auto fits = [bits](Color c) { return bits >= 64 || (c >> bits) == 0; };
+
+  const std::size_t max_degree = g.max_degree();
 
   obs::PhaseProfile profile;
   const VertexShards pass(g, opts.executor.get(),
@@ -77,7 +81,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   // without one no neighbor reads it and its own reads use `col`.
   const std::function<void(std::size_t)> init = [&](std::size_t s) {
     Shard& sh = shards[s];
-    sh.nbrs.reserve(g.max_degree());
+    sh.nbrs.resize(max_degree);
     for (Vertex v = pass.begin(s); v < pass.end(s); ++v) {
       const Color c = col[v];
       if (fits(c)) {
@@ -113,9 +117,10 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
         }
         // The multiset in CSR order: a rule's result does not depend on the
         // order, and the rule may reorder the scratch (iterative.hpp).
-        sh.nbrs.clear();
-        for (const Vertex u : g.neighbors(v)) sh.nbrs.push_back(cur->get(u));
-        const Color c = rule.step({v, result.rounds}, own, sh.nbrs);
+        const std::span<const Vertex> nbrs = g.neighbors(v);
+        cur->gather(nbrs, sh.nbrs.data());
+        const Color c = rule.step({v, result.rounds}, own,
+                                  std::span<Color>(sh.nbrs.data(), nbrs.size()));
         if (fits(c)) {
           next->set(v, c);
         } else if (sh.bad == kNone && g.degree(v) > 0) {

@@ -24,10 +24,9 @@ namespace {
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& text) {
-  char* end = nullptr;
-  const auto v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') bad("bad integer for " + key);
-  return v;
+  const auto v = graph::parse_u64(text);
+  if (!v) bad("bad integer for " + key);
+  return *v;
 }
 
 std::uint32_t parse_ppm(const std::string& key, const std::string& text) {

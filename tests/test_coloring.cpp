@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <random>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "../src/coloring/fyz_stages.hpp"
 #include "agc/arb/defective.hpp"
@@ -481,6 +483,105 @@ TEST(KuhnWattenhofer, ScheduleHalves) {
     const std::uint64_t expect = (sched.size(k) + 19) / 20 * 10;
     EXPECT_EQ(sched.size(k + 1), expect);
   }
+}
+
+/// KwRule::step as it was first written, kept as the reference: every
+/// neighbor is located with KwSchedule::interval_of and decoded with / and %.
+Color kw_reference_step(const coloring::KwSchedule& sched, Color own,
+                        std::vector<Color> neighbors) {
+  const std::size_t last = sched.phases();
+  const std::size_t k = sched.interval_of(own);
+  if (k == last) return own;
+  const std::uint64_t target = sched.delta() + 1;
+  const std::uint64_t block_size = 2 * target;
+  const std::uint64_t x = own - sched.offset(k);
+  const std::uint64_t block = x / block_size;
+  const std::uint64_t pos = x % block_size;
+  const std::uint64_t down_off = sched.offset(k + 1);
+  for (const Color nc : neighbors) {
+    if (sched.interval_of(nc) < k) return own;
+  }
+  if (pos < target) return down_off + block * target + pos;
+  for (const Color nc : neighbors) {
+    if (sched.interval_of(nc) != k) continue;
+    const std::uint64_t nx = nc - sched.offset(k);
+    if (nx / block_size == block && nx > x) return own;
+  }
+  std::vector<Color> taken;
+  for (const Color nc : neighbors) {
+    const std::size_t nk = sched.interval_of(nc);
+    if (nk == k) {
+      const std::uint64_t nx = nc - sched.offset(k);
+      if (nx / block_size == block && nx % block_size < target) {
+        taken.push_back(nx % block_size);
+      }
+    } else if (nk == k + 1) {
+      const std::uint64_t ny = nc - down_off;
+      if (ny / target == block) taken.push_back(ny % target);
+    }
+  }
+  return down_off + block * target + coloring::smallest_free(taken);
+}
+
+TEST(KuhnWattenhofer, StepMatchesTheIntervalScanReference) {
+  // Random schedules, own colors in every interval, and neighborhoods drawn
+  // from a higher interval, own block (both halves), the block's slots one
+  // interval down, and anywhere at all.
+  std::mt19937_64 rng(2024);
+  std::size_t held = 0;
+  std::size_t descended = 0;
+  std::size_t acted = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t delta = 1 + rng() % 40;
+    const coloring::KwSchedule sched(1 + rng() % 50000, delta);
+    const coloring::KwRule rule(sched);
+    const std::uint64_t target = delta + 1;
+    const std::uint64_t top = sched.offset(0) + sched.size(0);
+    const auto in_interval = [&](std::size_t k) {
+      return sched.offset(k) + rng() % sched.size(k);
+    };
+    for (int step = 0; step < 100; ++step) {
+      const std::size_t k = rng() % (sched.phases() + 1);
+      const Color own = in_interval(k);
+      const std::uint64_t block = (own - sched.offset(k)) / (2 * target);
+      const Color block_lo = sched.offset(k) + block * 2 * target;
+      const bool may_hold = k > 0 && rng() % 2 == 0;
+      std::vector<Color> nbrs(rng() % (delta + 1));
+      for (Color& nc : nbrs) {
+        switch (rng() % 4) {
+          case 0:
+            nc = may_hold && rng() % 8 == 0 ? in_interval(k - 1) : rng() % top;
+            break;
+          case 1:
+            nc = block_lo + rng() % (2 * target);
+            if (nc >= sched.offset(k) + sched.size(k)) nc = in_interval(k);
+            break;
+          case 2:
+            nc = k < sched.phases()
+                     ? sched.offset(k + 1) + block * target + rng() % target
+                     : in_interval(k);
+            break;
+          default:
+            nc = in_interval(rng() % (sched.phases() + 1));
+        }
+      }
+      std::vector<Color> scratch = nbrs;
+      const Color got = rule.step({}, own, scratch);
+      ASSERT_EQ(got, kw_reference_step(sched, own, nbrs))
+          << "delta=" << delta << " own=" << own << " deg=" << nbrs.size();
+      if (k == sched.phases()) continue;
+      if (got == own) {
+        ++held;
+      } else if ((own - sched.offset(k)) % (2 * target) < target) {
+        ++descended;
+      } else {
+        ++acted;
+      }
+    }
+  }
+  EXPECT_GT(held, 1000u);
+  EXPECT_GT(descended, 1000u);
+  EXPECT_GT(acted, 1000u);
 }
 
 TEST(KuhnWattenhofer, ProperEveryRoundOnFamilies) {

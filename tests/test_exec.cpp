@@ -436,6 +436,11 @@ TEST(Executors, FactorySemantics) {
 
   setenv("AGC_THREADS", "5", 1);
   EXPECT_EQ(exec::default_threads(), 5u);
+  // Read strictly: no letters, sign, trailing text or overflow (2^64).
+  for (const char* bad : {"abc", "-1", "5x", "18446744073709551616"}) {
+    setenv("AGC_THREADS", bad, 1);
+    EXPECT_THROW((void)exec::default_threads(), std::invalid_argument) << bad;
+  }
   unsetenv("AGC_THREADS");
   EXPECT_EQ(exec::default_threads(), 1u);
 }

@@ -84,6 +84,29 @@ TEST(Zm, GroupLaws) {
   }
 }
 
+// Barrett division for any modulus >= 1 (Zm::divmod's proof in gf.hpp):
+// the edges of the 64-bit range, powers of two, composite Delta+1 moduli,
+// and seeded dividends, against the hardware divide.
+TEST(Zm, DivModMatchesHardwareDivideForAnyModulus) {
+  std::vector<std::uint64_t> moduli = {1, 2, 3, 9, 33, 257, 1001,
+                                       (1ULL << 32) - 1, (1ULL << 32) + 1,
+                                       (1ULL << 63) + 1, ~0ULL};
+  for (int k = 1; k < 64; ++k) moduli.push_back(1ULL << k);
+  std::mt19937_64 rng(44);
+  for (const std::uint64_t m : moduli) {
+    const Zm z(m);
+    std::vector<std::uint64_t> xs = {0, 1, m - 1, m, m + 1, ~0ULL};
+    for (int i = 0; i < 20000; ++i) xs.push_back(rng());
+    for (int i = 0; i < 1000; ++i) xs.push_back(rng() % (m < (1ULL << 32) ? m * m : m));
+    for (const std::uint64_t x : xs) {
+      const auto [quot, rem] = z.divmod(x);
+      ASSERT_EQ(quot, x / m) << "m=" << m << " x=" << x;
+      ASSERT_EQ(rem, x % m) << "m=" << m << " x=" << x;
+      ASSERT_EQ(z.reduce(x), x % m) << "m=" << m << " x=" << x;
+    }
+  }
+}
+
 TEST(GFTest, FieldLaws) {
   const GF f(101);
   for (std::uint64_t a = 1; a < 101; a += 7) {

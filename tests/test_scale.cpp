@@ -1,6 +1,6 @@
 // The web-graph-scale substrate (docs/SCALE.md): frozen CSR vs mutable
 // backend conformance, streamed-vs-materialized generator bit-identity,
-// bit-packed color storage, and the flat front door's color contract against
+// byte-lane color storage, and the flat front door's color contract against
 // the sequential pipeline — across thread counts.
 
 #include <gtest/gtest.h>
@@ -158,25 +158,36 @@ TEST(ResolvedGraph, PowerlawSpecRoundTrips) {
 
 // --- PackedColors -----------------------------------------------------------
 
-TEST(PackedColors, RoundTripsAcrossWordStraddles) {
-  // Widths that do not divide 64 force entries to straddle word boundaries.
-  for (const std::uint32_t bits : {1u, 3u, 7u, 13u, 31u, 33u, 63u, 64u}) {
+TEST(PackedColors, RoundTripsEveryWidthAndGathersLikeGet) {
+  // Every width, so every lane size 1..8 and every mask; the last entry's
+  // 8-byte load reads the tail padding.
+  for (std::uint32_t bits = 1; bits <= 64; ++bits) {
     SCOPED_TRACE(bits);
     const std::size_t n = 257;
     runtime::PackedColors p(n, bits);
     const std::uint64_t mask =
         bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      p.set(i, (0x9E3779B97F4A7C15ULL * (i + 1)) & mask);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(p.get(i), (0x9E3779B97F4A7C15ULL * (i + 1)) & mask) << i;
-    }
-    // Overwrites must not disturb neighbors.
+    const auto value = [&](std::size_t i) {
+      return (0x9E3779B97F4A7C15ULL * (i + 1)) & mask;
+    };
+    for (std::size_t i = 0; i < n; ++i) p.set(i, value(i));
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(p.get(i), value(i)) << i;
+    // Overwrites must not disturb neighbors, the last entry included.
     p.set(100, 0);
-    EXPECT_EQ(p.get(99), (0x9E3779B97F4A7C15ULL * 100) & mask);
-    EXPECT_EQ(p.get(101), (0x9E3779B97F4A7C15ULL * 102) & mask);
+    p.set(n - 1, mask);
+    EXPECT_EQ(p.get(99), value(99));
+    EXPECT_EQ(p.get(101), value(101));
     EXPECT_EQ(p.get(100), 0u);
+    EXPECT_EQ(p.get(n - 2), value(n - 2));
+    EXPECT_EQ(p.get(n - 1), mask);
+    // One gather over every index, in a scrambled order.
+    std::vector<graph::Vertex> at(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      at[i] = static_cast<graph::Vertex>((i * 101) % n);
+    }
+    std::vector<std::uint64_t> out(n);
+    p.gather(at, out.data());
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], p.get(at[i])) << i;
   }
 }
 

@@ -146,6 +146,17 @@ TEST(CampaignFormat, RejectsUnknownRunnerAndBadDeps) {
   EXPECT_THROW(Campaign::parse(fwd_dep), std::invalid_argument);
 }
 
+TEST(CampaignFormat, RejectsSignedAndOverflowingIntegers) {
+  // strtoull would read these as 2^64 - 3 and as a saturated 2^64 - 1.
+  for (const char* line : {"algo=ag graph=cycle:64 seed=-3\n",
+                           "algo=ag graph=cycle:64 seed=18446744073709551616\n"}) {
+    std::istringstream in(line);
+    EXPECT_THROW(Campaign::parse(in), std::invalid_argument) << line;
+  }
+  std::istringstream max("algo=ag graph=cycle:64 seed=18446744073709551615\n");
+  EXPECT_EQ(Campaign::parse(max).job(0).seed, ~std::uint64_t{0});
+}
+
 TEST(CampaignFormat, AddGridOrdersAlgorithmMajor) {
   Campaign c;
   c.add_grid({"ag", "exact"}, {GraphSpec::parse("cycle:8")}, {1, 2});

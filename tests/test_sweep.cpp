@@ -107,12 +107,19 @@ Observed observe(const Report& rep, const Recorder& rec,
   return o;
 }
 
+/// The round cap of every run_algo stage: ten times the most rounds any
+/// SweepVsEngine case needs (40, sublinear on the power-law graph), so a
+/// runner that stops converging fails fast instead of running to the
+/// registry's default cap.
+constexpr std::size_t kAlgoMaxRounds = 400;
+
 Observed run_algo(const coloring::AlgoSpec& algo, GraphView g,
                   std::size_t threads, bool on_engine) {
   Recorder rec;
   NoopAdversary noop;
   std::vector<std::pair<std::size_t, std::uint64_t>> trace;
   coloring::PipelineOptions po;
+  po.run().max_rounds = kAlgoMaxRounds;
   po.run().executor = exec::make_executor(threads);
   po.run().sink = &rec;
   if (on_engine) po.run().adversary = &noop;
@@ -182,6 +189,7 @@ TEST(SweepVsEngine, EveryIterativeAlgorithmEveryBackendEveryThreadCount) {
                        " threads=" + std::to_string(threads));
           const Observed sweep = run_algo(*algo, g, threads, false);
           const Observed engine = run_algo(*algo, g, threads, true);
+          ASSERT_TRUE(engine.converged);
           expect_same(sweep, engine);
           EXPECT_EQ(sweep.colors.size(), g.n());
         }

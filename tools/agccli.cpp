@@ -149,15 +149,33 @@ struct Args {
     const auto it = kv.find(k);
     return it == kv.end() ? dflt : it->second;
   }
+  /// A numeric flag, read strictly (graph::parse_u64); anything else is a
+  /// usage error.
   std::uint64_t num(const std::string& k, std::uint64_t dflt) const {
     const auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == kv.end()) return dflt;
+    const auto v = graph::parse_u64(it->second);
+    if (!v) {
+      usage(("--" + k + " needs an unsigned integer, got '" + it->second + "'").c_str());
+    }
+    return *v;
+  }
+
+  /// --threads, else AGC_THREADS (exec::default_threads); 0 means
+  /// hardware concurrency.
+  std::size_t threads() const {
+    if (has("threads")) return num("threads", 1);
+    try {
+      return exec::default_threads();
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
   }
 
   /// Execution backend for --threads/AGC_THREADS (null-free: sequential
   /// when 1).
   std::shared_ptr<runtime::RoundExecutor> executor() const {
-    return exec::make_executor(num("threads", exec::default_threads()));
+    return exec::make_executor(threads());
   }
 };
 
@@ -240,7 +258,7 @@ int cmd_color(const Args& a) {
   const std::string model = a.get("model", "setlocal");
 
   opts.eps = std::strtod(a.get("eps", "0.5").c_str(), nullptr);
-  opts.run().seed = std::strtoull(a.get("seed", "1").c_str(), nullptr, 10);
+  opts.run().seed = a.num("seed", 1);
 
   const std::string algo = a.get("algo", "ag");
   const coloring::AlgoSpec* spec = coloring::find_algo(algo);
@@ -358,7 +376,7 @@ int selfstab_faultlab(const Args& a, const selfstab::SsConfig& cfg,
   spec.check = faultlab::coloring_check(cfg);
   spec.outputs = faultlab::coloring_outputs();
   spec.recovery_budget =
-      std::strtoull(a.get("budget", "100000").c_str(), nullptr, 10);
+      a.num("budget", 100000);
 
   // Hook storage must outlive run_stabilization; only one arm is used.
   std::unique_ptr<faultlab::PlanAdversary> plan_adv;
@@ -381,12 +399,12 @@ int selfstab_faultlab(const Args& a, const selfstab::SsConfig& cfg,
     const bool record = a.has("fault-plan");
     if (record) engine.set_fault_recorder(&recorder);
     faultlab::ChannelFaultConfig ccfg;
-    ccfg.seed = std::strtoull(a.get("chan-seed", "1").c_str(), nullptr, 10);
+    ccfg.seed = a.num("chan-seed", 1);
     ccfg.drop_per_million = ppm_flag(a, "chan-drop");
     ccfg.corrupt_per_million = ppm_flag(a, "chan-corrupt");
     ccfg.duplicate_per_million = ppm_flag(a, "chan-dup");
     ccfg.delay_per_million = ppm_flag(a, "chan-delay");
-    ccfg.last_round = std::strtoull(a.get("chan-last", "64").c_str(), nullptr, 10);
+    ccfg.last_round = a.num("chan-last", 64);
     if (ccfg.total_per_million() > 1'000'000) {
       usage("channel fault probabilities sum above 1");
     }
@@ -395,10 +413,10 @@ int selfstab_faultlab(const Args& a, const selfstab::SsConfig& cfg,
           ccfg, record ? &recorder : nullptr);
       ro.channel = channel.get();
     }
-    const auto faults = std::strtoull(a.get("faults", "16").c_str(), nullptr, 10);
+    const auto faults = a.num("faults", 16);
     if (faults > 0) {
       periodic = std::make_unique<runtime::PeriodicAdversary>(
-          std::strtoull(a.get("seed", "1").c_str(), nullptr, 10),
+          a.num("seed", 1),
           runtime::PeriodicAdversary::Schedule{
               .period = 4,
               .last_round = 16,
@@ -455,8 +473,8 @@ int cmd_selfstab(const Args& a) {
     return selfstab_faultlab(a, cfg, engine);
   }
 
-  const auto faults = std::strtoull(a.get("faults", "16").c_str(), nullptr, 10);
-  const auto epochs = std::strtoull(a.get("epochs", "3").c_str(), nullptr, 10);
+  const auto faults = a.num("faults", 16);
+  const auto epochs = a.num("epochs", 3);
   ObsFlags ob(a);
   runtime::RunOptions ro;
   ro.max_rounds = 1000000;
@@ -568,7 +586,9 @@ int cmd_grid(const Args& a) {
         sched::JobSpec job = base;
         job.algorithm = algo;
         job.graph = spec;
-        job.seed = std::strtoull(seed_str.c_str(), nullptr, 10);
+        const auto seed = graph::parse_u64(seed_str);
+        if (!seed) usage(("bad seed '" + seed_str + "'").c_str());
+        job.seed = *seed;
         if (a.has("plan-out-dir") && job.faults.any()) {
           char h[24];
           std::snprintf(h, sizeof h, "%016llx",
@@ -617,17 +637,15 @@ int cmd_campaign(const Args& a) {
 
   ObsFlags ob(a);
   sched::ScheduleOptions so;
-  std::size_t threads = a.has("threads")
-                            ? std::strtoull(a.get("threads").c_str(), nullptr, 10)
-                            : exec::default_threads();
+  std::size_t threads = a.threads();
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   so.threads = threads;
   so.threads_per_job =
-      std::strtoull(a.get("job-threads", "1").c_str(), nullptr, 10);
+      a.num("job-threads", 1);
   so.memory_budget_bytes =
-      std::strtoull(a.get("budget-mb", "0").c_str(), nullptr, 10) * 1'000'000;
+      a.num("budget-mb", 0) * 1'000'000;
   so.max_attempts =
-      1 + std::strtoull(a.get("retries", "0").c_str(), nullptr, 10);
+      1 + a.num("retries", 0);
   so.include_timing = a.has("timing");
   so.sink = ob.sink.get();
 
@@ -659,20 +677,20 @@ int cmd_svc(const Args& a) {
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-  cfg.delta_bound = std::strtoull(a.get("dmax", "0").c_str(), nullptr, 10);
+  cfg.delta_bound = a.num("dmax", 0);
   cfg.max_vertices =
-      std::strtoull(a.get("max-vertices", "0").c_str(), nullptr, 10);
+      a.num("max-vertices", 0);
   cfg.mode = a.has("exact") ? selfstab::PaletteMode::ExactDeltaPlusOne
                             : selfstab::PaletteMode::ODelta;
-  cfg.epoch_batch = std::strtoull(a.get("batch", "64").c_str(), nullptr, 10);
+  cfg.epoch_batch = a.num("batch", 64);
   cfg.run.executor = a.executor();
   ob.apply(cfg.run);
   svc::Service service(cfg);
 
   svc::WorkloadSpec ws;
-  ws.seed = std::strtoull(a.get("seed", "1").c_str(), nullptr, 10);
-  ws.ops = std::strtoull(a.get("ops", "20000").c_str(), nullptr, 10);
-  ws.clients = std::strtoull(a.get("clients", "64").c_str(), nullptr, 10);
+  ws.seed = a.num("seed", 1);
+  ws.ops = a.num("ops", 20000);
+  ws.clients = a.num("clients", 64);
   const auto rep = svc::run_workload(service, ws);
   const auto& st = service.stats();
 
