@@ -77,7 +77,7 @@ inline int run_gbench_main(int argc, char** argv, const std::string& bench_name)
   const std::string threads_flag = extract_flag(argc, argv, "--threads");
   gbench_threads() = threads_flag.empty()
                          ? agc::exec::default_threads()
-                         : std::strtoull(threads_flag.c_str(), nullptr, 10);
+                         : parse_count("--threads", threads_flag);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

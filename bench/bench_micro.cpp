@@ -170,6 +170,26 @@ void BM_EngineRound(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRound)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
+// BM_EngineRound's eight AG sweep rounds with the per-round properness check
+// on: the row the check's cost shows up in, next to the unchecked one.
+void BM_CheckedSweepStep(benchmark::State& state) {
+  const auto delta = static_cast<std::size_t>(state.range(0));
+  const auto rg = benchutil::resolve_graph(benchutil::regular_spec(1000, delta, 3));
+  const graph::GraphView g = rg.view();
+  coloring::AgRule rule(coloring::ag_modulus(delta, 1000));
+  for (auto _ : state) {
+    state.PauseTiming();
+    runtime::IterativeOptions io;
+    io.max_rounds = 8;
+    auto init = coloring::identity_coloring(g.n());
+    state.ResumeTiming();
+    auto res = runtime::run_locally_iterative(g, std::move(init), rule, io);
+    benchmark::DoNotOptimize(res.proper_each_round);
+  }
+  state.SetItemsProcessed(state.iterations() * 8 * g.n());
+}
+BENCHMARK(BM_CheckedSweepStep)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
 // The same sweep rounds on the exec subsystem's thread pool; range(1) is the
 // thread count (0 = hardware concurrency, honoring AGC_THREADS semantics).
 void BM_EngineRoundThreaded(benchmark::State& state) {

@@ -42,7 +42,7 @@ ScaleArgs parse(int argc, char** argv) {
   rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--max-n" && i + 1 < argc) {
-      a.max_n = std::strtoull(argv[++i], nullptr, 10);
+      a.max_n = benchutil::parse_count("--max-n", argv[++i]);
     } else {
       rest.push_back(argv[i]);
     }

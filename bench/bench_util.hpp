@@ -36,13 +36,25 @@ struct Options {
   }
 };
 
+/// A numeric bench flag, read strictly (agc::graph::parse_u64): anything
+/// but an unsigned decimal is a usage error, exit 2.
+inline std::uint64_t parse_count(const std::string& flag, const std::string& text) {
+  const auto v = agc::graph::parse_u64(text);
+  if (!v) {
+    std::fprintf(stderr, "error: %s needs an unsigned integer, got '%s'\n",
+                 flag.c_str(), text.c_str());
+    std::exit(2);
+  }
+  return *v;
+}
+
 inline Options parse_options(int argc, char** argv) {
   Options o;
   o.threads = agc::exec::default_threads();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      o.threads = std::strtoull(argv[++i], nullptr, 10);
+      o.threads = parse_count(arg, argv[++i]);
       // --threads 0: all hardware threads.
       if (o.threads == 0) o.threads = agc::exec::make_executor(0)->threads();
     } else if (arg == "--json" && i + 1 < argc) {

@@ -55,6 +55,11 @@ struct PipelineReport : runtime::RunReport {
   std::size_t rounds_linial = 0;  ///< log* phase
   std::size_t rounds_core = 0;    ///< AG / KW / greedy phase
   std::size_t rounds_finish = 0;  ///< final reduction phase (if any)
+  /// The final colors judged on the input graph.  Taken from the stages'
+  /// per-round verdict when that verdict covers them: checks on, the
+  /// invariant held, at least one stage ran, the colors are the last
+  /// stage's output and no adversary churned the graph the engine judged.
+  /// Otherwise every edge is checked once more.
   bool proper = false;
   bool proper_each_round = false;  ///< the locally-iterative invariant
 };

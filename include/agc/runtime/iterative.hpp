@@ -43,8 +43,11 @@
 /// the engine's accounting of a SET-LOCAL broadcast in closed form:
 /// messages = rounds * sum of degrees, total_bits = messages * color_bits(),
 /// max_edge_bits = rounds * color_bits() (0 without edges).  Both backends
-/// check after every round that the coloring is still proper — the defining
-/// invariant of the class.
+/// check every round's coloring for properness — the defining invariant of
+/// the class.  The engine checks every edge after each round.  The sweep
+/// checks round r inside round r + 1's step pass, on the neighbor colors
+/// that pass gathers anyway, and reads the last round's changes once at the
+/// end of the run.
 
 namespace agc::runtime {
 

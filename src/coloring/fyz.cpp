@@ -99,8 +99,7 @@ PipelineReport color_fyz(graph::GraphView g, const PipelineOptions& opts) {
   });
   rep.rounds_finish = wave.rounds;
 
-  rep.colors = std::move(wave.colors);
-  finish(rep, g);
+  finish(rep, g, opts, wave);
   return rep;
 }
 

@@ -50,8 +50,7 @@ PipelineReport color_delta_plus_one(graph::GraphView g,
   });
   rep.rounds_finish = red.rounds;
 
-  rep.colors = std::move(red.colors);
-  finish(rep, g);
+  finish(rep, g, opts, red);
   return rep;
 }
 
@@ -70,8 +69,7 @@ PipelineReport color_delta_plus_one_exact(graph::GraphView g,
   });
   rep.rounds_core = mixed.rounds;
 
-  rep.colors = std::move(mixed.colors);
-  finish(rep, g);
+  finish(rep, g, opts, mixed);
   return rep;
 }
 
@@ -90,8 +88,7 @@ PipelineReport color_kuhn_wattenhofer(graph::GraphView g,
   });
   rep.rounds_core = kw.rounds;
 
-  rep.colors = std::move(kw.colors);
-  finish(rep, g);
+  finish(rep, g, opts, kw);
   return rep;
 }
 
@@ -110,8 +107,7 @@ PipelineReport color_linial_greedy(graph::GraphView g,
   });
   rep.rounds_core = red.rounds;
 
-  rep.colors = std::move(red.colors);
-  finish(rep, g);
+  finish(rep, g, opts, red);
   return rep;
 }
 
@@ -129,8 +125,7 @@ PipelineReport color_o_delta(graph::GraphView g, const PipelineOptions& opts) {
   });
   rep.rounds_core = ag.rounds;
 
-  rep.colors = std::move(ag.colors);
-  finish(rep, g);
+  finish(rep, g, opts, ag);
   return rep;
 }
 

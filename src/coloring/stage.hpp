@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "agc/coloring/pipeline.hpp"
 #include "agc/graph/checks.hpp"
@@ -60,9 +61,25 @@ runtime::IterativeResult run_stage(PipelineReport& rep,
   return r;
 }
 
+/// Stamp the palette and properness of rep.colors on `g`, checking every
+/// edge.
 inline void finish(PipelineReport& rep, graph::GraphView g) {
   rep.palette = graph::palette_size(rep.colors);
   rep.proper = graph::is_proper_coloring(g, rep.colors);
+}
+
+/// Take the last stage's colors, unchanged, as the report's and stamp them.
+/// When the stages checked every round and the invariant held, that verdict
+/// already judged these colors on `g` — unless an adversary ran, since the
+/// engine then judges the graph it churned — so only then does `proper`
+/// skip the O(m) pass.
+inline void finish(PipelineReport& rep, graph::GraphView g,
+                   const PipelineOptions& opts, runtime::IterativeResult& last) {
+  rep.colors = std::move(last.colors);
+  rep.palette = graph::palette_size(rep.colors);
+  const bool judged = opts.iter.check_proper_each_round && rep.proper_each_round &&
+                      opts.iter.adversary == nullptr;
+  rep.proper = judged || graph::is_proper_coloring(g, rep.colors);
 }
 
 inline PipelineReport fresh_report() {

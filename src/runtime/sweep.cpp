@@ -29,10 +29,18 @@ struct Shard {
   std::size_t nonfinal = 0;  ///< stepped vertices whose color is not final
   /// First vertex with a port whose next broadcast the transport rejects.
   Vertex bad = kNone;
-  bool proper = true;        ///< this shard's verdict of the last check
+  bool proper = true;        ///< no monochromatic edge seen by this shard yet
 };
 
 constexpr std::uint64_t bit_of(Vertex v) { return std::uint64_t{1} << (v & 63); }
+
+/// Whether `own` is among the gathered neighbor colors: one of v's edges is
+/// monochromatic.  No early exit, so the loop has no branch per neighbor.
+bool holds(std::span<const Color> nbrs, Color own) {
+  bool hit = false;
+  for (const Color c : nbrs) hit |= c == own;
+  return hit;
+}
 
 }  // namespace
 
@@ -58,10 +66,12 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
                           opts.collect_phase_times ? &profile : nullptr, 64);
   std::vector<Shard> shards(pass.size());
 
-  // Bit v is set while v still steps: its color was not final at the start
-  // of the last round.  Shard cuts are multiples of 64, so every word has
-  // one owner.
+  // Bit v of `stepping` is set while v still steps: its color was not final
+  // at the start of the last round.  Bit v of `moved` is set when the last
+  // round changed v's color.  Shard cuts are multiples of 64, so every word
+  // has one owner.
   std::vector<std::uint64_t> stepping((n + 63) / 64, 0);
+  std::vector<std::uint64_t> moved((n + 63) / 64, 0);
   const auto words_of = [&](std::size_t s) {
     const Vertex b = pass.begin(s);
     const Vertex e = pass.end(s);
@@ -96,6 +106,19 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
     }
   };
 
+  // Properness rides the step passes.  Pass r + 1 checks round r's coloring,
+  // which `cur` holds, on the neighbor colors it gathers anyway.  With round
+  // r - 1 proper, only edges at a vertex that round r changed can have
+  // turned monochromatic, and every such vertex is still in the stepping
+  // set: stepped, or found final (which it became by changing).  Each scans
+  // its gathered colors for its own before the rule may reorder them.  The
+  // first pass has no previous coloring, so it scans every vertex, round
+  // 0's final ones too, which never step.  Every lane a pass reads is exact:
+  // validate_broadcast accepted each color with a port before the pass.
+  // `scan` drops once a clash is seen.
+  bool scan = opts.check_proper_each_round;
+  bool first = true;
+
   // One round for the shard's stepping vertices.  Final colors are fixed
   // points of step() (the is_final contract), so a vertex found final is
   // copied into `next` once — the round after it became final, when only
@@ -105,40 +128,62 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
     Shard& sh = shards[s];
     sh.bad = kNone;
     std::size_t nonfinal = 0;
+    bool scanning = scan && sh.proper;
+    // v's neighbors' colors in `cur`, in CSR order.
+    const auto read_nbrs = [&](Vertex v) {
+      const std::span<const Vertex> nbrs = g.neighbors(v);
+      cur->gather(nbrs, sh.nbrs.data());
+      return std::span<Color>(sh.nbrs.data(), nbrs.size());
+    };
     const auto [w0, w1] = words_of(s);
+    if (first && scanning) {
+      for (std::size_t w = w0; w < w1; ++w) {
+        std::uint64_t set = ~stepping[w];
+        if ((w + 1) * 64 > n) set &= bit_of(n) - 1;
+        for (; set != 0; set &= set - 1) {
+          const auto v = static_cast<Vertex>(w * 64 + std::countr_zero(set));
+          if (scanning && holds(read_nbrs(v), col[v])) scanning = false;
+        }
+      }
+    }
     for (std::size_t w = w0; w < w1; ++w) {
+      const std::uint64_t to_scan = first ? ~std::uint64_t{0} : moved[w];
+      std::uint64_t now_moved = 0;
       for (std::uint64_t set = stepping[w]; set != 0; set &= set - 1) {
         const auto v = static_cast<Vertex>(w * 64 + std::countr_zero(set));
         const Color own = col[v];
+        const bool check = scanning && (to_scan & bit_of(v)) != 0;
         if (rule.is_final(own)) {
+          if (check && holds(read_nbrs(v), own)) scanning = false;
           if (fits(own)) next->set(v, own);
           stepping[w] &= ~bit_of(v);
           continue;
         }
         // The multiset in CSR order: a rule's result does not depend on the
-        // order, and the rule may reorder the scratch (iterative.hpp).
-        const std::span<const Vertex> nbrs = g.neighbors(v);
-        cur->gather(nbrs, sh.nbrs.data());
-        const Color c = rule.step({v, result.rounds}, own,
-                                  std::span<Color>(sh.nbrs.data(), nbrs.size()));
+        // order, and the rule may reorder the scratch (iterative.hpp), so
+        // the scan comes first.
+        const std::span<Color> got = read_nbrs(v);
+        if (check && holds(got, own)) scanning = false;
+        const Color c = rule.step({v, result.rounds}, own, got);
         if (fits(c)) {
           next->set(v, c);
         } else if (sh.bad == kNone && g.degree(v) > 0) {
           sh.bad = v;
         }
+        if (c != own) now_moved |= bit_of(v);
         col[v] = c;
         if (!rule.is_final(c)) ++nonfinal;
       }
+      moved[w] = now_moved;
     }
     sh.nonfinal = nonfinal;
+    if (scan) sh.proper = scanning;
   };
 
-  // Properness.  Round 0 checks every edge; afterwards, with the previous
-  // coloring proper, only edges at a vertex whose color just changed can
-  // have become monochromatic, and those vertices all just stepped (with
-  // their previous color still in `cur`).
-  bool full_check = true;
-  const std::function<void(std::size_t)> check = [&](std::size_t s) {
+  // The closing check, once per run, of what no step pass read: the last
+  // round's changed vertices, or every vertex when no round ran.  No
+  // broadcast validated those colors, so it reads the exact ones in `col`.
+  const std::function<void(std::size_t)> close = [&](std::size_t s) {
     obs::ScopedPhaseTimer timer(pass.timers(s), obs::Phase::Check);
     Shard& sh = shards[s];
     const auto clashes = [&](Vertex v) {
@@ -148,8 +193,7 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
       }
       return false;
     };
-    sh.proper = true;
-    if (full_check) {
+    if (result.rounds == 0) {
       for (Vertex v = pass.begin(s); v < pass.end(s) && sh.proper; ++v) {
         sh.proper = !clashes(v);
       }
@@ -157,9 +201,8 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
     }
     const auto [w0, w1] = words_of(s);
     for (std::size_t w = w0; w < w1 && sh.proper; ++w) {
-      for (std::uint64_t set = stepping[w]; set != 0 && sh.proper; set &= set - 1) {
-        const auto v = static_cast<Vertex>(w * 64 + std::countr_zero(set));
-        sh.proper = col[v] == cur->get(v) || !clashes(v);
+      for (std::uint64_t set = moved[w]; set != 0 && sh.proper; set &= set - 1) {
+        sh.proper = !clashes(static_cast<Vertex>(w * 64 + std::countr_zero(set)));
       }
     }
   };
@@ -182,11 +225,6 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
   pass.run(init);
   std::size_t nonfinal = count_nonfinal();
 
-  if (opts.check_proper_each_round) {
-    pass.run(check, obs::Phase::Check);
-    result.proper_each_round = all_proper();
-  }
-  full_check = false;
   if (opts.on_round) {
     obs::ScopedPhaseTimer timer(pass.extra(), obs::Phase::Observer);
     opts.on_round(0, col);
@@ -203,6 +241,8 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
     const std::uint64_t t0 = opts.sink != nullptr ? obs::monotonic_ns() : 0;
     pass.run(step, obs::Phase::Receive);
     ++result.rounds;
+    first = false;
+    scan = scan && all_proper();
     nonfinal = count_nonfinal();
     if (opts.sink != nullptr) {
       obs::Event ev;
@@ -212,10 +252,6 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
       ev.ns = obs::monotonic_ns() - t0;
       opts.sink->emit(ev);
     }
-    if (opts.check_proper_each_round && result.proper_each_round) {
-      pass.run(check, obs::Phase::Check);
-      result.proper_each_round = all_proper();
-    }
     std::swap(cur, next);
     if (opts.on_round) {
       obs::ScopedPhaseTimer timer(pass.extra(), obs::Phase::Observer);
@@ -223,6 +259,8 @@ IterativeResult sweep_locally_iterative(graph::GraphView g,
     }
   }
   result.converged = nonfinal == 0;
+  if (scan) pass.run(close, obs::Phase::Check);
+  if (opts.check_proper_each_round) result.proper_each_round = all_proper();
 
   // The engine's accounting of the same broadcasts, in closed form.
   result.metrics.rounds = result.rounds;

@@ -13,7 +13,9 @@ namespace agc::runtime::detail {
 
 /// Evaluate `rule` from `colors` with one double-buffered sweep per round:
 /// next[v] = rule.step({v, round}, cur[v], N(v) colors in CSR order) for
-/// every vertex whose current color is not final.  Reproduces the engine
+/// every vertex whose current color is not final.  Each pass also checks
+/// the previous round's coloring on the colors it gathers, and one closing
+/// pass per run checks what no step pass read.  Reproduces the engine
 /// path's colors, rounds, convergence, per-round properness, on_round calls,
 /// RoundEnd events, transport errors and (in closed form) metrics.  Requires
 /// no adversary and no channel hook; emits neither RunStart nor RunEnd and

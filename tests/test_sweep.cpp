@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -39,10 +40,12 @@
 #include "agc/coloring/registry.hpp"
 #include "agc/coloring/symmetry.hpp"
 #include "agc/exec/executor.hpp"
+#include "agc/graph/checks.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/graph/spec.hpp"
 #include "agc/math/primes.hpp"
 #include "agc/obs/event_sink.hpp"
+#include "agc/runtime/engine.hpp"
 #include "agc/runtime/faults.hpp"
 #include "agc/runtime/iterative.hpp"
 
@@ -106,6 +109,10 @@ Observed observe(const Report& rep, const Recorder& rec,
   o.trace = std::move(trace);
   return o;
 }
+
+/// Every registry algorithm, Luby included.
+const char* const kRegistryAlgos[] = {"gps", "kw",  "ag",  "exact", "odelta",
+                                      "fyz", "eps", "sublinear", "luby"};
 
 /// The round cap of every run_algo stage: ten times the most rounds any
 /// SweepVsEngine case needs (40, sublinear on the power-law graph), so a
@@ -173,14 +180,12 @@ TEST(SweepVsEngine, EveryIterativeAlgorithmEveryBackendEveryThreadCount) {
       "path:1",
       "path:0",
   };
-  const char* const algos[] = {"gps", "kw",  "ag",  "exact", "odelta",
-                               "fyz", "eps", "sublinear", "luby"};
   for (const char* spec : specs) {
     const auto s = graph::GraphSpec::parse(spec);
     const graph::Graph dyn = s.build();
     const graph::FrozenGraph frz = s.build_frozen();
     for (const GraphView g : {GraphView(dyn), GraphView(frz)}) {
-      for (const char* name : algos) {
+      for (const char* name : kRegistryAlgos) {
         const coloring::AlgoSpec* algo = coloring::find_algo(name);
         ASSERT_NE(algo, nullptr) << name;
         for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -273,6 +278,228 @@ TEST(SweepVsEngine, MonochromaticEdgeInRoundTwoFlipsProperEachRound) {
     EXPECT_TRUE(sweep.converged);
     EXPECT_FALSE(sweep.proper_each_round);
     EXPECT_EQ(sweep.colors, (std::vector<Color>{500, 500, 203, 204}));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The properness matrix: one monochromatic edge, placed where each part of
+// the sweep's per-round check has to see it, against the engine.
+// ---------------------------------------------------------------------------
+
+/// Test-only rule that plays a script on an even cycle.  Unless the script
+/// overrides (v, r), vertex v's color at round r is r * 16 + (v & 1) before
+/// its finish round and the final kFinal + (v & 1) from then on, so every
+/// round's coloring is proper.  A final color is kept (the is_final
+/// contract), whatever the script says later.
+class ScriptedRule final : public runtime::IterativeRule {
+ public:
+  static constexpr Color kFinal = 1 << 12;
+  static constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+
+  ScriptedRule(std::size_t n, std::size_t finish) : finish_(n, finish) {}
+
+  void finish_at(graph::Vertex v, std::size_t r) { finish_[v] = r; }
+  void paint(graph::Vertex v, std::size_t r, Color c) { script_[{v, r}] = c; }
+
+  [[nodiscard]] Color at(graph::Vertex v, std::size_t r) const {
+    const auto it = script_.find({v, r});
+    if (it != script_.end()) return it->second;
+    return r < finish_[v] ? r * 16 + (v & 1) : kFinal + (v & 1);
+  }
+  [[nodiscard]] std::vector<Color> initial() const {
+    std::vector<Color> init(finish_.size());
+    for (graph::Vertex v = 0; v < init.size(); ++v) init[v] = at(v, 0);
+    return init;
+  }
+
+  [[nodiscard]] Color step(runtime::StepContext ctx, Color own,
+                           std::span<Color>) const override {
+    return is_final(own) ? own : at(ctx.id, ctx.round + 1);
+  }
+  [[nodiscard]] bool is_final(Color c) const override { return c >= kFinal; }
+  [[nodiscard]] std::uint32_t color_bits() const override {
+    return runtime::width_of(kFinal + 3);
+  }
+
+ private:
+  std::vector<std::size_t> finish_;
+  std::map<std::pair<graph::Vertex, std::size_t>, Color> script_;
+};
+
+/// One cell of the matrix: how the script puts a clash on edge (a, b).
+struct ClashCase {
+  const char* name;
+  std::size_t finish;       ///< every other vertex's finish round
+  std::size_t max_rounds;
+  bool proper;              ///< the run's true per-round verdict
+  std::function<void(ScriptedRule&, graph::Vertex, graph::Vertex)> place;
+};
+
+TEST(ProperEachRound, EveryPlaceAMonochromaticEdgeCanHideMatchesTheEngine) {
+  constexpr Color kClash = ScriptedRule::kFinal + 2;  // final, like no default
+  const auto nonfinal_clash = [](std::size_t r) -> Color { return r * 16 + 5; };
+  const ClashCase cases[] = {
+      {"no clash", 6, 100, true, [](ScriptedRule&, graph::Vertex, graph::Vertex) {}},
+      // Two round-0 final vertices never step, so no step pass reads their
+      // edge unless the first pass scans the final vertices too.
+      {"round 0, both final", 6, 100, false,
+       [&](ScriptedRule& r, graph::Vertex a, graph::Vertex b) {
+         for (const graph::Vertex v : {a, b}) {
+           r.finish_at(v, 0);
+           r.paint(v, 0, kClash);
+         }
+       }},
+      // is_final reads only the color, so a final and a non-final endpoint
+      // never share one: the edge stays proper, and both paths must say so.
+      {"round 0, final next to non-final", 6, 100, true,
+       [](ScriptedRule& r, graph::Vertex a, graph::Vertex) { r.finish_at(a, 0); }},
+      {"round 0, both non-final", 6, 100, false,
+       [&](ScriptedRule& r, graph::Vertex a, graph::Vertex b) {
+         r.paint(a, 0, nonfinal_clash(0));
+         r.paint(b, 0, nonfinal_clash(0));
+       }},
+      {"round 2, both stepping", 6, 100, false,
+       [&](ScriptedRule& r, graph::Vertex a, graph::Vertex b) {
+         r.paint(a, 2, nonfinal_clash(2));
+         r.paint(b, 2, nonfinal_clash(2));
+       }},
+      // b keeps its round-1 color, so only a's side of the edge changed.
+      {"round 2, onto an unchanged endpoint", 6, 100, false,
+       [&](ScriptedRule& r, graph::Vertex a, graph::Vertex b) {
+         r.paint(b, 2, r.at(b, 1));
+         r.paint(a, 2, r.at(b, 1));
+       }},
+      // b is final from round 1; a takes b's color as it becomes final in
+      // round 3, so only a's edges changed, and a no longer steps.
+      {"round 3, one endpoint just final", 6, 100, false,
+       [&](ScriptedRule& r, graph::Vertex a, graph::Vertex b) {
+         r.finish_at(b, 1);
+         r.paint(b, 1, kClash);
+         r.finish_at(a, 3);
+         r.paint(a, 3, kClash);
+       }},
+      // Round 6 is the last: no later step pass reads it.
+      {"last round", 6, 100, false,
+       [&](ScriptedRule& r, graph::Vertex a, graph::Vertex b) {
+         r.paint(a, 6, kClash);
+         r.paint(b, 6, kClash);
+       }},
+      {"max_rounds stops the run", ScriptedRule::kNever, 4, false,
+       [&](ScriptedRule& r, graph::Vertex a, graph::Vertex b) {
+         r.paint(a, 4, nonfinal_clash(4));
+         r.paint(b, 4, nonfinal_clash(4));
+       }},
+      {"no round: every color final", 0, 100, false,
+       [&](ScriptedRule& r, graph::Vertex a, graph::Vertex b) {
+         r.paint(a, 0, kClash);
+         r.paint(b, 0, kClash);
+       }},
+      {"no round: max_rounds = 0", 6, 0, false,
+       [&](ScriptedRule& r, graph::Vertex a, graph::Vertex b) {
+         r.paint(a, 0, nonfinal_clash(0));
+         r.paint(b, 0, nonfinal_clash(0));
+       }},
+  };
+  // 640 vertices span five 64-aligned shards at 8 threads: edge (0, 639)
+  // joins the first shard to the last, (300, 301) lies inside one shard.
+  constexpr std::size_t n = 640;
+  const auto g = graph::cycle(n);
+  const std::pair<graph::Vertex, graph::Vertex> edges[] = {{0, n - 1}, {300, 301}};
+  for (const ClashCase& c : cases) {
+    for (const auto& [a, b] : edges) {
+      ScriptedRule rule(n, c.finish);
+      c.place(rule, a, b);
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        for (const bool check : {true, false}) {
+          SCOPED_TRACE(std::string(c.name) + " edge " + std::to_string(a) + "-" +
+                       std::to_string(b) + " threads=" + std::to_string(threads) +
+                       (check ? "" : " unchecked"));
+          runtime::IterativeOptions io;
+          io.max_rounds = c.max_rounds;
+          io.executor = exec::make_executor(threads);
+          io.check_proper_each_round = check;
+          const Observed sweep = run_rule(g, rule.initial(), rule, io, false);
+          const Observed engine = run_rule(g, rule.initial(), rule, io, true);
+          expect_same(sweep, engine);
+          EXPECT_EQ(sweep.proper_each_round, c.proper || !check);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A pipeline's `proper` is always the input graph's verdict on its colors.
+// ---------------------------------------------------------------------------
+
+TEST(PipelineProper, EqualsTheInputGraphsVerdictOnEveryAlgorithm) {
+  const char* const specs[] = {
+      "regular:n=300,d=8,seed=3",
+      "gnp:n=700,p=0.01,seed=7",
+      "gnp:n=150,p=0.006,seed=5",
+      "path:1",
+  };
+  for (const char* spec : specs) {
+    const graph::FrozenGraph g = graph::GraphSpec::parse(spec).build_frozen();
+    for (const char* name : kRegistryAlgos) {
+      for (const std::size_t threads : {1u, 4u}) {
+        for (const bool check : {true, false}) {
+          SCOPED_TRACE(std::string(spec) + " " + name + " threads=" +
+                       std::to_string(threads) + (check ? "" : " unchecked"));
+          coloring::PipelineOptions po;
+          po.run().executor = exec::make_executor(threads);
+          po.iter.check_proper_each_round = check;
+          const auto rep = coloring::find_algo(name)->run(g, po);
+          EXPECT_EQ(rep.proper, graph::is_proper_coloring(g, rep.colors));
+          EXPECT_TRUE(rep.proper);
+        }
+      }
+    }
+  }
+}
+
+/// Deletes every edge of the live graph after each round from `from` on
+/// (the engine's round count within a stage), so a stage that runs that long
+/// finishes on an edgeless graph.
+class EdgeEraser final : public runtime::FaultAdversary {
+ public:
+  explicit EdgeEraser(std::size_t from) : from_(from) {}
+
+  std::size_t inject(runtime::Engine& engine, std::size_t round) override {
+    if (round < from_) return 0;
+    std::size_t removed = 0;
+    std::vector<graph::Vertex> nbrs;
+    for (graph::Vertex u = 0; u < engine.graph().n(); ++u) {
+      const auto live = engine.graph().neighbors(u);
+      nbrs.assign(live.begin(), live.end());
+      for (const graph::Vertex v : nbrs) removed += u < v && engine.remove_edge(u, v);
+    }
+    return removed;
+  }
+
+ private:
+  std::size_t from_;
+};
+
+TEST(PipelineProper, AnAdversaryRunIsJudgedOnTheInputGraph) {
+  // The engine checks each round on the live graph, which the adversary
+  // churns; `proper` must still judge the final colors on `g`.  gps's
+  // Linial stage ends before round 6 on the intact graph, so every stage
+  // starts proper on `g` and the greedy stage finishes on no edges: each
+  // round's verdict holds, yet its colors clash on `g`.
+  const auto g = graph::random_regular(300, 8, 3);
+  for (const char* name : kRegistryAlgos) {
+    SCOPED_TRACE(name);
+    EdgeEraser eraser(6);
+    coloring::PipelineOptions po;
+    po.run().adversary = &eraser;
+    po.run().max_rounds = kAlgoMaxRounds;
+    const auto rep = coloring::find_algo(name)->run(g, po);
+    EXPECT_EQ(rep.proper, graph::is_proper_coloring(g, rep.colors));
+    if (std::string(name) == "gps") {
+      EXPECT_TRUE(rep.proper_each_round);
+      EXPECT_FALSE(rep.proper);
+    }
   }
 }
 

@@ -79,9 +79,16 @@ struct Args {
     const auto it = kv.find(k);
     return it == kv.end() ? dflt : it->second;
   }
+  /// A numeric flag, read strictly (graph::parse_u64); anything else is a
+  /// usage error.
   std::uint64_t num(const std::string& k, std::uint64_t dflt) const {
     const auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == kv.end()) return dflt;
+    const auto v = graph::parse_u64(it->second);
+    if (!v) {
+      usage(("--" + k + " needs an unsigned integer, got '" + it->second + "'").c_str());
+    }
+    return *v;
   }
   std::uint32_t ppm(const std::string& k) const {
     const auto it = kv.find(k);

@@ -59,6 +59,17 @@ struct Args {
     const auto it = kv.find(k);
     return it == kv.end() ? dflt : it->second;
   }
+  /// A numeric flag, read strictly (graph::parse_u64); anything else is a
+  /// usage error.
+  std::uint64_t num(const std::string& k, std::uint64_t dflt) const {
+    const auto it = kv.find(k);
+    if (it == kv.end()) return dflt;
+    const auto v = graph::parse_u64(it->second);
+    if (!v) {
+      usage(("--" + k + " needs an unsigned integer, got '" + it->second + "'").c_str());
+    }
+    return *v;
+  }
 };
 
 Args parse(int argc, char** argv) {
@@ -200,16 +211,15 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-  cfg.delta_bound = std::strtoull(a.get("dmax", "0").c_str(), nullptr, 10);
-  cfg.max_vertices =
-      std::strtoull(a.get("max-vertices", "0").c_str(), nullptr, 10);
+  cfg.delta_bound = a.num("dmax", 0);
+  cfg.max_vertices = a.num("max-vertices", 0);
   cfg.mode = a.has("exact") ? selfstab::PaletteMode::ExactDeltaPlusOne
                             : selfstab::PaletteMode::ODelta;
-  cfg.epoch_batch = std::strtoull(a.get("batch", "64").c_str(), nullptr, 10);
-  cfg.run.executor = exec::make_executor(
-      a.has("threads")
-          ? std::strtoull(a.get("threads").c_str(), nullptr, 10)
-          : exec::default_threads());
+  cfg.epoch_batch = a.num("batch", 64);
+  const std::uint64_t port = a.num("port", 0);
+  if (port > 65535) usage("--port must be at most 65535");
+  cfg.run.executor =
+      exec::make_executor(a.has("threads") ? a.num("threads", 0) : exec::default_threads());
 
   std::ofstream jsonl_out;
   std::unique_ptr<obs::JsonlSink> sink;
@@ -229,8 +239,7 @@ int main(int argc, char** argv) {
 
   const int listener = a.has("socket")
                            ? listen_unix(a.get("socket"))
-                           : listen_tcp(static_cast<std::uint16_t>(
-                                 std::strtoul(a.get("port").c_str(), nullptr, 10)));
+                           : listen_tcp(static_cast<std::uint16_t>(port));
   std::fprintf(stderr, "agcd: listening on %s\n",
                a.has("socket") ? a.get("socket").c_str()
                                : a.get("port").c_str());
