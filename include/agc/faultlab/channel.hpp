@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "agc/runtime/faults.hpp"
@@ -54,6 +56,13 @@ struct ChannelFaultConfig {
            delay_per_million;
   }
 };
+
+/// The one reading of a probability from outside input (a campaign key, a
+/// CLI flag): a finite decimal in [0, 1] (graph::parse_f64), stored as the
+/// nearest value on the per-million grid every adversary draws against.
+/// nullopt when `text` is not such a number.
+[[nodiscard]] std::optional<std::uint32_t> parse_per_million(
+    std::string_view text) noexcept;
 
 /// The seeded random wire attacker.  Optionally records every injected fault
 /// to a FaultEventSink (see plan.hpp) so a fuzz run can be replayed exactly.

@@ -68,6 +68,17 @@ class ResolvedGraph {
 /// at the first non-digit.  nullopt when `text` is not such a number.
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept;
 
+/// The one strict reading of a real from outside input: a finite decimal,
+/// so no `nan`, `inf`, hex float, leading blank or `+`, and no trailing text
+/// (strtod takes all of those).  Range checks are the caller's.  nullopt
+/// when `text` is not such a number.
+[[nodiscard]] std::optional<double> parse_f64(std::string_view text) noexcept;
+
+/// The one writer of a real for a text format (spec parameters, campaign
+/// keys, the service aggregate): the shortest `%.*g` spelling that reads
+/// back as `v`, so `0.01` stays "0.01".
+[[nodiscard]] std::string format_f64(double v);
+
 class GraphSpec {
  public:
   GraphSpec() = default;

@@ -122,16 +122,11 @@ struct JobResult : runtime::RunReport {
 ///
 ///   algo=ag graph=regular:n=1500,d=8,seed=1242 seed=1 tag=d8
 ///
-/// Keys: algo graph seed tag model congest max-rounds idspace deps
-/// chan-seed chan-drop chan-corrupt chan-dup chan-delay chan-first chan-last
-/// adv-period adv-last adv-corrupt adv-range adv-clones adv-eadds
-/// adv-eremoves adv-dmax plan budget confirm, plus the adversary-zoo
-/// families (docs/FAULTS.md): out-lo out-hi out-first out-last, flap-down
-/// flap-up flap-first flap-last, byz-liars byz-rate byz-first byz-last,
-/// adapt-period adapt-count adapt-last adapt-target(degree|recent),
-/// churn-events churn-alpha churn-attach churn-resets churn-first
-/// churn-last churn-dmax churn-grow.  Probabilities are floats in [0,1];
-/// deps is a comma list of 0-based job line indexes.
+/// `algo` and `graph` are required.  Every other key is one entry of the
+/// key table in src/sched/campaign.cpp (its name, its value kind and the
+/// JobSpec field it sets); docs/SCHED.md lists them.  Integers must fit their
+/// field, probabilities are finite decimals in [0,1] stored to the nearest
+/// per-million, and deps is a comma list of earlier 0-based job indexes.
 class Campaign {
  public:
   /// Append one job; returns its id (= index, = execution priority).
@@ -153,18 +148,28 @@ class Campaign {
   [[nodiscard]] const JobSpec& job(std::size_t id) const { return jobs_.at(id); }
   [[nodiscard]] const std::vector<JobSpec>& jobs() const noexcept { return jobs_; }
 
-  /// Parse the file format above; throws std::invalid_argument on unknown
-  /// keys/algorithms, bad graph specs, or out-of-range deps.
+  /// Parse the file format above; throws std::invalid_argument, naming the
+  /// line, on an unknown key or algorithm, a bad value, graph spec or dep.
   [[nodiscard]] static Campaign parse(std::istream& in);
   [[nodiscard]] static Campaign parse_file(const std::string& path);  ///< throws
 
-  /// Render back to the file format (non-default keys only); round-trips
-  /// through parse().
+  /// Render back to the file format: a key is written when its value reads
+  /// differently from a default JobSpec's.  parse() reads every job back.
   [[nodiscard]] std::string format() const;
 
  private:
   std::vector<JobSpec> jobs_;
 };
+
+/// The keys `agccli campaign grid` takes as `--key VALUE` flags: every table
+/// key but seed (the --seeds axis), plan-out (from --plan-out-dir) and deps
+/// (a job index means nothing across a grid).
+[[nodiscard]] std::span<const std::string_view> grid_keys();
+
+/// Set one table key of `job` from its file spelling, read as Campaign::parse
+/// reads it.  Throws std::invalid_argument naming the key on an unknown key
+/// or a bad value.
+void set_job_key(JobSpec& job, std::string_view key, std::string_view value);
 
 struct ScheduleOptions {
   /// Across-job worker threads (level 1 of the scheduler).  1 = run inline.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "agc/graph/spec.hpp"
+
 namespace agc::faultlab {
 
 namespace {
@@ -65,6 +67,12 @@ void rebind(const MailboxArena& arena, std::vector<Word>& stash,
 }
 
 }  // namespace
+
+std::optional<std::uint32_t> parse_per_million(std::string_view text) noexcept {
+  const auto p = graph::parse_f64(text);
+  if (!p || *p < 0.0 || *p > 1.0) return std::nullopt;
+  return static_cast<std::uint32_t>(*p * 1'000'000.0 + 0.5);
+}
 
 void ChannelAdversary::begin_round(const MailboxArena& arena,
                                    graph::GraphView /*g*/,

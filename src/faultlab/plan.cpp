@@ -1,10 +1,12 @@
 #include "agc/faultlab/plan.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "agc/graph/spec.hpp"
 
 namespace agc::faultlab {
 
@@ -40,19 +42,28 @@ using runtime::FaultKind;
     if (end == std::string::npos) return false;
     out = line.substr(i + 1, end - i - 1);
   } else {
-    std::size_t end = i;
-    while (end < line.size() && (std::isdigit(static_cast<unsigned char>(line[end])) ||
-                                 line[end] == '-')) {
-      ++end;
-    }
+    // The whole token up to the next separator, so "3.5" or "-3" reaches the
+    // number reader intact instead of being cut to "3".
+    const auto end = std::min(line.find_first_of(",} ", i), line.size());
     if (end == i) return false;
     out = line.substr(i, end - i);
   }
   return true;
 }
 
-[[nodiscard]] std::uint64_t to_u64(const std::string& s) {
-  return std::stoull(s);
+/// Read the numeric field `key`, when the line has one, strictly
+/// (graph::parse_u64) into `out`, whose type it must fit.
+template <class T>
+void read_number(const std::string& line, const char* key, std::size_t lineno,
+                 T& out) {
+  std::string field;
+  if (!find_field(line, key, field)) return;
+  const auto v = graph::parse_u64(field);
+  if (!v || *v > std::numeric_limits<T>::max()) {
+    throw std::runtime_error("FaultPlan: bad " + std::string(key) + " '" + field +
+                             "' on line " + std::to_string(lineno));
+  }
+  out = static_cast<T>(*v);
 }
 
 [[nodiscard]] bool is_known_key(const std::string& key) {
@@ -184,13 +195,11 @@ FaultPlan FaultPlan::parse(std::istream& in) {
       throw std::runtime_error("FaultPlan: missing round on line " +
                                std::to_string(lineno));
     }
-    ev.round = to_u64(field);
-    if (find_field(line, "u", field)) ev.u = static_cast<std::uint32_t>(to_u64(field));
-    if (find_field(line, "v", field)) ev.v = static_cast<std::uint32_t>(to_u64(field));
-    if (find_field(line, "word", field)) {
-      ev.word = static_cast<std::uint32_t>(to_u64(field));
-    }
-    if (find_field(line, "value", field)) ev.value = to_u64(field);
+    read_number(line, "round", lineno, ev.round);
+    read_number(line, "u", lineno, ev.u);
+    read_number(line, "v", lineno, ev.v);
+    read_number(line, "word", lineno, ev.word);
+    read_number(line, "value", lineno, ev.value);
     std::string extra = scan_extras(line);
     plan.events.push_back(ev);
     if (!extra.empty() || !plan.extras.empty()) {
@@ -226,6 +235,18 @@ std::size_t PlanAdversary::inject(runtime::Engine& engine,
   while (cursor_ < events_.size() && events_[cursor_].round <= now) {
     const FaultEvent& ev = events_[cursor_];
     if (ev.round == now) {
+      // A plan is outside input, and the engine indexes its per-vertex
+      // state unchecked.  Earlier AddVertex events have grown n by now.
+      const std::size_t n = engine.graph().n();
+      const bool edge =
+          ev.kind == FaultKind::AddEdge || ev.kind == FaultKind::RemoveEdge;
+      if (ev.kind != FaultKind::AddVertex && (ev.v >= n || (edge && ev.u >= n))) {
+        throw std::invalid_argument(
+            "fault plan: round " + std::to_string(ev.round) + " " +
+            runtime::to_string(ev.kind) + " event names a vertex outside n=" +
+            std::to_string(n) + " (u=" + std::to_string(ev.u) +
+            " v=" + std::to_string(ev.v) + ")");
+      }
       switch (ev.kind) {
         case FaultKind::Ram:
           engine.corrupt_ram(ev.v, ev.word, ev.value);

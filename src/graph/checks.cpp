@@ -4,7 +4,6 @@
 #include <cassert>
 #include <map>
 #include <set>
-#include <unordered_set>
 
 namespace agc::graph {
 
@@ -19,8 +18,23 @@ bool is_proper_coloring(GraphView g, std::span<const Color> colors) {
 }
 
 std::size_t palette_size(std::span<const Color> colors) {
-  std::unordered_set<Color> seen(colors.begin(), colors.end());
-  return seen.size();
+  // A bitmap over [0, max] when it is at most one word per colour, else a
+  // sorted copy: both cost no more memory than the colours themselves.
+  const Color top = max_color(colors);
+  if (top / 64 < colors.size()) {
+    std::vector<std::uint64_t> seen(top / 64 + 1, 0);
+    std::size_t count = 0;
+    for (const Color c : colors) {
+      const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+      count += (seen[c / 64] & bit) == 0;
+      seen[c / 64] |= bit;
+    }
+    return count;
+  }
+  std::vector<Color> sorted(colors.begin(), colors.end());
+  std::sort(sorted.begin(), sorted.end());
+  return static_cast<std::size_t>(std::unique(sorted.begin(), sorted.end()) -
+                                  sorted.begin());
 }
 
 Color max_color(std::span<const Color> colors) {

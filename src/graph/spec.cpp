@@ -1,6 +1,7 @@
 #include "agc/graph/spec.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -80,18 +81,10 @@ std::string canonical_u64(const std::string& spec, const std::string& text) {
   return std::to_string(*v);
 }
 
-/// Shortest %.*g spelling that strtod round-trips to the same double — so
-/// `p=0.01` stays "0.01" and the canonical form is injective on values.
 std::string canonical_f64(const std::string& spec, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') fail(spec, "bad number '" + text + "'");
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
+  const auto v = parse_f64(text);
+  if (!v) fail(spec, "bad number '" + text + "'");
+  return format_f64(*v + 0.0);  // -0 + 0 is 0: one spelling per graph
 }
 
 }  // namespace
@@ -104,6 +97,25 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
   const auto [stop, ec] = std::from_chars(text.data(), end, v);
   if (ec != std::errc{} || stop != end) return std::nullopt;
   return v;
+}
+
+std::optional<double> parse_f64(std::string_view text) noexcept {
+  // from_chars' general format reads no blank, `+` or hex, but it does read
+  // "nan" and "inf".
+  double v = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || stop != end || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
+std::string format_f64(double v) {
+  char buf[64];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
 }
 
 GraphSpec GraphSpec::parse(const std::string& spec) {
@@ -170,6 +182,16 @@ GraphSpec GraphSpec::parse(const std::string& spec) {
   }
   if (out.kind_ == "hypercube" && out.num("d") >= 32) {
     fail(spec, "hypercube needs d < 32 (vertex ids are 32-bit)");
+  }
+  if (out.kind_ == "gnp" && (out.real("p") < 0.0 || out.real("p") > 1.0)) {
+    fail(spec, "gnp needs p in [0,1]");
+  }
+  if (out.kind_ == "geometric" && out.real("radius") < 0.0) {
+    fail(spec, "geometric needs radius >= 0");
+  }
+  if (out.kind_ == "powerlaw" &&
+      (out.real("gamma") <= 1.0 || out.real("avgdeg") < 0.0)) {
+    fail(spec, "powerlaw needs gamma > 1 and avgdeg >= 0");
   }
   return out;
 }

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 
 #include "agc/exec/executor.hpp"
@@ -21,48 +23,6 @@ namespace {
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::invalid_argument("campaign: " + what);
-}
-
-std::uint64_t parse_u64(const std::string& key, const std::string& text) {
-  const auto v = graph::parse_u64(text);
-  if (!v) bad("bad integer for " + key);
-  return *v;
-}
-
-std::uint32_t parse_ppm(const std::string& key, const std::string& text) {
-  char* end = nullptr;
-  const double p = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-    bad(key + " must be a probability in [0,1]");
-  }
-  return static_cast<std::uint32_t>(p * 1'000'000.0);
-}
-
-double parse_double(const std::string& key, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || v <= 0.0) {
-    bad(key + " must be a positive number");
-  }
-  return v;
-}
-
-/// Shortest %.*g spelling that round-trips (same scheme as GraphSpec).
-std::string fmt_double(double v) {
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-const char* model_name(runtime::Model m) {
-  switch (m) {
-    case runtime::Model::LOCAL: return "local";
-    case runtime::Model::CONGEST: return "congest";
-    default: return "setlocal";
-  }
 }
 
 std::uint64_t now_ns() {
@@ -115,173 +75,218 @@ void Campaign::depend(std::size_t job, std::size_t dep) {
   jobs_[job].deps.push_back(dep);
 }
 
+// --- Job keys ---------------------------------------------------------------
+
+namespace {
+
+[[noreturn]] void invalid(const std::string& what) {
+  throw std::invalid_argument(what);
+}
+
+enum class Kind : std::uint8_t { Int, Prob, Real, Text, Model, Target, Deps };
+
+/// How each kind is spelled, in Kind order, as a bad value's error says it.
+constexpr const char* kExpected[] = {
+    "an unsigned integer that fits its field", "a probability in [0,1]",
+    "a positive number", "a value without blanks", "local, congest or setlocal",
+    "degree or recent", "a comma list of earlier job indexes"};
+
+/// The job keys besides algo and graph, in format() order: each key's name,
+/// the kind of value it takes and the JobSpec field it sets.  parse(),
+/// format(), grid_keys() and set_job_key() all walk this one list.
+template <class Job, class F>
+void visit_keys(Job& job, F&& f) {
+  auto& ch = job.faults.channel;
+  auto& adv = job.faults.periodic;
+  auto& zoo = job.faults.zoo;
+  f("seed", Kind::Int, job.seed);
+  f("tag", Kind::Text, job.tag);
+  f("model", Kind::Model, job.opts.model);
+  f("congest", Kind::Int, job.opts.congest_bits);
+  f("max-rounds", Kind::Int, job.opts.max_rounds);
+  f("idspace", Kind::Int, job.id_space_factor);
+  f("deps", Kind::Deps, job.deps);
+  f("chan-drop", Kind::Prob, ch.drop_per_million);
+  f("chan-corrupt", Kind::Prob, ch.corrupt_per_million);
+  f("chan-dup", Kind::Prob, ch.duplicate_per_million);
+  f("chan-delay", Kind::Prob, ch.delay_per_million);
+  f("chan-first", Kind::Int, ch.first_round);
+  f("chan-last", Kind::Int, ch.last_round);
+  f("adv-period", Kind::Int, adv.period);
+  f("adv-last", Kind::Int, adv.last_round);
+  f("adv-corrupt", Kind::Int, adv.corrupt);
+  f("adv-range", Kind::Int, adv.value_range);
+  f("adv-clones", Kind::Int, adv.clones);
+  f("adv-eadds", Kind::Int, adv.edge_adds);
+  f("adv-eremoves", Kind::Int, adv.edge_removes);
+  f("adv-dmax", Kind::Int, adv.dmax);
+  f("out-lo", Kind::Int, zoo.outage.lo);
+  f("out-hi", Kind::Int, zoo.outage.hi);
+  f("out-first", Kind::Int, zoo.outage.first_round);
+  f("out-last", Kind::Int, zoo.outage.last_round);
+  f("flap-down", Kind::Prob, zoo.flap.down_per_million);
+  f("flap-up", Kind::Prob, zoo.flap.up_per_million);
+  f("flap-first", Kind::Int, zoo.flap.first_round);
+  f("flap-last", Kind::Int, zoo.flap.last_round);
+  f("byz-liars", Kind::Prob, zoo.byz.liars_per_million);
+  f("byz-rate", Kind::Prob, zoo.byz.lie_per_million);
+  f("byz-first", Kind::Int, zoo.byz.first_round);
+  f("byz-last", Kind::Int, zoo.byz.last_round);
+  f("adapt-period", Kind::Int, zoo.adapt.period);
+  f("adapt-count", Kind::Int, zoo.adapt.count);
+  f("adapt-last", Kind::Int, zoo.adapt.last_round);
+  f("adapt-target", Kind::Target, zoo.adapt.target);
+  f("churn-events", Kind::Int, zoo.churn.events);
+  f("churn-alpha", Kind::Real, zoo.churn.alpha);
+  f("churn-attach", Kind::Int, zoo.churn.attach);
+  f("churn-resets", Kind::Prob, zoo.churn.resets_per_million);
+  f("churn-first", Kind::Int, zoo.churn.first_round);
+  f("churn-last", Kind::Int, zoo.churn.last_round);
+  f("churn-dmax", Kind::Int, zoo.churn.dmax);
+  f("churn-grow", Kind::Int, zoo.churn.grow);
+  f("plan", Kind::Text, job.faults.plan_path);
+  f("plan-out", Kind::Text, job.faults.plan_out);
+  f("budget", Kind::Int, job.faults.recovery_budget);
+  f("confirm", Kind::Int, job.faults.confirm_rounds);
+}
+
+/// The spellings of a named kind, indexed by enum value.  BIT has none: no
+/// campaign runner takes it.
+std::span<const std::string_view> names(runtime::Model) {
+  static constexpr std::string_view kNames[] = {"local", "congest", "", "setlocal"};
+  return kNames;
+}
+std::span<const std::string_view> names(faultlab::AdaptiveConfig::Target) {
+  static constexpr std::string_view kNames[] = {"degree", "recent"};
+  return kNames;
+}
+
+/// Read `text` into `field` as a value of `kind`; false, leaving `field`
+/// alone, when it is not one.
+template <class T>
+bool read(Kind kind, std::string_view text, T& field) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (text.find_first_of(" \t\n\v\f\r") != std::string_view::npos) return false;
+    field = text;
+  } else if constexpr (std::is_same_v<T, double>) {
+    const auto v = graph::parse_f64(text);
+    if (!v || *v <= 0.0) return false;
+    field = *v;
+  } else if constexpr (std::is_enum_v<T>) {
+    const auto known = names(field);
+    const auto it = std::find(known.begin(), known.end(), text);
+    if (text.empty() || it == known.end()) return false;
+    field = static_cast<T>(it - known.begin());
+  } else if constexpr (std::is_integral_v<T>) {
+    const auto v = kind == Kind::Prob
+                       ? std::optional<std::uint64_t>(faultlab::parse_per_million(text))
+                       : graph::parse_u64(text);
+    if (!v || *v > std::numeric_limits<T>::max()) return false;
+    field = static_cast<T>(*v);
+  } else {  // deps
+    T deps;
+    std::istringstream list{std::string(text)};
+    for (std::string d; std::getline(list, d, ',');) {
+      const auto v = graph::parse_u64(d);
+      if (!v) return false;
+      deps.push_back(*v);
+    }
+    if (!text.empty() && text.back() == ',') return false;
+    field = std::move(deps);
+  }
+  return true;
+}
+
+template <class T>
+std::string render(Kind kind, const T& field) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return field;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return graph::format_f64(field);
+  } else if constexpr (std::is_enum_v<T>) {
+    return std::string(names(field)[static_cast<std::size_t>(field)]);
+  } else if constexpr (std::is_integral_v<T>) {
+    return kind == Kind::Prob ? graph::format_f64(field / 1'000'000.0)
+                              : std::to_string(field);
+  } else {  // deps
+    std::string out;
+    for (const std::size_t d : field) {
+      out += (out.empty() ? "" : ",") + std::to_string(d);
+    }
+    return out;
+  }
+}
+
+}  // namespace
+
+std::span<const std::string_view> grid_keys() {
+  static const std::vector<std::string_view> keys = [] {
+    std::vector<std::string_view> out;
+    JobSpec job;
+    visit_keys(job, [&](std::string_view name, Kind kind, const auto& field) {
+      const void* at = &field;
+      if (at != &job.seed && at != &job.faults.plan_out && kind != Kind::Deps) {
+        out.push_back(name);
+      }
+    });
+    return out;
+  }();
+  return keys;
+}
+
+void set_job_key(JobSpec& job, std::string_view key, std::string_view value) {
+  bool known = false;
+  visit_keys(job, [&](std::string_view name, Kind kind, auto& field) {
+    if (name != key) return;
+    known = true;
+    if (!read(kind, value, field)) {
+      invalid(std::string(key) + " needs " + kExpected[static_cast<int>(kind)] +
+              ", got '" + std::string(value) + "'");
+    }
+  });
+  if (!known) invalid("unknown key '" + std::string(key) + "'");
+}
+
 // --- File format ------------------------------------------------------------
 
 Campaign Campaign::parse(std::istream& in) {
   Campaign c;
   std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::istringstream toks(line);
-    std::string tok;
-    JobSpec job;
-    bool saw_algo = false, saw_graph = false, comment = false;
-    while (toks >> tok && !comment) {
-      if (tok[0] == '#') {
-        comment = true;
-        break;
-      }
-      const auto eq = tok.find('=');
-      if (eq == std::string::npos) {
-        bad("line " + std::to_string(lineno) + ": expected key=value, got '" +
-            tok + "'");
-      }
-      const std::string key = tok.substr(0, eq);
-      const std::string val = tok.substr(eq + 1);
-      if (key == "algo") {
-        job.algorithm = val;
-        saw_algo = true;
-      } else if (key == "graph") {
-        job.graph = graph::GraphSpec::parse(val);
-        saw_graph = true;
-      } else if (key == "seed") {
-        job.seed = parse_u64(key, val);
-      } else if (key == "tag") {
-        job.tag = val;
-      } else if (key == "model") {
-        if (val == "local") {
-          job.opts.model = runtime::Model::LOCAL;
-        } else if (val == "congest") {
-          job.opts.model = runtime::Model::CONGEST;
-        } else if (val == "setlocal") {
-          job.opts.model = runtime::Model::SET_LOCAL;
+  for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
+    try {
+      std::istringstream toks(line);
+      std::string tok;
+      JobSpec job;
+      bool blank = true;
+      while (toks >> tok && tok[0] != '#') {
+        blank = false;
+        const auto eq = tok.find('=');
+        if (eq == std::string::npos) invalid("expected key=value, got '" + tok + "'");
+        const std::string key = tok.substr(0, eq), value = tok.substr(eq + 1);
+        if (key == "algo") {
+          job.algorithm = value;
+        } else if (key == "graph") {
+          job.graph = graph::GraphSpec::parse(value);
         } else {
-          bad("unknown model '" + val + "'");
+          set_job_key(job, key, value);
         }
-      } else if (key == "congest") {
-        job.opts.congest_bits = static_cast<std::uint32_t>(parse_u64(key, val));
-      } else if (key == "max-rounds") {
-        job.opts.max_rounds = parse_u64(key, val);
-      } else if (key == "idspace") {
-        job.id_space_factor = parse_u64(key, val);
-      } else if (key == "deps") {
-        std::istringstream ds(val);
-        std::string d;
-        while (std::getline(ds, d, ',')) {
-          const auto dep = parse_u64(key, d);
-          if (dep >= c.size()) {
-            bad("line " + std::to_string(lineno) +
-                ": deps may only reference earlier lines");
-          }
-          job.deps.push_back(dep);
-        }
-      } else if (key == "chan-drop") {
-        job.faults.channel.drop_per_million = parse_ppm(key, val);
-      } else if (key == "chan-corrupt") {
-        job.faults.channel.corrupt_per_million = parse_ppm(key, val);
-      } else if (key == "chan-dup") {
-        job.faults.channel.duplicate_per_million = parse_ppm(key, val);
-      } else if (key == "chan-delay") {
-        job.faults.channel.delay_per_million = parse_ppm(key, val);
-      } else if (key == "chan-first") {
-        job.faults.channel.first_round = parse_u64(key, val);
-      } else if (key == "chan-last") {
-        job.faults.channel.last_round = parse_u64(key, val);
-      } else if (key == "adv-period") {
-        job.faults.periodic.period = parse_u64(key, val);
-      } else if (key == "adv-last") {
-        job.faults.periodic.last_round = parse_u64(key, val);
-      } else if (key == "adv-corrupt") {
-        job.faults.periodic.corrupt = parse_u64(key, val);
-      } else if (key == "adv-range") {
-        job.faults.periodic.value_range = parse_u64(key, val);
-      } else if (key == "adv-clones") {
-        job.faults.periodic.clones = parse_u64(key, val);
-      } else if (key == "adv-eadds") {
-        job.faults.periodic.edge_adds = parse_u64(key, val);
-      } else if (key == "adv-eremoves") {
-        job.faults.periodic.edge_removes = parse_u64(key, val);
-      } else if (key == "adv-dmax") {
-        job.faults.periodic.dmax = parse_u64(key, val);
-      } else if (key == "out-lo") {
-        job.faults.zoo.outage.lo = static_cast<graph::Vertex>(parse_u64(key, val));
-      } else if (key == "out-hi") {
-        job.faults.zoo.outage.hi = static_cast<graph::Vertex>(parse_u64(key, val));
-      } else if (key == "out-first") {
-        job.faults.zoo.outage.first_round = parse_u64(key, val);
-      } else if (key == "out-last") {
-        job.faults.zoo.outage.last_round = parse_u64(key, val);
-      } else if (key == "flap-down") {
-        job.faults.zoo.flap.down_per_million = parse_ppm(key, val);
-      } else if (key == "flap-up") {
-        job.faults.zoo.flap.up_per_million = parse_ppm(key, val);
-      } else if (key == "flap-first") {
-        job.faults.zoo.flap.first_round = parse_u64(key, val);
-      } else if (key == "flap-last") {
-        job.faults.zoo.flap.last_round = parse_u64(key, val);
-      } else if (key == "byz-liars") {
-        job.faults.zoo.byz.liars_per_million = parse_ppm(key, val);
-      } else if (key == "byz-rate") {
-        job.faults.zoo.byz.lie_per_million = parse_ppm(key, val);
-      } else if (key == "byz-first") {
-        job.faults.zoo.byz.first_round = parse_u64(key, val);
-      } else if (key == "byz-last") {
-        job.faults.zoo.byz.last_round = parse_u64(key, val);
-      } else if (key == "adapt-period") {
-        job.faults.zoo.adapt.period = parse_u64(key, val);
-      } else if (key == "adapt-count") {
-        job.faults.zoo.adapt.count = parse_u64(key, val);
-      } else if (key == "adapt-last") {
-        job.faults.zoo.adapt.last_round = parse_u64(key, val);
-      } else if (key == "adapt-target") {
-        if (val == "degree") {
-          job.faults.zoo.adapt.target =
-              faultlab::AdaptiveConfig::Target::HighestDegree;
-        } else if (val == "recent") {
-          job.faults.zoo.adapt.target =
-              faultlab::AdaptiveConfig::Target::RecentlyRecolored;
-        } else {
-          bad("adapt-target must be 'degree' or 'recent'");
-        }
-      } else if (key == "churn-events") {
-        job.faults.zoo.churn.events = parse_u64(key, val);
-      } else if (key == "churn-alpha") {
-        job.faults.zoo.churn.alpha = parse_double(key, val);
-      } else if (key == "churn-attach") {
-        job.faults.zoo.churn.attach = parse_u64(key, val);
-      } else if (key == "churn-resets") {
-        job.faults.zoo.churn.resets_per_million = parse_ppm(key, val);
-      } else if (key == "churn-first") {
-        job.faults.zoo.churn.first_round = parse_u64(key, val);
-      } else if (key == "churn-last") {
-        job.faults.zoo.churn.last_round = parse_u64(key, val);
-      } else if (key == "churn-dmax") {
-        job.faults.zoo.churn.dmax = parse_u64(key, val);
-      } else if (key == "churn-grow") {
-        job.faults.zoo.churn.grow = parse_u64(key, val);
-      } else if (key == "plan") {
-        job.faults.plan_path = val;
-      } else if (key == "plan-out") {
-        job.faults.plan_out = val;
-      } else if (key == "budget") {
-        job.faults.recovery_budget = parse_u64(key, val);
-      } else if (key == "confirm") {
-        job.faults.confirm_rounds = parse_u64(key, val);
-      } else {
-        bad("line " + std::to_string(lineno) + ": unknown key '" + key + "'");
       }
+      if (blank) continue;
+      if (job.algorithm.empty() || job.graph.kind().empty()) {
+        invalid("algo= and graph= are required");
+      }
+      for (const std::size_t dep : job.deps) {
+        if (dep >= c.size()) invalid("deps may only reference earlier lines");
+      }
+      const Runner* runner = find_runner(job.algorithm);
+      if (runner == nullptr) invalid("unknown algorithm '" + job.algorithm + "'");
+      if (job.faults.any() && !runner->faults) {
+        invalid("algorithm '" + job.algorithm + "' does not run fault specs");
+      }
+      c.jobs_.push_back(std::move(job));
+    } catch (const std::invalid_argument& e) {
+      bad("line " + std::to_string(lineno) + ": " + e.what());
     }
-    if (!saw_algo && !saw_graph) continue;  // blank / comment-only line
-    if (!saw_algo || !saw_graph) {
-      bad("line " + std::to_string(lineno) + ": algo= and graph= are required");
-    }
-    const Runner* runner = find_runner(job.algorithm);
-    if (runner == nullptr) bad("unknown algorithm '" + job.algorithm + "'");
-    if (job.faults.any() && !runner->faults) {
-      bad("algorithm '" + job.algorithm + "' does not run fault specs");
-    }
-    c.jobs_.push_back(std::move(job));
   }
   return c;
 }
@@ -293,88 +298,28 @@ Campaign Campaign::parse_file(const std::string& path) {
 }
 
 std::string Campaign::format() const {
-  const JobSpec dflt;
+  // A key is written when its value reads differently from a default job's.
+  static const std::vector<std::string> defaults = [] {
+    std::vector<std::string> out;
+    const JobSpec job;
+    visit_keys(job, [&](std::string_view, Kind kind, const auto& field) {
+      out.push_back(render(kind, field));
+    });
+    return out;
+  }();
   std::string out;
   for (const auto& job : jobs_) {
     out += "algo=" + job.algorithm;
     out += " graph=" + job.graph.to_string();
-    auto u64 = [&](const char* key, std::uint64_t v, std::uint64_t d) {
-      if (v != d) out += std::string(" ") + key + "=" + std::to_string(v);
-    };
-    auto prob = [&](const char* key, std::uint32_t ppm) {
-      if (ppm != 0) {
-        out += std::string(" ") + key + "=" + fmt_double(ppm / 1'000'000.0);
-      }
-    };
-    u64("seed", job.seed, dflt.seed);
-    if (!job.tag.empty()) out += " tag=" + job.tag;
-    if (job.opts.model != dflt.opts.model) {
-      out += std::string(" model=") + model_name(job.opts.model);
-    }
-    u64("congest", job.opts.congest_bits, dflt.opts.congest_bits);
-    u64("max-rounds", job.opts.max_rounds, dflt.opts.max_rounds);
-    u64("idspace", job.id_space_factor, dflt.id_space_factor);
-    if (!job.deps.empty()) {
-      out += " deps=";
-      for (std::size_t i = 0; i < job.deps.size(); ++i) {
-        if (i > 0) out += ',';
-        out += std::to_string(job.deps[i]);
-      }
-    }
-    prob("chan-drop", job.faults.channel.drop_per_million);
-    prob("chan-corrupt", job.faults.channel.corrupt_per_million);
-    prob("chan-dup", job.faults.channel.duplicate_per_million);
-    prob("chan-delay", job.faults.channel.delay_per_million);
-    u64("chan-first", job.faults.channel.first_round, dflt.faults.channel.first_round);
-    u64("chan-last", job.faults.channel.last_round, dflt.faults.channel.last_round);
-    u64("adv-period", job.faults.periodic.period, dflt.faults.periodic.period);
-    u64("adv-last", job.faults.periodic.last_round, dflt.faults.periodic.last_round);
-    u64("adv-corrupt", job.faults.periodic.corrupt, 0);
-    u64("adv-range", job.faults.periodic.value_range, 0);
-    u64("adv-clones", job.faults.periodic.clones, 0);
-    u64("adv-eadds", job.faults.periodic.edge_adds, 0);
-    u64("adv-eremoves", job.faults.periodic.edge_removes, 0);
-    u64("adv-dmax", job.faults.periodic.dmax, 0);
-    // Zoo families render only when they differ from the all-disabled
-    // default, keeping clean-wire lines byte-stable.
-    auto prob_dflt = [&](const char* key, std::uint32_t ppm, std::uint32_t d) {
-      if (ppm != d) {
-        out += std::string(" ") + key + "=" + fmt_double(ppm / 1'000'000.0);
-      }
-    };
-    const faultlab::ZooSpec zdflt;
-    const faultlab::ZooSpec& zoo = job.faults.zoo;
-    u64("out-lo", zoo.outage.lo, zdflt.outage.lo);
-    u64("out-hi", zoo.outage.hi, zdflt.outage.hi);
-    u64("out-first", zoo.outage.first_round, zdflt.outage.first_round);
-    u64("out-last", zoo.outage.last_round, zdflt.outage.last_round);
-    prob_dflt("flap-down", zoo.flap.down_per_million, zdflt.flap.down_per_million);
-    prob_dflt("flap-up", zoo.flap.up_per_million, zdflt.flap.up_per_million);
-    u64("flap-first", zoo.flap.first_round, zdflt.flap.first_round);
-    u64("flap-last", zoo.flap.last_round, zdflt.flap.last_round);
-    prob_dflt("byz-liars", zoo.byz.liars_per_million, zdflt.byz.liars_per_million);
-    prob_dflt("byz-rate", zoo.byz.lie_per_million, zdflt.byz.lie_per_million);
-    u64("byz-first", zoo.byz.first_round, zdflt.byz.first_round);
-    u64("byz-last", zoo.byz.last_round, zdflt.byz.last_round);
-    u64("adapt-period", zoo.adapt.period, zdflt.adapt.period);
-    u64("adapt-count", zoo.adapt.count, zdflt.adapt.count);
-    u64("adapt-last", zoo.adapt.last_round, zdflt.adapt.last_round);
-    if (zoo.adapt.target != zdflt.adapt.target) out += " adapt-target=recent";
-    u64("churn-events", zoo.churn.events, zdflt.churn.events);
-    if (zoo.churn.alpha != zdflt.churn.alpha) {
-      out += " churn-alpha=" + fmt_double(zoo.churn.alpha);
-    }
-    u64("churn-attach", zoo.churn.attach, zdflt.churn.attach);
-    prob_dflt("churn-resets", zoo.churn.resets_per_million,
-              zdflt.churn.resets_per_million);
-    u64("churn-first", zoo.churn.first_round, zdflt.churn.first_round);
-    u64("churn-last", zoo.churn.last_round, zdflt.churn.last_round);
-    u64("churn-dmax", zoo.churn.dmax, zdflt.churn.dmax);
-    u64("churn-grow", zoo.churn.grow, zdflt.churn.grow);
-    if (!job.faults.plan_path.empty()) out += " plan=" + job.faults.plan_path;
-    if (!job.faults.plan_out.empty()) out += " plan-out=" + job.faults.plan_out;
-    u64("budget", job.faults.recovery_budget, dflt.faults.recovery_budget);
-    u64("confirm", job.faults.confirm_rounds, dflt.faults.confirm_rounds);
+    std::size_t i = 0;
+    visit_keys(job, [&](std::string_view name, Kind kind, const auto& field) {
+      const std::string value = render(kind, field);
+      if (value == defaults[i++]) return;
+      out += ' ';
+      out += name;
+      out += '=';
+      out += value;
+    });
     out += '\n';
   }
   return out;
@@ -396,7 +341,7 @@ std::string fmt_value(double v) {
       std::abs(v) < 9.0e15) {
     return std::to_string(static_cast<long long>(v));
   }
-  return fmt_double(v);
+  return graph::format_f64(v);
 }
 
 }  // namespace

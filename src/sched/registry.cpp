@@ -9,6 +9,7 @@
 #include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/plan.hpp"
 #include "agc/faultlab/zoo.hpp"
+#include "agc/graph/checks.hpp"
 #include "agc/runtime/engine.hpp"
 #include "agc/runtime/faults.hpp"
 #include "agc/sched/campaign.hpp"
@@ -30,12 +31,6 @@ namespace {
 /// Stream separator so the wire and RAM/topology adversaries never share a
 /// seed even though both derive from JobSpec::seed.
 constexpr std::uint64_t kChannelStream = 0x9e3779b97f4a7c15ULL;
-
-std::size_t distinct_colors(std::vector<graph::Color> colors) {
-  std::sort(colors.begin(), colors.end());
-  return static_cast<std::size_t>(
-      std::unique(colors.begin(), colors.end()) - colors.begin());
-}
 
 double d(std::uint64_t v) { return static_cast<double>(v); }
 
@@ -161,7 +156,7 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
                                                         fs.confirm_rounds);
         static_cast<runtime::RunReport&>(r) = rep;
         r.ok = rep.stabilized;
-        r.palette = distinct_colors(selfstab::current_colors(engine));
+        r.palette = graph::palette_size(selfstab::current_colors(engine));
         std::size_t size = 0;
         for (const bool b : rep.in_mis) size += b;
         r.values = {{"rounds_to_stable", d(rep.rounds_to_stable)},
@@ -173,7 +168,7 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
                                                          fs.confirm_rounds);
         static_cast<runtime::RunReport&>(r) = rep;
         r.ok = rep.stabilized;
-        r.palette = distinct_colors(selfstab::current_edge_colors(engine));
+        r.palette = graph::palette_size(selfstab::current_edge_colors(engine));
         r.values = {{"rounds_to_stable", d(rep.rounds_to_stable)}};
         break;
       }
@@ -182,7 +177,7 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
                                                     fs.confirm_rounds);
         static_cast<runtime::RunReport&>(r) = rep;
         r.ok = rep.stabilized;
-        r.palette = distinct_colors(rep.colors);
+        r.palette = graph::palette_size(rep.colors);
         r.values = {{"rounds_to_stable", d(rep.rounds_to_stable)}};
         break;
       }
@@ -262,8 +257,8 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
   static_cast<runtime::RunReport&>(r) = out;
   r.ok = out.recovered;
   r.palette = task == SsTask::Line
-                  ? distinct_colors(selfstab::current_edge_colors(engine))
-                  : distinct_colors(selfstab::current_colors(engine));
+                  ? graph::palette_size(selfstab::current_edge_colors(engine))
+                  : graph::palette_size(selfstab::current_colors(engine));
   r.values = {{"recovery_rounds", d(out.recovery_rounds)},
               {"adjusted", d(out.adjusted.size())},
               {"last_fault_round", d(out.last_fault_round)}};

@@ -1,8 +1,6 @@
 #include "agc/svc/service.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -80,15 +78,10 @@ void append_u64(std::string& out, const char* key, std::uint64_t v,
 /// the shortest round-trip spelling is itself deterministic.
 void append_f64(std::string& out, const char* key, double v,
                 bool comma = true) {
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
   out += '"';
   out += key;
   out += "\":";
-  out += buf;
+  out += graph::format_f64(v);
   if (comma) out += ',';
 }
 

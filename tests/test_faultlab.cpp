@@ -347,6 +347,68 @@ TEST(RecordReplay, JsonlRoundTripsExactly) {
   EXPECT_EQ(back.events, live.plan.events);
 }
 
+TEST(RecordReplay, PlanNumbersAreReadStrictly) {
+  // std::stoull wrapped round -3 to 2^64 - 3 and a cast cut v = 2^32 + 1 to
+  // 1; a scan that stopped at the first non-digit read 3.5 as 3.
+  for (const char* line :
+       {R"({"round":-3,"kind":"ram","u":0,"v":4,"word":0,"value":5})",
+        R"({"round":3,"kind":"ram","u":0,"v":4294967297,"word":0,"value":5})",
+        R"({"round":3,"kind":"add_edge","u":4294967296,"v":4,"word":0,"value":0})",
+        R"({"round":3,"kind":"ram","u":0,"v":4,"word":4294967296,"value":5})",
+        R"({"round":3.5,"kind":"ram","u":0,"v":4,"word":0,"value":5})",
+        R"({"round":3,"kind":"ram","u":0,"v":1e3,"word":0,"value":5})",
+        R"({"round":3,"kind":"ram","u":0,"v":4,"word":0,"value":18446744073709551616})"}) {
+    std::istringstream in(line);
+    EXPECT_THROW((void)FaultPlan::parse(in), std::runtime_error) << line;
+  }
+  std::istringstream max(
+      R"({"round":18446744073709551615,"kind":"ram","u":4294967295,)"
+      R"("v":4294967295,"word":4294967295,"value":18446744073709551615})");
+  const FaultPlan plan = FaultPlan::parse(max);
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan.events[0].round, ~std::uint64_t{0});
+  EXPECT_EQ(plan.events[0].u, ~std::uint32_t{0});
+  EXPECT_EQ(plan.events[0].v, ~std::uint32_t{0});
+  EXPECT_EQ(plan.events[0].word, ~std::uint32_t{0});
+  EXPECT_EQ(plan.events[0].value, ~std::uint64_t{0});
+}
+
+TEST(RecordReplay, ReplayRejectsVerticesOutsideTheGraph) {
+  // A RAM event on vertex 99999999 reached Engine::corrupt_ram, which
+  // indexes its programs unchecked: replaying it segfaulted.
+  const auto replay = [](const std::string& jsonl) {
+    std::istringstream in(jsonl);
+    const FaultPlan plan = FaultPlan::parse(in);
+    const auto g = graph::cycle(16);
+    SsConfig cfg(g.n() + 4, 4, PaletteMode::ODelta);
+    auto engine = make_engine(g, 4);
+    engine.install(selfstab::ss_coloring_factory(cfg));
+    PlanAdversary adv(plan);
+    runtime::RunOptions opts;
+    opts.adversary = &adv;
+    opts.max_rounds = 200;
+    faultlab::StabilizationSpec spec;
+    spec.check = faultlab::coloring_check(cfg);
+    spec.outputs = faultlab::coloring_outputs();
+    return faultlab::run_stabilization(engine, opts, spec);
+  };
+  for (const char* bad :
+       {R"({"round":2,"kind":"ram","u":0,"v":99999999,"word":0,"value":5})",
+        R"({"round":2,"kind":"ram","u":0,"v":16,"word":0,"value":5})",
+        R"({"round":2,"kind":"add_edge","u":16,"v":3,"word":0,"value":0})",
+        R"({"round":2,"kind":"remove_edge","u":3,"v":17,"word":0,"value":0})",
+        R"({"round":2,"kind":"reset_vertex","u":0,"v":16,"word":0,"value":0})"}) {
+    EXPECT_THROW((void)replay(bad), std::invalid_argument) << bad;
+  }
+  // Vertex 16 exists once an earlier AddVertex event has grown the graph.
+  EXPECT_NO_THROW((void)replay(
+      R"({"round":2,"kind":"add_vertex","u":0,"v":16,"word":0,"value":0})"
+      "\n"
+      R"({"round":2,"kind":"add_edge","u":16,"v":3,"word":0,"value":0})"
+      "\n"
+      R"({"round":3,"kind":"ram","u":0,"v":16,"word":0,"value":5})"));
+}
+
 TEST(RecordReplay, ShrinkerReducesAFailingPlanToAFewEvents) {
   const RecordedRun live = record_fuzz_run();
   ASSERT_GT(live.plan.size(), 10u);  // a real campaign-sized plan

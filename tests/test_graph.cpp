@@ -240,6 +240,37 @@ TEST(Checks, ProperColoring) {
   EXPECT_EQ(max_color(bad), 1u);
 }
 
+TEST(Checks, PaletteSizeMatchesSortUnique) {
+  const auto reference = [](std::vector<Color> colors) {
+    std::sort(colors.begin(), colors.end());
+    return static_cast<std::size_t>(std::unique(colors.begin(), colors.end()) -
+                                    colors.begin());
+  };
+  constexpr Color kMax = ~Color{0};
+  EXPECT_EQ(palette_size(std::vector<Color>{}), 0u);
+  EXPECT_EQ(palette_size(std::vector<Color>{5}), 1u);
+  EXPECT_EQ(palette_size(std::vector<Color>{0}), 1u);
+  EXPECT_EQ(palette_size(std::vector<Color>(7, 63)), 1u);
+  // Colours up to 2^64 - 1 take the sorting branch.
+  EXPECT_EQ(palette_size(std::vector<Color>{kMax}), 1u);
+  EXPECT_EQ(palette_size(std::vector<Color>{kMax, 0, kMax, kMax - 1, 64, 0}), 4u);
+  // Either side of the bitmap's max < 64 n bound.
+  EXPECT_EQ(palette_size(std::vector<Color>{127, 0}), 2u);
+  EXPECT_EQ(palette_size(std::vector<Color>{128, 0}), 2u);
+  EXPECT_EQ(palette_size(std::vector<Color>{128, 128}), 1u);
+  // Random vectors against the reference.
+  Rng rng(3);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.below(200);
+    const std::uint64_t span = trial % 3 == 0   ? kMax
+                               : trial % 3 == 1 ? 64 * n
+                                                : 1 + rng.below(64 * n);
+    std::vector<Color> colors(n);
+    for (auto& c : colors) c = span == kMax ? rng.next() : rng.below(span);
+    EXPECT_EQ(palette_size(colors), reference(colors)) << "trial " << trial;
+  }
+}
+
 TEST(Checks, DefectVector) {
   const auto g = complete(4);
   std::vector<Color> colors = {0, 0, 1, 1};

@@ -5,10 +5,14 @@
 // also runs under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "agc/graph/checks.hpp"
 #include "agc/graph/generators.hpp"
@@ -86,6 +90,23 @@ TEST(GraphSpec, RejectsMalformedSpecs) {
   EXPECT_NO_THROW(GraphSpec::parse("cycle:18446744073709551615"));
   EXPECT_NO_THROW(GraphSpec::parse("regular:6,3,1"));
   EXPECT_NO_THROW(GraphSpec::parse("hypercube:31"));
+  // Reals: strtod took NaN (gnp:100,nan,1 built 4951 edges on 100 vertices),
+  // infinities, hex, a blank, a `+` and trailing text; the generators took
+  // a p outside [0,1] (gnp:100,2,1 built K_100), a negative radius and a
+  // power law whose gamma <= 1 builds no edge.
+  for (const char* bad :
+       {"gnp:100,nan,1", "gnp:100,inf,1", "gnp:100,-inf,1", "gnp:100,0x1p-3,1",
+        "gnp:100, 0.5,1", "gnp:100,+0.5,1", "gnp:100,0.3x,1", "gnp:100,,1",
+        "gnp:100,2,1", "gnp:100,-0.1,1", "geometric:100,-1,1",
+        "geometric:100,nan,1", "powerlaw:1000,1,8,1", "powerlaw:1000,0.5,8,1",
+        "powerlaw:1000,2.5,-1,1", "powerlaw:1000,2.5,nan,1"}) {
+    EXPECT_THROW(GraphSpec::parse(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW(GraphSpec::parse("gnp:100,0,1"));
+  EXPECT_NO_THROW(GraphSpec::parse("gnp:100,1,1"));
+  EXPECT_NO_THROW(GraphSpec::parse("geometric:100,0,1"));
+  // -0 is 0: it must not be a second spelling (and cache key) of one graph.
+  EXPECT_EQ(GraphSpec::parse("gnp:100,-0,1").to_string(), "gnp:n=100,p=0,seed=1");
 }
 
 TEST(GraphSpec, EstimatedBytesScalesWithSize) {
@@ -155,6 +176,138 @@ TEST(CampaignFormat, RejectsSignedAndOverflowingIntegers) {
   }
   std::istringstream max("algo=ag graph=cycle:64 seed=18446744073709551615\n");
   EXPECT_EQ(Campaign::parse(max).job(0).seed, ~std::uint64_t{0});
+}
+
+// Every job key with a non-default value, spelled canonically.  Written out
+// here rather than taken from the key table, so a key the table drops or
+// renders differently shows.
+const std::vector<std::pair<std::string, std::string>>& every_key() {
+  static const std::vector<std::pair<std::string, std::string>> keys = {
+      {"seed", "7"},           {"tag", "cell"},           {"model", "local"},
+      {"congest", "4294967295"}, {"max-rounds", "500"},   {"idspace", "4"},
+      {"deps", "0"},           {"chan-drop", "0.05"},     {"chan-corrupt", "0.000249"},
+      {"chan-dup", "1e-06"},   {"chan-delay", "1"},       {"chan-first", "2"},
+      {"chan-last", "40"},     {"adv-period", "4"},       {"adv-last", "30"},
+      {"adv-corrupt", "3"},    {"adv-range", "1000"},     {"adv-clones", "2"},
+      {"adv-eadds", "1"},      {"adv-eremoves", "1"},     {"adv-dmax", "16"},
+      {"out-lo", "10"},        {"out-hi", "4294967295"},  {"out-first", "2"},
+      {"out-last", "24"},      {"flap-down", "0.08"},     {"flap-up", "0.35"},
+      {"flap-first", "2"},     {"flap-last", "32"},       {"byz-liars", "0.08"},
+      {"byz-rate", "0.5"},     {"byz-first", "2"},        {"byz-last", "24"},
+      {"adapt-period", "3"},   {"adapt-count", "3"},      {"adapt-last", "24"},
+      {"adapt-target", "recent"}, {"churn-events", "8"},  {"churn-alpha", "2.25"},
+      {"churn-attach", "3"},   {"churn-resets", "0.4"},   {"churn-first", "2"},
+      {"churn-last", "48"},    {"churn-dmax", "10"},      {"churn-grow", "24"},
+      {"plan", "p.jsonl"},     {"plan-out", "out.jsonl"}, {"budget", "8000"},
+      {"confirm", "5"}};
+  return keys;
+}
+
+TEST(CampaignFormat, EveryKeyRoundTrips) {
+  // Each key alone on a job: format() writes exactly that key with the
+  // value it was given, and format -> parse -> format is unchanged.  The
+  // first line gives deps a target.
+  const std::string first = "algo=ss-color graph=cycle:n=16\n";
+  for (const auto& [key, value] : every_key()) {
+    const std::string text = first + "algo=ss-color graph=cycle:n=16 " + key + "=" +
+                             value + "\n";
+    std::istringstream in(text);
+    const auto c = Campaign::parse(in);
+    EXPECT_EQ(c.format(), text) << key;
+    std::istringstream again(c.format());
+    EXPECT_EQ(Campaign::parse(again).format(), text) << key;
+    // set_job_key, the grid's path, sets the same field.
+    Campaign set;
+    set.add(c.job(0));
+    JobSpec job = c.job(0);
+    sched::set_job_key(job, key, value);
+    set.add(job);
+    EXPECT_EQ(set.format(), text) << key;
+  }
+  // The grid takes every key but seed, deps and plan-out.
+  const auto grid = sched::grid_keys();
+  EXPECT_EQ(grid.size() + 3, every_key().size());
+  for (const auto key : grid) {
+    EXPECT_TRUE(std::any_of(every_key().begin(), every_key().end(),
+                            [&](const auto& kv) { return kv.first == key; }))
+        << key;
+  }
+
+  // Every per-million value, through all nine probability keys at once:
+  // parse(format()) must give back the value format() wrote.
+  using Ppm = std::uint32_t& (*)(JobSpec&);
+  const Ppm fields[] = {
+      [](JobSpec& j) -> std::uint32_t& { return j.faults.channel.drop_per_million; },
+      [](JobSpec& j) -> std::uint32_t& { return j.faults.channel.corrupt_per_million; },
+      [](JobSpec& j) -> std::uint32_t& { return j.faults.channel.duplicate_per_million; },
+      [](JobSpec& j) -> std::uint32_t& { return j.faults.channel.delay_per_million; },
+      [](JobSpec& j) -> std::uint32_t& { return j.faults.zoo.flap.down_per_million; },
+      [](JobSpec& j) -> std::uint32_t& { return j.faults.zoo.flap.up_per_million; },
+      [](JobSpec& j) -> std::uint32_t& { return j.faults.zoo.byz.liars_per_million; },
+      [](JobSpec& j) -> std::uint32_t& { return j.faults.zoo.byz.lie_per_million; },
+      [](JobSpec& j) -> std::uint32_t& { return j.faults.zoo.churn.resets_per_million; }};
+  constexpr std::uint32_t kTop = 1'000'000;
+  constexpr std::uint32_t kJobs = 8'000;
+  std::size_t wrong = 0;
+  for (std::uint32_t next = 0; next <= kTop;) {
+    Campaign c;
+    for (std::uint32_t j = 0; j < kJobs && next <= kTop; ++j) {
+      JobSpec job;
+      job.algorithm = "ss-color";
+      job.graph = GraphSpec::parse("cycle:16");
+      for (const Ppm field : fields) field(job) = std::min(next++, kTop);
+      c.add(std::move(job));
+    }
+    std::istringstream in(c.format());
+    auto back = Campaign::parse(in);
+    ASSERT_EQ(back.size(), c.size());
+    for (std::size_t j = 0; j < c.size(); ++j) {
+      JobSpec want = c.job(j);
+      JobSpec got = back.job(j);
+      for (const Ppm field : fields) {
+        if (field(got) != field(want) && ++wrong <= 5) {
+          ADD_FAILURE() << field(want) << " per million read back as " << field(got);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+}
+
+TEST(CampaignFormat, RejectsNonFiniteAndMalformedReals) {
+  // strtod read nan (a job that then ran with no wire fault), inf, hex and
+  // the leading "0.3" of "0.3x".
+  const std::pair<const char*, const char*> bad[] = {
+      {"chan-drop", "nan"},   {"chan-drop", "inf"},    {"chan-drop", "0.3x"},
+      {"chan-drop", " 0.5"},  {"chan-drop", "0x1p-3"}, {"chan-drop", "-0.1"},
+      {"chan-drop", "1.5"},   {"chan-drop", "+0.5"},   {"chan-drop", ""},
+      {"churn-alpha", "nan"}, {"churn-alpha", "inf"},  {"churn-alpha", "0"},
+      {"churn-alpha", "-1"},  {"byz-rate", "NaN"},     {"churn-resets", "1e400"}};
+  for (const auto& [key, value] : bad) {
+    JobSpec job;
+    EXPECT_THROW(sched::set_job_key(job, key, value), std::invalid_argument)
+        << key << "=" << value;
+    if (std::string_view(value).find(' ') != std::string_view::npos) continue;
+    std::istringstream in(std::string("algo=ss-color graph=cycle:16 ") + key + "=" +
+                          value + "\n");
+    EXPECT_THROW(Campaign::parse(in), std::invalid_argument) << key << "=" << value;
+  }
+  std::istringstream ok("algo=ss-color graph=cycle:16 chan-drop=1 churn-alpha=1e-3\n");
+  const auto c = Campaign::parse(ok);
+  EXPECT_EQ(c.job(0).faults.channel.drop_per_million, 1'000'000u);
+  EXPECT_EQ(c.job(0).faults.zoo.churn.alpha, 0.001);
+}
+
+TEST(CampaignFormat, RejectsIntegersPastTheirField) {
+  // 32-bit fields wrapped: congest=4294967296 read back as congest=0.
+  for (const char* line : {"algo=ag graph=cycle:64 congest=4294967296\n",
+                           "algo=ss-color graph=cycle:64 out-lo=4294967296\n",
+                           "algo=ss-color graph=cycle:64 out-hi=4294967296\n"}) {
+    std::istringstream in(line);
+    EXPECT_THROW(Campaign::parse(in), std::invalid_argument) << line;
+  }
+  std::istringstream max("algo=ag graph=cycle:64 congest=4294967295\n");
+  EXPECT_EQ(Campaign::parse(max).job(0).opts.congest_bits, 4294967295u);
 }
 
 TEST(CampaignFormat, AddGridOrdersAlgorithmMajor) {

@@ -23,8 +23,8 @@
 //       exit 1 (after writing --out, shrunk when --shrink is given) when it
 //       does not — CI uploads the plan.
 //
-// Probabilities P are per-edge-per-round, given as floats in [0,1] and
-// converted to the parts-per-million grid the adversary uses.  Zoo windows
+// Probabilities P are per-edge-per-round, finite decimals in [0,1] stored as
+// the nearest value on the adversaries' per-million grid.  Zoo windows
 // default to [1, --last-round] like the channel adversary's.
 
 #include <algorithm>
@@ -90,12 +90,17 @@ struct Args {
     }
     return *v;
   }
+  /// A probability flag in [0,1] on the per-million grid
+  /// (faultlab::parse_per_million); anything else is a usage error.
   std::uint32_t ppm(const std::string& k) const {
     const auto it = kv.find(k);
     if (it == kv.end()) return 0;
-    const double p = std::strtod(it->second.c_str(), nullptr);
-    if (p < 0.0 || p > 1.0) usage("probabilities must be in [0,1]");
-    return static_cast<std::uint32_t>(p * 1'000'000.0);
+    const auto ppm = faultlab::parse_per_million(it->second);
+    if (!ppm) {
+      usage(("--" + k + " needs a probability in [0,1], got '" + it->second + "'")
+                .c_str());
+    }
+    return *ppm;
   }
 };
 

@@ -15,6 +15,8 @@
 // CI perf gate; see .github/workflows/ci.yml and docs/OBSERVABILITY.md.
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -473,7 +475,15 @@ int main(int argc, char** argv) {
       std::string metric;
       for (std::size_t i = 3; i < args.size(); ++i) {
         if (args[i] == "--threshold" && i + 1 < args.size()) {
-          threshold = std::strtod(args[++i].c_str(), nullptr);
+          // A finite decimal >= 0 and nothing else, the rules of the library's
+          // graph::parse_f64 (this tool links no library).
+          const std::string& t = args[++i];
+          const char* const end = t.data() + t.size();
+          const auto [stop, ec] = std::from_chars(t.data(), end, threshold);
+          if (ec != std::errc{} || stop != end || !std::isfinite(threshold) ||
+              threshold < 0.0) {
+            return usage();
+          }
         } else if (args[i] == "--metric" && i + 1 < args.size()) {
           metric = args[++i];
         } else {

@@ -43,25 +43,8 @@
 //   agccli campaign ls  --file <grid.campaign> | --runners
 //   agccli campaign grid --algos ag,kw,gps
 //                   --graphs "regular:1500,8,1242 gnp:1000,0.01,7"
-//                   --seeds 1,2,3 [--tag T] [--model setlocal|local|congest]
-//                   [--max-rounds N] [--idspace F]
-//                   [--chan-drop P] [--chan-corrupt P] [--chan-dup P]
-//                   [--chan-delay P] [--chan-first R] [--chan-last R]
-//                   [--adv-period N] [--adv-last R] [--adv-corrupt K]
-//                   [--adv-range V] [--adv-clones K] [--adv-eadds K]
-//                   [--adv-eremoves K] [--adv-dmax D]
-//                   [--out-lo V] [--out-hi V] [--out-first R] [--out-last R]
-//                   [--flap-down P] [--flap-up P] [--flap-first R]
-//                   [--flap-last R]
-//                   [--byz-liars P] [--byz-rate P] [--byz-first R]
-//                   [--byz-last R]
-//                   [--adapt-period N] [--adapt-count K] [--adapt-last R]
-//                   [--adapt-target degree|recent]
-//                   [--churn-events N] [--churn-alpha F] [--churn-attach K]
-//                   [--churn-resets P] [--churn-first R] [--churn-last R]
-//                   [--churn-dmax D] [--churn-grow N]
-//                   [--budget N] [--confirm N] [--plan-out-dir DIR]
-//                   [--out FILE]
+//                   --seeds 1,2,3 [--plan-out-dir DIR] [--out FILE]
+//                   [--KEY VALUE ...]  campaign keys as flags: docs/SCHED.md
 //
 // Campaigns execute a declarative grid of jobs concurrently with a shared
 // graph cache and deterministic job-id-order aggregation (docs/SCHED.md).
@@ -70,11 +53,8 @@
 // graphs x seeds into the campaign file format (one `key=value ...` job line
 // per cell, graphs in canonical GraphSpec spelling).  With --plan-out-dir
 // each fault job records its injected faults and saves a replayable plan
-// there when it fails — the nightly fuzz artifact.  Channel, flap, byz and
-// churn-reset probabilities are floats in [0,1].  The out-/flap-/byz-/
-// adapt-/churn- families configure the adversary zoo (docs/FAULTS.md):
-// regional outages, flapping links, Byzantine-valued neighbors, the adaptive
-// RAM adversary, and power-law churn traces.
+// there when it fails — the nightly fuzz artifact.  The out-/flap-/byz-/
+// adapt-/churn- keys configure the adversary zoo (docs/FAULTS.md).
 //
 // Graph specs (graph::GraphSpec — positional or named args, canonical form
 // is named, e.g. gnp:n=1000,p=0.01,seed=7):
@@ -257,7 +237,9 @@ int cmd_color(const Args& a) {
   opts.iter.model = model_flag(a);
   const std::string model = a.get("model", "setlocal");
 
-  opts.eps = std::strtod(a.get("eps", "0.5").c_str(), nullptr);
+  const auto eps = graph::parse_f64(a.get("eps", "0.5"));
+  if (!eps || *eps < 0.0) usage("--eps needs a number >= 0");
+  opts.eps = *eps;
   opts.run().seed = a.num("seed", 1);
 
   const std::string algo = a.get("algo", "ag");
@@ -354,12 +336,15 @@ int cmd_match(const Args& a) {
   return rep.valid ? 0 : 1;
 }
 
-/// Per-million probability from a [0,1] float flag.
+/// Per-million probability from a [0,1] flag (faultlab::parse_per_million).
 std::uint32_t ppm_flag(const Args& a, const std::string& key) {
   if (!a.has(key)) return 0;
-  const double p = std::strtod(a.get(key).c_str(), nullptr);
-  if (p < 0.0 || p > 1.0) usage("probabilities must be in [0,1]");
-  return static_cast<std::uint32_t>(p * 1'000'000.0);
+  const auto ppm = faultlab::parse_per_million(a.get(key));
+  if (!ppm) {
+    usage(("--" + key + " needs a probability in [0,1], got '" + a.get(key) + "'")
+              .c_str());
+  }
+  return *ppm;
 }
 
 /// The faultlab path of `agccli selfstab`: run the stabilization harness
@@ -517,63 +502,15 @@ int cmd_grid(const Args& a) {
   const auto seed_strs = split(a.get("seeds", "1"), ',');
 
   sched::JobSpec base;
-  base.tag = a.get("tag");
-  base.opts.model = model_flag(a);
-  if (a.has("max-rounds")) base.opts.max_rounds = a.num("max-rounds", 0);
-  base.id_space_factor = a.num("idspace", 1);
-  base.faults.channel.drop_per_million = ppm_flag(a, "chan-drop");
-  base.faults.channel.corrupt_per_million = ppm_flag(a, "chan-corrupt");
-  base.faults.channel.duplicate_per_million = ppm_flag(a, "chan-dup");
-  base.faults.channel.delay_per_million = ppm_flag(a, "chan-delay");
-  base.faults.channel.first_round = a.num("chan-first", 0);
-  if (a.has("chan-last")) base.faults.channel.last_round = a.num("chan-last", 0);
-  base.faults.periodic.period = a.num("adv-period", 1);
-  if (a.has("adv-last")) base.faults.periodic.last_round = a.num("adv-last", 0);
-  base.faults.periodic.corrupt = a.num("adv-corrupt", 0);
-  base.faults.periodic.value_range = a.num("adv-range", 0);
-  base.faults.periodic.clones = a.num("adv-clones", 0);
-  base.faults.periodic.edge_adds = a.num("adv-eadds", 0);
-  base.faults.periodic.edge_removes = a.num("adv-eremoves", 0);
-  base.faults.periodic.dmax = a.num("adv-dmax", 0);
-  auto& zoo = base.faults.zoo;
-  if (a.has("out-lo")) zoo.outage.lo = static_cast<graph::Vertex>(a.num("out-lo", 0));
-  if (a.has("out-hi")) zoo.outage.hi = static_cast<graph::Vertex>(a.num("out-hi", 0));
-  zoo.outage.first_round = a.num("out-first", zoo.outage.first_round);
-  if (a.has("out-last")) zoo.outage.last_round = a.num("out-last", 0);
-  if (a.has("flap-down")) zoo.flap.down_per_million = ppm_flag(a, "flap-down");
-  if (a.has("flap-up")) zoo.flap.up_per_million = ppm_flag(a, "flap-up");
-  zoo.flap.first_round = a.num("flap-first", zoo.flap.first_round);
-  if (a.has("flap-last")) zoo.flap.last_round = a.num("flap-last", 0);
-  if (a.has("byz-liars")) zoo.byz.liars_per_million = ppm_flag(a, "byz-liars");
-  if (a.has("byz-rate")) zoo.byz.lie_per_million = ppm_flag(a, "byz-rate");
-  zoo.byz.first_round = a.num("byz-first", zoo.byz.first_round);
-  if (a.has("byz-last")) zoo.byz.last_round = a.num("byz-last", 0);
-  zoo.adapt.period = a.num("adapt-period", zoo.adapt.period);
-  zoo.adapt.count = a.num("adapt-count", 0);
-  if (a.has("adapt-last")) zoo.adapt.last_round = a.num("adapt-last", 0);
-  if (a.has("adapt-target")) {
-    const std::string t = a.get("adapt-target");
-    if (t == "degree") {
-      zoo.adapt.target = faultlab::AdaptiveConfig::Target::HighestDegree;
-    } else if (t == "recent") {
-      zoo.adapt.target = faultlab::AdaptiveConfig::Target::RecentlyRecolored;
-    } else {
-      usage("--adapt-target must be degree or recent");
+  for (const std::string_view key : sched::grid_keys()) {
+    const std::string flag(key);
+    if (!a.has(flag)) continue;
+    try {
+      sched::set_job_key(base, key, a.get(flag));
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
     }
   }
-  zoo.churn.events = a.num("churn-events", 0);
-  if (a.has("churn-alpha")) {
-    zoo.churn.alpha = std::strtod(a.get("churn-alpha").c_str(), nullptr);
-    if (zoo.churn.alpha <= 0.0) usage("--churn-alpha must be positive");
-  }
-  zoo.churn.attach = a.num("churn-attach", zoo.churn.attach);
-  if (a.has("churn-resets")) zoo.churn.resets_per_million = ppm_flag(a, "churn-resets");
-  zoo.churn.first_round = a.num("churn-first", zoo.churn.first_round);
-  if (a.has("churn-last")) zoo.churn.last_round = a.num("churn-last", 0);
-  zoo.churn.dmax = a.num("churn-dmax", zoo.churn.dmax);
-  zoo.churn.grow = a.num("churn-grow", 0);
-  base.faults.recovery_budget = a.num("budget", base.faults.recovery_budget);
-  base.faults.confirm_rounds = a.num("confirm", base.faults.confirm_rounds);
 
   sched::Campaign c;
   for (const auto& algo : algos) {
