@@ -28,9 +28,10 @@
 /// rounds completed when they fired (the adversary acts *between* rounds);
 /// channel events carry the 0-based engine round they fired *inside*.
 ///
-/// Plans are the currency of the fault-fuzz CI jobs: a failing campaign run
-/// uploads its (shrunk — see shrink.hpp) plan, and `agc-faultplan` +
-/// `agccli --fault-plan f.jsonl --replay` reproduce it anywhere.
+/// Plans are the currency of the fault-fuzz CI jobs: a failing campaign job
+/// saves its plan, and the job replays it anywhere given the same runner and
+/// keys (sched::run_stabilization_job; `agccli selfstab <keys> --fault-plan
+/// f.jsonl --replay`, `agc-faultplan shrink`).
 
 namespace agc::faultlab {
 

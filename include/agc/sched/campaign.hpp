@@ -14,6 +14,7 @@
 #include "agc/runtime/faults.hpp"
 #include "agc/runtime/run_options.hpp"
 #include "agc/runtime/run_report.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 /// \file campaign.hpp
 /// The campaign scheduler: batched multi-run execution of simulation fleets.
@@ -46,6 +47,10 @@ namespace agc::obs {
 class EventSink;
 }  // namespace agc::obs
 
+namespace agc::faultlab {
+struct FaultPlan;
+}  // namespace agc::faultlab
+
 namespace agc::sched {
 
 /// Declarative fault configuration for one job.  Value-type (unlike the live
@@ -67,8 +72,8 @@ struct FaultSpec {
   /// channel/periodic arms are ignored when set.
   std::string plan_path;
   /// Record the injected faults and, when the job's final attempt still
-  /// fails, save the plan here — the artifact the nightly fuzz campaign
-  /// uploads for `agc-faultplan shrink` + replay.
+  /// fails, save the plan here, unshrunk — the artifact the nightly fuzz
+  /// campaign uploads; it replays as this job (run_stabilization_job).
   std::string plan_out;
   /// Stabilization-harness knobs (see faultlab::StabilizationSpec).
   std::size_t recovery_budget = 100'000;
@@ -250,6 +255,31 @@ struct Runner {
 
 /// Lookup by name; null when unknown.
 [[nodiscard]] const Runner* find_runner(std::string_view name);
+
+/// What run_stabilization_job ran: the ss runner's result row and the
+/// harness outcome behind it (default for a fault-free job).
+struct StabilizationRun {
+  JobResult result;
+  selfstab::StabilizationOutcome outcome;
+};
+
+/// The one fault run: the ss-* job `ctx.spec` (the task follows from its
+/// algorithm name; anything else throws std::invalid_argument).  Sizes the
+/// engine from the job's keys — degree bound from adv-dmax when the periodic
+/// adversary clones or adds edges, vertex and ID bounds from churn growth —
+/// installs the task's program and legality check, and runs
+/// faultlab::run_stabilization under either the job's own fault hooks
+/// (channel, periodic and zoo keys, seeded from attempt_seed()) or, when
+/// `replay` is set, that plan's events.  `recorder` receives every fault the
+/// job's hooks inject (it is unused under `replay`).  A job with no fault key
+/// and no `replay` runs fault-free to its first stable round.  The ss runners,
+/// `agccli selfstab` and `agc-faultplan shrink` all run through here, so a
+/// plan replays as the job that recorded it whenever the runner and keys
+/// match.  The `plan` and `plan-out` keys are the runner's business, not this
+/// function's.
+[[nodiscard]] StabilizationRun run_stabilization_job(
+    const RunnerContext& ctx, const faultlab::FaultPlan* replay = nullptr,
+    runtime::FaultEventSink* recorder = nullptr);
 
 /// Deterministic per-attempt fault seed: attempt 1 returns `base` unchanged;
 /// later attempts mix the attempt index in (splitmix64 finalizer), so a

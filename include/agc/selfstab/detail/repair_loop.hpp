@@ -20,9 +20,9 @@ namespace agc::selfstab::detail {
 /// clock), `check()` returns the first violation after it.  The entry round
 /// anchors the clocks; `initially_legal` is the entry state's verdict.
 /// `executed` counts the rounds spent against `max_rounds`.  Fills
-/// out.recovered, the clocks, recovery_rounds and, when unrecovered, the
-/// violation: the watchdog's, the last one seen when max_rounds ran out, or
-/// InvalidState when no round ran.
+/// out.recovered, the clocks, recovery_rounds, illegal_rounds and, when
+/// unrecovered, the violation: the watchdog's, the last one seen when
+/// max_rounds ran out, or InvalidState when no round ran.
 template <typename Clock, typename Step, typename Check>
 void repair_loop(const RecoverySpec& spec, std::size_t max_rounds, bool initially_legal,
                  std::size_t& executed, Clock&& clock, Step&& step, Check&& check,
@@ -51,6 +51,7 @@ void repair_loop(const RecoverySpec& spec, std::size_t max_rounds, bool initiall
       ++confirmed;
       if (confirmed >= spec.confirm_rounds) out.recovered = true;
     } else {
+      ++out.illegal_rounds;
       legal = false;
       confirmed = 0;
       // Watchdog: faults have been quiet for recovery_budget rounds and the

@@ -62,6 +62,8 @@ struct StabilizationOutcome : runtime::RunReport {
   /// added mid-run always count).  Its size over |faulty set| approximates
   /// the adjustment radius.
   std::vector<graph::Vertex> adjusted;
+  /// Repair rounds after which the check found a violation.
+  std::size_t illegal_rounds = 0;
   /// Set when !recovered: what the watchdog saw when it gave up.
   Violation violation;
 };

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "agc/coloring/registry.hpp"
@@ -91,12 +93,25 @@ JobResult run_matching(const RunnerContext& ctx) {
   return r;
 }
 
-/// Which self-stabilizing program a ss-* runner drives.  The fault plumbing
+/// Which self-stabilizing program a ss-* job drives.  The fault plumbing
 /// (recording, replay, zoo adversaries, watchdog) is identical across tasks;
 /// only the installed program, legality check, and output metrics differ.
 enum class SsTask { ColorODelta, ColorExact, Mis, Line };
 
-JobResult run_ss(const RunnerContext& ctx, SsTask task) {
+SsTask ss_task(const std::string& algorithm) {
+  if (algorithm == "ss-color") return SsTask::ColorODelta;
+  if (algorithm == "ss-color-exact") return SsTask::ColorExact;
+  if (algorithm == "ss-mis") return SsTask::Mis;
+  if (algorithm == "ss-line") return SsTask::Line;
+  throw std::invalid_argument("'" + algorithm + "' is not a self-stabilizing runner");
+}
+
+}  // namespace
+
+StabilizationRun run_stabilization_job(const RunnerContext& ctx,
+                                       const faultlab::FaultPlan* replay,
+                                       runtime::FaultEventSink* recorder) {
+  const SsTask task = ss_task(ctx.spec.algorithm);
   const auto& g = ctx.g;
   const auto& fs = ctx.spec.faults;
   std::size_t delta = std::max<std::size_t>(g.max_degree(), 1);
@@ -148,8 +163,9 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
       break;
   }
 
-  JobResult r;
-  if (!fs.any()) {
+  StabilizationRun run;
+  JobResult& r = run.result;
+  if (replay == nullptr && !fs.any()) {
     switch (task) {
       case SsTask::Mis: {
         const auto rep = selfstab::run_until_mis_stable(engine, cfg, ctx.opts,
@@ -182,33 +198,27 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
         break;
       }
     }
-    return r;
+    return run;
   }
 
   runtime::RunOptions ro = ctx.opts;
-  faultlab::FaultPlanRecorder recorder;
   std::unique_ptr<faultlab::PlanAdversary> plan_adv;
   std::unique_ptr<faultlab::ChannelPlayback> playback;
   std::unique_ptr<runtime::PeriodicAdversary> periodic;
   std::unique_ptr<faultlab::ChannelAdversary> channel;
   faultlab::ChannelHookChain hook_chain;
   faultlab::FaultAdversaryChain adv_chain;
-  faultlab::FaultPlan plan;
-  const bool record = !fs.plan_out.empty() && fs.plan_path.empty();
-  if (record) engine.set_fault_recorder(&recorder);
-  if (!fs.plan_path.empty()) {
-    plan = faultlab::FaultPlan::load(fs.plan_path);
-    plan_adv = std::make_unique<faultlab::PlanAdversary>(plan);
-    playback = std::make_unique<faultlab::ChannelPlayback>(plan.events);
+  if (replay != nullptr) {
+    plan_adv = std::make_unique<faultlab::PlanAdversary>(*replay);
+    playback = std::make_unique<faultlab::ChannelPlayback>(replay->events);
     ro.adversary = plan_adv.get();
     ro.channel = playback.get();
   } else {
-    runtime::FaultEventSink* sink =
-        record ? static_cast<runtime::FaultEventSink*>(&recorder) : nullptr;
+    engine.set_fault_recorder(recorder);
     if (fs.channel.total_per_million() > 0) {
       auto ccfg = fs.channel;
       ccfg.seed = attempt_seed(ctx.spec.seed ^ kChannelStream, ctx.attempt);
-      channel = std::make_unique<faultlab::ChannelAdversary>(ccfg, sink);
+      channel = std::make_unique<faultlab::ChannelAdversary>(ccfg, recorder);
       ro.channel = channel.get();
     }
     if (zoo.any_channel()) {
@@ -216,7 +226,7 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
       // decisions match the standalone trajectory; zoo hooks stack after it.
       if (channel) hook_chain.add(*channel);
       faultlab::append_channel_hooks(
-          hook_chain, zoo, attempt_seed(ctx.spec.seed, ctx.attempt), sink);
+          hook_chain, zoo, attempt_seed(ctx.spec.seed, ctx.attempt), recorder);
       ro.channel = &hook_chain;
     }
     if (fs.periodic.corrupt + fs.periodic.clones + fs.periodic.edge_adds +
@@ -251,8 +261,9 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
   }
   sspec.recovery_budget = fs.recovery_budget;
   sspec.confirm_rounds = fs.confirm_rounds;
-  const auto out = faultlab::run_stabilization(engine, ro, sspec);
+  run.outcome = faultlab::run_stabilization(engine, ro, sspec);
   engine.set_fault_recorder(nullptr);
+  const auto& out = run.outcome;
 
   static_cast<runtime::RunReport&>(r) = out;
   r.ok = out.recovered;
@@ -277,8 +288,25 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
                   static_cast<unsigned long long>(out.violation.value));
     r.error = buf;
   }
+  return run;
+}
+
+namespace {
+
+/// The ss-* runner: run_stabilization_job, replaying the `plan` key's file
+/// when set and, with `plan-out`, saving the recorded faults when the job
+/// fails.
+JobResult run_ss(const RunnerContext& ctx) {
+  const FaultSpec& fs = ctx.spec.faults;
+  faultlab::FaultPlan plan;
+  if (!fs.plan_path.empty()) plan = faultlab::FaultPlan::load(fs.plan_path);
+  faultlab::FaultPlanRecorder recorder;
+  const bool record = !fs.plan_out.empty() && fs.plan_path.empty() && fs.any();
+  JobResult r = run_stabilization_job(ctx, fs.plan_path.empty() ? nullptr : &plan,
+                                      record ? &recorder : nullptr)
+                    .result;
   if (record) {
-    if (!out.recovered) {
+    if (!r.ok) {
       recorder.take().save(fs.plan_out);
     } else {
       // A retried job that recovered leaves no stale reproducer behind.
@@ -288,35 +316,18 @@ JobResult run_ss(const RunnerContext& ctx, SsTask task) {
   return r;
 }
 
-JobResult run_ss_odelta(const RunnerContext& ctx) {
-  return run_ss(ctx, SsTask::ColorODelta);
-}
-
-JobResult run_ss_exact(const RunnerContext& ctx) {
-  return run_ss(ctx, SsTask::ColorExact);
-}
-
-JobResult run_ss_mis(const RunnerContext& ctx) {
-  return run_ss(ctx, SsTask::Mis);
-}
-
-JobResult run_ss_line(const RunnerContext& ctx) {
-  return run_ss(ctx, SsTask::Line);
-}
-
 /// The non-coloring runners keep bespoke entries; everything in
 /// coloring::algos() rides the shared run_registered dispatcher.
 const Runner kExtraRunners[] = {
     {"mis", "AG coloring + MIS decision wave", &run_mis, false},
     {"matching", "maximal matching via line-graph MIS", &run_matching, false},
-    {"ss-color", "self-stabilizing O(Delta)-coloring under faults",
-     &run_ss_odelta, true},
+    {"ss-color", "self-stabilizing O(Delta)-coloring under faults", &run_ss, true},
     {"ss-color-exact", "self-stabilizing exact (Delta+1)-coloring under faults",
-     &run_ss_exact, true},
+     &run_ss, true},
     {"ss-mis", "self-stabilizing MIS (coloring + decision wave) under faults",
-     &run_ss_mis, true},
+     &run_ss, true},
     {"ss-line", "self-stabilizing (2Delta-1)-edge-coloring on L(G) under faults",
-     &run_ss_line, true},
+     &run_ss, true},
 };
 
 std::vector<Runner> build_runners() {

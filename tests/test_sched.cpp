@@ -1,7 +1,8 @@
 // The campaign scheduler (src/sched): GraphSpec canonicalization and content
 // hashing, campaign parse/format round-trips, two-level scheduling with the
 // graph cache and memory backpressure, watchdog retries, and the determinism
-// contract — aggregate JSONL bit-identical across 1/2/8 workers (this binary
+// contract — aggregate JSONL bit-identical across 1/2/8 workers — and the
+// one fault path, whose recorded plans replay event for event (this binary
 // also runs under TSan in CI).
 #include <gtest/gtest.h>
 
@@ -11,9 +12,12 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "agc/exec/executor.hpp"
+#include "agc/faultlab/plan.hpp"
 #include "agc/graph/checks.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/graph/spec.hpp"
@@ -457,6 +461,77 @@ TEST(Scheduler, FaultCampaignDeterministicAcrossThreads) {
   EXPECT_TRUE(r1.all_ok());
   // Different job seeds draw different fault streams.
   EXPECT_NE(r1.jobs[0].fault_events, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The one fault path: sched::run_stabilization_job records and replays
+// ---------------------------------------------------------------------------
+
+/// Per ss runner and executor thread count: a job mixing wire noise, the
+/// periodic RAM/topology adversary and one zoo family records its plan
+/// through run_stabilization_job, and the plan replayed through the same
+/// function with the same keys applies every event and reruns the job.
+class StabilizationJobReplay
+    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {};
+
+TEST_P(StabilizationJobReplay, RecordedPlanReplaysEventForEvent) {
+  const auto [algo, threads] = GetParam();
+  JobSpec job;
+  job.algorithm = algo;
+  job.seed = 11;
+  job.faults.channel.drop_per_million = 30'000;
+  job.faults.channel.corrupt_per_million = 20'000;
+  job.faults.channel.duplicate_per_million = 10'000;
+  job.faults.channel.delay_per_million = 10'000;
+  job.faults.channel.first_round = 1;
+  job.faults.channel.last_round = 24;
+  job.faults.periodic = {.period = 4, .last_round = 24, .corrupt = 2, .clones = 1,
+                         .edge_adds = 1, .edge_removes = 1, .dmax = 10};
+  job.faults.zoo.flap.down_per_million = 80'000;
+  job.faults.zoo.flap.first_round = 2;
+  job.faults.zoo.flap.last_round = 20;
+  const auto rg = GraphSpec::parse("regular:120,6,3").resolve(graph::Mutability::ReadOnly);
+  sched::RunnerContext ctx{rg.view(), job, job.opts};
+  ctx.opts.executor = exec::make_executor(threads);
+
+  faultlab::FaultPlanRecorder recorder;
+  const auto live = sched::run_stabilization_job(ctx, nullptr, &recorder);
+  const faultlab::FaultPlan plan = recorder.take();
+  ASSERT_TRUE(live.outcome.recovered) << live.result.error;
+  ASSERT_FALSE(plan.empty());
+  EXPECT_EQ(live.outcome.fault_events, plan.size());
+  EXPECT_GT(live.outcome.illegal_rounds, 0u);
+
+  const auto replay = sched::run_stabilization_job(ctx, &plan);
+  EXPECT_EQ(replay.outcome.fault_events, plan.size());
+  EXPECT_TRUE(replay.outcome.recovered);
+  EXPECT_EQ(replay.outcome.recovery_rounds, live.outcome.recovery_rounds);
+  EXPECT_EQ(replay.outcome.adjusted, live.outcome.adjusted);
+  EXPECT_EQ(replay.outcome.last_fault_round, live.outcome.last_fault_round);
+  EXPECT_EQ(replay.outcome.illegal_rounds, live.outcome.illegal_rounds);
+  EXPECT_EQ(replay.outcome.metrics.messages, live.outcome.metrics.messages);
+  EXPECT_EQ(replay.outcome.metrics.total_bits, live.outcome.metrics.total_bits);
+  EXPECT_EQ(replay.result.values, live.result.values);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EverySsRunner, StabilizationJobReplay,
+    ::testing::Combine(::testing::Values("ss-color", "ss-color-exact", "ss-mis",
+                                         "ss-line"),
+                       ::testing::Values(std::size_t{1}, std::size_t{4})));
+
+TEST(StabilizationJob, FaultFreeJobRunsToItsFirstStableRound) {
+  JobSpec job;
+  job.algorithm = "ss-color";
+  const auto rg = GraphSpec::parse("cycle:32").resolve(graph::Mutability::ReadOnly);
+  const sched::RunnerContext ctx{rg.view(), job, job.opts};
+  const auto run = sched::run_stabilization_job(ctx);
+  EXPECT_TRUE(run.result.ok);
+  ASSERT_FALSE(run.result.values.empty());
+  EXPECT_EQ(run.result.values.front().first, "rounds_to_stable");
+  EXPECT_EQ(run.outcome.fault_events, 0u);
+  job.algorithm = "ag";  // ctx.spec refers to `job`
+  EXPECT_THROW((void)sched::run_stabilization_job(ctx), std::invalid_argument);
 }
 
 TEST(Scheduler, SinkReceivesJobIdOrderedEvents) {

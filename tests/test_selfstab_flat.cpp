@@ -177,6 +177,7 @@ void expect_same(const Observed& flat, const Observed& eng, const std::string& w
   EXPECT_EQ(flat.out.last_fault_round, eng.out.last_fault_round) << where;
   EXPECT_EQ(flat.out.first_legal_round, eng.out.first_legal_round) << where;
   EXPECT_EQ(flat.out.recovery_rounds, eng.out.recovery_rounds) << where;
+  EXPECT_EQ(flat.out.illegal_rounds, eng.out.illegal_rounds) << where;
   EXPECT_EQ(flat.out.violation.kind, eng.out.violation.kind) << where;
   EXPECT_EQ(flat.out.violation.round, eng.out.violation.round) << where;
   EXPECT_EQ(flat.out.violation.u, eng.out.violation.u) << where;

@@ -1,31 +1,22 @@
-// agc-faultplan: the fault-plan toolbox the fault-fuzz CI jobs drive.
+// agc-faultplan: the fault-plan workbench.
 //
 //   agc-faultplan dump   plan.jsonl
 //       Print the plan as a table plus per-kind counts.
 //   agc-faultplan diff   a.jsonl b.jsonl
 //       Compare two plans event-by-event; exit 1 on the first divergence.
-//   agc-faultplan shrink plan.jsonl out.jsonl --graph <spec> [--predicate
-//       breaks|unstable] [--budget N] [--max-probes N]
-//       ddmin the plan down to a 1-minimal reproducer of the chosen failure
-//       predicate (replayed on the self-stabilizing coloring over --graph).
-//   agc-faultplan fuzz --graph <spec> --seed S [--rounds N] [--budget N]
-//       [--drop P] [--corrupt P] [--dup P] [--delay P] [--period K]
-//       [--last-round R] [--ram-corrupt C] [--clones C] [--out plan.jsonl]
-//       [--shrink]
-//       plus the adversary-zoo knobs (docs/FAULTS.md):
-//       [--out-lo V --out-hi V] [--flap-down P [--flap-up P]]
-//       [--byz-liars P [--byz-rate P]]
-//       [--adapt-count K [--adapt-period N] [--adapt-target degree|recent]]
-//       [--churn-events N [--churn-grow N] [--churn-resets P]]
-//       One seeded campaign run of ss_coloring under the channel adversary +
-//       periodic RAM/topology adversary + any enabled zoo adversaries,
-//       recording every injected fault.  Exit 0 when the run restabilizes;
-//       exit 1 (after writing --out, shrunk when --shrink is given) when it
-//       does not — CI uploads the plan.
+//   agc-faultplan shrink in.jsonl out.jsonl --graph <spec>
+//       [--predicate breaks|unstable] [--max-probes N] [--KEY VALUE ...]
+//       ddmin the plan down to a 1-minimal reproducer of the predicate.  Each
+//       candidate replays as the ss-color campaign job over --graph with the
+//       campaign keys given as flags (docs/SCHED.md), through
+//       sched::run_stabilization_job, so pass the keys of the job that
+//       recorded the plan.  `unstable`: the job does not recover; `breaks`
+//       (the default): some repair round fails the legality check.  Exit 1
+//       when the input plan does not reproduce.
 //
-// Probabilities P are per-edge-per-round, finite decimals in [0,1] stored as
-// the nearest value on the adversaries' per-million grid.  Zoo windows
-// default to [1, --last-round] like the channel adversary's.
+// Plans come from `agccli selfstab --fault-plan` and from campaign jobs with
+// `plan-out` (docs/FAULTS.md).  A flag a subcommand does not take is a usage
+// error (exit 2).
 
 #include <algorithm>
 #include <cstdio>
@@ -35,16 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "agc/exec/executor.hpp"
-#include "agc/faultlab/channel.hpp"
-#include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/plan.hpp"
 #include "agc/faultlab/shrink.hpp"
-#include "agc/faultlab/zoo.hpp"
 #include "agc/graph/spec.hpp"
 #include "agc/runtime/faults.hpp"
-#include "agc/runtime/hooked_rounds.hpp"
-#include "agc/selfstab/ss_coloring.hpp"
+#include "agc/sched/campaign.hpp"
 
 namespace {
 
@@ -53,19 +39,17 @@ using namespace agc;
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
-               "usage: agc-faultplan <dump|diff|shrink|fuzz> [args] "
+               "usage: agc-faultplan <dump|diff|shrink> [args] "
                "[--options]\nsee the header of tools/agc_faultplan.cpp for "
                "details\n");
   std::exit(2);
 }
 
-/// Fault plans inject topology churn into the replay engines, so this tool
-/// is one of the two legitimate Mutable consumers of the spec helper
-/// (docs/SCALE.md); everything read-only resolves to the frozen CSR instead.
-graph::Graph make_graph(const std::string& spec) {
+/// Every fault run mutates topology inside its engine (copy-on-churn), so
+/// the graph itself resolves read-only, as in agccli and the campaigns.
+graph::ResolvedGraph resolve_graph(const std::string& spec) {
   try {
-    auto rg = graph::GraphSpec::parse(spec).resolve(graph::Mutability::Mutable);
-    return std::move(rg.graph());
+    return graph::GraphSpec::parse(spec).resolve(graph::Mutability::ReadOnly);
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
@@ -90,18 +74,6 @@ struct Args {
     }
     return *v;
   }
-  /// A probability flag in [0,1] on the per-million grid
-  /// (faultlab::parse_per_million); anything else is a usage error.
-  std::uint32_t ppm(const std::string& k) const {
-    const auto it = kv.find(k);
-    if (it == kv.end()) return 0;
-    const auto ppm = faultlab::parse_per_million(it->second);
-    if (!ppm) {
-      usage(("--" + k + " needs a probability in [0,1], got '" + it->second + "'")
-                .c_str());
-    }
-    return *ppm;
-  }
 };
 
 Args parse(int argc, char** argv) {
@@ -122,7 +94,13 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
+/// dump and diff take plan files only.
+void no_flags(const Args& a) {
+  if (!a.kv.empty()) usage(("unknown flag --" + a.kv.begin()->first).c_str());
+}
+
 int cmd_dump(const Args& a) {
+  no_flags(a);
   if (a.positional.size() != 1) usage("dump takes one plan file");
   const auto plan = faultlab::FaultPlan::load(a.positional[0]);
   std::map<std::string, std::size_t> counts;
@@ -142,6 +120,7 @@ int cmd_dump(const Args& a) {
 }
 
 int cmd_diff(const Args& a) {
+  no_flags(a);
   if (a.positional.size() != 2) usage("diff takes two plan files");
   const auto lhs = faultlab::FaultPlan::load(a.positional[0]);
   const auto rhs = faultlab::FaultPlan::load(a.positional[1]);
@@ -171,51 +150,33 @@ int cmd_diff(const Args& a) {
   return 0;
 }
 
-/// Replay `plan` on a fresh ss_coloring engine over `g`.
-/// predicate "breaks":   true iff the coloring becomes illegal at any round.
-/// predicate "unstable": true iff the run does not restabilize in `budget`.
-bool replay_fails(const graph::Graph& g, const selfstab::SsConfig& cfg,
-                  const faultlab::FaultPlan& plan, const std::string& predicate,
-                  std::size_t budget) {
-  runtime::EngineOptions eo;
-  eo.delta_bound = g.max_degree() + 2;
-  runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
-  engine.install(selfstab::ss_coloring_factory(cfg));
-  runtime::RunOptions settle;
-  settle.max_rounds = budget;
-  if (!selfstab::run_until_stable(engine, cfg, settle).stabilized) return false;
-
-  faultlab::PlanAdversary adv(plan);
-  faultlab::ChannelPlayback chan(plan.events);
-  runtime::RunOptions opts;
-  opts.adversary = &adv;
-  opts.channel = &chan;
-  opts.max_rounds = budget;
-  if (predicate == "unstable") {
-    return !selfstab::run_until_stable(engine, cfg, opts).stabilized;
-  }
-  runtime::HookedRounds rounds(engine, opts);
-  const auto check = faultlab::coloring_check(cfg);
-  const std::size_t horizon =
-      static_cast<std::size_t>(adv.last_event_round()) + 4;
-  while (rounds.steps() < horizon) {
-    rounds.step();
-    if (check(engine)) return true;
-  }
-  return false;
-}
-
 int cmd_shrink(const Args& a) {
   if (a.positional.size() != 2) usage("shrink takes <in.jsonl> <out.jsonl>");
   if (!a.has("graph")) usage("shrink needs --graph (the replay substrate)");
-  const auto plan = faultlab::FaultPlan::load(a.positional[0]);
-  const auto g = make_graph(a.get("graph"));
-  const selfstab::SsConfig cfg(g.n(), g.max_degree(),
-                               selfstab::PaletteMode::ODelta);
   const std::string predicate = a.get("predicate", "breaks");
-  const std::size_t budget = a.num("budget", 5000);
+  if (predicate != "breaks" && predicate != "unstable") {
+    usage("--predicate must be breaks or unstable");
+  }
+  sched::JobSpec job;
+  job.algorithm = "ss-color";
+  for (const auto& [key, value] : a.kv) {
+    if (key == "graph" || key == "predicate" || key == "max-probes") continue;
+    try {
+      sched::set_job_key(job, key, value);
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
+  }
+  if (!job.faults.plan_path.empty() || !job.faults.plan_out.empty()) {
+    usage("shrink replays its input plan, not --plan or --plan-out");
+  }
+  const std::size_t max_probes = a.num("max-probes", 0);
+  const auto rg = resolve_graph(a.get("graph"));
+  const sched::RunnerContext ctx{rg.view(), job, job.opts};
+  const auto plan = faultlab::FaultPlan::load(a.positional[0]);
   auto reproduces = [&](const faultlab::FaultPlan& candidate) {
-    return replay_fails(g, cfg, candidate, predicate, budget);
+    const auto out = sched::run_stabilization_job(ctx, &candidate).outcome;
+    return predicate == "unstable" ? !out.recovered : out.illegal_rounds > 0;
   };
   if (!reproduces(plan)) {
     std::fprintf(stderr, "input plan does not reproduce predicate '%s'\n",
@@ -223,138 +184,11 @@ int cmd_shrink(const Args& a) {
     return 1;
   }
   faultlab::ShrinkStats stats;
-  const auto small = faultlab::shrink_plan(plan, reproduces, &stats,
-                                           a.num("max-probes", 0));
+  const auto small = faultlab::shrink_plan(plan, reproduces, &stats, max_probes);
   small.save(a.positional[1]);
   std::printf("shrunk %zu -> %zu events in %zu probes\n", stats.initial_events,
               stats.final_events, stats.probes);
   return 0;
-}
-
-faultlab::ZooSpec parse_zoo(const Args& a, const graph::Graph& g,
-                            std::size_t dmax_bound) {
-  const std::uint64_t zoo_last = a.num("last-round", 24);
-  faultlab::ZooSpec zoo;
-  zoo.outage.lo = static_cast<graph::Vertex>(a.num("out-lo", 1));
-  zoo.outage.hi = static_cast<graph::Vertex>(a.num("out-hi", 0));
-  zoo.outage.first_round = a.num("out-first", 1);
-  zoo.outage.last_round = a.num("out-last", zoo_last);
-  zoo.flap.down_per_million = a.ppm("flap-down");
-  if (a.has("flap-up")) zoo.flap.up_per_million = a.ppm("flap-up");
-  zoo.flap.first_round = a.num("flap-first", 1);
-  zoo.flap.last_round = a.num("flap-last", zoo_last);
-  zoo.byz.liars_per_million = a.ppm("byz-liars");
-  if (a.has("byz-rate")) zoo.byz.lie_per_million = a.ppm("byz-rate");
-  zoo.byz.first_round = a.num("byz-first", 1);
-  zoo.byz.last_round = a.num("byz-last", zoo_last);
-  zoo.adapt.count = a.num("adapt-count", 0);
-  zoo.adapt.period = a.num("adapt-period", 1);
-  zoo.adapt.last_round = a.num("adapt-last", zoo_last);
-  const std::string target = a.get("adapt-target", "degree");
-  if (target == "recent") {
-    zoo.adapt.target = faultlab::AdaptiveConfig::Target::RecentlyRecolored;
-  } else if (target != "degree") {
-    usage("--adapt-target must be degree or recent");
-  }
-  zoo.churn.events = a.num("churn-events", 0);
-  zoo.churn.attach = a.num("churn-attach", 2);
-  if (a.has("churn-resets")) zoo.churn.resets_per_million = a.ppm("churn-resets");
-  zoo.churn.last_round = a.num("churn-last", zoo_last);
-  zoo.churn.dmax = std::min<std::size_t>(a.num("churn-dmax", dmax_bound),
-                                         dmax_bound);
-  zoo.churn.max_vertices = g.n() + a.num("churn-grow", 0);
-  return zoo;
-}
-
-int cmd_fuzz(const Args& a) {
-  if (!a.has("graph")) usage("fuzz needs --graph");
-  const auto g = make_graph(a.get("graph"));
-  const std::uint64_t seed = a.num("seed", 1);
-  const std::size_t dmax_bound = g.max_degree() + 2;
-  const faultlab::ZooSpec zoo = parse_zoo(a, g, dmax_bound);
-  const std::size_t grow = a.num("churn-grow", 0);
-  const selfstab::SsConfig cfg(g.n() + grow, g.max_degree(),
-                               selfstab::PaletteMode::ODelta);
-  runtime::EngineOptions eo;
-  eo.delta_bound = dmax_bound;
-  if (grow > 0) eo.n_bound = g.n() + grow;
-  runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
-  if (a.has("threads")) {
-    engine.set_executor(exec::make_executor(a.num("threads", 1)));
-  }
-  engine.install(selfstab::ss_coloring_factory(cfg));
-
-  faultlab::FaultPlanRecorder rec;
-  engine.set_fault_recorder(&rec);
-  faultlab::ChannelFaultConfig ccfg;
-  ccfg.seed = seed;
-  ccfg.drop_per_million = a.ppm("drop");
-  ccfg.corrupt_per_million = a.ppm("corrupt");
-  ccfg.duplicate_per_million = a.ppm("dup");
-  ccfg.delay_per_million = a.ppm("delay");
-  ccfg.first_round = 1;
-  ccfg.last_round = a.num("last-round", 24);
-  if (ccfg.total_per_million() > 1'000'000) {
-    usage("fault probabilities sum above 1");
-  }
-  faultlab::ChannelAdversary chan(ccfg, &rec);
-  runtime::PeriodicAdversary adv(
-      seed * 2 + 1,
-      {.period = a.num("period", 4),
-       .last_round = a.num("last-round", 24),
-       .corrupt = a.num("ram-corrupt", 2),
-       .clones = a.num("clones", 1),
-       .edge_adds = a.num("edge-adds", 0),
-       .edge_removes = a.num("edge-removes", 0),
-       .dmax = g.max_degree() + 2});
-
-  faultlab::ChannelHookChain hooks;
-  if (zoo.any_channel()) {
-    hooks.add(chan);
-    faultlab::append_channel_hooks(hooks, zoo, seed, &rec);
-  }
-  faultlab::FaultAdversaryChain advs;
-  if (zoo.any_state()) {
-    advs.add(adv);
-    faultlab::append_state_adversaries(advs, zoo, seed);
-  }
-
-  runtime::RunOptions opts;
-  opts.adversary = zoo.any_state()
-                       ? static_cast<runtime::FaultAdversary*>(&advs)
-                       : &adv;
-  opts.channel =
-      zoo.any_channel() ? static_cast<runtime::ChannelHook*>(&hooks) : &chan;
-  opts.max_rounds = a.num("rounds", 8000);
-  const auto rep = selfstab::run_until_stable(engine, cfg, opts);
-  engine.set_fault_recorder(nullptr);
-  faultlab::FaultPlan plan = rec.take();
-
-  std::printf("seed=%llu events=%zu rounds=%zu stabilized=%d "
-              "rounds_to_stable=%zu\n",
-              static_cast<unsigned long long>(seed), plan.size(), rep.rounds,
-              rep.stabilized ? 1 : 0, rep.rounds_to_stable);
-  if (rep.stabilized) {
-    if (a.has("out")) plan.save(a.get("out"));
-    return 0;
-  }
-
-  // Failing campaign run: shrink (optionally) and persist the reproducer.
-  if (a.has("shrink") && !plan.empty()) {
-    const std::size_t budget = a.num("rounds", 8000);
-    auto reproduces = [&](const faultlab::FaultPlan& candidate) {
-      return replay_fails(g, cfg, candidate, "unstable", budget);
-    };
-    if (reproduces(plan)) {
-      faultlab::ShrinkStats stats;
-      plan = faultlab::shrink_plan(plan, reproduces, &stats,
-                                   a.num("max-probes", 2000));
-      std::printf("shrunk %zu -> %zu events in %zu probes\n",
-                  stats.initial_events, stats.final_events, stats.probes);
-    }
-  }
-  if (a.has("out")) plan.save(a.get("out"));
-  return 1;
 }
 
 }  // namespace
@@ -367,7 +201,6 @@ int main(int argc, char** argv) {
     if (cmd == "dump") return cmd_dump(a);
     if (cmd == "diff") return cmd_diff(a);
     if (cmd == "shrink") return cmd_shrink(a);
-    if (cmd == "fuzz") return cmd_fuzz(a);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -8,15 +8,21 @@
 //   agccli mis      --graph <spec>
 //   agccli match    --graph <spec>
 //   agccli selfstab --graph <spec> [--exact] [--faults <k>] [--epochs <e>]
+//                   [--KEY VALUE ...] [--fault-plan <file> [--replay]]
 //
-// Fault injection (selfstab; see docs/FAULTS.md):
-//   --chan-drop P / --chan-corrupt P / --chan-dup P / --chan-delay P
-//                  per-edge-per-round wire-fault probabilities in [0,1]
-//   --chan-seed S / --chan-last R   channel adversary seed / last active round
+// With no flags beyond --graph, --exact, --faults, --epochs and the
+// --threads/--jsonl/--phases flags below, selfstab runs the epoch loop:
+// corrupt --faults vertices (default 16) and restabilize, --epochs times
+// (default 3).  Any other flag is a campaign key (docs/SCHED.md: --seed, the
+// --chan-* and --adv-* faults, the zoo's --out-/--flap-/--byz-/--adapt-/
+// --churn- keys, --budget, --max-rounds, ...) and runs the ss-color job
+// (ss-color-exact with --exact) through the stabilization harness exactly as
+// a campaign runs it (docs/FAULTS.md).  It prints recovery time and
+// adjustment radius and exits 0 iff the job recovered.  It needs a fault key
+// or --replay:
 //   --fault-plan FILE   record every injected fault to FILE (JSONL), or, with
-//   --replay            replay FILE instead of injecting fresh faults
-//   Any of these switches the command to the stabilization harness, which
-//   prints recovery time and adjustment radius instead of epoch lines.
+//   --replay            replay FILE instead of injecting fresh faults.  A plan
+//                       replays as the job that recorded it given its keys.
 //
 // --threads N (or AGC_THREADS) runs the round engine on the exec subsystem's
 // N-thread backend (N=0: all hardware threads); results are bit-identical to
@@ -83,8 +89,6 @@
 #include "agc/coloring/symmetry.hpp"
 #include "agc/edge/edge_coloring.hpp"
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/channel.hpp"
-#include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/plan.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/graph/io.hpp"
@@ -103,9 +107,10 @@ using namespace agc;
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
-               "usage: agccli <color|edges|mis|match|selfstab|gen> --graph <spec> "
-               "[--threads <n>] [options]\nsee the header of tools/agccli.cpp "
-               "for details\n");
+               "usage: agccli <color|edges|mis|match|selfstab|svc|gen> --graph "
+               "<spec> [--threads <n>] [options]\n"
+               "       agccli campaign <run|ls|grid> [options]\n"
+               "see the header of tools/agccli.cpp for details\n");
   std::exit(2);
 }
 
@@ -336,88 +341,66 @@ int cmd_match(const Args& a) {
   return rep.valid ? 0 : 1;
 }
 
-/// Per-million probability from a [0,1] flag (faultlab::parse_per_million).
-std::uint32_t ppm_flag(const Args& a, const std::string& key) {
-  if (!a.has(key)) return 0;
-  const auto ppm = faultlab::parse_per_million(a.get(key));
-  if (!ppm) {
-    usage(("--" + key + " needs a probability in [0,1], got '" + a.get(key) + "'")
-              .c_str());
-  }
-  return *ppm;
+/// The flags of `agccli selfstab`'s epoch loop; any other flag selects the
+/// stabilization harness.
+bool epoch_flag(const std::string& key) {
+  return key == "graph" || key == "faults" || key == "epochs" || key == "exact" ||
+         key == "threads" || key == "jsonl" || key == "phases";
 }
 
-/// The faultlab path of `agccli selfstab`: run the stabilization harness
-/// under a channel adversary and/or a recorded plan, print recovery time and
-/// adjustment radius.  Active when any --chan-* / --fault-plan / --replay
-/// flag is given.
-int selfstab_faultlab(const Args& a, const selfstab::SsConfig& cfg,
-                      runtime::Engine& engine) {
-  ObsFlags ob(a);
-  runtime::RunOptions ro;
-  ro.max_rounds = 1000000;
-  ob.apply(ro);
-  faultlab::StabilizationSpec spec;
-  spec.check = faultlab::coloring_check(cfg);
-  spec.outputs = faultlab::coloring_outputs();
-  spec.recovery_budget =
-      a.num("budget", 100000);
-
-  // Hook storage must outlive run_stabilization; only one arm is used.
-  std::unique_ptr<faultlab::PlanAdversary> plan_adv;
-  std::unique_ptr<faultlab::ChannelPlayback> playback;
-  std::unique_ptr<runtime::PeriodicAdversary> periodic;
-  std::unique_ptr<faultlab::ChannelAdversary> channel;
-  faultlab::FaultPlanRecorder recorder;
-  faultlab::FaultPlan plan;
-
-  if (a.has("replay")) {
-    if (!a.has("fault-plan")) usage("--replay needs --fault-plan FILE");
-    plan = faultlab::FaultPlan::load(a.get("fault-plan"));
-    plan_adv = std::make_unique<faultlab::PlanAdversary>(plan);
-    playback = std::make_unique<faultlab::ChannelPlayback>(plan.events);
-    ro.adversary = plan_adv.get();
-    ro.channel = playback.get();
-    std::printf("replaying %zu recorded fault events from %s\n", plan.size(),
-                a.get("fault-plan").c_str());
-  } else {
-    const bool record = a.has("fault-plan");
-    if (record) engine.set_fault_recorder(&recorder);
-    faultlab::ChannelFaultConfig ccfg;
-    ccfg.seed = a.num("chan-seed", 1);
-    ccfg.drop_per_million = ppm_flag(a, "chan-drop");
-    ccfg.corrupt_per_million = ppm_flag(a, "chan-corrupt");
-    ccfg.duplicate_per_million = ppm_flag(a, "chan-dup");
-    ccfg.delay_per_million = ppm_flag(a, "chan-delay");
-    ccfg.last_round = a.num("chan-last", 64);
-    if (ccfg.total_per_million() > 1'000'000) {
-      usage("channel fault probabilities sum above 1");
-    }
-    if (ccfg.total_per_million() > 0) {
-      channel = std::make_unique<faultlab::ChannelAdversary>(
-          ccfg, record ? &recorder : nullptr);
-      ro.channel = channel.get();
-    }
-    const auto faults = a.num("faults", 16);
-    if (faults > 0) {
-      periodic = std::make_unique<runtime::PeriodicAdversary>(
-          a.num("seed", 1),
-          runtime::PeriodicAdversary::Schedule{
-              .period = 4,
-              .last_round = 16,
-              .corrupt = static_cast<std::size_t>(faults),
-              .clones = static_cast<std::size_t>(faults / 2 + 1)});
-      ro.adversary = periodic.get();
+/// The harness path of `agccli selfstab`: the ss-color job (ss-color-exact
+/// with --exact) built from campaign keys, through
+/// sched::run_stabilization_job, recording to --fault-plan or, with
+/// --replay, replaying it.
+int selfstab_job(const Args& a) {
+  if (a.has("faults") || a.has("epochs")) {
+    usage("--faults and --epochs drive the epoch loop; the harness takes "
+          "campaign fault keys");
+  }
+  sched::JobSpec job;
+  job.algorithm = a.has("exact") ? "ss-color-exact" : "ss-color";
+  for (const auto& [key, value] : a.kv) {
+    if (epoch_flag(key) || key == "fault-plan" || key == "replay") continue;
+    try {
+      sched::set_job_key(job, key, value);
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
     }
   }
+  const bool replay = a.has("replay");
+  const std::string path = a.get("fault-plan");
+  if (!job.faults.plan_path.empty() || !job.faults.plan_out.empty()) {
+    usage("selfstab records and replays through --fault-plan, not --plan or "
+          "--plan-out");
+  }
+  if (replay && path.empty()) usage("--replay needs --fault-plan FILE");
+  if (!replay && !job.faults.any()) {
+    usage("the harness needs a fault key (docs/SCHED.md) or --replay");
+  }
+  if (job.faults.channel.total_per_million() > 1'000'000) {
+    usage("channel fault probabilities sum above 1");
+  }
 
-  const auto rep = faultlab::run_stabilization(engine, ro, spec);
-  engine.set_fault_recorder(nullptr);
-  if (a.has("fault-plan") && !a.has("replay")) {
+  const auto rg = resolve_graph(a.get("graph"));
+  ObsFlags ob(a);
+  sched::RunnerContext ctx{rg.view(), job, job.opts};
+  ctx.opts.executor = a.executor();
+  ob.apply(ctx.opts);
+  faultlab::FaultPlan plan;
+  if (replay) {
+    plan = faultlab::FaultPlan::load(path);
+    std::printf("replaying %zu recorded fault events from %s\n", plan.size(),
+                path.c_str());
+  }
+  faultlab::FaultPlanRecorder recorder;
+  const bool record = !replay && !path.empty();
+  const auto rep = sched::run_stabilization_job(ctx, replay ? &plan : nullptr,
+                                                record ? &recorder : nullptr)
+                       .outcome;
+  if (record) {
     plan = recorder.take();
-    plan.save(a.get("fault-plan"));
-    std::printf("recorded %zu fault events to %s\n", plan.size(),
-                a.get("fault-plan").c_str());
+    plan.save(path);
+    std::printf("recorded %zu fault events to %s\n", plan.size(), path.c_str());
   }
 
   std::printf("faults=%llu last_fault_round=%llu\n",
@@ -431,7 +414,7 @@ int selfstab_faultlab(const Args& a, const selfstab::SsConfig& cfg,
                 rep.adjusted.size());
   } else {
     std::printf("NOT RECOVERED: %s at round %llu (u=%u v=%u value=%llu)\n",
-                faultlab::to_string(rep.violation.kind),
+                selfstab::to_string(rep.violation.kind),
                 static_cast<unsigned long long>(rep.violation.round),
                 rep.violation.u, rep.violation.v,
                 static_cast<unsigned long long>(rep.violation.value));
@@ -441,6 +424,9 @@ int selfstab_faultlab(const Args& a, const selfstab::SsConfig& cfg,
 }
 
 int cmd_selfstab(const Args& a) {
+  for (const auto& flag : a.kv) {
+    if (!epoch_flag(flag.first)) return selfstab_job(a);
+  }
   const auto rg = resolve_graph(a.get("graph"));
   const graph::GraphView g = rg.view();
   const std::size_t delta = std::max<std::size_t>(g.max_degree(), 1);
@@ -452,11 +438,6 @@ int cmd_selfstab(const Args& a) {
   runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
   engine.set_executor(a.executor());
   engine.install(selfstab::ss_coloring_factory(cfg));
-
-  if (a.has("chan-drop") || a.has("chan-corrupt") || a.has("chan-dup") ||
-      a.has("chan-delay") || a.has("fault-plan") || a.has("replay")) {
-    return selfstab_faultlab(a, cfg, engine);
-  }
 
   const auto faults = a.num("faults", 16);
   const auto epochs = a.num("epochs", 3);
@@ -498,8 +479,15 @@ int cmd_grid(const Args& a) {
     usage("grid needs --algos and --graphs");
   }
   const auto algos = split(a.get("algos"), ',');
-  const auto graph_specs = split(a.get("graphs"), ' ');
   const auto seed_strs = split(a.get("seeds", "1"), ',');
+  std::vector<graph::GraphSpec> graphs;
+  for (const auto& spec : split(a.get("graphs"), ' ')) {
+    try {
+      graphs.push_back(graph::GraphSpec::parse(spec));
+    } catch (const std::invalid_argument& e) {
+      usage(e.what());
+    }
+  }
 
   sched::JobSpec base;
   for (const std::string_view key : sched::grid_keys()) {
@@ -514,11 +502,12 @@ int cmd_grid(const Args& a) {
 
   sched::Campaign c;
   for (const auto& algo : algos) {
-    if (sched::find_runner(algo) == nullptr) {
-      usage(("unknown algorithm '" + algo + "'").c_str());
+    const sched::Runner* runner = sched::find_runner(algo);
+    if (runner == nullptr) usage(("unknown algorithm '" + algo + "'").c_str());
+    if (base.faults.any() && !runner->faults) {
+      usage(("algorithm '" + algo + "' does not run fault specs").c_str());
     }
-    for (const auto& spec_str : graph_specs) {
-      const auto spec = graph::GraphSpec::parse(spec_str);
+    for (const auto& spec : graphs) {
       for (const auto& seed_str : seed_strs) {
         sched::JobSpec job = base;
         job.algorithm = algo;
