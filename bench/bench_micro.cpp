@@ -21,7 +21,7 @@
 #include "agc/math/polynomial.hpp"
 #include "agc/math/primes.hpp"
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/channel.hpp"
+#include "agc/faultlab/zoo.hpp"
 #include "agc/obs/event_sink.hpp"
 #include "agc/obs/phase_timer.hpp"
 #include "agc/runtime/engine.hpp"
@@ -341,8 +341,8 @@ void BM_MessagePathObserved(benchmark::State& state) {
 }
 BENCHMARK(BM_MessagePathObserved)->Arg(64)->Unit(benchmark::kMillisecond);
 
-// The same loop with a ChannelAdversary on the wire (all four fault kinds at
-// 1% each).  The gap to BM_MessagePathRegular is the full price of fault
+// The same loop with channel noise on the wire (faultlab::WireFaults, all four
+// fault kinds at 1% each).  The gap to BM_MessagePathRegular is the full price of fault
 // injection: one hash roll per nonempty port per round plus the doubled spill
 // lane reservation; steady-state allocation-free (tests/test_alloc_hook.cpp).
 void BM_MessagePathChannelAdversary(benchmark::State& state) {
@@ -355,7 +355,7 @@ void BM_MessagePathChannelAdversary(benchmark::State& state) {
   cfg.corrupt_per_million = 10'000;
   cfg.duplicate_per_million = 10'000;
   cfg.delay_per_million = 10'000;
-  faultlab::ChannelAdversary chan(cfg);
+  faultlab::WireFaults chan(cfg, {}, 0);
   runtime::Engine engine(g, runtime::Transport(runtime::Model::SET_LOCAL));
   engine.set_executor(exec::make_executor(1));
   engine.set_channel(&chan);

@@ -12,7 +12,7 @@
 /// Recorded fault plans: every injected fault — RAM corruption, topology
 /// churn, channel fault — serializes to one JSONL line, and a saved plan
 /// replays the exact same trajectory (PlanAdversary for the RAM/topology
-/// domain, channel.hpp's ChannelPlayback for the wire domain).
+/// domain, zoo.hpp's WireFaults for the wire domain).
 ///
 /// Line format (one event per line, keys always in this order):
 ///
@@ -60,8 +60,8 @@ struct FaultPlan {
 };
 
 /// Thread-safe FaultEventSink that accumulates a plan.  The engine records
-/// RAM/topology mutations from the driving thread; a ChannelAdversary
-/// records wire faults from executor shards concurrently — hence the mutex
+/// RAM/topology mutations from the driving thread; WireFaults records wire
+/// faults from executor shards concurrently — hence the mutex
 /// (uncontended in sequential runs, and recording is off the steady-state
 /// path unless a recorder is installed).
 class FaultPlanRecorder final : public runtime::FaultEventSink {
@@ -87,7 +87,8 @@ class FaultPlanRecorder final : public runtime::FaultEventSink {
 /// Replays the RAM/topology domain of a plan through the standard
 /// FaultAdversary hook: each inject(engine, round) applies, in order, every
 /// non-channel event whose recorded round equals the number of rounds the
-/// engine has completed.  Pair with a ChannelPlayback for the wire domain.
+/// engine has completed.  Pair with a replaying WireFaults for the wire
+/// domain.
 class PlanAdversary final : public runtime::FaultAdversary {
  public:
   explicit PlanAdversary(FaultPlan plan);

@@ -6,30 +6,35 @@
 #include <memory>
 #include <vector>
 
+#include "agc/faultlab/channel.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/runtime/faults.hpp"
 #include "agc/runtime/transport.hpp"
 
 /// \file zoo.hpp
 /// The adversary zoo: production-shaped fault models behind the existing
-/// ChannelHook / FaultAdversary seams (ROADMAP item 5).
+/// ChannelHook / FaultAdversary seams, and WireFaults, the one hook that
+/// runs every wire fault.
 ///
-/// Where channel.hpp's ChannelAdversary throws i.i.d. per-edge coins, the zoo
-/// models the correlated, stateful, targeted failures production systems
-/// actually see:
+/// Where channel.hpp's noise throws i.i.d. per-edge coins, the zoo models
+/// the correlated, stateful, targeted failures production systems actually
+/// see.  Three families act on the wire, inside WireFaults:
 ///
-///   RegionalOutage      every edge incident to a contiguous ID range goes
-///                       dark for a window of rounds — a rack/region
-///                       partition, not independent packet loss.
-///   FlappingLinks       each link runs a seeded two-state Markov chain
-///                       (Up/Down); while Down the link drops everything, so
-///                       loss arrives in bursts with geometric dwell times.
-///   ByzantineNeighbors  a seeded vertex subset lies on the wire: outgoing
-///                       word 0 is replaced by a width-preserving bounded lie,
-///                       so the receiver cannot reject it on format grounds.
-///   AdaptiveAdversary   between rounds, re-targets the currently
-///                       highest-degree or most-recently-recolored vertices
-///                       from a deterministic snapshot and clones a neighbor's
+///   outage     every edge incident to a contiguous ID range goes dark for a
+///              window of rounds — a rack/region partition, not independent
+///              packet loss.
+///   flap       each link runs a seeded two-state Markov chain (Up/Down);
+///              while Down the link drops everything, so loss arrives in
+///              bursts with geometric dwell times.
+///   byz        a seeded vertex subset lies on the wire: outgoing word 0 is
+///              replaced by a width-preserving bounded lie, so the receiver
+///              cannot reject it on format grounds.
+///
+/// Two act on the state, between rounds:
+///
+///   AdaptiveAdversary   re-targets the currently highest-degree or
+///                       most-recently-recolored vertices from a
+///                       deterministic snapshot and clones a neighbor's
 ///                       color onto them — the worst-case monochromatic hit.
 ///   ChurnTrace          a power-law arrival process replayed into the
 ///                       add/remove-vertex path: heavy-tailed gaps between
@@ -42,7 +47,7 @@
 /// rounds.  Trajectories are therefore bit-identical for 1, 2 or 8 threads;
 /// tests/test_zoo.cpp pins this per adversary.
 ///
-/// Round anchors: wire adversaries use 0-based engine rounds (the round the
+/// Round anchors: wire faults use 0-based engine rounds (the round the
 /// message travels in), state adversaries use the 1-based index of the round
 /// that just completed, with PeriodicAdversary's boundary semantics (round 0
 /// never fires, last_round is inclusive).
@@ -71,8 +76,9 @@ struct RegionalOutageConfig {
 /// edge share one chain (rolls hash the canonical (min, max) endpoint pair),
 /// so a Down link is symmetric, like a real dead cable.  Transition
 /// probabilities are per round in parts per million; their sum must stay
-/// <= 1'000'000.  Links start Up, only evolve inside the window, and are
-/// treated as Up outside it — faults eventually stop.
+/// <= 1'000'000 (WireFaults refuses more).  Links start Up, only evolve
+/// inside the window, and are treated as Up outside it — faults eventually
+/// stop.
 struct FlappingLinksConfig {
   std::uint32_t down_per_million = 0;      ///< P(Up -> Down) per round
   std::uint32_t up_per_million = 500'000;  ///< P(Down -> Up) per round
@@ -147,8 +153,9 @@ struct ChurnTraceConfig {
 };
 
 /// The whole zoo as one declarative value — what sched::FaultSpec embeds and
-/// the campaign grammar serializes.  Seeds are not part of the shape: the
-/// factories below derive one stream seed per adversary from the job seed.
+/// the campaign grammar serializes.  Seeds are not part of the shape:
+/// WireFaults and append_state_adversaries derive one stream seed per
+/// adversary from the job seed.
 struct ZooSpec {
   RegionalOutageConfig outage;
   FlappingLinksConfig flap;
@@ -166,129 +173,88 @@ struct ZooSpec {
 };
 
 /// Per-adversary seed streams, XORed into the job seed so one `seed=` knob
-/// yields independent randomness per fault model (the ChannelAdversary's
-/// kChannelStream in sched/registry.cpp plays the same role).
+/// yields independent randomness per fault model (kChannelStream in
+/// sched/registry.cpp plays the same role for channel noise).
 inline constexpr std::uint64_t kFlapStream = 0xf1a99c0ffee0d1ceULL;
 inline constexpr std::uint64_t kByzStream = 0xb12a7713e5a7b0a7ULL;
 inline constexpr std::uint64_t kAdaptStream = 0xada9717e5eed5a17ULL;
 inline constexpr std::uint64_t kChurnStream = 0xc0a27ace5eed1234ULL;
 
 // ---------------------------------------------------------------------------
-// Wire adversaries (runtime::ChannelHook)
+// The wire (runtime::ChannelHook)
 // ---------------------------------------------------------------------------
 
-/// Drops every message crossing into, out of, or inside [lo, hi] during the
-/// window.  Stateless: no begin_round work, trivially deterministic.
-class RegionalOutage final : public runtime::ChannelHook {
+/// True iff `v` lies under `config` with the byz stream seed `seed` (the
+/// job's zoo seed ^ kByzStream): a pure hash of the vertex ID, so the liar
+/// subset survives churn and thread-count changes.
+[[nodiscard]] bool is_liar(const ByzantineConfig& config, std::uint64_t seed,
+                           graph::Vertex v) noexcept;
+
+/// Every wire fault, live or replayed, behind the engine's one channel-hook
+/// slot.
+///
+/// Live, each outgoing port u -> w of a sender first flushes a word delayed
+/// last round, then runs the families in a fixed order: channel noise
+/// (channel.hpp), regional outage, flapping links, Byzantine lies.  A family
+/// only *decides* a FaultEvent, from the port's words and a pure (seed,
+/// round, u, w) hash.  Replaying, the port takes the plan's events for
+/// (round, u, w) in plan order instead.  Either way one applier lands each
+/// event on the port, records it and counts it — so a replay lands exactly
+/// what the live run did, by construction.  An event finds nothing to do on
+/// an empty port, and a delay nothing on a multi-word port or a full stash;
+/// such an event is neither applied, recorded nor counted.
+///
+/// Per-port state — the delay stash and the flap chains — lives in vectors
+/// indexed by global port and is touched only by the shard owning the
+/// sender, so apply() is allocation-free and per-shard.  begin_round rebinds
+/// it when churn renumbers the ports: pending delayed words are discarded
+/// and every link comes back Up.
+class WireFaults final : public runtime::ChannelHook {
  public:
-  explicit RegionalOutage(RegionalOutageConfig config,
-                          runtime::FaultEventSink* recorder = nullptr)
-      : config_(config), recorder_(recorder) {}
+  /// Live: channel noise from `channel` (seeded by channel.seed) and the
+  /// zoo's wire families from `zoo`, flap seeded zoo_seed ^ kFlapStream and
+  /// byz zoo_seed ^ kByzStream.  Throws std::invalid_argument when the four
+  /// channel probabilities, or flap's down and up, sum above 1.
+  WireFaults(const ChannelFaultConfig& channel, const ZooSpec& zoo,
+             std::uint64_t zoo_seed, runtime::FaultEventSink* recorder = nullptr);
+  /// Replay: the channel-kind events of a recorded plan; the others are
+  /// PlanAdversary's (plan.hpp).
+  explicit WireFaults(const std::vector<runtime::FaultEvent>& plan_events);
 
   void begin_round(const runtime::MailboxArena& arena, graph::GraphView g,
                    std::uint64_t round) override;
   void apply(runtime::MailboxArena& arena, graph::GraphView g,
              graph::Vertex v, std::uint64_t round, std::size_t shard) override;
 
-  [[nodiscard]] const char* name() const noexcept override { return "outage"; }
+  /// "zoo" when a zoo wire family is live, "channel" otherwise.
+  [[nodiscard]] const char* name() const noexcept override {
+    return zoo_.any_channel() ? "zoo" : "channel";
+  }
   [[nodiscard]] std::uint64_t events() const noexcept override {
     return events_.load(std::memory_order_relaxed);
   }
 
  private:
-  RegionalOutageConfig config_;
-  runtime::FaultEventSink* recorder_;
+  /// The one applier: land `ev` on global port `gp`, record it; false when
+  /// it found nothing to do.
+  bool inject(runtime::MailboxArena& arena, std::uint32_t gp, std::size_t shard,
+              const runtime::FaultEvent& ev);
+
+  ChannelFaultConfig channel_;
+  ZooSpec zoo_;
+  std::uint64_t flap_seed_ = 0;
+  std::uint64_t byz_seed_ = 0;
+  runtime::FaultEventSink* recorder_ = nullptr;
+  bool replay_ = false;
+  std::vector<runtime::FaultEvent> plan_;  ///< replayed events, by (round, u, v)
+  std::size_t round_begin_ = 0;  ///< the current round's slice of plan_
+  std::size_t round_end_ = 0;
   std::atomic<std::uint64_t> events_{0};
-};
-
-/// Two-state Markov chain per link.  Chain state lives per *port* (sender
-/// side), but both directions advance with the same canonical-edge roll each
-/// round, so they stay in lockstep — the concurrency contract holds because
-/// each port's byte is only touched by the shard owning its sender.
-/// Topology churn renumbers ports, so rebinding resets every link to Up
-/// (documented in docs/FAULTS.md).
-class FlappingLinks final : public runtime::ChannelHook {
- public:
-  FlappingLinks(FlappingLinksConfig config, std::uint64_t seed,
-                runtime::FaultEventSink* recorder = nullptr)
-      : config_(config), seed_(seed), recorder_(recorder) {}
-
-  void begin_round(const runtime::MailboxArena& arena, graph::GraphView g,
-                   std::uint64_t round) override;
-  void apply(runtime::MailboxArena& arena, graph::GraphView g,
-             graph::Vertex v, std::uint64_t round, std::size_t shard) override;
-
-  [[nodiscard]] const char* name() const noexcept override { return "flap"; }
-  [[nodiscard]] std::uint64_t events() const noexcept override {
-    return events_.load(std::memory_order_relaxed);
-  }
-
- private:
-  FlappingLinksConfig config_;
-  std::uint64_t seed_;
-  runtime::FaultEventSink* recorder_;
-  std::atomic<std::uint64_t> events_{0};
-  std::vector<std::uint8_t> down_;  ///< per-port chain state, 1 = Down
-  std::uint64_t arena_version_ = std::uint64_t(-1);
+  std::vector<runtime::Word> stash_;   ///< per port: the delayed word
+  std::vector<std::uint8_t> stashed_;  ///< per port: 1 = stash_ holds a word
+  std::vector<std::uint8_t> down_;     ///< per port: 1 = the link is Down
+  std::uint64_t arena_version_ = 0;
   bool bound_ = false;
-};
-
-/// Width-preserving bounded lies from a seeded vertex subset.  Stateless:
-/// liar membership and every lie value are pure hashes, so the subset and
-/// the lies survive churn and thread-count changes unchanged.
-class ByzantineNeighbors final : public runtime::ChannelHook {
- public:
-  ByzantineNeighbors(ByzantineConfig config, std::uint64_t seed,
-                     runtime::FaultEventSink* recorder = nullptr)
-      : config_(config), seed_(seed), recorder_(recorder) {}
-
-  void begin_round(const runtime::MailboxArena& arena, graph::GraphView g,
-                   std::uint64_t round) override;
-  void apply(runtime::MailboxArena& arena, graph::GraphView g,
-             graph::Vertex v, std::uint64_t round, std::size_t shard) override;
-
-  /// True iff `v` lies under this seed/config — exposed for tests and docs.
-  [[nodiscard]] bool is_liar(graph::Vertex v) const noexcept;
-
-  [[nodiscard]] const char* name() const noexcept override { return "byz"; }
-  [[nodiscard]] std::uint64_t events() const noexcept override {
-    return events_.load(std::memory_order_relaxed);
-  }
-
- private:
-  ByzantineConfig config_;
-  std::uint64_t seed_;
-  runtime::FaultEventSink* recorder_;
-  std::atomic<std::uint64_t> events_{0};
-};
-
-/// Fans out begin_round/apply to a fixed-order list of hooks so several wire
-/// adversaries stack on the engine's single channel-hook slot.  Order is
-/// composition order (the order hooks were added); events() sums.
-class ChannelHookChain final : public runtime::ChannelHook {
- public:
-  /// Non-owning: `hook` must outlive the chain.
-  void add(runtime::ChannelHook& hook) { hooks_.push_back(&hook); }
-  /// Owning: the chain keeps the hook alive.
-  void own(std::unique_ptr<runtime::ChannelHook> hook) {
-    hooks_.push_back(hook.get());
-    owned_.push_back(std::move(hook));
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return hooks_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return hooks_.size(); }
-
-  void begin_round(const runtime::MailboxArena& arena, graph::GraphView g,
-                   std::uint64_t round) override;
-  void apply(runtime::MailboxArena& arena, graph::GraphView g,
-             graph::Vertex v, std::uint64_t round, std::size_t shard) override;
-
-  [[nodiscard]] const char* name() const noexcept override { return "zoo"; }
-  [[nodiscard]] std::uint64_t events() const noexcept override;
-
- private:
-  std::vector<runtime::ChannelHook*> hooks_;
-  std::vector<std::unique_ptr<runtime::ChannelHook>> owned_;
 };
 
 // ---------------------------------------------------------------------------
@@ -370,13 +336,6 @@ class FaultAdversaryChain final : public runtime::FaultAdversary {
 // ---------------------------------------------------------------------------
 // Factories: one job seed -> the full configured zoo.
 // ---------------------------------------------------------------------------
-
-/// Append every enabled wire adversary of `zoo` to `chain` in the fixed
-/// composition order outage -> flap -> byz, deriving stream seeds from
-/// `seed`.  No-op for disabled entries.
-void append_channel_hooks(ChannelHookChain& chain, const ZooSpec& zoo,
-                          std::uint64_t seed,
-                          runtime::FaultEventSink* recorder = nullptr);
 
 /// Append every enabled state adversary of `zoo` to `chain` in the fixed
 /// composition order adapt -> churn, deriving stream seeds from `seed`.

@@ -57,7 +57,7 @@ namespace agc::sched {
 /// hook pointers in RunOptions) so a job can be re-run for retries and
 /// replayed anywhere.  Seeds are rotated per attempt via attempt_seed().
 struct FaultSpec {
-  /// Wire faults (faultlab::ChannelAdversary); all-zero rates = clean wire.
+  /// Channel noise (faultlab::WireFaults); all-zero rates = clean wire.
   /// The seed field is ignored: both fault streams derive from the job seed
   /// (see attempt_seed), so sweeping JobSpec::seed re-rolls the faults.
   faultlab::ChannelFaultConfig channel;

@@ -22,7 +22,8 @@ namespace agc::selfstab::detail {
 /// `executed` counts the rounds spent against `max_rounds`.  Fills
 /// out.recovered, the clocks, recovery_rounds, illegal_rounds and, when
 /// unrecovered, the violation: the watchdog's, the last one seen when
-/// max_rounds ran out, or InvalidState when no round ran.
+/// max_rounds ran out on an illegal check, or RoundCap when it ran out on a
+/// legal one or before any round ran.
 template <typename Clock, typename Step, typename Check>
 void repair_loop(const RecoverySpec& spec, std::size_t max_rounds, bool initially_legal,
                  std::size_t& executed, Clock&& clock, Step&& step, Check&& check,
@@ -69,7 +70,7 @@ void repair_loop(const RecoverySpec& spec, std::size_t max_rounds, bool initiall
         static_cast<std::size_t>(out.first_legal_round - out.last_fault_round);
   } else if (!out.violation) {
     // max_rounds ran out before the watchdog or the confirm window.
-    out.violation = v ? v : Violation{ViolationKind::InvalidState, clock(), 0, 0, 0};
+    out.violation = v ? v : Violation{ViolationKind::RoundCap, clock(), 0, 0, 0};
   }
 }
 

@@ -59,7 +59,7 @@ void run_until(runtime::Engine& engine, const runtime::RunOptions& opts,
     // Confirm quiescence: the configuration must be a fixed point.  The
     // adversary stays idle here, but a wire fault mid-window resets the
     // stabilization clock like any other fault (the predicate held only
-    // transiently — e.g. a ChannelAdversary whose active window is still
+    // transiently — e.g. channel noise whose active window is still
     // open), so on a changed snapshot the search RESUMES instead of giving
     // up, until the round budget runs dry.
     const auto snap = snapshot();

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "agc/graph/view.hpp"
@@ -34,6 +35,7 @@ enum class ViolationKind : std::uint8_t {
   OutOfPalette,       ///< vertex v holds color `value` outside the palette
   InvalidState,       ///< algorithm-specific predicate failed at v
   NeverSettled,       ///< phase 0 found no fault-free fixed point
+  RoundCap,           ///< max_rounds ran out with the last check legal (no vertex)
 };
 
 [[nodiscard]] const char* to_string(ViolationKind k) noexcept;
@@ -49,6 +51,10 @@ struct Violation {
     return kind != ViolationKind::None;
   }
 };
+
+/// "<kind> at round R (u=.. v=.. value=..)", or "round_cap at round R": the
+/// round cap names no vertex.
+[[nodiscard]] std::string to_string(const Violation& v);
 
 struct StabilizationOutcome : runtime::RunReport {
   bool recovered = false;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 
 namespace agc::faultlab {
 
@@ -12,9 +13,11 @@ namespace {
 using runtime::FaultEvent;
 using runtime::FaultKind;
 using runtime::MailboxArena;
+using runtime::Word;
 
-/// splitmix64 finalizer — identical to channel.cpp's, so zoo decisions are
-/// pure (seed, round, u, v) hashes with the same independence guarantees.
+/// splitmix64 finalizer — the same mixer graph::Rng seeds with.  Statelessly
+/// hashing (seed, round, u, v) instead of streaming an RNG is what makes wire
+/// decisions independent of visit order, hence of the shard count.
 [[nodiscard]] std::uint64_t mix(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -33,164 +36,219 @@ using runtime::MailboxArena;
   return bits >= 64 ? ~0ULL : ((1ULL << bits) - 1);
 }
 
+/// A word's declared width as the wire faults read it: at least one bit.
+[[nodiscard]] std::uint32_t width(const Word& w) noexcept {
+  return w.bits == 0 ? 1 : w.bits;
+}
+
+template <typename Config>
+[[nodiscard]] bool in_window(const Config& c, std::uint64_t round) noexcept {
+  return round >= c.first_round && round <= c.last_round;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// RegionalOutage
+// WireFaults
 // ---------------------------------------------------------------------------
 
-void RegionalOutage::begin_round(const MailboxArena& /*arena*/,
-                                 graph::GraphView /*g*/,
-                                 std::uint64_t /*round*/) {}
+bool is_liar(const ByzantineConfig& config, std::uint64_t seed,
+             graph::Vertex v) noexcept {
+  if (!config.enabled()) return false;
+  return mix(mix(seed) ^ v) % 1'000'000u < config.liars_per_million;
+}
 
-void RegionalOutage::apply(MailboxArena& arena, graph::GraphView g,
-                           graph::Vertex v, std::uint64_t round,
-                           std::size_t /*shard*/) {
-  if (!config_.enabled()) return;
-  if (round < config_.first_round || round > config_.last_round) return;
+WireFaults::WireFaults(const ChannelFaultConfig& channel, const ZooSpec& zoo,
+                       std::uint64_t zoo_seed, runtime::FaultEventSink* recorder)
+    : channel_(channel),
+      zoo_(zoo),
+      flap_seed_(zoo_seed ^ kFlapStream),
+      byz_seed_(zoo_seed ^ kByzStream),
+      recorder_(recorder) {
+  // One die roll per port-round lands in at most one range: a mix past 1
+  // would silently cut the later kinds' share.
+  if (std::uint64_t{channel.drop_per_million} + channel.corrupt_per_million +
+          channel.duplicate_per_million + channel.delay_per_million >
+      1'000'000) {
+    throw std::invalid_argument(
+        "channel fault probabilities (chan-drop + chan-corrupt + chan-dup + "
+        "chan-delay) sum above 1");
+  }
+  if (std::uint64_t{zoo.flap.down_per_million} + zoo.flap.up_per_million >
+      1'000'000) {
+    throw std::invalid_argument(
+        "flapping-link probabilities (flap-down + flap-up) sum above 1");
+  }
+}
+
+WireFaults::WireFaults(const std::vector<FaultEvent>& plan_events) : replay_(true) {
+  for (const FaultEvent& ev : plan_events) {
+    if (runtime::is_channel_fault(ev.kind)) plan_.push_back(ev);
+  }
+  // Port order within a sender; events on one port keep their plan order,
+  // which is the order the live run landed them in.
+  std::stable_sort(plan_.begin(), plan_.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) {
+                     if (a.round != b.round) return a.round < b.round;
+                     if (a.u != b.u) return a.u < b.u;
+                     return a.v < b.v;
+                   });
+}
+
+void WireFaults::begin_round(const MailboxArena& arena, graph::GraphView /*g*/,
+                             std::uint64_t round) {
+  if (!bound_ || arena_version_ != arena.topology_version()) {
+    const std::size_t ports =
+        arena.n() == 0 ? 0 : arena.base(static_cast<graph::Vertex>(arena.n()));
+    stash_.assign(ports, Word{});
+    stashed_.assign(ports, 0);
+    down_.assign(ports, 0);
+    arena_version_ = arena.topology_version();
+    bound_ = true;
+  }
+  if (replay_) {
+    const auto by_round = [](const FaultEvent& ev, std::uint64_t r) {
+      return ev.round < r;
+    };
+    round_begin_ = static_cast<std::size_t>(
+        std::lower_bound(plan_.begin(), plan_.end(), round, by_round) - plan_.begin());
+    round_end_ = static_cast<std::size_t>(
+        std::lower_bound(plan_.begin(), plan_.end(), round + 1, by_round) -
+        plan_.begin());
+  }
+}
+
+void WireFaults::apply(MailboxArena& arena, graph::GraphView g, graph::Vertex v,
+                       std::uint64_t round, std::size_t shard) {
+  const auto nbrs = g.neighbors(v);
+  const std::uint32_t base = arena.base(v);
+  // This round's plan events of sender v, in receiver order.
+  auto next = plan_.cbegin() + static_cast<std::ptrdiff_t>(round_begin_);
+  const auto end = plan_.cbegin() + static_cast<std::ptrdiff_t>(round_end_);
+  if (replay_) {
+    next = std::lower_bound(next, end, v, [](const FaultEvent& ev, graph::Vertex u) {
+      return ev.u < u;
+    });
+  }
+  const bool noisy = channel_.total_per_million() > 0 && in_window(channel_, round);
   const auto in_region = [this](graph::Vertex x) noexcept {
-    return x >= config_.lo && x <= config_.hi;
+    return x >= zoo_.outage.lo && x <= zoo_.outage.hi;
   };
-  const auto nbrs = g.neighbors(v);
-  const std::uint32_t base = arena.base(v);
-  const bool sender_dark = in_region(v);
-  std::uint64_t injected = 0;
+  const bool dark = zoo_.outage.enabled() && in_window(zoo_.outage, round);
+  const bool flapping = zoo_.flap.enabled() && in_window(zoo_.flap, round);
+  const bool lying = in_window(zoo_.byz, round) && is_liar(zoo_.byz, byz_seed_, v);
+  std::uint64_t landed = 0;
   for (std::size_t p = 0; p < nbrs.size(); ++p) {
-    const graph::Vertex w = nbrs[p];
-    if (!sender_dark && !in_region(w)) continue;
     const std::uint32_t gp = base + static_cast<std::uint32_t>(p);
-    if (arena.words_mutable(gp).empty()) continue;
-    arena.clear_port(gp);
-    FaultEvent ev;
-    ev.round = round;
-    ev.kind = FaultKind::Drop;
-    ev.u = v;
-    ev.v = w;
-    ++injected;
-    if (recorder_ != nullptr) recorder_->record(ev);
-  }
-  if (injected != 0) events_.fetch_add(injected, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// FlappingLinks
-// ---------------------------------------------------------------------------
-
-void FlappingLinks::begin_round(const MailboxArena& arena,
-                                graph::GraphView /*g*/,
-                                std::uint64_t /*round*/) {
-  if (bound_ && arena_version_ == arena.topology_version()) return;
-  const std::size_t total_ports =
-      arena.n() == 0 ? 0 : arena.base(static_cast<graph::Vertex>(arena.n()));
-  down_.assign(total_ports, 0);
-  arena_version_ = arena.topology_version();
-  bound_ = true;
-}
-
-void FlappingLinks::apply(MailboxArena& arena, graph::GraphView g,
-                          graph::Vertex v, std::uint64_t round,
-                          std::size_t /*shard*/) {
-  if (!config_.enabled()) return;
-  if (round < config_.first_round || round > config_.last_round) return;
-  const auto nbrs = g.neighbors(v);
-  const std::uint32_t base = arena.base(v);
-  const std::uint32_t up = config_.up_per_million;
-  const std::uint32_t dn = config_.down_per_million;
-  std::uint64_t injected = 0;
-  for (std::size_t p = 0; p < nbrs.size(); ++p) {
     const graph::Vertex w = nbrs[p];
-    const std::uint32_t gp = base + static_cast<std::uint32_t>(p);
-    // One coupled roll per (link, round): both directions hash the canonical
-    // endpoint pair, so the two per-port copies of the chain never diverge.
-    const std::uint64_t h =
-        edge_hash(seed_, round, std::min(v, w), std::max(v, w));
-    const auto roll = static_cast<std::uint32_t>(h % 1'000'000u);
-    if (down_[gp] != 0) {
-      if (roll < up) down_[gp] = 0;
-    } else if (roll >= up && roll < up + dn) {
-      down_[gp] = 1;
+    // A word delayed last round re-emerges at the front of this round's
+    // traffic, whether or not the port is attacked again.
+    if (stashed_[gp] != 0) {
+      stashed_[gp] = 0;
+      const auto words = arena.words_mutable(gp);
+      if (words.empty()) {
+        arena.push(gp, shard, stash_[gp]);
+      } else {
+        // Exact for the single-word ports a delay targets; a multi-word
+        // message (possible only after churn) moves its first word last.
+        const Word displaced = words[0];
+        words[0] = stash_[gp];
+        arena.push(gp, shard, displaced);
+      }
     }
-    if (down_[gp] == 0) continue;
-    if (arena.words_mutable(gp).empty()) continue;
-    arena.clear_port(gp);
+    if (replay_) {
+      while (next != end && next->u == v && next->v < w) ++next;  // churned away
+      for (; next != end && next->u == v && next->v == w; ++next) {
+        landed += inject(arena, gp, shard, *next);
+      }
+      continue;
+    }
     FaultEvent ev;
     ev.round = round;
+    ev.u = v;
+    ev.v = w;
+    if (noisy && !arena.words_mutable(gp).empty()) {
+      const std::uint64_t h = edge_hash(channel_.seed, round, v, w);
+      const auto roll = static_cast<std::uint32_t>(h % 1'000'000u);
+      const std::uint32_t drop = channel_.drop_per_million;
+      const std::uint32_t corrupt = drop + channel_.corrupt_per_million;
+      const std::uint32_t dup = corrupt + channel_.duplicate_per_million;
+      const std::uint32_t delay = dup + channel_.delay_per_million;
+      if (roll < delay) {
+        ev.kind = roll < drop      ? FaultKind::Drop
+                  : roll < corrupt ? FaultKind::Corrupt
+                  : roll < dup     ? FaultKind::Duplicate
+                                   : FaultKind::Delay;
+        ev.value = ev.kind == FaultKind::Corrupt
+                       ? (h >> 32) % width(arena.words_mutable(gp)[0])
+                       : 0;
+        landed += inject(arena, gp, shard, ev);
+      }
+    }
+    ev.value = 0;
     ev.kind = FaultKind::Drop;
-    ev.u = v;
-    ev.v = w;
-    ++injected;
-    if (recorder_ != nullptr) recorder_->record(ev);
+    if (dark && (in_region(v) || in_region(w))) landed += inject(arena, gp, shard, ev);
+    if (flapping) {
+      // One coupled roll per (link, round): both directions hash the
+      // canonical endpoint pair, so the two per-port copies of the chain
+      // never diverge.
+      const std::uint64_t h =
+          edge_hash(flap_seed_, round, std::min(v, w), std::max(v, w));
+      const auto roll = static_cast<std::uint32_t>(h % 1'000'000u);
+      const std::uint32_t up = zoo_.flap.up_per_million;
+      if (down_[gp] != 0) {
+        if (roll < up) down_[gp] = 0;
+      } else if (roll >= up && roll < up + zoo_.flap.down_per_million) {
+        down_[gp] = 1;
+      }
+      if (down_[gp] != 0) landed += inject(arena, gp, shard, ev);
+    }
+    if (lying) {
+      const auto words = arena.words_mutable(gp);
+      if (words.empty()) continue;
+      const std::uint64_t h = edge_hash(byz_seed_, round, v, w);
+      if (h % 1'000'000u >= zoo_.byz.lie_per_million) continue;
+      // A lie equal to the truth is no lie; flipping bit 0 stays in-width.
+      ev.kind = FaultKind::Lie;
+      ev.value = mix(h) & width_mask(width(words[0]));
+      if (ev.value == words[0].value) ev.value ^= 1;
+      landed += inject(arena, gp, shard, ev);
+    }
   }
-  if (injected != 0) events_.fetch_add(injected, std::memory_order_relaxed);
+  if (landed != 0) events_.fetch_add(landed, std::memory_order_relaxed);
 }
 
-// ---------------------------------------------------------------------------
-// ByzantineNeighbors
-// ---------------------------------------------------------------------------
-
-bool ByzantineNeighbors::is_liar(graph::Vertex v) const noexcept {
-  if (!config_.enabled()) return false;
-  const std::uint64_t h = mix(mix(seed_) ^ v);
-  return h % 1'000'000u < config_.liars_per_million;
-}
-
-void ByzantineNeighbors::begin_round(const MailboxArena& /*arena*/,
-                                     graph::GraphView /*g*/,
-                                     std::uint64_t /*round*/) {}
-
-void ByzantineNeighbors::apply(MailboxArena& arena, graph::GraphView g,
-                               graph::Vertex v, std::uint64_t round,
-                               std::size_t /*shard*/) {
-  if (round < config_.first_round || round > config_.last_round) return;
-  if (!is_liar(v)) return;
-  const auto nbrs = g.neighbors(v);
-  const std::uint32_t base = arena.base(v);
-  std::uint64_t injected = 0;
-  for (std::size_t p = 0; p < nbrs.size(); ++p) {
-    const std::uint32_t gp = base + static_cast<std::uint32_t>(p);
-    auto words = arena.words_mutable(gp);
-    if (words.empty()) continue;
-    const graph::Vertex w = nbrs[p];
-    const std::uint64_t h = edge_hash(seed_, round, v, w);
-    if (h % 1'000'000u >= config_.lie_per_million) continue;
-    const std::uint32_t bits = words[0].bits == 0 ? 1 : words[0].bits;
-    std::uint64_t lie = mix(h) & width_mask(bits);
-    // A lie equal to the truth is no lie; flipping bit 0 stays in-width.
-    if (lie == words[0].value) lie ^= 1;
-    words[0].value = lie;
-    FaultEvent ev;
-    ev.round = round;
-    ev.kind = FaultKind::Lie;
-    ev.u = v;
-    ev.v = w;
-    ev.value = lie;
-    ++injected;
-    if (recorder_ != nullptr) recorder_->record(ev);
+bool WireFaults::inject(MailboxArena& arena, std::uint32_t gp, std::size_t shard,
+                        const FaultEvent& ev) {
+  const auto words = arena.words_mutable(gp);
+  if (words.empty()) return false;  // nothing on the wire to attack
+  switch (ev.kind) {
+    case FaultKind::Drop:
+      arena.clear_port(gp);
+      break;
+    case FaultKind::Corrupt:
+      words[0].value ^= 1ULL << (ev.value % width(words[0]));
+      break;
+    case FaultKind::Duplicate: {
+      const Word head = words[0];  // push may relocate the span
+      arena.push(gp, shard, head);
+      break;
+    }
+    case FaultKind::Delay:
+      // One word in flight per port, and only single-word messages.
+      if (words.size() != 1 || stashed_[gp] != 0) return false;
+      stash_[gp] = words[0];
+      stashed_[gp] = 1;
+      arena.clear_port(gp);
+      break;
+    case FaultKind::Lie:
+      words[0].value = ev.value & width_mask(width(words[0]));
+      break;
+    default:
+      return false;
   }
-  if (injected != 0) events_.fetch_add(injected, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// ChannelHookChain
-// ---------------------------------------------------------------------------
-
-void ChannelHookChain::begin_round(const MailboxArena& arena, graph::GraphView g,
-                                   std::uint64_t round) {
-  for (runtime::ChannelHook* hook : hooks_) hook->begin_round(arena, g, round);
-}
-
-void ChannelHookChain::apply(MailboxArena& arena, graph::GraphView g,
-                             graph::Vertex v, std::uint64_t round,
-                             std::size_t shard) {
-  for (runtime::ChannelHook* hook : hooks_) {
-    hook->apply(arena, g, v, round, shard);
-  }
-}
-
-std::uint64_t ChannelHookChain::events() const noexcept {
-  std::uint64_t total = 0;
-  for (const runtime::ChannelHook* hook : hooks_) total += hook->events();
-  return total;
+  if (recorder_ != nullptr) recorder_->record(ev);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -346,22 +404,6 @@ std::size_t FaultAdversaryChain::inject(runtime::Engine& engine,
 // ---------------------------------------------------------------------------
 // Factories
 // ---------------------------------------------------------------------------
-
-void append_channel_hooks(ChannelHookChain& chain, const ZooSpec& zoo,
-                          std::uint64_t seed,
-                          runtime::FaultEventSink* recorder) {
-  if (zoo.outage.enabled()) {
-    chain.own(std::make_unique<RegionalOutage>(zoo.outage, recorder));
-  }
-  if (zoo.flap.enabled()) {
-    chain.own(
-        std::make_unique<FlappingLinks>(zoo.flap, seed ^ kFlapStream, recorder));
-  }
-  if (zoo.byz.enabled()) {
-    chain.own(std::make_unique<ByzantineNeighbors>(zoo.byz, seed ^ kByzStream,
-                                                   recorder));
-  }
-}
 
 void append_state_adversaries(FaultAdversaryChain& chain, const ZooSpec& zoo,
                               std::uint64_t seed) {

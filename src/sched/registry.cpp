@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -7,7 +8,6 @@
 
 #include "agc/coloring/registry.hpp"
 #include "agc/coloring/symmetry.hpp"
-#include "agc/faultlab/channel.hpp"
 #include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/plan.hpp"
 #include "agc/faultlab/zoo.hpp"
@@ -106,6 +106,40 @@ SsTask ss_task(const std::string& algorithm) {
   throw std::invalid_argument("'" + algorithm + "' is not a self-stabilizing runner");
 }
 
+/// Faults must stop for a stabilization time to exist: the watchdog counts
+/// from the last fault.  Throws std::invalid_argument naming the missing key
+/// when an enabled family of `fs` has no last round.  Churn is exempt: its
+/// event count bounds it.
+void require_last_rounds(const FaultSpec& fs) {
+  constexpr std::uint64_t kOpen = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::size_t kOpenAdv = std::numeric_limits<std::size_t>::max();
+  const auto& adv = fs.periodic;
+  const auto& zoo = fs.zoo;
+  const struct {
+    bool never_stops;
+    const char* keys;
+    const char* last;
+  } families[] = {
+      {fs.channel.total_per_million() > 0 && fs.channel.last_round == kOpen,
+       "chan-*", "chan-last"},
+      {adv.corrupt + adv.clones + adv.edge_adds + adv.edge_removes > 0 &&
+           adv.last_round == kOpenAdv,
+       "adv-corrupt/adv-clones/adv-eadds/adv-eremoves", "adv-last"},
+      {zoo.outage.enabled() && zoo.outage.last_round == kOpen, "out-lo <= out-hi",
+       "out-last"},
+      {zoo.flap.enabled() && zoo.flap.last_round == kOpen, "flap-down", "flap-last"},
+      {zoo.byz.enabled() && zoo.byz.last_round == kOpen, "byz-liars", "byz-last"},
+      {zoo.adapt.enabled() && zoo.adapt.last_round == kOpenAdv, "adapt-count",
+       "adapt-last"},
+  };
+  for (const auto& f : families) {
+    if (f.never_stops) {
+      throw std::invalid_argument(std::string(f.keys) + " faults never stop: set " +
+                                  f.last);
+    }
+  }
+}
+
 }  // namespace
 
 StabilizationRun run_stabilization_job(const RunnerContext& ctx,
@@ -114,6 +148,7 @@ StabilizationRun run_stabilization_job(const RunnerContext& ctx,
   const SsTask task = ss_task(ctx.spec.algorithm);
   const auto& g = ctx.g;
   const auto& fs = ctx.spec.faults;
+  if (replay == nullptr) require_last_rounds(fs);
   std::size_t delta = std::max<std::size_t>(g.max_degree(), 1);
   // The periodic adversary grows the topology up to its declared degree cap;
   // a palette sized from the seed graph alone becomes infeasible after an
@@ -203,31 +238,20 @@ StabilizationRun run_stabilization_job(const RunnerContext& ctx,
 
   runtime::RunOptions ro = ctx.opts;
   std::unique_ptr<faultlab::PlanAdversary> plan_adv;
-  std::unique_ptr<faultlab::ChannelPlayback> playback;
+  std::unique_ptr<faultlab::WireFaults> wire;
   std::unique_ptr<runtime::PeriodicAdversary> periodic;
-  std::unique_ptr<faultlab::ChannelAdversary> channel;
-  faultlab::ChannelHookChain hook_chain;
   faultlab::FaultAdversaryChain adv_chain;
   if (replay != nullptr) {
     plan_adv = std::make_unique<faultlab::PlanAdversary>(*replay);
-    playback = std::make_unique<faultlab::ChannelPlayback>(replay->events);
+    wire = std::make_unique<faultlab::WireFaults>(replay->events);
     ro.adversary = plan_adv.get();
-    ro.channel = playback.get();
   } else {
     engine.set_fault_recorder(recorder);
-    if (fs.channel.total_per_million() > 0) {
-      auto ccfg = fs.channel;
-      ccfg.seed = attempt_seed(ctx.spec.seed ^ kChannelStream, ctx.attempt);
-      channel = std::make_unique<faultlab::ChannelAdversary>(ccfg, recorder);
-      ro.channel = channel.get();
-    }
-    if (zoo.any_channel()) {
-      // Classic channel noise stays first in the chain so its per-message
-      // decisions match the standalone trajectory; zoo hooks stack after it.
-      if (channel) hook_chain.add(*channel);
-      faultlab::append_channel_hooks(
-          hook_chain, zoo, attempt_seed(ctx.spec.seed, ctx.attempt), recorder);
-      ro.channel = &hook_chain;
+    if (fs.channel.total_per_million() > 0 || zoo.any_channel()) {
+      auto noise = fs.channel;
+      noise.seed = attempt_seed(ctx.spec.seed ^ kChannelStream, ctx.attempt);
+      wire = std::make_unique<faultlab::WireFaults>(
+          noise, zoo, attempt_seed(ctx.spec.seed, ctx.attempt), recorder);
     }
     if (fs.periodic.corrupt + fs.periodic.clones + fs.periodic.edge_adds +
             fs.periodic.edge_removes >
@@ -243,6 +267,7 @@ StabilizationRun run_stabilization_job(const RunnerContext& ctx,
       ro.adversary = &adv_chain;
     }
   }
+  if (wire) ro.channel = wire.get();
 
   faultlab::StabilizationSpec sspec;
   switch (task) {
@@ -280,13 +305,7 @@ StabilizationRun run_stabilization_job(const RunnerContext& ctx,
   }
   if (!out.recovered) {
     r.watchdog = true;
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "%s at round %llu (u=%u v=%u value=%llu)",
-                  faultlab::to_string(out.violation.kind),
-                  static_cast<unsigned long long>(out.violation.round),
-                  out.violation.u, out.violation.v,
-                  static_cast<unsigned long long>(out.violation.value));
-    r.error = buf;
+    r.error = selfstab::to_string(out.violation);
   }
   return run;
 }

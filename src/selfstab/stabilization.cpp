@@ -1,5 +1,6 @@
 #include "agc/selfstab/stabilization.hpp"
 
+#include <cstdio>
 #include <functional>
 #include <stdexcept>
 
@@ -46,8 +47,22 @@ const char* to_string(ViolationKind k) noexcept {
     case ViolationKind::OutOfPalette: return "out_of_palette";
     case ViolationKind::InvalidState: return "invalid_state";
     case ViolationKind::NeverSettled: return "never_settled";
+    case ViolationKind::RoundCap: return "round_cap";
   }
   return "?";
+}
+
+std::string to_string(const Violation& v) {
+  char buf[160];
+  if (v.kind == ViolationKind::RoundCap) {
+    std::snprintf(buf, sizeof buf, "%s at round %llu", to_string(v.kind),
+                  static_cast<unsigned long long>(v.round));
+  } else {
+    std::snprintf(buf, sizeof buf, "%s at round %llu (u=%u v=%u value=%llu)",
+                  to_string(v.kind), static_cast<unsigned long long>(v.round), v.u,
+                  v.v, static_cast<unsigned long long>(v.value));
+  }
+  return buf;
 }
 
 Violation coloring_violation(graph::GraphView g, const SsConfig& cfg,

@@ -29,7 +29,7 @@
 #include "agc/coloring/registry.hpp"
 #include "agc/coloring/symmetry.hpp"
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/channel.hpp"
+#include "agc/faultlab/zoo.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/obs/event_sink.hpp"
 #include "agc/obs/phase_timer.hpp"
@@ -163,7 +163,7 @@ TEST(AllocHook, ChannelAdversaryStaysAllocationFree) {
   cfg.corrupt_per_million = 100'000;
   cfg.duplicate_per_million = 100'000;
   cfg.delay_per_million = 100'000;
-  faultlab::ChannelAdversary chan(cfg);
+  faultlab::WireFaults chan(cfg, {}, 0);
   engine.set_channel(&chan);
   for (int i = 0; i < 4; ++i) engine.step();  // warm arena, lanes, stash
 
@@ -190,7 +190,7 @@ TEST(AllocHook, HookedRoundsStayAllocationFree) {
   cfg.corrupt_per_million = 100'000;
   cfg.duplicate_per_million = 100'000;
   cfg.delay_per_million = 100'000;
-  faultlab::ChannelAdversary chan(cfg);
+  faultlab::WireFaults chan(cfg, {}, 0);
   PeriodicAdversary adv(7, {.period = 1, .corrupt = 4});
   obs::RingSink sink(64);
   RunOptions opts;

@@ -12,10 +12,10 @@
 #include "agc/arb/eps_coloring.hpp"
 #include "agc/edge/edge_coloring.hpp"
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/channel.hpp"
 #include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/plan.hpp"
 #include "agc/faultlab/shrink.hpp"
+#include "agc/faultlab/zoo.hpp"
 #include "agc/graph/checks.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/runtime/faults.hpp"
@@ -26,12 +26,11 @@
 namespace {
 
 using namespace agc;
-using faultlab::ChannelAdversary;
 using faultlab::ChannelFaultConfig;
-using faultlab::ChannelPlayback;
 using faultlab::FaultPlan;
 using faultlab::FaultPlanRecorder;
 using faultlab::PlanAdversary;
+using faultlab::WireFaults;
 using runtime::FaultEvent;
 using runtime::FaultKind;
 using selfstab::PaletteMode;
@@ -83,7 +82,7 @@ TEST(ChannelSemantics, DropDiscardsTheWholeMessage) {
   });
   ChannelFaultConfig cfg;
   cfg.drop_per_million = 1'000'000;
-  ChannelAdversary chan(cfg);
+  WireFaults chan(cfg, {}, 0);
   engine.set_channel(&chan);
   engine.step();
   ASSERT_EQ(log.size(), 2u);
@@ -101,7 +100,7 @@ TEST(ChannelSemantics, CorruptFlipsOneBitWithinDeclaredWidth) {
   ChannelFaultConfig cfg;
   cfg.corrupt_per_million = 1'000'000;
   FaultPlanRecorder rec;
-  ChannelAdversary chan(cfg, &rec);
+  WireFaults chan(cfg, {}, 0, &rec);
   engine.set_channel(&chan);
   engine.step();
   ASSERT_EQ(log.size(), 2u);
@@ -126,7 +125,7 @@ TEST(ChannelSemantics, DuplicateDeliversTheWordTwice) {
   });
   ChannelFaultConfig cfg;
   cfg.duplicate_per_million = 1'000'000;
-  ChannelAdversary chan(cfg);
+  WireFaults chan(cfg, {}, 0);
   engine.set_channel(&chan);
   engine.step();
   ASSERT_EQ(log.size(), 2u);
@@ -146,7 +145,7 @@ TEST(ChannelSemantics, DelayHoldsOneRoundAndPrepends) {
   ChannelFaultConfig cfg;
   cfg.delay_per_million = 1'000'000;
   cfg.last_round = 0;  // only round 0 is attacked; the flush is in-flight
-  ChannelAdversary chan(cfg);
+  WireFaults chan(cfg, {}, 0);
   engine.set_channel(&chan);
   engine.step();  // round 0: both directions stashed
   engine.step();  // round 1: delayed word prepended to the live one
@@ -242,7 +241,7 @@ selfstab::StabilizationReport run_ss_with_channel(
   ccfg.delay_per_million = 20'000;
   ccfg.first_round = 1;
   ccfg.last_round = 30;
-  ChannelAdversary chan(ccfg);
+  WireFaults chan(ccfg, {}, 0);
   runtime::RunOptions opts;
   opts.channel = &chan;
   opts.max_rounds = 5000;
@@ -293,7 +292,7 @@ RecordedRun record_fuzz_run() {
   ccfg.delay_per_million = 20'000;
   ccfg.first_round = 1;
   ccfg.last_round = 20;
-  ChannelAdversary chan(ccfg, &rec);
+  WireFaults chan(ccfg, {}, 0, &rec);
   runtime::PeriodicAdversary adv(
       3, {.period = 4, .last_round = 16, .corrupt = 3, .clones = 1,
           .edge_adds = 1, .edge_removes = 1, .dmax = g.max_degree() + 2});
@@ -314,7 +313,7 @@ selfstab::StabilizationReport replay_run(const FaultPlan& plan,
   auto engine = make_engine(g, g.max_degree() + 2);
   engine.install(selfstab::ss_coloring_factory(cfg));
   PlanAdversary adv(plan);
-  ChannelPlayback chan(plan.events);
+  WireFaults chan(plan.events);
   runtime::RunOptions opts;
   opts.adversary = &adv;
   opts.channel = &chan;
@@ -427,7 +426,7 @@ TEST(RecordReplay, ShrinkerReducesAFailingPlanToAFewEvents) {
       return false;
     }
     PlanAdversary adv(candidate);
-    ChannelPlayback chan(candidate.events);
+    WireFaults chan(candidate.events);
     engine.set_channel(&chan);
     const auto check = faultlab::coloring_check(cfg);
     bool broke = false;
@@ -471,7 +470,7 @@ TEST(EntryPointFaults, EdgeColoringCountsChannelAndAdversaryEvents) {
   ChannelFaultConfig ccfg;
   ccfg.seed = 9;
   ccfg.corrupt_per_million = 5'000;
-  ChannelAdversary chan(ccfg);
+  WireFaults chan(ccfg, {}, 0);
   runtime::PeriodicAdversary adv(5, {.period = 6, .last_round = 18,
                                      .edge_adds = 1, .edge_removes = 1,
                                      .dmax = g.max_degree() + 1});
@@ -488,7 +487,7 @@ TEST(EntryPointFaults, ArbAgCountsChannelAndAdversaryEvents) {
   ChannelFaultConfig ccfg;
   ccfg.seed = 4;
   ccfg.drop_per_million = 10'000;
-  ChannelAdversary chan(ccfg);
+  WireFaults chan(ccfg, {}, 0);
   runtime::PeriodicAdversary adv(8, {.period = 2, .last_round = 6, .corrupt = 1});
   runtime::RunOptions opts;
   opts.adversary = &adv;
@@ -503,7 +502,7 @@ TEST(EntryPointFaults, EpsColoringCountsChannelEvents) {
   ChannelFaultConfig ccfg;
   ccfg.seed = 2;
   ccfg.duplicate_per_million = 20'000;
-  ChannelAdversary chan(ccfg);
+  WireFaults chan(ccfg, {}, 0);
   runtime::RunOptions opts;
   opts.channel = &chan;
   const auto rep = arb::eps_delta_coloring(g, 0.5, 0, opts);

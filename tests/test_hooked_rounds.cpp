@@ -2,7 +2,8 @@
 // rounds: the locally-iterative engine path, Luby, the distributed edge
 // colorer, the selfstab run_until_* runners and the stabilization harness
 // (run_stabilization / resettle).  Each runs under a seeded PeriodicAdversary
-// (between rounds) plus a seeded ChannelAdversary (inside rounds), with a
+// (between rounds) plus seeded channel noise (faultlab::WireFaults, inside
+// rounds), with a
 // RingSink attached, at 1 and 8 threads.  The pins are the structured event
 // stream (every non-RoundEnd event as kind@round:label:value), the rounds,
 // fault_events, the Metrics and a digest of the final colors.  They hold the
@@ -20,8 +21,8 @@
 #include "agc/coloring/reduction.hpp"
 #include "agc/edge/edge_coloring.hpp"
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/channel.hpp"
 #include "agc/faultlab/harness.hpp"
+#include "agc/faultlab/zoo.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/obs/event_sink.hpp"
 #include "agc/runtime/faults.hpp"
@@ -106,7 +107,7 @@ std::string iterative_run(std::size_t threads) {
   const std::uint64_t target = g.max_degree() + 1;
   // Corrupt values stay final so the reduction cannot deadlock on a tie.
   runtime::PeriodicAdversary adv(3, ram_schedule(target, 0));
-  faultlab::ChannelAdversary chan(wire(5, 1, 12));
+  faultlab::WireFaults chan(wire(5, 1, 12), {}, 0);
   obs::RingSink ring(kRing);
   runtime::IterativeOptions io;
   io.executor = exec::make_executor(threads);
@@ -121,7 +122,7 @@ std::string iterative_run(std::size_t threads) {
 std::string luby_run(std::size_t threads) {
   const auto g = host();
   runtime::PeriodicAdversary adv(7, ram_schedule(g.max_degree() + 1, 0));
-  faultlab::ChannelAdversary chan(wire(9, 1, 12));
+  faultlab::WireFaults chan(wire(9, 1, 12), {}, 0);
   obs::RingSink ring(kRing);
   coloring::PipelineOptions po;
   po.iter.executor = exec::make_executor(threads);
@@ -143,7 +144,7 @@ std::string edge_run(std::size_t threads) {
   ccfg.seed = 9;
   ccfg.corrupt_per_million = 5'000;
   ccfg.last_round = 24;
-  faultlab::ChannelAdversary chan(ccfg);
+  faultlab::WireFaults chan(ccfg, {}, 0);
   obs::RingSink ring(kRing);
   edge::EdgeColoringOptions eo;
   eo.executor = exec::make_executor(threads);
@@ -161,7 +162,7 @@ std::string ss_coloring_run(std::size_t threads) {
   auto engine = ss_engine(g, threads);
   engine.install(selfstab::ss_coloring_factory(cfg));
   runtime::PeriodicAdversary adv(19, ram_schedule(0, 1));
-  faultlab::ChannelAdversary chan(wire(77, 1, 12));
+  faultlab::WireFaults chan(wire(77, 1, 12), {}, 0);
   obs::RingSink ring(kRing);
   runtime::RunOptions opts;
   opts.adversary = &adv;
@@ -182,7 +183,7 @@ std::string ss_mis_run(std::size_t threads) {
   auto engine = ss_engine(g, threads);
   engine.install(selfstab::ss_mis_factory(cfg));
   runtime::PeriodicAdversary adv(23, ram_schedule(0, 1));
-  faultlab::ChannelAdversary chan(wire(31, 1, 12));
+  faultlab::WireFaults chan(wire(31, 1, 12), {}, 0);
   obs::RingSink ring(kRing);
   runtime::RunOptions opts;
   opts.adversary = &adv;
@@ -224,7 +225,7 @@ std::string stabilization_run(std::size_t threads) {
   auto engine = ss_engine(g, threads);
   engine.install(selfstab::ss_coloring_factory(cfg));
   runtime::PeriodicAdversary adv(29, ram_schedule(0, 1));
-  faultlab::ChannelAdversary chan(wire(13, 1, 16));
+  faultlab::WireFaults chan(wire(13, 1, 16), {}, 0);
   obs::RingSink ring(kRing);
   runtime::RunOptions opts;
   opts.adversary = &adv;
@@ -249,7 +250,7 @@ std::string resettle_run(std::size_t threads) {
   mutate.clone_neighbor(engine, 4);
   const std::uint64_t now = engine.rounds();
   runtime::PeriodicAdversary adv(37, ram_schedule(0, 1));
-  faultlab::ChannelAdversary chan(wire(21, now + 1, now + 12));
+  faultlab::WireFaults chan(wire(21, now + 1, now + 12), {}, 0);
   obs::RingSink ring(kRing);
   runtime::RunOptions opts;
   opts.adversary = &adv;

@@ -8,7 +8,7 @@
 
 #include "agc/coloring/symmetry.hpp"
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/channel.hpp"
+#include "agc/faultlab/zoo.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/graph/io.hpp"
 #include "agc/graph/spec.hpp"
@@ -140,7 +140,7 @@ TEST(MisWave, HonoursTheChannelHook) {
   cfg.seed = 3;
   cfg.drop_per_million = 50'000;
   cfg.duplicate_per_million = 50'000;
-  faultlab::ChannelAdversary chan(cfg);
+  faultlab::WireFaults chan(cfg, {}, 0);
   obs::RingSink ring(std::size_t{1} << 12);
   runtime::IterativeOptions io;
   io.channel = &chan;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +23,7 @@
 #include "agc/graph/generators.hpp"
 #include "agc/graph/spec.hpp"
 #include "agc/obs/event_sink.hpp"
+#include "agc/runtime/faults.hpp"
 #include "agc/sched/campaign.hpp"
 
 namespace {
@@ -490,6 +492,13 @@ TEST_P(StabilizationJobReplay, RecordedPlanReplaysEventForEvent) {
   job.faults.zoo.flap.down_per_million = 80'000;
   job.faults.zoo.flap.first_round = 2;
   job.faults.zoo.flap.last_round = 20;
+  job.faults.zoo.outage.lo = 30;
+  job.faults.zoo.outage.hi = 45;
+  job.faults.zoo.outage.first_round = 3;
+  job.faults.zoo.outage.last_round = 9;
+  job.faults.zoo.byz.liars_per_million = 100'000;
+  job.faults.zoo.byz.first_round = 2;
+  job.faults.zoo.byz.last_round = 24;
   const auto rg = GraphSpec::parse("regular:120,6,3").resolve(graph::Mutability::ReadOnly);
   sched::RunnerContext ctx{rg.view(), job, job.opts};
   ctx.opts.executor = exec::make_executor(threads);
@@ -499,6 +508,13 @@ TEST_P(StabilizationJobReplay, RecordedPlanReplaysEventForEvent) {
   const faultlab::FaultPlan plan = recorder.take();
   ASSERT_TRUE(live.outcome.recovered) << live.result.error;
   ASSERT_FALSE(plan.empty());
+  std::set<runtime::FaultKind> kinds;
+  for (const runtime::FaultEvent& ev : plan.events) kinds.insert(ev.kind);
+  for (const runtime::FaultKind kind :
+       {runtime::FaultKind::Drop, runtime::FaultKind::Corrupt, runtime::FaultKind::Duplicate,
+        runtime::FaultKind::Delay, runtime::FaultKind::Lie}) {
+    EXPECT_TRUE(kinds.count(kind)) << "no " << runtime::to_string(kind) << " event";
+  }
   EXPECT_EQ(live.outcome.fault_events, plan.size());
   EXPECT_GT(live.outcome.illegal_rounds, 0u);
 
@@ -519,6 +535,49 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("ss-color", "ss-color-exact", "ss-mis",
                                          "ss-line"),
                        ::testing::Values(std::size_t{1}, std::size_t{4})));
+
+TEST(StabilizationJob, RefusesFaultsThatNeverStopAndProbabilitiesAboveOne) {
+  // Each family switched on without its last round never quiesces, so the
+  // watchdog could never fire; a probability mix above 1 would silently cut
+  // the later kinds' share.  Both are refused before any round runs.
+  const std::pair<const char*, const char*> refused[] = {
+      {"chan-drop=0.1", "chan-last"},
+      {"adv-period=5 adv-corrupt=1", "adv-last"},
+      {"adv-eremoves=1", "adv-last"},
+      {"out-lo=0 out-hi=10", "out-last"},
+      {"flap-down=0.1", "flap-last"},
+      {"byz-liars=0.1", "byz-last"},
+      {"adapt-count=2", "adapt-last"},
+      {"chan-drop=0.6 chan-corrupt=0.6 chan-last=10", "sum above 1"},
+      {"flap-down=0.8 flap-up=0.5 flap-last=10", "sum above 1"},
+  };
+  const auto job_of = [](const std::string& keys) {
+    std::istringstream in("algo=ss-color graph=cycle:16 " + keys + "\n");
+    return Campaign::parse(in).jobs().front();
+  };
+  const auto rg = GraphSpec::parse("cycle:16").resolve(graph::Mutability::ReadOnly);
+  for (const auto& [keys, needle] : refused) {
+    const JobSpec job = job_of(keys);
+    const sched::RunnerContext ctx{rg.view(), job, job.opts};
+    try {
+      (void)sched::run_stabilization_job(ctx);
+      ADD_FAILURE() << keys << " ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  }
+  // Churn is bounded by its event count, and the last rounds make the rest
+  // finite.
+  for (const char* keys :
+       {"churn-events=2 churn-resets=1",
+        "chan-drop=0.5 chan-corrupt=0.5 chan-last=4 flap-down=0.5 flap-up=0.5 "
+        "flap-last=4 out-lo=0 out-hi=3 out-last=4 byz-liars=0.5 byz-last=4 "
+        "adapt-count=1 adapt-last=4 adv-corrupt=1 adv-last=4"}) {
+    const JobSpec job = job_of(keys);
+    const sched::RunnerContext ctx{rg.view(), job, job.opts};
+    EXPECT_TRUE(sched::run_stabilization_job(ctx).result.ok) << keys;
+  }
+}
 
 TEST(StabilizationJob, FaultFreeJobRunsToItsFirstStableRound) {
   JobSpec job;

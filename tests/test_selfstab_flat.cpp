@@ -313,7 +313,7 @@ TEST(FlatRounds, EqualTheEngineFromEveryStartAcrossChurnAndThreads) {
 TEST(FlatRounds, WatchdogAndRoundCapMatchTheEngine) {
   // In a 2^40 ID space, reset states need several Linial rounds before any
   // color is final: the watchdog (budget 1) and max_rounds (2) both end the
-  // run with the last violation seen, and max_rounds 0 reports InvalidState.
+  // run with the last violation seen, and max_rounds 0 reports the round cap.
   for (const PaletteMode mode : {PaletteMode::ODelta, PaletteMode::ExactDeltaPlusOne}) {
     for (const std::size_t threads : {1u, 8u}) {
       for (const Budget b : {Budget{.recovery_budget = 1}, Budget{.max_rounds = 2},
@@ -327,7 +327,27 @@ TEST(FlatRounds, WatchdogAndRoundCapMatchTheEngine) {
         expect_same(f, e, where);
         EXPECT_FALSE(f.out.recovered) << where;
         EXPECT_TRUE(f.out.violation) << where;
+        const bool capped_before_any_round = b.max_rounds == 0;
+        EXPECT_EQ(f.out.violation.kind == selfstab::ViolationKind::RoundCap,
+                  capped_before_any_round)
+            << where;
       }
+      // Legal on entry, with max_rounds shorter than the confirm window: the
+      // cap, not a violation, ends the run.
+      Twin t(graph::random_gnp(200, 0.04, 11), mode, threads);
+      expect_same(t.flat_run({}, {}), t.engine_run({}, {}), "settle");
+      const Budget b{.confirm_rounds = 5, .max_rounds = 3};
+      const Observed e = t.engine_run(b, t.ram());
+      const Observed f = t.flat_run(b, t.ram());
+      const std::string where = "legal threads=" + std::to_string(threads);
+      expect_same(f, e, where);
+      EXPECT_FALSE(f.out.recovered) << where;
+      EXPECT_EQ(f.out.rounds, 3u) << where;
+      EXPECT_EQ(f.out.illegal_rounds, 0u) << where;
+      EXPECT_EQ(f.out.violation.kind, selfstab::ViolationKind::RoundCap) << where;
+      EXPECT_EQ(selfstab::to_string(f.out.violation),
+                "round_cap at round " + std::to_string(f.out.violation.round))
+          << where;
     }
   }
 }

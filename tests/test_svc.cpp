@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/channel.hpp"
+#include "agc/faultlab/zoo.hpp"
 #include "agc/graph/checks.hpp"
 #include "agc/obs/event_sink.hpp"
 #include "agc/runtime/faults.hpp"
@@ -112,7 +112,7 @@ TEST(ServiceBasics, RejectsFaultHooks) {
   with_adversary.run.adversary = &idle;
   EXPECT_THROW(svc::Service{with_adversary}, std::invalid_argument);
 
-  faultlab::ChannelAdversary channel(faultlab::ChannelFaultConfig{});
+  faultlab::WireFaults channel(faultlab::ChannelFaultConfig{}, {}, 0);
   auto with_channel = small_config();
   with_channel.run.channel = &channel;
   EXPECT_THROW(svc::Service{with_channel}, std::invalid_argument);

@@ -1,9 +1,10 @@
 // The adversary zoo (docs/FAULTS.md): production-shaped fault models behind
-// the ChannelHook / FaultAdversary seams — regional outages, flapping links,
-// Byzantine-valued neighbors, the adaptive RAM adversary, and power-law churn
-// traces.  Every adversary is pinned bit-identical across 1/2/8 executor
-// threads, one golden recovery/radius row per kind, plus record/replay of the
-// Lie kind and unknown-field preservation in plan JSONL.
+// the ChannelHook / FaultAdversary seams — regional outages, flapping links
+// and Byzantine-valued neighbors on the wire (faultlab::WireFaults), the
+// adaptive RAM adversary, and power-law churn traces.  Every adversary is
+// pinned bit-identical across 1/2/8 executor threads, one golden
+// recovery/radius row per kind, plus record/replay of every wire kind (Lie
+// included) and unknown-field preservation in plan JSONL.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/channel.hpp"
 #include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/plan.hpp"
 #include "agc/faultlab/shrink.hpp"
@@ -24,10 +24,10 @@
 namespace {
 
 using namespace agc;
-using faultlab::ChannelPlayback;
 using faultlab::FaultPlan;
 using faultlab::FaultPlanRecorder;
 using faultlab::PlanAdversary;
+using faultlab::WireFaults;
 using faultlab::ZooSpec;
 using runtime::FaultEvent;
 using runtime::FaultKind;
@@ -83,7 +83,9 @@ TEST(OutageSemantics, RegionDarkExactlyInsideTheWindow) {
   cfg.first_round = 1;
   cfg.last_round = 2;
   FaultPlanRecorder rec;
-  faultlab::RegionalOutage outage(cfg, &rec);
+  ZooSpec zoo;
+  zoo.outage = cfg;
+  WireFaults outage({}, zoo, 0, &rec);
   engine.set_channel(&outage);
   for (int i = 0; i < 4; ++i) engine.step();
   engine.set_channel(nullptr);
@@ -107,7 +109,9 @@ TEST(FlapSemantics, BothDirectionsOfALinkFlapInLockstep) {
   faultlab::FlappingLinksConfig cfg;
   cfg.down_per_million = 400'000;
   cfg.up_per_million = 400'000;
-  faultlab::FlappingLinks flap(cfg, 99);
+  ZooSpec zoo;
+  zoo.flap = cfg;
+  WireFaults flap({}, zoo, 99 ^ faultlab::kFlapStream);
   engine.set_channel(&flap);
   const int rounds = 40;
   for (int i = 0; i < rounds; ++i) engine.step();
@@ -134,9 +138,11 @@ TEST(ByzSemantics, LiarsReplaceWordZeroWidthPreserving) {
   cfg.liars_per_million = 1'000'000;  // everyone lies
   cfg.lie_per_million = 1'000'000;    // on every message
   FaultPlanRecorder rec;
-  faultlab::ByzantineNeighbors byz(cfg, 7, &rec);
-  EXPECT_TRUE(byz.is_liar(0));
-  EXPECT_TRUE(byz.is_liar(1));
+  ZooSpec zoo;
+  zoo.byz = cfg;
+  WireFaults byz({}, zoo, 7 ^ faultlab::kByzStream, &rec);
+  EXPECT_TRUE(faultlab::is_liar(cfg, 7, 0));
+  EXPECT_TRUE(faultlab::is_liar(cfg, 7, 1));
   engine.set_channel(&byz);
   for (int i = 0; i < 3; ++i) engine.step();
   engine.set_channel(nullptr);
@@ -182,14 +188,12 @@ ZooRun run_zoo(const ZooSpec& zoo, std::size_t threads,
 
   FaultPlanRecorder rec;
   if (record != nullptr) engine.set_fault_recorder(&rec);
-  faultlab::ChannelHookChain hooks;
-  faultlab::append_channel_hooks(hooks, zoo, kSeed,
-                                 record != nullptr ? &rec : nullptr);
+  WireFaults hooks({}, zoo, kSeed, record != nullptr ? &rec : nullptr);
   faultlab::FaultAdversaryChain advs;
   faultlab::append_state_adversaries(advs, zoo, kSeed);
 
   runtime::RunOptions opts;
-  if (!hooks.empty()) opts.channel = &hooks;
+  if (zoo.any_channel()) opts.channel = &hooks;
   if (zoo.any_state()) opts.adversary = &advs;
   opts.max_rounds = 9000;
   faultlab::StabilizationSpec spec;
@@ -429,7 +433,7 @@ TEST(ZooRecordReplay, RecordedZooRunReplaysBitForBit) {
   runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
   engine.install(selfstab::ss_coloring_factory(cfg));
   PlanAdversary adv(loaded);
-  ChannelPlayback chan(loaded.events);
+  WireFaults chan(loaded.events);
   runtime::RunOptions opts;
   opts.adversary = &adv;
   opts.channel = &chan;
@@ -446,6 +450,102 @@ TEST(ZooRecordReplay, RecordedZooRunReplaysBitForBit) {
   EXPECT_EQ(selfstab::current_colors(engine), live.colors);
 }
 
+// Broadcasts one 8-bit word a round and logs, per vertex, every message that
+// arrives: the round, then each port's word count and words.
+class EchoProgram final : public runtime::VertexProgram {
+ public:
+  explicit EchoProgram(std::vector<std::uint64_t>* log) : log_(log) {}
+  void on_send(const runtime::VertexEnv& env, runtime::OutboxRef& out) override {
+    out.broadcast(runtime::Word{(env.id * 37 + env.round) & 0xff, 8});
+  }
+  void on_receive(const runtime::VertexEnv& env,
+                  const runtime::InboxRef& in) override {
+    log_->push_back(env.round);
+    for (std::size_t p = 0; p < in.ports(); ++p) {
+      log_->push_back(in.from_port(p).size());
+      for (const runtime::Word& w : in.from_port(p)) log_->push_back(w.value);
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t>* log_;
+};
+
+struct WireRun {
+  std::vector<std::vector<std::uint64_t>> delivered;  ///< per vertex
+  std::uint64_t events = 0;
+  FaultPlan plan;
+};
+
+/// 16 rounds of EchoProgram on gnp(60, 0.1, 5) under `wire`, recording to
+/// `rec` when given.
+WireRun run_wire(runtime::ChannelHook& wire, std::size_t threads,
+                 FaultPlanRecorder* rec = nullptr) {
+  const auto g = graph::random_gnp(60, 0.1, 5);
+  WireRun r;
+  r.delivered.resize(g.n());
+  runtime::EngineOptions eo;
+  eo.delta_bound = g.max_degree();
+  runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
+  if (threads > 1) engine.set_executor(exec::make_executor(threads));
+  engine.install([&r](const runtime::VertexEnv& env) {
+    return std::make_unique<EchoProgram>(&r.delivered[env.id]);
+  });
+  engine.set_channel(&wire);
+  for (int i = 0; i < 16; ++i) engine.step();
+  engine.set_channel(nullptr);
+  r.events = wire.events();
+  if (rec != nullptr) r.plan = rec->take();
+  return r;
+}
+
+TEST(ZooRecordReplay, EveryWireFamilyReplaysMessageForMessage) {
+  // Channel noise with all four kinds on, plus outage, flap and byz: the
+  // recorded plan, replayed by WireFaults alone, delivers exactly the live
+  // run's messages, at 1, 2 and 8 threads.
+  faultlab::ChannelFaultConfig noise;
+  noise.seed = 23;
+  noise.drop_per_million = 60'000;
+  noise.corrupt_per_million = 60'000;
+  noise.duplicate_per_million = 60'000;
+  noise.delay_per_million = 60'000;
+  noise.first_round = 1;
+  noise.last_round = 12;
+  ZooSpec zoo;
+  zoo.outage.lo = 10;
+  zoo.outage.hi = 16;
+  zoo.outage.first_round = 3;
+  zoo.outage.last_round = 6;
+  zoo.flap.down_per_million = 100'000;
+  zoo.flap.first_round = 2;
+  zoo.flap.last_round = 10;
+  zoo.byz.liars_per_million = 150'000;
+  zoo.byz.lie_per_million = 500'000;
+  zoo.byz.first_round = 2;
+  zoo.byz.last_round = 8;
+  FaultPlanRecorder rec;
+  WireFaults live_hook(noise, zoo, kSeed, &rec);
+  EXPECT_STREQ(live_hook.name(), "zoo");
+  const WireRun live = run_wire(live_hook, 1, &rec);
+  ASSERT_EQ(live.plan.size(), live.events);
+  std::set<FaultKind> kinds;
+  for (const FaultEvent& ev : live.plan.events) kinds.insert(ev.kind);
+  EXPECT_EQ(kinds, (std::set<FaultKind>{FaultKind::Drop, FaultKind::Corrupt,
+                                        FaultKind::Duplicate, FaultKind::Delay,
+                                        FaultKind::Lie}));
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    WireFaults again(noise, zoo, kSeed);
+    const WireRun rerun = run_wire(again, threads);
+    EXPECT_EQ(rerun.delivered, live.delivered) << "live, threads=" << threads;
+    EXPECT_EQ(rerun.events, live.events) << "live, threads=" << threads;
+    WireFaults replay(live.plan.events);
+    EXPECT_STREQ(replay.name(), "channel");
+    const WireRun replayed = run_wire(replay, threads);
+    EXPECT_EQ(replayed.delivered, live.delivered) << "replay, threads=" << threads;
+    EXPECT_EQ(replayed.events, live.events) << "replay, threads=" << threads;
+  }
+}
+
 TEST(ZooRecordReplay, LiePlaybackMasksToDeclaredWidth) {
   // A hand-written Lie event with a too-wide value must land masked to the
   // message's declared width, mirroring the live adversary's guarantee.
@@ -457,7 +557,7 @@ TEST(ZooRecordReplay, LiePlaybackMasksToDeclaredWidth) {
   ev.u = 0;
   ev.v = 1;
   ev.value = 0xffff;  // wider than the probe's 8-bit words
-  ChannelPlayback chan({ev});
+  WireFaults chan(std::vector<FaultEvent>{ev});
   engine.set_channel(&chan);
   engine.step();
   engine.set_channel(nullptr);

@@ -18,8 +18,10 @@
 // --churn- keys, --budget, --max-rounds, ...) and runs the ss-color job
 // (ss-color-exact with --exact) through the stabilization harness exactly as
 // a campaign runs it (docs/FAULTS.md).  It prints recovery time and
-// adjustment radius and exits 0 iff the job recovered.  It needs a fault key
-// or --replay:
+// adjustment radius and exits 0 iff the job recovered.  Input the job
+// refuses — probabilities summing above 1, a fault family with no last
+// round, a replayed event naming a vertex outside the graph — is a usage
+// error (exit 2).  It needs a fault key or --replay:
 //   --fault-plan FILE   record every injected fault to FILE (JSONL), or, with
 //   --replay            replay FILE instead of injecting fresh faults.  A plan
 //                       replays as the job that recorded it given its keys.
@@ -377,9 +379,6 @@ int selfstab_job(const Args& a) {
   if (!replay && !job.faults.any()) {
     usage("the harness needs a fault key (docs/SCHED.md) or --replay");
   }
-  if (job.faults.channel.total_per_million() > 1'000'000) {
-    usage("channel fault probabilities sum above 1");
-  }
 
   const auto rg = resolve_graph(a.get("graph"));
   ObsFlags ob(a);
@@ -394,9 +393,17 @@ int selfstab_job(const Args& a) {
   }
   faultlab::FaultPlanRecorder recorder;
   const bool record = !replay && !path.empty();
-  const auto rep = sched::run_stabilization_job(ctx, replay ? &plan : nullptr,
-                                                record ? &recorder : nullptr)
-                       .outcome;
+  // What the job refuses with std::invalid_argument — probabilities summing
+  // above 1, a fault family with no last round, a replayed event naming a
+  // vertex outside the graph — is a usage error here.
+  selfstab::StabilizationOutcome rep;
+  try {
+    rep = sched::run_stabilization_job(ctx, replay ? &plan : nullptr,
+                                       record ? &recorder : nullptr)
+              .outcome;
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
   if (record) {
     plan = recorder.take();
     plan.save(path);
@@ -413,11 +420,7 @@ int selfstab_job(const Args& a) {
                 static_cast<unsigned long long>(rep.first_legal_round),
                 rep.adjusted.size());
   } else {
-    std::printf("NOT RECOVERED: %s at round %llu (u=%u v=%u value=%llu)\n",
-                selfstab::to_string(rep.violation.kind),
-                static_cast<unsigned long long>(rep.violation.round),
-                rep.violation.u, rep.violation.v,
-                static_cast<unsigned long long>(rep.violation.value));
+    std::printf("NOT RECOVERED: %s\n", selfstab::to_string(rep.violation).c_str());
   }
   ob.report(rep);
   return rep.recovered ? 0 : 1;
