@@ -10,6 +10,7 @@
 // recoloring stays inside the 1-hop neighborhood of faults.
 
 #include <cstdio>
+#include <optional>
 
 #include "agc/graph/checks.hpp"
 #include "agc/graph/generators.hpp"
@@ -19,6 +20,7 @@
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_line.hpp"
 #include "agc/selfstab/ss_mis.hpp"
+#include "agc/selfstab/stabilization.hpp"
 #include "bench_util.hpp"
 
 using namespace agc;
@@ -38,6 +40,18 @@ runtime::Engine make_engine(graph::GraphView g, std::size_t delta_bound) {
   return engine;
 }
 
+/// Settle `engine` fault-free from its current state through the one
+/// stabilization runner, giving up after `cap` rounds without a legal one:
+/// the rounds to its first legal round, or nullopt when it never stabilized.
+std::optional<std::uint64_t> settle(runtime::Engine& engine,
+                                    selfstab::StabilizationSpec spec, std::size_t cap) {
+  spec.recovery_budget = cap;
+  const std::uint64_t start = engine.rounds();
+  const auto out = selfstab::run_stabilization(engine, {}, spec);
+  if (!out.recovered) return std::nullopt;
+  return out.first_legal_round - start;
+}
+
 void fault_batch_sweep() {
   std::printf("-- E2a: coloring stabilization vs simultaneous fault count "
               "(Delta=10, n=600) --\n\n");
@@ -51,16 +65,16 @@ void fault_batch_sweep() {
     int idx = 0;
     for (PaletteMode mode : {PaletteMode::ODelta, PaletteMode::ExactDeltaPlusOne}) {
       SsConfig cfg(g.n(), dmax, mode);
+      const auto spec = selfstab::coloring_spec(cfg);
       auto engine = make_engine(g, dmax);
       engine.install(selfstab::ss_coloring_factory(cfg));
-      auto pre = selfstab::run_until_stable(engine, cfg, 20000);
-      ok = ok && pre.stabilized;
+      const bool settled = settle(engine, spec, 20000).has_value();
       runtime::Adversary adv(1000 + k);
       adv.corrupt_random(engine, k, cfg.span());
       adv.clone_neighbor(engine, k / 2 + 1);
-      auto rep = selfstab::run_until_stable(engine, cfg, 20000);
-      ok = ok && rep.stabilized;
-      rounds[idx++] = rep.rounds_to_stable;
+      const auto rep = settle(engine, spec, 20000);
+      ok = ok && settled && rep.has_value();
+      rounds[idx++] = rep.value_or(0);
     }
     t.add_row({benchutil::num(std::uint64_t{k}), benchutil::num(std::uint64_t{rounds[0]}),
                benchutil::num(std::uint64_t{rounds[1]}), ok ? "yes" : "NO"});
@@ -79,25 +93,25 @@ void delta_sweep() {
     SsConfig cfg(g.n(), delta, PaletteMode::ODelta);
     auto engine = make_engine(g, delta);
     engine.install(selfstab::ss_coloring_factory(cfg));
-    ok &= selfstab::run_until_stable(engine, cfg, 40000).stabilized;
+    const auto color_spec = selfstab::coloring_spec(cfg);
+    ok &= settle(engine, color_spec, 40000).has_value();
     runtime::Adversary adv(delta);
     adv.corrupt_random(engine, 64, cfg.span());
-    auto col = selfstab::run_until_stable(engine, cfg, 40000);
-    ok &= col.stabilized;
+    const auto col = settle(engine, color_spec, 40000);
+    ok &= col.has_value();
 
     auto engine2 = make_engine(g, delta);
     engine2.install(selfstab::ss_mis_factory(cfg));
-    ok &= selfstab::run_until_mis_stable(engine2, cfg, 40000).stabilized;
+    const auto mis_spec = selfstab::mis_spec(cfg);
+    ok &= settle(engine2, mis_spec, 40000).has_value();
     runtime::Adversary adv2(delta + 1);
     adv2.corrupt_random(engine2, 64, cfg.span(), 0);
     adv2.corrupt_random(engine2, 64, 4, 1);
-    auto mis = selfstab::run_until_mis_stable(engine2, cfg, 40000);
-    ok &= mis.stabilized;
+    const auto mis = settle(engine2, mis_spec, 40000);
+    ok &= mis.has_value();
 
-    t.add_row({benchutil::num(std::uint64_t{delta}),
-               benchutil::num(std::uint64_t{col.rounds_to_stable}),
-               benchutil::num(std::uint64_t{mis.rounds_to_stable}),
-               ok ? "yes" : "NO"});
+    t.add_row({benchutil::num(std::uint64_t{delta}), benchutil::num(col.value_or(0)),
+               benchutil::num(mis.value_or(0)), ok ? "yes" : "NO"});
   }
   t.print();
 }
@@ -109,14 +123,16 @@ void adjustment_radius() {
   const auto rg = benchutil::resolve_graph(benchutil::regular_spec(400, 8, 9));
   const graph::GraphView g = rg.view();
   SsConfig cfg(g.n(), 8, PaletteMode::ODelta);
+  const auto spec = selfstab::coloring_spec(cfg);
   for (int trial = 0; trial < 4; ++trial) {
     auto engine = make_engine(g, 8);
     engine.install(selfstab::ss_coloring_factory(cfg));
-    (void)selfstab::run_until_stable(engine, cfg, 20000);
+    (void)settle(engine, spec, 20000);
     const auto before = selfstab::current_colors(engine);
     const auto victim = static_cast<graph::Vertex>(37 * (trial + 1));
     engine.corrupt_ram(victim, 0, before[g.neighbors(victim)[0]]);
-    auto rep = selfstab::run_until_stable(engine, cfg, 20000);
+    (void)settle(engine, spec, 20000);
+    const auto after = selfstab::current_colors(engine);
 
     // BFS distances from the victim.
     std::vector<int> dist(g.n(), -1);
@@ -132,7 +148,7 @@ void adjustment_radius() {
     }
     std::size_t byd[4] = {0, 0, 0, 0};
     for (graph::Vertex v = 0; v < g.n(); ++v) {
-      if (rep.colors[v] != before[v]) {
+      if (after[v] != before[v]) {
         ++byd[dist[v] <= 2 ? dist[v] : 3];
       }
     }
@@ -156,20 +172,18 @@ void line_graph_tasks() {
     selfstab::SsLineConfig ec(g.n(), delta, selfstab::LineTask::EdgeColoring);
     auto e1 = make_engine(g, delta);
     e1.install(selfstab::ss_line_factory(ec));
-    auto r1 = selfstab::run_until_line_stable(e1, ec, 60000);
-    ok &= r1.stabilized;
+    const auto r1 = settle(e1, selfstab::line_spec(ec), 60000);
+    ok &= r1.has_value();
     const auto palette = graph::palette_size(selfstab::current_edge_colors(e1));
 
     selfstab::SsLineConfig mm(g.n(), delta, selfstab::LineTask::MaximalMatching);
     auto e2 = make_engine(g, delta);
     e2.install(selfstab::ss_line_factory(mm));
-    auto r2 = selfstab::run_until_line_stable(e2, mm, 60000);
-    ok &= r2.stabilized;
+    const auto r2 = settle(e2, selfstab::line_spec(mm), 60000);
+    ok &= r2.has_value();
 
-    t.add_row({benchutil::num(std::uint64_t{delta}),
-               benchutil::num(std::uint64_t{r1.rounds_to_stable}),
-               benchutil::num(std::uint64_t{palette}),
-               benchutil::num(std::uint64_t{r2.rounds_to_stable}),
+    t.add_row({benchutil::num(std::uint64_t{delta}), benchutil::num(r1.value_or(0)),
+               benchutil::num(std::uint64_t{palette}), benchutil::num(r2.value_or(0)),
                ok ? "yes" : "NO"});
   }
   t.print();

@@ -14,6 +14,7 @@
 #include "agc/graph/generators.hpp"
 #include "agc/runtime/faults.hpp"
 #include "agc/selfstab/ss_mis.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 int main(int argc, char** argv) {
   using namespace agc;
@@ -35,6 +36,8 @@ int main(int argc, char** argv) {
                          runtime::Transport(runtime::Model::LOCAL), eo);
   engine.install(selfstab::ss_mis_factory(cfg));
 
+  selfstab::StabilizationSpec spec = selfstab::mis_spec(cfg);
+  spec.recovery_budget = 100000;
   runtime::Adversary adversary(seed * 31);
   std::printf("\n%-6s %-34s %-12s %-14s\n", "epoch", "adversary burst",
               "stab rounds", "cluster heads");
@@ -54,19 +57,20 @@ int main(int argc, char** argv) {
           break;
       }
     }
-    const auto rep = selfstab::run_until_mis_stable(engine, cfg, 100000);
-    if (!rep.stabilized) {
+    const std::uint64_t start = engine.rounds();
+    const auto rep = selfstab::run_stabilization(engine, {}, spec);
+    if (!rep.recovered) {
       std::printf("epoch %d FAILED to stabilize\n", epoch);
       return 1;
     }
     std::size_t heads = 0;
-    for (bool b : rep.in_mis) heads += b;
+    for (bool b : selfstab::current_mis(engine)) heads += b;
     const char* burst = epoch == 0            ? "(cold start)"
                         : epoch % 3 == 1      ? "RAM corruption: 40% of peers"
                         : epoch % 3 == 2      ? "link churn: add+drop n/8 links"
                                               : "crash/rejoin: n/20 peers";
-    std::printf("%-6d %-34s %-12zu %-14zu\n", epoch, burst, rep.rounds_to_stable,
-                heads);
+    std::printf("%-6d %-34s %-12llu %-14zu\n", epoch, burst,
+                static_cast<unsigned long long>(rep.first_legal_round - start), heads);
   }
 
   const auto colors = selfstab::current_colors(engine);

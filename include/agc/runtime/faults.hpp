@@ -105,8 +105,9 @@ class Adversary {
 /// runtime::HookedRounds (hooked_rounds.hpp), which calls inject() between
 /// rounds (after deliver/receive, before the next send) with the number of
 /// rounds the runner has stepped: the 1-based index of the round that just
-/// completed, counted from the start of the run (for the harness, from the
-/// start of its fault phase), not from engine round 0.  The return value is
+/// completed, counted from the start of the run (for
+/// selfstab::run_stabilization, from the start of its fault phase), not from
+/// engine round 0.  The return value is
 /// the number of fault events injected this call; HookedRounds adds it to
 /// RunReport::fault_events, emits it as a Fault event stamped
 /// engine.rounds(), and hands it back so runners can reset stabilization

@@ -15,10 +15,10 @@
 /// (Section 4): the channel hook attacks messages inside a round, the
 /// adversary acts between rounds, and a run reports what both injected.
 /// HookedRounds spells that round once.  The iterative engine path (Luby
-/// and the MIS wave included), the edge colorer, the selfstab run_until_*
-/// runners, the stabilization harness and agc-faultplan's replay all step
-/// through it, so none of them attaches hooks, drains channel events,
-/// injects faults, emits Fault events or computes metric deltas by hand.
+/// and the MIS wave included), the edge colorer and the selfstab
+/// stabilization runner (every fault run and plan replay) all step through
+/// it, so none of them attaches hooks, drains channel events, injects
+/// faults, emits Fault events or computes metric deltas by hand.
 ///
 /// Contract:
 ///   * The constructor attaches RunOptions::channel and ::sink (when set)
@@ -58,10 +58,8 @@ class HookedRounds {
   HookedRounds(const HookedRounds&) = delete;
   HookedRounds& operator=(const HookedRounds&) = delete;
 
-  /// One hooked round.  `with_adversary = false` leaves the adversary idle
-  /// this round (the selfstab confirm window); the round still counts
-  /// toward steps() and its wire faults are still drained.
-  RoundFaults step(bool with_adversary = true);
+  /// One hooked round.
+  RoundFaults step();
 
   /// Rounds stepped since construction.
   [[nodiscard]] std::size_t steps() const noexcept { return steps_; }

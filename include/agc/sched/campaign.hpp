@@ -38,7 +38,7 @@
 ///
 /// Fault integration: a JobSpec may carry a declarative FaultSpec (seeded
 /// channel + periodic RAM/topology adversary, or a recorded plan to replay).
-/// Such jobs run under the faultlab stabilization harness; when the watchdog
+/// Such jobs run through selfstab::run_stabilization; when the watchdog
 /// reports a violation the scheduler retries the job up to `max_attempts`
 /// times with a per-attempt derived seed — the nightly fuzz campaigns are
 /// exactly this loop.
@@ -75,7 +75,7 @@ struct FaultSpec {
   /// fails, save the plan here, unshrunk — the artifact the nightly fuzz
   /// campaign uploads; it replays as this job (run_stabilization_job).
   std::string plan_out;
-  /// Stabilization-harness knobs (see faultlab::StabilizationSpec).
+  /// Stabilization-runner knobs (see selfstab::StabilizationSpec).
   std::size_t recovery_budget = 100'000;
   std::size_t confirm_rounds = 8;
 
@@ -257,7 +257,7 @@ struct Runner {
 [[nodiscard]] const Runner* find_runner(std::string_view name);
 
 /// What run_stabilization_job ran: the ss runner's result row and the
-/// harness outcome behind it (default for a fault-free job).
+/// stabilization outcome behind it.
 struct StabilizationRun {
   JobResult result;
   selfstab::StabilizationOutcome outcome;
@@ -268,15 +268,16 @@ struct StabilizationRun {
 /// engine from the job's keys — degree bound from adv-dmax when the periodic
 /// adversary clones or adds edges, vertex and ID bounds from churn growth —
 /// installs the task's program and legality check, and runs
-/// faultlab::run_stabilization under either the job's own fault hooks
+/// selfstab::run_stabilization under either the job's own fault hooks
 /// (channel, periodic and zoo keys, seeded from attempt_seed()) or, when
 /// `replay` is set, that plan's events.  `recorder` receives every fault the
 /// job's hooks inject (it is unused under `replay`).  A job with no fault key
-/// and no `replay` runs fault-free to its first stable round.  The ss runners,
-/// `agccli selfstab` and `agc-faultplan shrink` all run through here, so a
-/// plan replays as the job that recorded it whenever the runner and keys
-/// match.  The `plan` and `plan-out` keys are the runner's business, not this
-/// function's.
+/// and no `replay` runs the same loop with no hooks; its row reports
+/// `rounds_to_stable`, the settle's length, instead of the fault values.
+/// The ss runners, `agccli selfstab` and `agc-faultplan shrink` all run
+/// through here, so a plan replays as the job that recorded it whenever the
+/// runner and keys match.  The `plan` and `plan-out` keys are the runner's
+/// business, not this function's.
 [[nodiscard]] StabilizationRun run_stabilization_job(
     const RunnerContext& ctx, const faultlab::FaultPlan* replay = nullptr,
     runtime::FaultEventSink* recorder = nullptr);

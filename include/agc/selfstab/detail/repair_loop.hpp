@@ -8,9 +8,10 @@
 #include "agc/selfstab/stabilization.hpp"
 
 /// \file repair_loop.hpp
-/// The loop of one repair, shared by faultlab::resettle's fault phase on the
-/// engine and by flat_resettle: the clocks, the confirm window, the
-/// watchdog, the round cap and the adjustment diff, spelled once.
+/// The loop of one repair, shared by resettle() and run_stabilization()'s
+/// fault phase on the engine and by flat_resettle: the clocks, the confirm
+/// window, the watchdog, the round cap and the adjustment diff, spelled
+/// once.
 
 namespace agc::selfstab::detail {
 

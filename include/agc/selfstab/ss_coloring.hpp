@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "agc/runtime/engine.hpp"
-#include "agc/runtime/run_options.hpp"
-#include "agc/runtime/run_report.hpp"
 #include "agc/selfstab/ss_config.hpp"
 
 /// \file ss_coloring.hpp
@@ -15,7 +13,9 @@
 /// SsColoringProgram per vertex broadcasts its color every round and runs
 /// SsConfig::step on what it receives.  This is the path the fault hooks act
 /// on — RAM corruption and churn between rounds, channel faults inside them
-/// (faultlab, the zoo, campaigns, `agccli selfstab`).  Runs whose faults all
+/// (faultlab, the zoo, campaigns, `agccli selfstab`) — and the one
+/// stabilization runner, run_stabilization() / resettle() with
+/// coloring_spec() (stabilization.hpp), drives it.  Runs whose faults all
 /// land between runs can take the flat rounds of stabilization.hpp instead.
 
 namespace agc::selfstab {
@@ -52,33 +52,5 @@ class SsColoringProgram final : public runtime::VertexProgram {
 /// Read the current coloring out of an engine running SsColoringProgram (or
 /// any program whose RAM word 0 is the color).
 [[nodiscard]] std::vector<Color> current_colors(runtime::Engine& engine);
-
-/// RunReport core (rounds = engine rounds this call executed including the
-/// confirmation window, converged == stabilized, per-run Metrics) plus the
-/// stabilization clock.
-struct StabilizationReport : runtime::RunReport {
-  std::size_t rounds_to_stable = 0;  ///< rounds after the last fault
-  bool stabilized = false;
-  std::vector<Color> colors;
-};
-
-/// Run the engine until the coloring is proper with every color in the final
-/// palette, then keep going `confirm_rounds` more rounds asserting it stays
-/// that way.  Measures stabilization time from the current state — or, when
-/// `opts.adversary` is set, from the last injected fault (every injection
-/// resets the clock; the adversary must eventually quiesce, e.g. via
-/// PeriodicAdversary::Schedule::last_round).  RunOptions also supplies the
-/// round budget and the observability hooks (attached to the engine for the
-/// duration of the call, then restored).
-[[nodiscard]] StabilizationReport run_until_stable(runtime::Engine& engine,
-                                                   const SsConfig& cfg,
-                                                   const runtime::RunOptions& opts,
-                                                   std::size_t confirm_rounds = 8);
-
-/// Convenience spelling: a bare round budget, no adversary, no hooks.
-[[nodiscard]] StabilizationReport run_until_stable(runtime::Engine& engine,
-                                                   const SsConfig& cfg,
-                                                   std::size_t max_rounds,
-                                                   std::size_t confirm_rounds = 8);
 
 }  // namespace agc::selfstab

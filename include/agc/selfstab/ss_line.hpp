@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "agc/selfstab/ss_coloring.hpp"
@@ -96,22 +98,9 @@ class SsLineProgram final : public runtime::VertexProgram {
 /// Matched edges (replica status == kMis at the smaller endpoint).
 [[nodiscard]] std::vector<graph::Edge> current_matching(runtime::Engine& engine);
 
-struct LineStabilizationReport : runtime::RunReport {
-  std::size_t rounds_to_stable = 0;  ///< engine rounds (2 per algorithm round)
-  bool stabilized = false;
-};
-
-/// Run until the task's predicate holds (proper final-palette edge coloring,
-/// or maximal matching with stable colors) and is a fixed point.  RunOptions
-/// supplies the round budget, fault adversary (injections reset the
-/// stabilization clock) and observability hooks; see run_until_stable.
-[[nodiscard]] LineStabilizationReport run_until_line_stable(
-    runtime::Engine& engine, const SsLineConfig& cfg,
-    const runtime::RunOptions& opts, std::size_t confirm_rounds = 8);
-
-/// Convenience spelling: a bare round budget, no adversary, no hooks.
-[[nodiscard]] LineStabilizationReport run_until_line_stable(
-    runtime::Engine& engine, const SsLineConfig& cfg, std::size_t max_rounds,
-    std::size_t confirm_rounds = 8);
+/// The two replicas of edge e = {u, w}: u's and w's, or nullopt when either
+/// endpoint runs no SsLineProgram or holds no replica for the other.
+[[nodiscard]] std::optional<std::pair<std::uint64_t, std::uint64_t>> edge_replicas(
+    runtime::Engine& engine, graph::Edge e);
 
 }  // namespace agc::selfstab

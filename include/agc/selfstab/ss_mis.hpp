@@ -77,23 +77,4 @@ class SsMisProgram final : public runtime::VertexProgram {
 /// Read the MIS membership flags out of an engine running SsMisProgram.
 [[nodiscard]] std::vector<bool> current_mis(runtime::Engine& engine);
 
-struct MisStabilizationReport : runtime::RunReport {
-  std::size_t rounds_to_stable = 0;
-  bool stabilized = false;
-  std::vector<bool> in_mis;
-};
-
-/// Run until the coloring is stable AND the status vector is a valid MIS,
-/// then confirm it is a fixed point.  RunOptions supplies the round budget,
-/// fault adversary (injections reset the stabilization clock) and
-/// observability hooks; see run_until_stable for the contract.
-[[nodiscard]] MisStabilizationReport run_until_mis_stable(
-    runtime::Engine& engine, const SsConfig& cfg,
-    const runtime::RunOptions& opts, std::size_t confirm_rounds = 8);
-
-/// Convenience spelling: a bare round budget, no adversary, no hooks.
-[[nodiscard]] MisStabilizationReport run_until_mis_stable(
-    runtime::Engine& engine, const SsConfig& cfg, std::size_t max_rounds,
-    std::size_t confirm_rounds = 8);
-
 }  // namespace agc::selfstab

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,23 +12,37 @@
 #include "agc/selfstab/ss_config.hpp"
 
 /// \file stabilization.hpp
-/// What a stabilization run reports — recovery time, the first legal round,
-/// the adjustment set, the first violation its watchdog saw — and the flat
-/// rounds of the self-stabilizing coloring, which repair a coloring whose
-/// faults all landed before the run.
+/// Every stabilization run: what it reports — recovery time, the first legal
+/// round, the adjustment set, the first violation its watchdog saw — and the
+/// two round runners that repair a self-stabilizing state.
 ///
-/// The flat rounds evaluate SsConfig::step with no engine: every round,
-/// every vertex reads its own RAM word and its neighbors' (each truncated to
-/// color_bits(), as SsColoringProgram broadcasts it) and steps, sharded
-/// through runtime::VertexShards like the locally-iterative sweep.  A final
-/// color is no fixed point here — a neighbor that lands on it resets it — so
-/// no vertex is skipped.  faultlab::resettle runs the same repair on the
+/// On the engine, run_stabilization() settles fault-free until the task's
+/// legality check holds, snapshots the outputs, and then repairs under the
+/// RunOptions fault hooks until the check has held for confirm_rounds
+/// rounds; resettle() is that repair alone, from the current state.  Each
+/// task has one check and one outputs snapshot (coloring_spec, mis_spec,
+/// line_spec), so a fault-free settle and a fault run decide "legal" alike.
+///
+/// The flat rounds (flat_resettle) evaluate SsConfig::step with no engine:
+/// every round, every vertex reads its own RAM word and its neighbors' (each
+/// truncated to color_bits(), as SsColoringProgram broadcasts it) and steps,
+/// sharded through runtime::VertexShards like the locally-iterative sweep.
+/// A final color is no fixed point here — a neighbor that lands on it resets
+/// it — so no vertex is skipped.  resettle() runs the same repair on the
 /// engine with SsColoringProgram, and the fault hooks need that path; on a
 /// fault-free run both report the same colors in every round, rounds, first
 /// legal round, violation, adjustment set, messages and total_bits
-/// (tests/test_selfstab_flat.cpp pins it).
+/// (tests/test_selfstab_flat.cpp pins it).  The engine runner and the task
+/// specs live in runner.cpp, so a binary that links only flat_resettle
+/// links none of the engine programs.
+
+namespace agc::runtime {
+class Engine;
+}  // namespace agc::runtime
 
 namespace agc::selfstab {
+
+class SsLineConfig;
 
 enum class ViolationKind : std::uint8_t {
   None = 0,
@@ -84,7 +99,7 @@ struct StabilizationOutcome : runtime::RunReport {
                                            std::uint64_t round);
 
 /// When a repair counts as recovered and when it gives up; the base of
-/// faultlab::StabilizationSpec.
+/// StabilizationSpec.
 struct RecoverySpec {
   /// Watchdog: abort when this many rounds elapse after the last fault event
   /// without the check passing.
@@ -95,9 +110,8 @@ struct RecoverySpec {
 
 /// Repair the coloring in `ram` (one RAM word per vertex, vertex v's id is
 /// v) on `g`: fault-free flat rounds until coloring_violation() finds none
-/// for spec.confirm_rounds consecutive rounds — faultlab::resettle with
-/// coloring_check and coloring_outputs, on the same state, without the
-/// engine.
+/// for spec.confirm_rounds consecutive rounds — resettle() with
+/// coloring_spec(), on the same state, without the engine.
 ///   * `round` is the caller's clock: the rounds this state has already run.
 ///     The outcome's rounds and the RoundEnd events count on from it, as
 ///     from Engine::rounds() on the engine path.
@@ -122,11 +136,92 @@ struct RecoverySpec {
 ///     color_bits() (0 without edges) — the engine ledger's value whenever
 ///     some edge carried every round.
 /// Throws std::invalid_argument when opts.adversary or opts.channel is set
-/// (faults inside a run need the engine: faultlab::resettle) or when `ram`
+/// (faults inside a run need the engine: resettle()) or when `ram`
 /// does not hold one word per vertex.
 [[nodiscard]] StabilizationOutcome flat_resettle(
     graph::GraphView g, std::vector<std::uint64_t>& ram, const SsConfig& cfg,
     const runtime::RunOptions& opts, const RecoverySpec& spec, std::uint64_t round,
     std::span<const std::uint64_t> baseline);
+
+/// Legality check: ViolationKind::None means the configuration is legal;
+/// anything else pinpoints the first violation found.  Must be pure in the
+/// engine state (called once per round).
+using CheckFn = std::function<Violation(runtime::Engine&)>;
+
+/// Output snapshot used for the adjustment diff: one word per vertex
+/// (color, packed color+status, ... — whatever "output" means for the task).
+using OutputFn = std::function<std::vector<std::uint64_t>(runtime::Engine&)>;
+
+/// The watchdog and the confirm window, plus the task's check and outputs.
+struct StabilizationSpec : RecoverySpec {
+  CheckFn check;
+  OutputFn outputs;
+};
+
+/// Drive an installed engine to a legal configuration and measure what the
+/// paper's theorems talk about.
+///   * Phase 0 settles fault-free until spec.check holds, capped by
+///     spec.recovery_budget and opts.max_rounds; otherwise the run ends
+///     unrecovered with a NeverSettled violation.
+///   * The outputs at that point are the baseline of the adjustment diff.
+///   * Phase 1 is resettle()'s repair from there with the fault hooks live
+///     (adversary between rounds, channel inside them), until the check has
+///     held for spec.confirm_rounds consecutive rounds.  The round index
+///     passed to FaultAdversary::inject counts from the start of phase 1, so
+///     a PeriodicAdversary schedule is independent of the settle's length.
+///   * With no fault hooks the settle's length is first_legal_round minus
+///     the entry round, and `rounds` is the settle plus the confirm window.
+///   * opts.max_rounds caps the engine rounds of both phases together.
+///   * Every round of both phases steps through runtime::HookedRounds:
+///     opts.sink receives one RunStart/RunEnd pair labelled opts.tag around
+///     the call and a RoundEnd per round, Fault events come only from
+///     phase 1, and opts.collect_phase_times folds the engine's phase timers,
+///     the checks (under `check`) and the adversary (under `fault`) into the
+///     outcome.  The engine's hooks are restored on return.
+[[nodiscard]] StabilizationOutcome run_stabilization(
+    runtime::Engine& engine, const runtime::RunOptions& opts,
+    const StabilizationSpec& spec);
+
+/// Incremental repair: phase 1 of run_stabilization() alone, started from
+/// the engine's *current* (possibly illegal) state with no fault-free
+/// settle.  This is the entry a long-lived caller uses once per mutation
+/// epoch — mutate the live engine, then resettle() to drive it back to a
+/// legal configuration without paying a full settle.
+///
+/// `baseline` supplies the pre-mutation output snapshot the adjustment diff
+/// is computed against (capture spec.outputs(engine) *before* mutating; an
+/// empty baseline counts every vertex as adjusted).  The recovery clock is
+/// anchored at the call: when the state is already legal on entry the run
+/// recovers in 0 rounds after the confirm window.  opts acts as in
+/// run_stabilization(), RunStart/RunEnd bracket included.  For the coloring
+/// with no fault hooks, flat_resettle() runs the same repair without the
+/// engine.
+[[nodiscard]] StabilizationOutcome resettle(
+    runtime::Engine& engine, const runtime::RunOptions& opts,
+    const StabilizationSpec& spec,
+    const std::vector<std::uint64_t>& baseline);
+
+/// The self-stabilizing coloring (SsColoringProgram; `cfg` must outlive the
+/// spec).  Check: coloring_violation() on RAM word 0 of every vertex — every
+/// color in the final palette and no monochromatic edge.  Outputs: RAM
+/// word 0 of every vertex.
+[[nodiscard]] StabilizationSpec coloring_spec(const SsConfig& cfg);
+
+/// The self-stabilizing MIS (SsMisProgram; `cfg` must outlive the spec).
+/// Check: the coloring's, then every vertex MIS with no MIS neighbor or
+/// NotMIS with one — an Undecided vertex is an InvalidState with value 0.
+/// Outputs: packed (color, status) per vertex.
+[[nodiscard]] StabilizationSpec mis_spec(const SsConfig& cfg);
+
+/// The line-graph simulation (SsLineProgram; `cfg` must outlive the spec).
+/// Check: in edge_list() order, both replicas of every edge {u, w} agree
+/// (InvalidState at u, w; value = w's replica) and its color is in the
+/// final palette (OutOfPalette at u, w); then graph::is_proper_edge_coloring
+/// (MonochromaticEdge) and, in maximal-matching mode,
+/// graph::is_maximal_matching (InvalidState) — these two name no edge
+/// (u = v = 0, value 0).  Outputs: an FNV-style hash of each host vertex's
+/// replica words (RAM layout is degree-dependent, so a fixed-width digest
+/// stands in for the variable-width output vector).
+[[nodiscard]] StabilizationSpec line_spec(const SsLineConfig& cfg);
 
 }  // namespace agc::selfstab

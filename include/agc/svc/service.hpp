@@ -38,8 +38,8 @@
 /// lands between repair runs, so every round is fault-free and runs flat
 /// (no engine).  ServiceConfig::run must therefore carry no adversary and no
 /// channel hook; the constructor throws std::invalid_argument otherwise.
-/// Faults inside a round are faultlab's business (faultlab::resettle on the
-/// engine).
+/// Faults inside a round need the engine (selfstab::resettle under
+/// faultlab's hooks).
 ///
 /// Determinism contract: with a fixed config and submission sequence, every
 /// OpResult field except latency_ns — and every ServiceStats field except

@@ -31,7 +31,7 @@ HookedRounds::~HookedRounds() {
   engine_.set_channel(prev_channel_);
 }
 
-RoundFaults HookedRounds::step(bool with_adversary) {
+RoundFaults HookedRounds::step() {
   engine_.step();
   ++steps_;
   RoundFaults faults;
@@ -41,7 +41,7 @@ RoundFaults HookedRounds::step(bool with_adversary) {
     channel_seen_ = now;
     emit_fault(channel_->name(), faults.channel);
   }
-  if (with_adversary && adversary_ != nullptr) {
+  if (adversary_ != nullptr) {
     {
       obs::ScopedPhaseTimer timer(timers_, obs::Phase::Fault);
       faults.adversary = adversary_->inject(engine_, steps_);

@@ -8,7 +8,6 @@
 
 #include "agc/coloring/registry.hpp"
 #include "agc/coloring/symmetry.hpp"
-#include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/plan.hpp"
 #include "agc/faultlab/zoo.hpp"
 #include "agc/graph/checks.hpp"
@@ -18,6 +17,7 @@
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_line.hpp"
 #include "agc/selfstab/ss_mis.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 /// \file registry.cpp
 /// The built-in campaign runners: every algorithm entry point the CLI can
@@ -198,44 +198,6 @@ StabilizationRun run_stabilization_job(const RunnerContext& ctx,
       break;
   }
 
-  StabilizationRun run;
-  JobResult& r = run.result;
-  if (replay == nullptr && !fs.any()) {
-    switch (task) {
-      case SsTask::Mis: {
-        const auto rep = selfstab::run_until_mis_stable(engine, cfg, ctx.opts,
-                                                        fs.confirm_rounds);
-        static_cast<runtime::RunReport&>(r) = rep;
-        r.ok = rep.stabilized;
-        r.palette = graph::palette_size(selfstab::current_colors(engine));
-        std::size_t size = 0;
-        for (const bool b : rep.in_mis) size += b;
-        r.values = {{"rounds_to_stable", d(rep.rounds_to_stable)},
-                    {"mis_size", d(size)}};
-        break;
-      }
-      case SsTask::Line: {
-        const auto rep = selfstab::run_until_line_stable(engine, lcfg, ctx.opts,
-                                                         fs.confirm_rounds);
-        static_cast<runtime::RunReport&>(r) = rep;
-        r.ok = rep.stabilized;
-        r.palette = graph::palette_size(selfstab::current_edge_colors(engine));
-        r.values = {{"rounds_to_stable", d(rep.rounds_to_stable)}};
-        break;
-      }
-      default: {
-        const auto rep = selfstab::run_until_stable(engine, cfg, ctx.opts,
-                                                    fs.confirm_rounds);
-        static_cast<runtime::RunReport&>(r) = rep;
-        r.ok = rep.stabilized;
-        r.palette = graph::palette_size(rep.colors);
-        r.values = {{"rounds_to_stable", d(rep.rounds_to_stable)}};
-        break;
-      }
-    }
-    return run;
-  }
-
   runtime::RunOptions ro = ctx.opts;
   std::unique_ptr<faultlab::PlanAdversary> plan_adv;
   std::unique_ptr<faultlab::WireFaults> wire;
@@ -269,42 +231,40 @@ StabilizationRun run_stabilization_job(const RunnerContext& ctx,
   }
   if (wire) ro.channel = wire.get();
 
-  faultlab::StabilizationSpec sspec;
-  switch (task) {
-    case SsTask::Mis:
-      sspec.check = faultlab::mis_check(cfg);
-      sspec.outputs = faultlab::mis_outputs();
-      break;
-    case SsTask::Line:
-      sspec.check = faultlab::line_check(lcfg);
-      sspec.outputs = faultlab::line_outputs();
-      break;
-    default:
-      sspec.check = faultlab::coloring_check(cfg);
-      sspec.outputs = faultlab::coloring_outputs();
-      break;
-  }
+  selfstab::StabilizationSpec sspec =
+      task == SsTask::Mis    ? selfstab::mis_spec(cfg)
+      : task == SsTask::Line ? selfstab::line_spec(lcfg)
+                             : selfstab::coloring_spec(cfg);
   sspec.recovery_budget = fs.recovery_budget;
   sspec.confirm_rounds = fs.confirm_rounds;
-  run.outcome = faultlab::run_stabilization(engine, ro, sspec);
+  StabilizationRun run;
+  run.outcome = selfstab::run_stabilization(engine, ro, sspec);
   engine.set_fault_recorder(nullptr);
   const auto& out = run.outcome;
 
+  JobResult& r = run.result;
   static_cast<runtime::RunReport&>(r) = out;
   r.ok = out.recovered;
   r.palette = task == SsTask::Line
                   ? graph::palette_size(selfstab::current_edge_colors(engine))
                   : graph::palette_size(selfstab::current_colors(engine));
-  r.values = {{"recovery_rounds", d(out.recovery_rounds)},
-              {"adjusted", d(out.adjusted.size())},
-              {"last_fault_round", d(out.last_fault_round)}};
+  const bool fault_free = replay == nullptr && !fs.any();
+  if (fault_free) {
+    // The engine started at round 0: the settle ended at the first legal round.
+    r.values = {{"rounds_to_stable", d(out.first_legal_round)}};
+  } else {
+    r.values = {{"recovery_rounds", d(out.recovery_rounds)},
+                {"adjusted", d(out.adjusted.size())},
+                {"last_fault_round", d(out.last_fault_round)}};
+  }
   if (task == SsTask::Mis) {
     std::size_t size = 0;
     for (const bool b : selfstab::current_mis(engine)) size += b;
     r.values.push_back({"mis_size", d(size)});
   }
   if (!out.recovered) {
-    r.watchdog = true;
+    // A re-rolled fault seed cannot change a fault-free run: no retry.
+    r.watchdog = !fault_free;
     r.error = selfstab::to_string(out.violation);
   }
   return run;

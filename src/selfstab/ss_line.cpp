@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "agc/graph/checks.hpp"
-#include "agc/selfstab/detail/run_loop.hpp"
 
 namespace agc::selfstab {
 
@@ -123,8 +122,6 @@ runtime::ProgramFactory ss_line_factory(const SsLineConfig& cfg) {
   };
 }
 
-namespace {
-/// Replicas of edge (u,v) at both endpoints; nullopt if either is missing.
 std::optional<std::pair<std::uint64_t, std::uint64_t>> edge_replicas(
     runtime::Engine& engine, graph::Edge e) {
   auto* pu = dynamic_cast<SsLineProgram*>(&engine.program(e.first));
@@ -135,7 +132,6 @@ std::optional<std::pair<std::uint64_t, std::uint64_t>> edge_replicas(
   if (!ru || !rv) return std::nullopt;
   return std::pair{*ru, *rv};
 }
-}  // namespace
 
 std::vector<Color> current_edge_colors(runtime::Engine& engine) {
   std::vector<Color> colors;
@@ -153,52 +149,6 @@ std::vector<graph::Edge> current_matching(runtime::Engine& engine) {
     if (r && packed_status(r->first) == kMis) matched.push_back(e);
   }
   return matched;
-}
-
-LineStabilizationReport run_until_line_stable(runtime::Engine& engine,
-                                              const SsLineConfig& cfg,
-                                              const runtime::RunOptions& opts,
-                                              std::size_t confirm_rounds) {
-  LineStabilizationReport rep;
-
-  auto snapshot = [&] {
-    std::vector<std::uint64_t> s;
-    for (const auto& e : graph::edge_list(engine.graph())) {
-      const auto r = edge_replicas(engine, e);
-      s.push_back(r ? r->first : ~0ULL);
-    }
-    return s;
-  };
-
-  auto stable = [&] {
-    // Replicas must agree at both endpoints.
-    for (const auto& e : graph::edge_list(engine.graph())) {
-      const auto r = edge_replicas(engine, e);
-      if (!r || r->first != r->second) return false;
-    }
-    const auto colors = current_edge_colors(engine);
-    if (!std::all_of(colors.begin(), colors.end(),
-                     [&](Color c) { return cfg.coloring().is_final(c); })) {
-      return false;
-    }
-    if (!graph::is_proper_edge_coloring(engine.graph(), colors)) return false;
-    if (cfg.task() == LineTask::MaximalMatching) {
-      return graph::is_maximal_matching(engine.graph(), current_matching(engine));
-    }
-    return true;
-  };
-
-  detail::run_until(engine, opts, confirm_rounds, stable, snapshot, rep);
-  return rep;
-}
-
-LineStabilizationReport run_until_line_stable(runtime::Engine& engine,
-                                              const SsLineConfig& cfg,
-                                              std::size_t max_rounds,
-                                              std::size_t confirm_rounds) {
-  runtime::RunOptions opts;
-  opts.max_rounds = max_rounds;
-  return run_until_line_stable(engine, cfg, opts, confirm_rounds);
 }
 
 }  // namespace agc::selfstab

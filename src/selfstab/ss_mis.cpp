@@ -1,11 +1,5 @@
 #include "agc/selfstab/ss_mis.hpp"
 
-#include <algorithm>
-#include <utility>
-
-#include "agc/graph/checks.hpp"
-#include "agc/selfstab/detail/run_loop.hpp"
-
 namespace agc::selfstab {
 
 MisStatus mis_update(std::uint64_t my_color, MisStatus my_status,
@@ -62,37 +56,6 @@ std::vector<bool> current_mis(runtime::Engine& engine) {
     flags[v] = ram.size() >= 2 && packed_status(ram[1] & 3) == kMis;
   }
   return flags;
-}
-
-MisStabilizationReport run_until_mis_stable(runtime::Engine& engine,
-                                            const SsConfig& cfg,
-                                            const runtime::RunOptions& opts,
-                                            std::size_t confirm_rounds) {
-  MisStabilizationReport rep;
-  auto stable = [&] {
-    const auto colors = current_colors(engine);
-    if (!std::all_of(colors.begin(), colors.end(),
-                     [&](Color c) { return cfg.is_final(c); })) {
-      return false;
-    }
-    if (!graph::is_proper_coloring(engine.graph(), colors)) return false;
-    return graph::is_mis(engine.graph(), current_mis(engine));
-  };
-  auto snapshot = [&] {
-    return std::pair{current_colors(engine), current_mis(engine)};
-  };
-  detail::run_until(engine, opts, confirm_rounds, stable, snapshot, rep);
-  if (rep.stabilized) rep.in_mis = current_mis(engine);
-  return rep;
-}
-
-MisStabilizationReport run_until_mis_stable(runtime::Engine& engine,
-                                            const SsConfig& cfg,
-                                            std::size_t max_rounds,
-                                            std::size_t confirm_rounds) {
-  runtime::RunOptions opts;
-  opts.max_rounds = max_rounds;
-  return run_until_mis_stable(engine, cfg, opts, confirm_rounds);
 }
 
 }  // namespace agc::selfstab

@@ -78,7 +78,7 @@ StabilizationOutcome flat_resettle(graph::GraphView g, std::vector<std::uint64_t
                                    std::span<const std::uint64_t> baseline) {
   if (opts.adversary != nullptr || opts.channel != nullptr) {
     throw std::invalid_argument(
-        "flat_resettle: fault hooks need the engine (faultlab::resettle)");
+        "flat_resettle: fault hooks need the engine (selfstab::resettle)");
   }
   if (ram.size() != g.n()) {
     throw std::invalid_argument("flat_resettle: one RAM word per vertex");

@@ -8,6 +8,7 @@
 #include "agc/edge/edge_coloring.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/selfstab/ss_line.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 namespace {
 
@@ -65,9 +66,11 @@ TEST(EdgeCases, SelfStabTinyDelta) {
     eo.delta_bound = delta;
     runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
     engine.install(selfstab::ss_coloring_factory(cfg));
-    const auto rep = selfstab::run_until_stable(engine, cfg, 4000);
-    EXPECT_TRUE(rep.stabilized) << "delta=" << delta;
-    EXPECT_LE(graph::max_color(rep.colors), delta);
+    auto spec = selfstab::coloring_spec(cfg);
+    spec.recovery_budget = 4000;
+    EXPECT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered)
+        << "delta=" << delta;
+    EXPECT_LE(graph::max_color(selfstab::current_colors(engine)), delta);
   }
 }
 
@@ -79,8 +82,9 @@ TEST(EdgeCases, SsLineODeltaMode) {
   eo.delta_bound = 4;
   runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
   engine.install(selfstab::ss_line_factory(cfg));
-  const auto rep = selfstab::run_until_line_stable(engine, cfg, 40000);
-  EXPECT_TRUE(rep.stabilized);
+  auto spec = selfstab::line_spec(cfg);
+  spec.recovery_budget = 40000;
+  EXPECT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered);
   EXPECT_TRUE(graph::is_proper_edge_coloring(
       g, selfstab::current_edge_colors(engine)));
 }

@@ -19,6 +19,7 @@
 #include "agc/runtime/shards.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_line.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 namespace {
 
@@ -140,6 +141,8 @@ TEST(ExecDeterminism, FaultAdversaryTrajectory) {
 
   auto seq = make_engine(nullptr);
   auto par = make_engine(exec::make_executor(3));
+  auto spec = selfstab::coloring_spec(cfg);
+  spec.recovery_budget = 100000;
   runtime::Adversary adv_seq(77), adv_par(77);
 
   for (int epoch = 0; epoch < 3; ++epoch) {
@@ -151,12 +154,14 @@ TEST(ExecDeterminism, FaultAdversaryTrajectory) {
       adv_seq.churn_edges(seq, 5, 5, delta);
       adv_par.churn_edges(par, 5, 5, delta);
     }
-    const auto rs = selfstab::run_until_stable(seq, cfg, 100000);
-    const auto rp = selfstab::run_until_stable(par, cfg, 100000);
-    ASSERT_TRUE(rs.stabilized);
-    ASSERT_TRUE(rp.stabilized);
-    EXPECT_EQ(rs.rounds_to_stable, rp.rounds_to_stable) << "epoch " << epoch;
-    EXPECT_EQ(rs.colors, rp.colors) << "epoch " << epoch;
+    const auto rs = selfstab::run_stabilization(seq, {}, spec);
+    const auto rp = selfstab::run_stabilization(par, {}, spec);
+    ASSERT_TRUE(rs.recovered);
+    ASSERT_TRUE(rp.recovered);
+    EXPECT_EQ(rs.first_legal_round, rp.first_legal_round) << "epoch " << epoch;
+    EXPECT_EQ(rs.rounds, rp.rounds) << "epoch " << epoch;
+    EXPECT_EQ(selfstab::current_colors(seq), selfstab::current_colors(par))
+        << "epoch " << epoch;
     for (graph::Vertex v = 0; v < seq.graph().n(); ++v) {
       const auto a = seq.program(v).ram();
       const auto b = par.program(v).ram();

@@ -1,7 +1,7 @@
 // The fault laboratory: channel adversaries inside the message path,
-// recorded/replayable/shrinkable fault plans, the stabilization harness with
-// its convergence watchdog, and the PeriodicAdversary boundary semantics —
-// all pinned across 1/2/8 executor threads.
+// recorded/replayable/shrinkable fault plans, the stabilization runner with
+// its convergence watchdog under those faults, and the PeriodicAdversary
+// boundary semantics — all pinned across 1/2/8 executor threads.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,7 +12,6 @@
 #include "agc/arb/eps_coloring.hpp"
 #include "agc/edge/edge_coloring.hpp"
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/plan.hpp"
 #include "agc/faultlab/shrink.hpp"
 #include "agc/faultlab/zoo.hpp"
@@ -22,6 +21,7 @@
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_line.hpp"
 #include "agc/selfstab/ss_mis.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 namespace {
 
@@ -198,10 +198,11 @@ TEST(PeriodicBoundary, FaultEventsEqualsAdversaryEventsAcrossEpochs) {
   runtime::RunOptions opts;
   opts.adversary = &adv;
   opts.max_rounds = 4000;
-  auto rep = selfstab::run_until_stable(engine, cfg, opts);
-  ASSERT_TRUE(rep.stabilized);
+  const auto spec = selfstab::coloring_spec(cfg);
+  auto rep = selfstab::resettle(engine, opts, spec, {});
+  ASSERT_TRUE(rep.recovered);
   // Second epoch rolls up via absorb(): counts must still reconcile.
-  auto rep2 = selfstab::run_until_stable(engine, cfg, opts);
+  const auto rep2 = selfstab::resettle(engine, opts, spec, {});
   rep.absorb(rep2);
   EXPECT_EQ(rep.fault_events, adv.total_events());
 }
@@ -227,8 +228,23 @@ TEST(PeriodicBoundary, ChurnVerticesCountsReconnectEdges) {
 // Determinism across executor threads
 // ---------------------------------------------------------------------------
 
-selfstab::StabilizationReport run_ss_with_channel(
-    std::size_t threads, std::uint64_t* chan_events = nullptr) {
+/// A coloring repair's outcome and the colors it ended on.
+struct ColoringRun {
+  selfstab::StabilizationOutcome out;
+  std::vector<graph::Color> colors;
+};
+
+/// resettle() of the coloring installed on `engine` from its current state.
+ColoringRun resettle_coloring(runtime::Engine& engine, const SsConfig& cfg,
+                              const runtime::RunOptions& opts) {
+  ColoringRun run;
+  run.out = selfstab::resettle(engine, opts, selfstab::coloring_spec(cfg), {});
+  run.colors = selfstab::current_colors(engine);
+  return run;
+}
+
+ColoringRun run_ss_with_channel(std::size_t threads,
+                                std::uint64_t* chan_events = nullptr) {
   const auto g = graph::random_regular(150, 6, 31);
   SsConfig cfg(g.n(), g.max_degree(), PaletteMode::ODelta);
   auto engine = make_engine(g, g.max_degree());
@@ -246,26 +262,26 @@ selfstab::StabilizationReport run_ss_with_channel(
   opts.channel = &chan;
   opts.max_rounds = 5000;
   if (threads > 1) opts.executor = exec::make_executor(threads);
-  auto rep = selfstab::run_until_stable(engine, cfg, opts);
+  auto run = resettle_coloring(engine, cfg, opts);
   if (chan_events != nullptr) *chan_events = chan.events();
-  return rep;
+  return run;
 }
 
 TEST(ChannelDeterminism, TrajectoryIdenticalForOneTwoEightThreads) {
   std::uint64_t ev1 = 0;
   const auto base = run_ss_with_channel(1, &ev1);
-  ASSERT_TRUE(base.stabilized);
-  EXPECT_GT(base.fault_events, 0u);
-  EXPECT_EQ(base.fault_events, ev1);
+  ASSERT_TRUE(base.out.recovered);
+  EXPECT_GT(base.out.fault_events, 0u);
+  EXPECT_EQ(base.out.fault_events, ev1);
   for (const std::size_t threads : {2, 8}) {
     std::uint64_t ev = 0;
     const auto rep = run_ss_with_channel(threads, &ev);
     EXPECT_EQ(rep.colors, base.colors) << "threads=" << threads;
-    EXPECT_EQ(rep.rounds, base.rounds) << "threads=" << threads;
-    EXPECT_EQ(rep.fault_events, base.fault_events) << "threads=" << threads;
+    EXPECT_EQ(rep.out.rounds, base.out.rounds) << "threads=" << threads;
+    EXPECT_EQ(rep.out.fault_events, base.out.fault_events) << "threads=" << threads;
     EXPECT_EQ(ev, ev1) << "threads=" << threads;
-    EXPECT_EQ(rep.metrics.messages, base.metrics.messages);
-    EXPECT_EQ(rep.metrics.total_bits, base.metrics.total_bits);
+    EXPECT_EQ(rep.out.metrics.messages, base.out.metrics.messages);
+    EXPECT_EQ(rep.out.metrics.total_bits, base.out.metrics.total_bits);
   }
 }
 
@@ -274,7 +290,7 @@ TEST(ChannelDeterminism, TrajectoryIdenticalForOneTwoEightThreads) {
 // ---------------------------------------------------------------------------
 
 struct RecordedRun {
-  selfstab::StabilizationReport report;
+  ColoringRun run;
   FaultPlan plan;
 };
 
@@ -301,13 +317,12 @@ RecordedRun record_fuzz_run() {
   opts.channel = &chan;
   opts.max_rounds = 5000;
   RecordedRun out;
-  out.report = selfstab::run_until_stable(engine, cfg, opts);
+  out.run = resettle_coloring(engine, cfg, opts);
   out.plan = rec.take();
   return out;
 }
 
-selfstab::StabilizationReport replay_run(const FaultPlan& plan,
-                                         std::size_t threads) {
+ColoringRun replay_run(const FaultPlan& plan, std::size_t threads) {
   const auto g = graph::random_gnp(100, 0.07, 13);
   SsConfig cfg(g.n(), g.max_degree(), PaletteMode::ODelta);
   auto engine = make_engine(g, g.max_degree() + 2);
@@ -319,23 +334,23 @@ selfstab::StabilizationReport replay_run(const FaultPlan& plan,
   opts.channel = &chan;
   opts.max_rounds = 5000;
   if (threads > 1) opts.executor = exec::make_executor(threads);
-  return selfstab::run_until_stable(engine, cfg, opts);
+  return resettle_coloring(engine, cfg, opts);
 }
 
 TEST(RecordReplay, ReplayedPlanReproducesTheRunBitForBit) {
   const RecordedRun live = record_fuzz_run();
-  ASSERT_TRUE(live.report.stabilized);
+  ASSERT_TRUE(live.run.out.recovered);
   ASSERT_GT(live.plan.size(), 0u);
-  EXPECT_EQ(live.plan.size(), live.report.fault_events);
+  EXPECT_EQ(live.plan.size(), live.run.out.fault_events);
   for (const std::size_t threads : {1, 2, 8}) {
     const auto rep = replay_run(live.plan, threads);
-    EXPECT_EQ(rep.colors, live.report.colors) << "threads=" << threads;
-    EXPECT_EQ(rep.rounds, live.report.rounds) << "threads=" << threads;
-    EXPECT_EQ(rep.stabilized, live.report.stabilized);
-    EXPECT_EQ(rep.fault_events, live.report.fault_events)
+    EXPECT_EQ(rep.colors, live.run.colors) << "threads=" << threads;
+    EXPECT_EQ(rep.out.rounds, live.run.out.rounds) << "threads=" << threads;
+    EXPECT_EQ(rep.out.recovered, live.run.out.recovered);
+    EXPECT_EQ(rep.out.fault_events, live.run.out.fault_events)
         << "threads=" << threads;
-    EXPECT_EQ(rep.metrics.messages, live.report.metrics.messages);
-    EXPECT_EQ(rep.metrics.total_bits, live.report.metrics.total_bits);
+    EXPECT_EQ(rep.out.metrics.messages, live.run.out.metrics.messages);
+    EXPECT_EQ(rep.out.metrics.total_bits, live.run.out.metrics.total_bits);
   }
 }
 
@@ -386,10 +401,7 @@ TEST(RecordReplay, ReplayRejectsVerticesOutsideTheGraph) {
     runtime::RunOptions opts;
     opts.adversary = &adv;
     opts.max_rounds = 200;
-    faultlab::StabilizationSpec spec;
-    spec.check = faultlab::coloring_check(cfg);
-    spec.outputs = faultlab::coloring_outputs();
-    return faultlab::run_stabilization(engine, opts, spec);
+    return selfstab::run_stabilization(engine, opts, selfstab::coloring_spec(cfg));
   };
   for (const char* bad :
        {R"({"round":2,"kind":"ram","u":0,"v":99999999,"word":0,"value":5})",
@@ -420,15 +432,13 @@ TEST(RecordReplay, ShrinkerReducesAFailingPlanToAFewEvents) {
     auto engine = make_engine(g, g.max_degree() + 2);
     engine.install(selfstab::ss_coloring_factory(cfg));
     // Settle fault-free first.
-    runtime::RunOptions settle;
-    settle.max_rounds = 4000;
-    if (!selfstab::run_until_stable(engine, cfg, settle).stabilized) {
-      return false;
-    }
+    auto spec = selfstab::coloring_spec(cfg);
+    spec.recovery_budget = 4000;
+    if (!selfstab::run_stabilization(engine, {}, spec).recovered) return false;
     PlanAdversary adv(candidate);
     WireFaults chan(candidate.events);
     engine.set_channel(&chan);
-    const auto check = faultlab::coloring_check(cfg);
+    const auto& check = spec.check;
     bool broke = false;
     const std::size_t horizon =
         static_cast<std::size_t>(adv.last_event_round()) + 4;
@@ -511,10 +521,11 @@ TEST(EntryPointFaults, EpsColoringCountsChannelEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// Stabilization harness: recovery time, adjustment radius, watchdog
+// The stabilization runner under faults: recovery time, adjustment radius,
+// watchdog
 // ---------------------------------------------------------------------------
 
-faultlab::StabilizationOutcome harness_coloring_run(std::size_t threads) {
+selfstab::StabilizationOutcome harness_coloring_run(std::size_t threads) {
   const auto g = graph::random_regular(120, 6, 41);
   SsConfig cfg(g.n(), g.max_degree(), PaletteMode::ODelta);
   auto engine = make_engine(g, g.max_degree());
@@ -525,11 +536,9 @@ faultlab::StabilizationOutcome harness_coloring_run(std::size_t threads) {
   runtime::RunOptions opts;
   opts.adversary = &adv;
   opts.max_rounds = 5000;
-  faultlab::StabilizationSpec spec;
-  spec.check = faultlab::coloring_check(cfg);
-  spec.outputs = faultlab::coloring_outputs();
+  auto spec = selfstab::coloring_spec(cfg);
   spec.recovery_budget = 2000;
-  return faultlab::run_stabilization(engine, opts, spec);
+  return selfstab::run_stabilization(engine, opts, spec);
 }
 
 TEST(Harness, ColoringRecoveryAndAdjustmentRadiusAreDeterministic) {
@@ -561,7 +570,7 @@ TEST(Harness, ColoringRecoveryAndAdjustmentRadiusAreDeterministic) {
   }
 }
 
-faultlab::StabilizationOutcome harness_mis_run(std::size_t threads) {
+selfstab::StabilizationOutcome harness_mis_run(std::size_t threads) {
   const auto g = graph::random_gnp(100, 0.06, 43);
   SsConfig cfg(g.n(), g.max_degree(), PaletteMode::ODelta);
   auto engine = make_engine(g, g.max_degree());
@@ -572,40 +581,9 @@ faultlab::StabilizationOutcome harness_mis_run(std::size_t threads) {
   runtime::RunOptions opts;
   opts.adversary = &adv;
   opts.max_rounds = 6000;
-  faultlab::StabilizationSpec spec;
-  spec.check = [&cfg](runtime::Engine& engine) -> faultlab::Violation {
-    const auto& gg = engine.graph();
-    const auto color_v = faultlab::coloring_check(cfg)(engine);
-    if (color_v) return color_v;
-    for (graph::Vertex v = 0; v < gg.n(); ++v) {
-      const auto status =
-          selfstab::packed_status(engine.ram(v)[1] & 3);
-      bool mis_nbr = false;
-      for (const graph::Vertex w : gg.neighbors(v)) {
-        if (selfstab::packed_status(engine.ram(w)[1] & 3) == selfstab::kMis) {
-          mis_nbr = true;
-          break;
-        }
-      }
-      const bool ok = (status == selfstab::kMis && !mis_nbr) ||
-                      (status == selfstab::kNotMis && mis_nbr);
-      if (!ok) {
-        return {faultlab::ViolationKind::InvalidState, engine.rounds(), v, v,
-                static_cast<std::uint64_t>(status)};
-      }
-    }
-    return {};
-  };
-  spec.outputs = [](runtime::Engine& engine) {
-    std::vector<std::uint64_t> out(engine.graph().n(), 0);
-    for (graph::Vertex v = 0; v < engine.graph().n(); ++v) {
-      const auto ram = engine.ram(v);
-      out[v] = selfstab::pack_cs(ram[0], ram[1]);
-    }
-    return out;
-  };
+  auto spec = selfstab::mis_spec(cfg);
   spec.recovery_budget = 3000;
-  return faultlab::run_stabilization(engine, opts, spec);
+  return selfstab::run_stabilization(engine, opts, spec);
 }
 
 TEST(Harness, MisRecoveryIsDeterministicAcrossThreads) {
@@ -623,7 +601,7 @@ TEST(Harness, MisRecoveryIsDeterministicAcrossThreads) {
   }
 }
 
-faultlab::StabilizationOutcome harness_line_run(std::size_t threads) {
+selfstab::StabilizationOutcome harness_line_run(std::size_t threads) {
   const auto g = graph::random_regular(60, 4, 47);
   selfstab::SsLineConfig cfg(g.n(), g.max_degree(), selfstab::LineTask::EdgeColoring);
   runtime::EngineOptions eo;
@@ -635,32 +613,9 @@ faultlab::StabilizationOutcome harness_line_run(std::size_t threads) {
   runtime::RunOptions opts;
   opts.adversary = &adv;
   opts.max_rounds = 8000;
-  faultlab::StabilizationSpec spec;
-  spec.check = [&cfg, &g](runtime::Engine& engine) -> faultlab::Violation {
-    const auto colors = selfstab::current_edge_colors(engine);
-    for (std::size_t i = 0; i < colors.size(); ++i) {
-      if (!cfg.coloring().is_final(colors[i])) {
-        return {faultlab::ViolationKind::OutOfPalette, engine.rounds(),
-                0, 0, colors[i]};
-      }
-    }
-    if (!graph::is_proper_edge_coloring(g, colors)) {
-      return {faultlab::ViolationKind::MonochromaticEdge, engine.rounds(),
-              0, 0, 0};
-    }
-    return {};
-  };
-  spec.outputs = [](runtime::Engine& engine) {
-    std::vector<std::uint64_t> out(engine.graph().n(), 0);
-    for (graph::Vertex v = 0; v < engine.graph().n(); ++v) {
-      std::uint64_t h = 0;
-      for (const std::uint64_t w : engine.ram(v)) h = h * 1099511628211ULL + w;
-      out[v] = h;
-    }
-    return out;
-  };
+  auto spec = selfstab::line_spec(cfg);
   spec.recovery_budget = 4000;
-  return faultlab::run_stabilization(engine, opts, spec);
+  return selfstab::run_stabilization(engine, opts, spec);
 }
 
 TEST(Harness, LineEdgeColoringRecoveryIsDeterministicAcrossThreads) {
@@ -682,21 +637,20 @@ TEST(Harness, WatchdogReportsTheFirstInvariantViolation) {
   SsConfig cfg(g.n(), g.max_degree(), PaletteMode::ODelta);
   auto engine = make_engine(g, g.max_degree());
   engine.install(selfstab::ss_coloring_factory(cfg));
+  auto spec = selfstab::coloring_spec(cfg);
+  spec.recovery_budget = 2000;  // the fault-free settle's budget
+  ASSERT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered);
   runtime::PeriodicAdversary adv(31, {.period = 2, .last_round = 2,
                                       .corrupt = 20, .clones = 10});
   runtime::RunOptions opts;
   opts.adversary = &adv;
   opts.max_rounds = 5000;
-  faultlab::StabilizationSpec spec;
-  spec.check = faultlab::coloring_check(cfg);
-  spec.outputs = faultlab::coloring_outputs();
   spec.recovery_budget = 1;  // recovery takes longer than one round
-  spec.settle_budget = 2000;  // ...but phase 0 still gets a real budget
-  const auto out = faultlab::run_stabilization(engine, opts, spec);
+  const auto out = selfstab::resettle(engine, opts, spec, spec.outputs(engine));
   EXPECT_FALSE(out.recovered);
   ASSERT_TRUE(out.violation);
-  EXPECT_TRUE(out.violation.kind == faultlab::ViolationKind::MonochromaticEdge ||
-              out.violation.kind == faultlab::ViolationKind::OutOfPalette);
+  EXPECT_TRUE(out.violation.kind == selfstab::ViolationKind::MonochromaticEdge ||
+              out.violation.kind == selfstab::ViolationKind::OutOfPalette);
   EXPECT_GT(out.violation.round, 0u);
   EXPECT_LT(out.violation.v, g.n());
 }
@@ -708,10 +662,8 @@ TEST(Harness, CleanScheduleRecoversInZeroRoundsWithEmptyAdjustment) {
   engine.install(selfstab::ss_coloring_factory(cfg));
   runtime::RunOptions opts;
   opts.max_rounds = 4000;
-  faultlab::StabilizationSpec spec;
-  spec.check = faultlab::coloring_check(cfg);
-  spec.outputs = faultlab::coloring_outputs();
-  const auto out = faultlab::run_stabilization(engine, opts, spec);
+  const auto out =
+      selfstab::run_stabilization(engine, opts, selfstab::coloring_spec(cfg));
   ASSERT_TRUE(out.recovered);
   EXPECT_EQ(out.recovery_rounds, 0u);
   EXPECT_EQ(out.fault_events, 0u);

@@ -26,6 +26,7 @@
 #include "agc/runtime/faults.hpp"
 #include "agc/selfstab/ss_line.hpp"
 #include "agc/selfstab/ss_mis.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 namespace {
 
@@ -155,8 +156,9 @@ TEST(GoldenTrace, EdgeColoringCongestAndBit) {
 }
 
 // A fault-adversary trajectory over the self-stabilizing MIS: RAM corruption,
-// worst-case cloning, and edge churn between stabilization epochs.  Hashes
-// the full RAM of every vertex after every epoch.
+// worst-case cloning, and edge churn between stabilization epochs, each
+// settled by selfstab::run_stabilization.  Hashes the settle's length and the
+// full RAM of every vertex after every epoch.
 TEST(GoldenTrace, SelfStabMisTrajectory) {
   constexpr std::uint64_t kWant = 0xd27da579be8ba4a4ULL;
   const std::size_t delta = 9;
@@ -169,6 +171,8 @@ TEST(GoldenTrace, SelfStabMisTrajectory) {
     runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
     engine.set_executor(exec::make_executor(threads));
     engine.install(selfstab::ss_mis_factory(cfg));
+    selfstab::StabilizationSpec spec = selfstab::mis_spec(cfg);
+    spec.recovery_budget = 100000;
     runtime::Adversary adv(123);
     Fnv h;
     for (int epoch = 0; epoch < 3; ++epoch) {
@@ -177,9 +181,10 @@ TEST(GoldenTrace, SelfStabMisTrajectory) {
         adv.clone_neighbor(engine, 5);
         adv.churn_edges(engine, 4, 4, delta);
       }
-      const auto rep = selfstab::run_until_mis_stable(engine, cfg, 100000);
-      ASSERT_TRUE(rep.stabilized);
-      h.mix(rep.rounds_to_stable);
+      const std::uint64_t start = engine.rounds();
+      const auto rep = selfstab::run_stabilization(engine, {}, spec);
+      ASSERT_TRUE(rep.recovered);
+      h.mix(rep.first_legal_round - start);
       for (graph::Vertex v = 0; v < engine.graph().n(); ++v) {
         for (const std::uint64_t w : engine.program(v).ram()) h.mix(w);
       }
@@ -208,10 +213,12 @@ TEST(GoldenTrace, SelfStabLineMatching) {
     runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
     engine.set_executor(exec::make_executor(threads));
     engine.install(selfstab::ss_line_factory(cfg));
-    const auto rep = selfstab::run_until_line_stable(engine, cfg, 100000);
-    ASSERT_TRUE(rep.stabilized);
+    auto spec = selfstab::line_spec(cfg);
+    spec.recovery_budget = 100000;
+    const auto rep = selfstab::run_stabilization(engine, {}, spec);
+    ASSERT_TRUE(rep.recovered);
     Fnv h;
-    h.mix(rep.rounds_to_stable);
+    h.mix(rep.first_legal_round);
     for (graph::Vertex v = 0; v < engine.graph().n(); ++v) {
       for (const std::uint64_t w : engine.program(v).ram()) h.mix(w);
     }

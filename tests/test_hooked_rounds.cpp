@@ -1,9 +1,8 @@
 // Characterization of every engine runner that drives fault hooks between
 // rounds: the locally-iterative engine path, Luby, the distributed edge
-// colorer, the selfstab run_until_* runners and the stabilization harness
-// (run_stabilization / resettle).  Each runs under a seeded PeriodicAdversary
-// (between rounds) plus seeded channel noise (faultlab::WireFaults, inside
-// rounds), with a
+// colorer and the selfstab stabilization runner (run_stabilization /
+// resettle).  Each runs under a seeded PeriodicAdversary (between rounds)
+// plus seeded channel noise (faultlab::WireFaults, inside rounds), with a
 // RingSink attached, at 1 and 8 threads.  The pins are the structured event
 // stream (every non-RoundEnd event as kind@round:label:value), the rounds,
 // fault_events, the Metrics and a digest of the final colors.  They hold the
@@ -21,7 +20,6 @@
 #include "agc/coloring/reduction.hpp"
 #include "agc/edge/edge_coloring.hpp"
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/zoo.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/obs/event_sink.hpp"
@@ -29,6 +27,7 @@
 #include "agc/runtime/iterative.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_mis.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 namespace {
 
@@ -155,25 +154,22 @@ std::string edge_run(std::size_t threads) {
   return fingerprint(ring, rep, digest(rep.colors));
 }
 
-std::string ss_coloring_run(std::size_t threads) {
-  const auto g = host();
-  const selfstab::SsConfig cfg(g.n(), g.max_degree(),
-                               selfstab::PaletteMode::ODelta);
-  auto engine = ss_engine(g, threads);
-  engine.install(selfstab::ss_coloring_factory(cfg));
-  runtime::PeriodicAdversary adv(19, ram_schedule(0, 1));
-  faultlab::WireFaults chan(wire(77, 1, 12), {}, 0);
-  obs::RingSink ring(kRing);
-  runtime::RunOptions opts;
-  opts.adversary = &adv;
-  opts.channel = &chan;
-  opts.sink = &ring;
-  opts.tag = "ss-color";
-  opts.max_rounds = 5000;
-  const auto rep = selfstab::run_until_stable(engine, cfg, opts);
-  EXPECT_TRUE(rep.stabilized);
-  return fingerprint(ring, rep, digest(selfstab::current_colors(engine))) +
-         " to_stable=" + std::to_string(rep.rounds_to_stable);
+/// The runner's watchdog budget in every pin below.
+selfstab::StabilizationSpec budgeted(selfstab::StabilizationSpec spec) {
+  spec.recovery_budget = 2000;
+  return spec;
+}
+
+std::string outcome(const obs::RingSink& ring,
+                    const std::vector<std::uint64_t>& outputs,
+                    const selfstab::StabilizationOutcome& out) {
+  std::vector<std::uint64_t> adjusted(out.adjusted.begin(), out.adjusted.end());
+  return fingerprint(ring, out, digest(outputs)) +
+         " recovered=" + std::to_string(out.recovered) +
+         " last_fault=" + std::to_string(out.last_fault_round) +
+         " first_legal=" + std::to_string(out.first_legal_round) +
+         " adjusted=" + std::to_string(adjusted.size()) + ":" +
+         std::to_string(digest(adjusted));
 }
 
 std::string ss_mis_run(std::size_t threads) {
@@ -191,31 +187,9 @@ std::string ss_mis_run(std::size_t threads) {
   opts.sink = &ring;
   opts.tag = "ss-mis";
   opts.max_rounds = 8000;
-  const auto rep = selfstab::run_until_mis_stable(engine, cfg, opts);
-  EXPECT_TRUE(rep.stabilized);
-  std::vector<std::uint64_t> state = selfstab::current_colors(engine);
-  for (const bool b : selfstab::current_mis(engine)) state.push_back(b);
-  return fingerprint(ring, rep, digest(state)) +
-         " to_stable=" + std::to_string(rep.rounds_to_stable);
-}
-
-faultlab::StabilizationSpec coloring_spec(const selfstab::SsConfig& cfg) {
-  faultlab::StabilizationSpec spec;
-  spec.check = faultlab::coloring_check(cfg);
-  spec.outputs = faultlab::coloring_outputs();
-  spec.recovery_budget = 2000;
-  return spec;
-}
-
-std::string outcome(const obs::RingSink& ring, runtime::Engine& engine,
-                    const faultlab::StabilizationOutcome& out) {
-  std::vector<std::uint64_t> adjusted(out.adjusted.begin(), out.adjusted.end());
-  return fingerprint(ring, out, digest(faultlab::coloring_outputs()(engine))) +
-         " recovered=" + std::to_string(out.recovered) +
-         " last_fault=" + std::to_string(out.last_fault_round) +
-         " first_legal=" + std::to_string(out.first_legal_round) +
-         " adjusted=" + std::to_string(adjusted.size()) + ":" +
-         std::to_string(digest(adjusted));
+  const auto spec = budgeted(selfstab::mis_spec(cfg));
+  const auto out = selfstab::run_stabilization(engine, opts, spec);
+  return outcome(ring, spec.outputs(engine), out);
 }
 
 std::string stabilization_run(std::size_t threads) {
@@ -232,8 +206,9 @@ std::string stabilization_run(std::size_t threads) {
   opts.channel = &chan;
   opts.sink = &ring;
   opts.max_rounds = 5000;
-  const auto out = faultlab::run_stabilization(engine, opts, coloring_spec(cfg));
-  return outcome(ring, engine, out);
+  const auto spec = budgeted(selfstab::coloring_spec(cfg));
+  const auto out = selfstab::run_stabilization(engine, opts, spec);
+  return outcome(ring, spec.outputs(engine), out);
 }
 
 std::string resettle_run(std::size_t threads) {
@@ -242,8 +217,8 @@ std::string resettle_run(std::size_t threads) {
                                selfstab::PaletteMode::ODelta);
   auto engine = ss_engine(g, threads);
   engine.install(selfstab::ss_coloring_factory(cfg));
-  EXPECT_TRUE(selfstab::run_until_stable(engine, cfg, 5000).stabilized);
-  const faultlab::StabilizationSpec spec = coloring_spec(cfg);
+  const auto spec = budgeted(selfstab::coloring_spec(cfg));
+  EXPECT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered);
   const std::vector<std::uint64_t> baseline = spec.outputs(engine);
   // One service-style epoch: mutate the live engine, then repair it.
   runtime::Adversary mutate(17);
@@ -257,8 +232,8 @@ std::string resettle_run(std::size_t threads) {
   opts.channel = &chan;
   opts.sink = &ring;
   opts.max_rounds = 5000;
-  const auto out = faultlab::resettle(engine, opts, spec, baseline);
-  return outcome(ring, engine, out);
+  const auto out = selfstab::resettle(engine, opts, spec, baseline);
+  return outcome(ring, spec.outputs(engine), out);
 }
 
 void expect_pinned(std::string (*run)(std::size_t), const char* golden) {
@@ -307,40 +282,30 @@ TEST(HookedRounds, EdgeColoringStreamIsPinned) {
       "metrics=153/108418/208579/298 colors=ab4634425b37b8e5");
 }
 
-TEST(HookedRounds, RunUntilStableStreamIsPinned) {
-  expect_pinned(
-      ss_coloring_run,
-      "run_start@0:ss-color:120 fault@2:channel:52 fault@3:channel:47 "
-      "fault@4:channel:60 fault@4:periodic:3 fault@5:channel:72 "
-      "fault@6:channel:64 fault@7:channel:61 fault@8:channel:52 "
-      "fault@8:periodic:3 fault@9:channel:43 fault@10:channel:72 "
-      "fault@11:channel:70 fault@12:channel:74 fault@13:channel:61 "
-      "run_end@22:ss-color:22 | rounds=22 faults=734 "
-      "metrics=22/15437/158170/250 colors=318e125151b371f7 to_stable=1");
-}
-
-TEST(HookedRounds, RunUntilMisStableStreamIsPinned) {
+// The MIS through the one runner under the same schedule: the settle runs
+// with no hooks, so only the wire window's rounds after it and the
+// phase-relative adversary land.
+TEST(HookedRounds, RunStabilizationMisStreamIsPinned) {
   expect_pinned(
       ss_mis_run,
-      "run_start@0:ss-mis:120 fault@2:channel:56 fault@3:channel:44 "
-      "fault@4:channel:55 fault@4:periodic:3 fault@5:channel:68 "
-      "fault@6:channel:53 fault@7:channel:65 fault@8:channel:42 "
-      "fault@8:periodic:3 fault@9:channel:55 fault@10:channel:51 "
-      "fault@11:channel:45 fault@12:channel:56 fault@12:periodic:3 "
-      "fault@13:channel:66 run_end@23:ss-mis:23 | rounds=23 faults=665 "
-      "metrics=23/16191/198420/312 colors=bbda6815c899572f to_stable=2");
+      "run_start@0:ss-mis:120 fault@10:channel:51 fault@11:channel:45 "
+      "fault@12:channel:56 fault@13:channel:66 fault@13:periodic:3 "
+      "fault@17:periodic:3 fault@21:periodic:3 run_end@31:ss-mis:31 | "
+      "rounds=31 faults=227 metrics=31/22152/267300/396 "
+      "colors=eccb23296f7ae3dc recovered=1 last_fault=21 first_legal=24 "
+      "adjusted=5:1211731151017533623");
 }
 
 TEST(HookedRounds, RunStabilizationStreamIsPinned) {
   expect_pinned(
       stabilization_run,
-      "fault@3:channel:56 fault@4:channel:55 fault@5:channel:62 "
+      "run_start@0:-:120 fault@3:channel:56 fault@4:channel:55 fault@5:channel:62 "
       "fault@6:channel:52 fault@6:periodic:3 fault@7:channel:52 "
       "fault@8:channel:50 fault@9:channel:62 fault@10:channel:57 "
       "fault@10:periodic:3 fault@11:channel:61 fault@12:channel:59 "
       "fault@13:channel:73 fault@14:channel:65 fault@14:periodic:3 "
-      "fault@15:channel:56 fault@16:channel:56 fault@17:channel:56 | "
-      "rounds=24 faults=881 metrics=24/16778/172210/270 "
+      "fault@15:channel:56 fault@16:channel:56 fault@17:channel:56 "
+      "run_end@24:-:24 | rounds=24 faults=881 metrics=24/16778/172210/270 "
       "colors=a2715a9c85674898 recovered=1 last_fault=17 first_legal=17 "
       "adjusted=5:2708346843316792420");
 }
@@ -348,55 +313,64 @@ TEST(HookedRounds, RunStabilizationStreamIsPinned) {
 TEST(HookedRounds, ResettleStreamIsPinned) {
   expect_pinned(
       resettle_run,
-      "fault@12:channel:64 fault@13:channel:64 fault@14:channel:54 "
+      "run_start@10:-:120 fault@12:channel:64 fault@13:channel:64 fault@14:channel:54 "
       "fault@14:periodic:3 fault@15:channel:63 fault@16:channel:57 "
       "fault@17:channel:52 fault@18:channel:65 fault@18:periodic:3 "
       "fault@19:channel:59 fault@20:channel:57 fault@21:channel:48 "
-      "fault@22:channel:70 fault@22:periodic:3 fault@23:channel:84 | "
-      "rounds=21 faults=746 metrics=21/14701/150690/330 "
+      "fault@22:channel:70 fault@22:periodic:3 fault@23:channel:84 "
+      "run_end@31:-:21 | rounds=21 faults=746 metrics=21/14701/150690/330 "
       "colors=b0977695b6e79888 recovered=1 last_fault=23 first_legal=24 "
       "adjusted=8:8037149760342158901");
 }
 
-// The intended change of routing the harness through HookedRounds:
-// run_stabilization's fault phase now forwards the caller's sink and phase
-// timers, as resettle always did, and adversary time is booked under
-// `fault`.  Phase 0 stays hook-free.  Looking changes no result.
+// run_stabilization observes every round it runs, the fault-free settle
+// included: one RoundEnd per round, phase timers for both phases, the
+// adversary (booked under `fault`) only in the fault phase.  Looking changes
+// no result.
 TEST(HookedRounds, RunStabilizationForwardsSinkAndPhaseTimers) {
   const auto g = host();
   const selfstab::SsConfig cfg(g.n(), g.max_degree(),
                                selfstab::PaletteMode::ODelta);
-  auto run = [&](bool observe, obs::RingSink* ring) {
+  auto run = [&](bool observe, obs::RingSink* ring, bool faults = true) {
     auto engine = ss_engine(g, 1);
     engine.install(selfstab::ss_coloring_factory(cfg));
     runtime::PeriodicAdversary adv(29, ram_schedule(0, 1));
     runtime::RunOptions opts;
-    opts.adversary = &adv;
+    if (faults) opts.adversary = &adv;
     opts.max_rounds = 5000;
     if (observe) {
       opts.sink = ring;
       opts.collect_phase_times = true;
     }
-    auto out = faultlab::run_stabilization(engine, opts, coloring_spec(cfg));
+    auto out = selfstab::run_stabilization(engine, opts,
+                                           budgeted(selfstab::coloring_spec(cfg)));
     return std::pair{out, engine.rounds()};
   };
   obs::RingSink ring(kRing);
   const auto [seen, end_round] = run(true, &ring);
   const auto [blind, blind_end] = run(false, nullptr);
+  // The settle is fault-free and deterministic: a twin with no adversary
+  // ends it on the same round, its first legal one.
+  const std::uint64_t settle_rounds =
+      run(false, nullptr, /*faults=*/false).first.first_legal_round;
   ASSERT_TRUE(seen.recovered);
 
   std::vector<std::uint64_t> round_ends;
   for (const obs::Event& ev : ring.snapshot()) {
     if (ev.kind == obs::EventKind::RoundEnd) round_ends.push_back(ev.round);
   }
-  // One RoundEnd per fault-phase round, up to the last engine round.
-  ASSERT_FALSE(round_ends.empty());
+  // One RoundEnd per round of both phases, from round 1 to the last.
+  ASSERT_EQ(round_ends.size(), seen.rounds);
+  EXPECT_EQ(round_ends.front(), 1u);
   EXPECT_EQ(round_ends.back(), end_round);
   EXPECT_EQ(round_ends.back() - round_ends.front() + 1, round_ends.size());
-  EXPECT_LT(round_ends.size(), seen.rounds);  // phase 0 stays unobserved
   EXPECT_GT(seen.phases.total_ns(), 0u);
-  EXPECT_EQ(seen.phases.phase_calls(obs::Phase::Fault), round_ends.size());
-  EXPECT_GT(seen.phases.phase_calls(obs::Phase::Receive), 0u);
+  EXPECT_EQ(seen.phases.phase_calls(obs::Phase::Receive), seen.rounds);
+  // One check before the settle's first round and one after every round.
+  EXPECT_EQ(seen.phases.phase_calls(obs::Phase::Check), seen.rounds + 1);
+  // The adversary runs once per fault-phase round and never in the settle.
+  ASSERT_GT(settle_rounds, 0u);
+  EXPECT_EQ(seen.phases.phase_calls(obs::Phase::Fault), seen.rounds - settle_rounds);
   EXPECT_TRUE(blind.phases.empty());
 
   EXPECT_EQ(seen.rounds, blind.rounds);

@@ -17,6 +17,7 @@
 #include "agc/runtime/faults.hpp"
 #include "agc/runtime/iterative.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 namespace {
 
@@ -252,10 +253,10 @@ TEST(FaultAdversary, PeriodicIsDeterministicUnderAFixedSeed) {
     runtime::RunOptions opts;
     opts.max_rounds = 100000;
     opts.adversary = &adv;
-    const auto rep = selfstab::run_until_stable(engine, cfg, opts);
-    EXPECT_TRUE(rep.stabilized);
+    const auto rep = selfstab::resettle(engine, opts, selfstab::coloring_spec(cfg), {});
+    EXPECT_TRUE(rep.recovered);
     EXPECT_GT(rep.fault_events, 0u);
-    return std::pair{rep.colors, rep.fault_events};
+    return std::pair{selfstab::current_colors(engine), rep.fault_events};
   };
 
   const auto first = run_once();
@@ -283,8 +284,8 @@ TEST(FaultAdversary, QuiescesAfterLastRound) {
   runtime::RunOptions opts;
   opts.max_rounds = 100000;
   opts.adversary = &adv;
-  const auto rep = selfstab::run_until_stable(engine, cfg, opts);
-  EXPECT_TRUE(rep.stabilized);
+  const auto rep = selfstab::resettle(engine, opts, selfstab::coloring_spec(cfg), {});
+  EXPECT_TRUE(rep.recovered);
   // Exactly the scheduled injections fired, then the run could stabilize.
   EXPECT_EQ(adv.total_events() - events_before, rep.fault_events);
   EXPECT_GE(rep.rounds, 10u);

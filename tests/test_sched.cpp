@@ -588,9 +588,30 @@ TEST(StabilizationJob, FaultFreeJobRunsToItsFirstStableRound) {
   EXPECT_TRUE(run.result.ok);
   ASSERT_FALSE(run.result.values.empty());
   EXPECT_EQ(run.result.values.front().first, "rounds_to_stable");
+  // The one loop with no hooks: the settle, then the confirm window.
+  EXPECT_EQ(run.result.values.front().second + job.faults.confirm_rounds,
+            static_cast<double>(run.result.rounds));
   EXPECT_EQ(run.outcome.fault_events, 0u);
   job.algorithm = "ag";  // ctx.spec refers to `job`
   EXPECT_THROW((void)sched::run_stabilization_job(ctx), std::invalid_argument);
+}
+
+// Nightly-matrix job 939 at run-id base 0: an adaptive-adversary ss-line
+// job whose edge replicas still disagree at the round where every edge,
+// read at its smaller endpoint, is properly colored.  The line check needs
+// both replicas alike, so legality comes one engine round later.
+TEST(StabilizationJob, LineJobWaitsForBothReplicasToAgree) {
+  std::istringstream in(
+      "algo=ss-line graph=gnp:n=250,p=0.04,seed=9 seed=75 adapt-period=3 "
+      "adapt-count=3 adapt-last=24 budget=8000\n");
+  const JobSpec job = Campaign::parse(in).jobs().front();
+  const auto rg = job.graph.resolve(graph::Mutability::ReadOnly);
+  const sched::RunnerContext ctx{rg.view(), job, job.opts};
+  const auto run = sched::run_stabilization_job(ctx);
+  ASSERT_TRUE(run.result.ok) << run.result.error;
+  EXPECT_EQ(run.outcome.last_fault_round, 64u);
+  EXPECT_EQ(run.outcome.recovery_rounds, 1u);
+  EXPECT_EQ(run.outcome.rounds, 72u);
 }
 
 TEST(Scheduler, SinkReceivesJobIdOrderedEvents) {

@@ -9,6 +9,7 @@
 #include "agc/selfstab/ss_coloring.hpp"
 #include "agc/selfstab/ss_line.hpp"
 #include "agc/selfstab/ss_mis.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 namespace {
 
@@ -53,8 +54,8 @@ TEST(SsCongest, ColorsFitInLogarithmicMessages) {
   eo.delta_bound = 6;
   runtime::Engine engine(g, runtime::Transport(runtime::Model::CONGEST, 32), eo);
   engine.install(selfstab::ss_coloring_factory(cfg));
-  const auto rep = selfstab::run_until_stable(engine, cfg, 10000);
-  EXPECT_TRUE(rep.stabilized);
+  EXPECT_TRUE(
+      selfstab::run_stabilization(engine, {}, selfstab::coloring_spec(cfg)).recovered);
 }
 
 TEST(SsTorture, ContinuousFaultsThenQuiescence) {
@@ -73,9 +74,9 @@ TEST(SsTorture, ContinuousFaultsThenQuiescence) {
     adv.churn_edges(engine, 1, 1, dmax);
     engine.step();
   }
-  const auto rep = selfstab::run_until_stable(engine, cfg, 10000);
-  EXPECT_TRUE(rep.stabilized);
-  EXPECT_LE(graph::max_color(rep.colors), dmax);
+  EXPECT_TRUE(
+      selfstab::run_stabilization(engine, {}, selfstab::coloring_spec(cfg)).recovered);
+  EXPECT_LE(graph::max_color(selfstab::current_colors(engine)), dmax);
 }
 
 TEST(SsGrowth, VerticesJoinDuringExecution) {
@@ -88,7 +89,9 @@ TEST(SsGrowth, VerticesJoinDuringExecution) {
   runtime::Engine engine(std::move(g), runtime::Transport(runtime::Model::LOCAL),
                          eo);
   engine.install(selfstab::ss_coloring_factory(cfg));
-  ASSERT_TRUE(selfstab::run_until_stable(engine, cfg, 5000).stabilized);
+  auto spec = selfstab::coloring_spec(cfg);
+  spec.recovery_budget = 5000;
+  ASSERT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered);
 
   graph::Rng rng(23);
   for (int i = 0; i < 30; ++i) {
@@ -101,9 +104,9 @@ TEST(SsGrowth, VerticesJoinDuringExecution) {
     }
     engine.step();  // joins are interleaved with execution
   }
-  const auto rep = selfstab::run_until_stable(engine, cfg, 5000);
-  EXPECT_TRUE(rep.stabilized);
-  EXPECT_TRUE(graph::is_proper_coloring(engine.graph(), rep.colors));
+  EXPECT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered);
+  EXPECT_TRUE(
+      graph::is_proper_coloring(engine.graph(), selfstab::current_colors(engine)));
 }
 
 TEST(SsMisExtra, StableMisVertexSurvivesRemoteFaults) {
@@ -115,7 +118,9 @@ TEST(SsMisExtra, StableMisVertexSurvivesRemoteFaults) {
   eo.delta_bound = 5;
   runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
   engine.install(selfstab::ss_mis_factory(cfg));
-  ASSERT_TRUE(selfstab::run_until_mis_stable(engine, cfg, 20000).stabilized);
+  auto spec = selfstab::mis_spec(cfg);
+  spec.recovery_budget = 20000;
+  ASSERT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered);
 
   const auto mis_before = selfstab::current_mis(engine);
   // Pick an MIS vertex and fault everything at distance >= 2 from it.
@@ -132,9 +137,8 @@ TEST(SsMisExtra, StableMisVertexSurvivesRemoteFaults) {
       engine.corrupt_ram(v, 1, rng.below(3));
     }
   }
-  const auto rep = selfstab::run_until_mis_stable(engine, cfg, 20000);
-  ASSERT_TRUE(rep.stabilized);
-  EXPECT_TRUE(rep.in_mis[anchor]);
+  ASSERT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered);
+  EXPECT_TRUE(selfstab::current_mis(engine)[anchor]);
 }
 
 TEST(SsLineExtra, EdgeChurnHealsEdgeColoring) {
@@ -145,12 +149,13 @@ TEST(SsLineExtra, EdgeChurnHealsEdgeColoring) {
   eo.delta_bound = dmax;
   runtime::Engine engine(g, runtime::Transport(runtime::Model::LOCAL), eo);
   engine.install(selfstab::ss_line_factory(cfg));
-  ASSERT_TRUE(selfstab::run_until_line_stable(engine, cfg, 60000).stabilized);
+  auto spec = selfstab::line_spec(cfg);
+  spec.recovery_budget = 60000;
+  ASSERT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered);
 
   runtime::Adversary adv(31);
   adv.churn_edges(engine, 15, 15, dmax);
-  const auto rep = selfstab::run_until_line_stable(engine, cfg, 60000);
-  ASSERT_TRUE(rep.stabilized);
+  ASSERT_TRUE(selfstab::run_stabilization(engine, {}, spec).recovered);
   const auto colors = selfstab::current_edge_colors(engine);
   EXPECT_TRUE(graph::is_proper_edge_coloring(engine.graph(), colors));
   EXPECT_LT(graph::max_color(colors), 2 * dmax - 1);

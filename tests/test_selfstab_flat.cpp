@@ -1,6 +1,6 @@
 // The self-stabilizing coloring's flat rounds (selfstab::flat_resettle)
 // against the engine path they replace for fault-free repairs:
-// SsColoringProgram driven by faultlab::resettle.  Both runs start from the
+// SsColoringProgram driven by selfstab::resettle.  Both runs start from the
 // same RAM words on the same graph and must agree on the colors after every
 // round, the RoundEnd stream, rounds, the clocks, the violation, the
 // adjustment set, messages and total_bits — in both palette modes, from
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/harness.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/obs/event_sink.hpp"
 #include "agc/runtime/faults.hpp"
@@ -123,19 +122,17 @@ class Twin {
     ram_[v] = cfg_.reset_color(v);
   }
 
-  /// faultlab::resettle with coloring_check on the engine.
+  /// selfstab::resettle with coloring_spec on the engine.
   Observed engine_run(const Budget& b, const std::vector<std::uint64_t>& baseline) {
     RoundRecorder rec([this] { return digest(selfstab::current_colors(engine_)); });
     runtime::RunOptions opts;
     opts.sink = &rec;
     opts.max_rounds = b.max_rounds;
-    faultlab::StabilizationSpec spec;
-    spec.check = faultlab::coloring_check(cfg_);
-    spec.outputs = faultlab::coloring_outputs();
+    auto spec = selfstab::coloring_spec(cfg_);
     spec.recovery_budget = b.recovery_budget;
     spec.confirm_rounds = b.confirm_rounds;
     Observed o;
-    o.out = faultlab::resettle(engine_, opts, spec, baseline);
+    o.out = selfstab::resettle(engine_, opts, spec, baseline);
     o.rounds = std::move(rec.rows);
     o.ram = selfstab::current_colors(engine_);
     return o;

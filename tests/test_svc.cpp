@@ -108,9 +108,9 @@ TEST(ServiceBasics, RejectsFaultHooks) {
   struct Idle final : runtime::FaultAdversary {
     std::size_t inject(runtime::Engine&, std::size_t) override { return 0; }
   } idle;
-  auto with_adversary = small_config();
-  with_adversary.run.adversary = &idle;
-  EXPECT_THROW(svc::Service{with_adversary}, std::invalid_argument);
+  auto with_idle = small_config();
+  with_idle.run.adversary = &idle;
+  EXPECT_THROW(svc::Service{with_idle}, std::invalid_argument);
 
   faultlab::WireFaults channel(faultlab::ChannelFaultConfig{}, {}, 0);
   auto with_channel = small_config();

@@ -13,13 +13,13 @@
 #include <vector>
 
 #include "agc/exec/executor.hpp"
-#include "agc/faultlab/harness.hpp"
 #include "agc/faultlab/plan.hpp"
 #include "agc/faultlab/shrink.hpp"
 #include "agc/faultlab/zoo.hpp"
 #include "agc/graph/generators.hpp"
 #include "agc/runtime/faults.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
+#include "agc/selfstab/stabilization.hpp"
 
 namespace {
 
@@ -166,13 +166,13 @@ TEST(ByzSemantics, LiarsReplaceWordZeroWidthPreserving) {
 // ---------------------------------------------------------------------------
 
 struct ZooRun {
-  faultlab::StabilizationOutcome out;
+  selfstab::StabilizationOutcome out;
   std::vector<graph::Color> colors;
   std::uint64_t wire_events = 0;
 };
 
-/// Self-stabilizing coloring on gnp(140, 0.05, 59) under `zoo`, harness
-/// semantics identical to the sched runner's fault path.
+/// Self-stabilizing coloring on gnp(140, 0.05, 59) under `zoo`, through
+/// selfstab::run_stabilization as the sched runner's fault path runs it.
 ZooRun run_zoo(const ZooSpec& zoo, std::size_t threads,
                FaultPlan* record = nullptr) {
   const auto g = graph::random_gnp(140, 0.05, 59);
@@ -196,12 +196,10 @@ ZooRun run_zoo(const ZooSpec& zoo, std::size_t threads,
   if (zoo.any_channel()) opts.channel = &hooks;
   if (zoo.any_state()) opts.adversary = &advs;
   opts.max_rounds = 9000;
-  faultlab::StabilizationSpec spec;
-  spec.check = faultlab::coloring_check(cfg);
-  spec.outputs = faultlab::coloring_outputs();
+  auto spec = selfstab::coloring_spec(cfg);
   spec.recovery_budget = 3000;
   ZooRun r;
-  r.out = faultlab::run_stabilization(engine, opts, spec);
+  r.out = selfstab::run_stabilization(engine, opts, spec);
   engine.set_fault_recorder(nullptr);
   r.colors = selfstab::current_colors(engine);
   r.wire_events = hooks.events();
@@ -438,11 +436,9 @@ TEST(ZooRecordReplay, RecordedZooRunReplaysBitForBit) {
   opts.adversary = &adv;
   opts.channel = &chan;
   opts.max_rounds = 9000;
-  faultlab::StabilizationSpec spec;
-  spec.check = faultlab::coloring_check(cfg);
-  spec.outputs = faultlab::coloring_outputs();
+  auto spec = selfstab::coloring_spec(cfg);
   spec.recovery_budget = 3000;
-  const auto replay = faultlab::run_stabilization(engine, opts, spec);
+  const auto replay = selfstab::run_stabilization(engine, opts, spec);
   EXPECT_EQ(replay.recovered, live.out.recovered);
   EXPECT_EQ(replay.recovery_rounds, live.out.recovery_rounds);
   EXPECT_EQ(replay.last_fault_round, live.out.last_fault_round);

@@ -16,7 +16,7 @@
 // (default 3).  Any other flag is a campaign key (docs/SCHED.md: --seed, the
 // --chan-* and --adv-* faults, the zoo's --out-/--flap-/--byz-/--adapt-/
 // --churn- keys, --budget, --max-rounds, ...) and runs the ss-color job
-// (ss-color-exact with --exact) through the stabilization harness exactly as
+// (ss-color-exact with --exact) through the stabilization runner exactly as
 // a campaign runs it (docs/FAULTS.md).  It prints recovery time and
 // adjustment radius and exits 0 iff the job recovered.  Input the job
 // refuses — probabilities summing above 1, a fault family with no last
@@ -99,6 +99,7 @@
 #include "agc/runtime/trace.hpp"
 #include "agc/sched/campaign.hpp"
 #include "agc/selfstab/ss_coloring.hpp"
+#include "agc/selfstab/stabilization.hpp"
 #include "agc/svc/service.hpp"
 #include "agc/svc/workload.hpp"
 
@@ -344,19 +345,19 @@ int cmd_match(const Args& a) {
 }
 
 /// The flags of `agccli selfstab`'s epoch loop; any other flag selects the
-/// stabilization harness.
+/// fault job.
 bool epoch_flag(const std::string& key) {
   return key == "graph" || key == "faults" || key == "epochs" || key == "exact" ||
          key == "threads" || key == "jsonl" || key == "phases";
 }
 
-/// The harness path of `agccli selfstab`: the ss-color job (ss-color-exact
+/// The fault-job path of `agccli selfstab`: the ss-color job (ss-color-exact
 /// with --exact) built from campaign keys, through
 /// sched::run_stabilization_job, recording to --fault-plan or, with
 /// --replay, replaying it.
 int selfstab_job(const Args& a) {
   if (a.has("faults") || a.has("epochs")) {
-    usage("--faults and --epochs drive the epoch loop; the harness takes "
+    usage("--faults and --epochs drive the epoch loop; the fault job takes "
           "campaign fault keys");
   }
   sched::JobSpec job;
@@ -377,7 +378,7 @@ int selfstab_job(const Args& a) {
   }
   if (replay && path.empty()) usage("--replay needs --fault-plan FILE");
   if (!replay && !job.faults.any()) {
-    usage("the harness needs a fault key (docs/SCHED.md) or --replay");
+    usage("the fault job needs a fault key (docs/SCHED.md) or --replay");
   }
 
   const auto rg = resolve_graph(a.get("graph"));
@@ -448,19 +449,25 @@ int cmd_selfstab(const Args& a) {
   runtime::RunOptions ro;
   ro.max_rounds = 1000000;
   ob.apply(ro);
+  selfstab::StabilizationSpec spec = selfstab::coloring_spec(cfg);
+  spec.recovery_budget = ro.max_rounds;  // the settle may take every round
   runtime::Adversary adv(1);
   for (std::uint64_t e = 0; e <= epochs; ++e) {
     if (e > 0) {
       adv.corrupt_random(engine, faults, cfg.span());
       adv.clone_neighbor(engine, faults / 2 + 1);
     }
-    const auto rep = selfstab::run_until_stable(engine, cfg, ro);
-    std::printf("epoch %llu: %s after %zu rounds (palette<=%llu)\n",
+    const std::uint64_t start = engine.rounds();
+    const auto rep = selfstab::run_stabilization(engine, ro, spec);
+    const std::uint64_t settle =
+        rep.recovered ? rep.first_legal_round - start : rep.rounds;
+    std::printf("epoch %llu: %s after %llu rounds (palette<=%llu)\n",
                 static_cast<unsigned long long>(e),
-                rep.stabilized ? "stable" : "NOT STABLE", rep.rounds_to_stable,
+                rep.recovered ? "stable" : "NOT STABLE",
+                static_cast<unsigned long long>(settle),
                 static_cast<unsigned long long>(cfg.final_palette()));
     ob.report(rep);
-    if (!rep.stabilized) return 1;
+    if (!rep.recovered) return 1;
   }
   return 0;
 }
